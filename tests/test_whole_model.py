@@ -1,0 +1,133 @@
+"""Whole-network checks that do not depend on the layout of grouped activations.
+
+``TestObjectiveGradient`` compares the tape gradient of the full training
+objective (cross-entropy, routing entropy and L2) through ``Model.forward``
+with central finite differences of the same objective. ``TestForwardReference``
+compares eval-mode logits with a plain-numpy forward pass that keeps grouped
+activations as (batch, group, slot) arrays and shares no code with the
+package.
+"""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from gmlp import tensor as T
+from gmlp.model import build, parse_arch
+from gmlp.tensor import Tensor
+from gmlp.training import TrainConfig, loss_terms
+from gradcheck import finite_difference, max_rel_err
+
+D = 5
+N_CLASSES = 3
+BN_EPS = 1e-5
+
+ARCHS = [
+    "GSel-8-2, GFC, ReLU, BNorm, GPool-max, GFC, ReLU, BNorm, Concat, FC-3",
+    "GSel-8-2, GFC, ReLU, BNorm, GPool-max-4, GFC, ReLU, BNorm, Concat, FC-3",
+    "GSel-8-2, GFC, ReLU, BNorm, GPool-mean, GFC, ReLU, BNorm, Concat, FC-3",
+    "GSel-8-2, GFC, ReLU, BNorm, GPool-mean-4, GFC, ReLU, BNorm, Concat, FC-3",
+    "GSel-8-2, GFC, ReLU, BNorm, GPool-linear, GFC, ReLU, BNorm, Concat, FC-3",
+    "GSel-8-2, GFC, ReLU, BNorm, GPool-linear-4, GFC, ReLU, BNorm, Concat, FC-3",
+    "FC-6, ReLU, BNorm, FC-4, ReLU, BNorm, FC-3",
+]
+
+
+def _net(arch, seed):
+    model = build(parse_arch(arch, d=D, seed=seed))
+    if model.routing is not None:
+        model.set_temperature(0.7)
+    return model
+
+
+class TestObjectiveGradient:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_full_objective_matches_finite_differences(self, arch):
+        rng = np.random.default_rng(41)
+        model = _net(arch, seed=2)
+        params = model.parameters()
+        psi = model.routing.psi if model.routing is not None else None
+        cfg = TrainConfig(lambda_=0.5, alpha=1e-2)
+        x = rng.normal(size=(6, D))
+        y = rng.integers(0, N_CLASSES, size=6)
+
+        def objective(tape):
+            logits = model.forward(Tensor(x), training=True, tape=tape, mode="relaxed")
+            total, _, ent = loss_terms(tape, logits, y, psi, params, cfg)
+            assert (ent is not None) == (psi is not None)
+            return total
+
+        tape = T.Tape()
+        tape.backward(objective(tape))
+        analytic = [p.grad for _, p in params]
+        numeric = finite_difference(lambda: objective(None).item(), [p.data for _, p in params])
+        for (name, _), a, n in zip(params, analytic, numeric):
+            assert a is not None, name
+            assert max_rel_err(a, n) < 1e-5, name
+
+
+def _reference_logits(model, x, mode):
+    """Eval-mode logits in plain numpy, grouped activations held as (B, k, m)."""
+    arrays = dict(model.state_arrays())
+    spec = model.spec
+    n = x.shape[0]
+    h = x
+    if spec.kind == "gmlp":
+        psi = arrays["gsel.psi"]
+        if mode == "hard":
+            h = x[:, psi.argmax(axis=1)]
+        else:
+            z = psi / model.temperature
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            h = x @ (e / e.sum(axis=1, keepdims=True)).T
+        h = h.reshape(n, spec.k, spec.m)
+    for i, block in enumerate(spec.blocks):
+        p = f"block{i}"
+        tag = block[0]
+        if tag == "gfc":
+            w, b = arrays[f"{p}.gfc.weights"], arrays[f"{p}.gfc.biases"]
+            h = np.stack([h[:, g, :] @ w[g].T + b[g] for g in range(w.shape[0])], axis=1)
+        elif tag == "relu":
+            h = np.where(h > 0.0, h, 0.0)
+        elif tag == "batchnorm":
+            flat = h.reshape(n, -1)
+            mean, var = arrays[f"{p}.bn.running_mean"], arrays[f"{p}.bn.running_var"]
+            gamma, beta = arrays[f"{p}.bn.gamma"], arrays[f"{p}.bn.beta"]
+            h = ((flat - mean) / np.sqrt(var + BN_EPS) * gamma + beta).reshape(h.shape)
+        elif tag == "pool":
+            kind, br = block[1], block[2]
+            step = h.shape[1] // br  # output group i merges groups i, i + step, ...
+            strata = [h[:, t * step : (t + 1) * step, :] for t in range(br)]
+            if kind == "max":
+                h = np.max(strata, axis=0)
+            elif kind == "mean":
+                h = np.mean(strata, axis=0)
+            else:
+                w = arrays[f"{p}.pool.weights"]  # (k/b, m, b*m)
+                cat = np.concatenate(strata, axis=2)  # (B, k/b, b*m), strata side by side
+                h = np.stack([cat[:, g, :] @ w[g].T for g in range(w.shape[0])], axis=1)
+        elif tag == "concat":
+            h = h.reshape(n, -1)
+        elif tag == "dense":
+            h = h @ arrays[f"{p}.dense.w"] + arrays[f"{p}.dense.b"]
+    return h
+
+
+class TestForwardReference:
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("mode", ["hard", "relaxed"])
+    def test_logits_match_plain_numpy(self, arch, mode):
+        rng = np.random.default_rng(43)
+        model = _net(arch, seed=3)
+        # move every parameter and moment off its initial value, so biases,
+        # batch-norm affine maps and running moments all take part
+        for name, arr in model.state_arrays():
+            if name.endswith("running_var"):
+                arr[:] = rng.uniform(0.5, 2.0, size=arr.shape)
+            else:
+                arr += rng.normal(scale=0.3, size=arr.shape)
+        x = rng.normal(size=(9, D))
+        got = model.forward(Tensor(x), training=False, mode=mode).data
+        want = _reference_logits(model, x, mode)
+        assert got.shape == (9, N_CLASSES)
+        npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
