@@ -117,10 +117,9 @@ def correlation_analysis(
     from .tensor import Tensor
 
     z = group_select_forward(None, Tensor(ds.X), model.routing).data
-    n, k, m = z.shape
-    flat = z.reshape(n, k * m)
+    k, m, n = z.shape
     take = min(k * m, n_features_cap)
-    flat = flat[:, :take]
+    flat = z.reshape(k * m, n)[:take].T
 
     centered = flat - flat.mean(axis=0)
     std = flat.std(axis=0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import RoutingTable
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import ArchSpec, Model, build, parse_arch
 
 FORMAT_VERSION = 1
@@ -87,22 +87,28 @@ class LoadedCheckpoint:
     routing_table: RoutingTable | None
 
 
-def read_manifest(path) -> dict:
-    with open(path, "rb") as fh:
-        head = fh.read(_LEN.size)
-        if len(head) != _LEN.size:
-            raise CheckpointError(f"{path}: truncated header")
-        (n,) = _LEN.unpack(head)
-        payload = fh.read(n)
-        if len(payload) != n:
-            raise CheckpointError(f"{path}: truncated manifest")
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
+def _field(obj: dict, key: str, kind, where: str):
+    """obj[key], which must be present and of type ``kind`` (a bool never counts as a number)."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise CheckpointError(f"{where}: {key!r} is missing or mistyped ({value!r})")
+    return value
 
 
-def load_checkpoint(path) -> LoadedCheckpoint:
+def _list_of(obj: dict, key: str, kind, where: str) -> list:
+    """_field for a list whose every item has type ``kind``."""
+    values = _field(obj, key, list, where)
+    if any(isinstance(v, bool) or not isinstance(v, kind) for v in values):
+        raise CheckpointError(f"{where}: {key!r} holds mistyped items")
+    return values
+
+
+def _read_container(path) -> tuple[dict, bytes]:
+    """Parse a checkpoint file into its manifest and blob, checking the manifest's structure.
+
+    Every way a file can be malformed (truncation, bad JSON, a manifest that
+    is not an object, a missing or mistyped field) raises CheckpointError.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_LEN.size)
         if len(head) != _LEN.size:
@@ -116,20 +122,55 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         manifest = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format version {manifest.get('format_version')}")
     if manifest.get("blob_bytes") != len(blob):
         raise CheckpointError(
             f"blob length {len(blob)} does not match manifest ({manifest.get('blob_bytes')})"
         )
+    where = f"{path}: manifest"
+    _field(manifest, "arch", str, where)
+    _field(manifest, "d", int, where)
+    _field(manifest, "final_tau", (int, float), where)
+    for key in ("seed", "branching"):
+        if key in manifest:
+            _field(manifest, key, int, where)
+    if "metadata" in manifest:
+        _field(manifest, "metadata", dict, where)
+    for i, entry in enumerate(_field(manifest, "params", list, where)):
+        at = f"{where} params[{i}]"
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{at}: {entry!r} is not an object")
+        _field(entry, "name", str, at)
+        _list_of(entry, "shape", int, at)
+        _field(entry, "offset", int, at)
+    if "routing_table" in manifest:
+        rt = _field(manifest, "routing_table", dict, where)
+        at = f"{where} routing_table"
+        k, m = _field(rt, "k", int, at), _field(rt, "m", int, at)
+        _field(rt, "d", int, at)
+        slots = _list_of(rt, "slot_to_feature", int, at)
+        conf = _list_of(rt, "row_confidence", (int, float), at)
+        if len(slots) != k * m or len(conf) != k * m:
+            raise CheckpointError(f"{at}: needs k*m = {k * m} slots and confidences")
+    return manifest, blob
 
-    spec = parse_arch(
-        manifest["arch"],
-        d=manifest["d"],
-        seed=manifest.get("seed", 0),
-        branching=manifest.get("branching", 2),
-    )
-    model = build(spec)
+
+def load_checkpoint(path) -> LoadedCheckpoint:
+    manifest, blob = _read_container(path)
+    try:
+        spec = parse_arch(
+            manifest["arch"],
+            d=manifest["d"],
+            seed=manifest.get("seed", 0),
+            branching=manifest.get("branching", 2),
+        )
+        model = build(spec)
+        model.set_temperature(float(manifest["final_tau"]))
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: manifest describes no valid model: {exc}") from exc
     available = dict(model.state_arrays())
     for entry in manifest["params"]:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
@@ -146,7 +187,6 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         dst[:] = values.reshape(shape).astype(np.float64)
     if available:
         raise CheckpointError(f"checkpoint is missing arrays: {sorted(available)}")
-    model.set_temperature(float(manifest["final_tau"]))
 
     table = None
     if "routing_table" in manifest:

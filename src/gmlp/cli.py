@@ -159,7 +159,6 @@ def cmd_train(args) -> int:
         "final_test_accuracy": accuracy(model, test_n),
         "final_tau": result.final_tau,
         "final_sparsity": sparsity_report(model.routing) if model.routing else None,
-        "wall_time_seconds": result.records[-1].wall_time if result.records else 0.0,
     }
     _write_json(os.path.join(out_dir, "train_report.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -2,9 +2,13 @@
 the supporting Dense / BatchNorm / Dropout / ReLU / Concat blocks.
 
 Shapes follow one convention throughout: a batch of inputs is (B, d), grouped
-activations are (B, k, m) with k the current group count and m the group
-size, and the routing logits are (k*m, d) — row i*m+j holds the logits of
-slot j of group i over the d input features.
+activations are (k, m, B) with k the current group count, m the group size
+and the batch last, and the routing logits are (k*m, d) — row i*m+j holds the
+logits of slot j of group i over the d input features. Batch-last storage
+makes a group's slots for the whole batch one contiguous block, so Group-FC
+is a batched matrix product and pooling and batch-norm reduce contiguous
+memory. Group-Select turns (B, d) into (k, m, B); Concat turns (k, m, B)
+back into (B, k*m) for the dense tail.
 """
 
 from __future__ import annotations
@@ -83,28 +87,28 @@ def hard_assignment(routing: RoutingParams) -> np.ndarray:
 
 
 def group_select_forward(tape, x: Tensor, routing: RoutingParams, mode: str = "relaxed") -> Tensor:
-    """Organize (B, d) inputs into (B, k, m) feature groups.
+    """Organize (B, d) inputs into (k, m, B) feature groups.
 
-    Relaxed mode mixes features through the tempered row softmax of psi and is
-    differentiable in psi; hard mode gathers exactly one input feature per
-    slot (the argmax) and is used for sparse inference.
+    Relaxed mode mixes features through the tempered row softmax S of psi,
+    as S @ x.T, and is differentiable in psi; hard mode gathers exactly one
+    row of x.T per slot (the argmax) and is used for sparse inference.
     """
     if x.data.ndim != 2 or x.shape[1] != routing.d:
         raise ShapeError(f"input {x.shape} does not match d={routing.d}")
     n = x.shape[0]
     if mode == "relaxed":
         s = T.softmax_rows(tape, routing.psi, routing.temperature)
-        flat = T.matmul(tape, x, T.transpose(tape, s))
+        flat = T.matmul_nt(tape, s, x)
     elif mode == "hard":
-        flat = T.gather_cols(tape, x, hard_assignment(routing))
+        flat = T.gather_rows(tape, T.transpose(tape, x), hard_assignment(routing))
     else:
         raise ConfigError(f"unknown group-select mode {mode!r}")
-    return T.reshape(tape, flat, (n, routing.k, routing.m))
+    return T.reshape(tape, flat, (routing.k, routing.m, n))
 
 
 def group_fc_forward(tape, z: Tensor, params: GroupFcParams) -> Tensor:
     """Apply each group's private affine map; there are no cross-group weights."""
-    if z.data.ndim != 3 or z.shape[1] != params.k:
+    if z.data.ndim != 3 or z.shape[0] != params.k:
         raise ShapeError(f"grouped input {z.shape} does not match k={params.k} groups")
     return T.group_linear(tape, z, params.weights, params.biases)
 
@@ -116,13 +120,13 @@ def group_pool_forward(
     branching: int = 2,
     params: Tensor | None = None,
 ) -> Tensor:
-    """Merge each set of ``branching`` groups into one, shrinking width by that factor.
+    """Merge each set of ``branching`` groups into one, (k', m, B) -> (k'/b, m, B).
 
     Output group i aggregates input groups {i + t*k'/b : t = 0..b-1}; for the
     binary case that is the pairing of group i with group i + k'/2. ``max``
     and ``mean`` aggregate elementwise; ``linear`` applies a learned
     (m x b*m) map private to each merged set (``params``, shape
-    (k'/b, m, b*m), no bias).
+    (k'/b, m, b*m), no bias) to the set's b*m stacked slots.
     """
     if kind == "max":
         return T.pool_max(tape, z, branching)
@@ -137,6 +141,7 @@ def group_pool_forward(
 
 
 def batchnorm_forward(tape, x: Tensor, state: BatchNormState, training: bool) -> Tensor:
+    """Batch-norm of dense (B, F) or grouped (k, m, B) activations, per feature or slot."""
     return T.batchnorm(
         tape,
         x,
@@ -158,11 +163,11 @@ def dropout_forward(tape, x: Tensor, rate: float, training: bool, rng: np.random
 
 
 def concat_groups(tape, z: Tensor) -> Tensor:
-    """Flatten (B, k', m) to (B, k'*m), group-major; the inverse reshape recovers z."""
+    """Flatten (k', m, B) to (B, k'*m), group-major: column i*m+j is slot j of group i."""
     if z.data.ndim != 3:
-        raise ShapeError(f"concat_groups expects (B, k, m), got {z.shape}")
-    n, k, m = z.shape
-    return T.reshape(tape, z, (n, k * m))
+        raise ShapeError(f"concat_groups expects (k, m, B), got {z.shape}")
+    k, m, n = z.shape
+    return T.transpose(tape, T.reshape(tape, z, (k * m, n)))
 
 
 def dense_forward(tape, x: Tensor, w: Tensor, b: Tensor) -> Tensor:

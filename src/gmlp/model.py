@@ -206,9 +206,9 @@ class Model:
             psi = Tensor(_xavier(rng, d, k * m, (k * m, d)), requires_grad=True)
             self.routing = RoutingParams(psi, 1.0, k, m, d)
             self._params.append(("gsel.psi", psi))
-            k_cur, width, grouped = k, k * m, True
+            k_cur, width = k, k * m
         else:
-            k_cur, width, grouped = 0, d, False
+            k_cur, width = 0, d
 
         for i, block in enumerate(spec.blocks):
             tag = block[0]
@@ -241,7 +241,6 @@ class Model:
                 self._ops.append(("dropout", block[1]))
             elif tag == "concat":
                 self._ops.append(("concat", None))
-                grouped = False
             elif tag == "dense":
                 out_w = block[1]
                 w = Tensor(_xavier(rng, width, out_w, (width, out_w)), requires_grad=True)
@@ -290,23 +289,15 @@ class Model:
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
         h = x
-        grouped = False
         if self.routing is not None:
             h = L.group_select_forward(tape, x, self.routing, mode=mode)
-            grouped = True
         for tag, payload in self._ops:
             if tag == "gfc":
                 h = L.group_fc_forward(tape, h, payload)
             elif tag == "relu":
                 h = T.relu(tape, h)
             elif tag == "batchnorm":
-                if grouped:
-                    n, kc, m = h.shape
-                    flat = T.reshape(tape, h, (n, kc * m))
-                    flat = L.batchnorm_forward(tape, flat, payload, training)
-                    h = T.reshape(tape, flat, (n, kc, m))
-                else:
-                    h = L.batchnorm_forward(tape, h, payload, training)
+                h = L.batchnorm_forward(tape, h, payload, training)
             elif tag == "pool":
                 pk, br, w = payload
                 h = L.group_pool_forward(tape, h, pk, br, w)
@@ -316,7 +307,6 @@ class Model:
                 h = L.dropout_forward(tape, h, payload, training, rng)
             elif tag == "concat":
                 h = L.concat_groups(tape, h)
-                grouped = False
             elif tag == "dense":
                 w, b = payload
                 h = L.dense_forward(tape, h, w, b)

@@ -9,6 +9,13 @@ Design constraints, in order of priority:
   instead of deep compositions,
 * no views, no strides, no broadcasting beyond scalars and bias rows.
 
+Grouped activations are (k, m, B) arrays: group, slot within the group, then
+the batch, last. Every grouped primitive (``group_linear``, the pool ops,
+``batchnorm`` on 3-D input) relies on it: a group's rows for the whole batch
+are one contiguous block, so group maps are batched matrix products and
+pooling and batch statistics are contiguous reductions. Ungrouped
+activations (the network input and the dense tail) are (B, F).
+
 Storage is always a C-contiguous float64 ``numpy`` array. Ops are free
 functions taking the recording :class:`Tape` as first argument; passing
 ``tape=None`` runs the forward computation without recording (eval mode).
@@ -32,24 +39,22 @@ __all__ = [
     "Tensor",
     "Tape",
     "matmul",
+    "matmul_nt",
     "transpose",
     "reshape",
     "add",
-    "sub",
     "mul",
     "div",
-    "neg",
     "scale",
     "exp",
     "log",
     "relu",
-    "maximum",
     "tsum",
     "tmean",
     "sum_squares",
     "softmax_rows",
     "neg_entropy_rows",
-    "gather_cols",
+    "gather_rows",
     "group_linear",
     "batchnorm",
     "dropout",
@@ -172,14 +177,44 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, ad @ bd, (a, b), backward)
 
 
+def matmul_nt(tape, a: Tensor, b: Tensor) -> Tensor:
+    """a @ b.T for 2-D tensors, (p,q) @ (r,q).T -> (p,r), without copying b.T."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"matmul_nt: incompatible shapes {a.shape} @ {b.shape}.T")
+    ad, bd = a.data, b.data
+
+    def backward(g):
+        return g @ bd, g.T @ ad
+
+    return _result(tape, ad @ bd.T, (a, b), backward)
+
+
+_TRANSPOSE_BLOCK = 64
+
+
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """a.T as a new C-contiguous array.
+
+    Large arrays are copied a block of source rows at a time, so that each
+    destination row is written in runs of a cache line or more; numpy's own
+    strided copy of a large a.T is several times slower.
+    """
+    if min(a.shape) < _TRANSPOSE_BLOCK:
+        return np.ascontiguousarray(a.T)
+    out = np.empty(a.shape[::-1])
+    for i in range(0, a.shape[0], _TRANSPOSE_BLOCK):
+        out[:, i : i + _TRANSPOSE_BLOCK] = a[i : i + _TRANSPOSE_BLOCK].T
+    return out
+
+
 def transpose(tape, a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects 2-D, got {a.shape}")
 
     def backward(g):
-        return (np.ascontiguousarray(g.T),)
+        return (_transposed(g),)
 
-    return _result(tape, np.ascontiguousarray(a.data.T), (a,), backward)
+    return _result(tape, _transposed(a.data), (a,), backward)
 
 
 def reshape(tape, a: Tensor, shape) -> Tensor:
@@ -226,16 +261,6 @@ def add(tape, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, a.data + b.data, (a, b), backward)
 
 
-def sub(tape, a: Tensor, b: Tensor) -> Tensor:
-    _check_bcast(a, b, "sub")
-    ash, bsh = a.shape, b.shape
-
-    def backward(g):
-        return g, -_bcast_backward(ash, bsh, g)
-
-    return _result(tape, a.data - b.data, (a, b), backward)
-
-
 def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     _check_bcast(a, b, "mul")
     ash, bsh = a.shape, b.shape
@@ -258,13 +283,6 @@ def div(tape, a: Tensor, b: Tensor) -> Tensor:
         return g / bd, _bcast_backward(ash, bsh, -g * ad / (bd * bd))
 
     return _result(tape, ad / bd, (a, b), backward)
-
-
-def neg(tape, a: Tensor) -> Tensor:
-    def backward(g):
-        return (-g,)
-
-    return _result(tape, -a.data, (a,), backward)
 
 
 def scale(tape, a: Tensor, c: float) -> Tensor:
@@ -305,19 +323,6 @@ def relu(tape, a: Tensor) -> Tensor:
         return (g * (ad > 0.0),)
 
     return _result(tape, np.maximum(ad, 0.0), (a,), backward)
-
-
-def maximum(tape, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise max of two same-shape tensors; ties route the gradient to a."""
-    if a.shape != b.shape:
-        raise ShapeError(f"maximum: shapes differ {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    a_wins = ad >= bd
-
-    def backward(g):
-        return g * a_wins, g * ~a_wins
-
-    return _result(tape, np.maximum(ad, bd), (a, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -384,56 +389,49 @@ def softmax_rows(tape, a: Tensor, temperature: float) -> Tensor:
     return _result(tape, s, (a,), backward)
 
 
-def gather_cols(tape, x: Tensor, idx) -> Tensor:
-    """out[:, j] = x[:, idx[j]] for a 2-D x; duplicate indices accumulate gradient."""
+def gather_rows(tape, x: Tensor, idx) -> Tensor:
+    """out[j] = x[idx[j]] for a 2-D x; duplicate indices accumulate gradient."""
     idx = np.asarray(idx, dtype=np.intp)
     if x.data.ndim != 2:
-        raise ShapeError(f"gather_cols expects 2-D, got {x.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-        raise ShapeError("gather_cols: index out of range")
+        raise ShapeError(f"gather_rows expects 2-D, got {x.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise ShapeError("gather_rows: index out of range")
     xsh = x.shape
 
     def backward(g):
         dx = np.zeros(xsh)
-        np.add.at(dx, (slice(None), idx), g)
+        np.add.at(dx, idx, g)
         return (dx,)
 
-    return _result(tape, x.data[:, idx], (x,), backward)
+    return _result(tape, x.data[idx], (x,), backward)
 
 
 def group_linear(tape, z: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Independent affine map per group: out[:, i, :] = z[:, i, :] @ w[i].T + b[i].
+    """Independent affine map per group: out[i] = w[i] @ z[i] + b[i][:, None].
 
-    z is (B, k, p), w is (k, q, p), b is (k, q) or None. No weight is shared
-    across groups and no output reads another group's slice.
+    z is (k, p, B), batch last, w is (k, q, p), b is (k, q) or None; the
+    output is (k, q, B). Forward and backward are each one batched matrix
+    product over the k groups. No weight is shared across groups and no
+    output reads another group's slice.
     """
     if z.data.ndim != 3 or w.data.ndim != 3:
-        raise ShapeError("group_linear expects z (B,k,p) and w (k,q,p)")
-    if z.shape[1] != w.shape[0] or z.shape[2] != w.shape[2]:
+        raise ShapeError("group_linear expects z (k,p,B) and w (k,q,p)")
+    if z.shape[0] != w.shape[0] or z.shape[1] != w.shape[2]:
         raise ShapeError(f"group_linear: z {z.shape} incompatible with w {w.shape}")
     zd, wd = z.data, w.data
-    out = np.einsum("bkp,kqp->bkq", zd, wd)
-    if b is not None:
-        if b.shape != (w.shape[0], w.shape[1]):
-            raise ShapeError(f"group_linear: bias {b.shape} != {(w.shape[0], w.shape[1])}")
-        out += b.data
+    out = np.matmul(wd, zd)
+
+    def grads(g):
+        return np.matmul(wd.transpose(0, 2, 1), g), np.matmul(g, zd.transpose(0, 2, 1))
 
     if b is None:
-
-        def backward(g):
-            return (
-                np.einsum("bkq,kqp->bkp", g, wd),
-                np.einsum("bkq,bkp->kqp", g, zd),
-            )
-
-        return _result(tape, out, (z, w), backward)
+        return _result(tape, out, (z, w), grads)
+    if b.shape != (w.shape[0], w.shape[1]):
+        raise ShapeError(f"group_linear: bias {b.shape} != {(w.shape[0], w.shape[1])}")
+    out += b.data[:, :, None]
 
     def backward(g):
-        return (
-            np.einsum("bkq,kqp->bkp", g, wd),
-            np.einsum("bkq,bkp->kqp", g, zd),
-            g.sum(axis=0),
-        )
+        return (*grads(g), g.sum(axis=2))
 
     return _result(tape, out, (z, w, b), backward)
 
@@ -449,49 +447,68 @@ def batchnorm(
     eps: float,
     training: bool,
 ) -> Tensor:
-    """Per-feature batch normalization over a 2-D (batch, features) tensor.
+    """Per-feature batch normalization of (B, F) or grouped (k, m, B) input.
 
-    Training mode normalizes by batch moments (biased variance) and folds
-    them into the running moments in place; eval mode normalizes by the
-    running moments so output is independent of batch composition.
+    A grouped input normalizes each of its k*m slots over the batch axis, and
+    its gamma, beta and running moments are (k*m,) vectors in group-major
+    order. Training mode normalizes by batch moments (biased variance) and
+    folds them into the running moments in place; eval mode applies the
+    running moments as one scale and shift, a*x + c with a = gamma/sqrt(var +
+    eps) and c = beta - mean*a, so output is independent of batch composition.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"batchnorm expects 2-D, got {x.shape}")
-    n = x.shape[0]
+    xd = x.data
+    if xd.ndim == 2:
+        xf, axis, col = xd, 0, (-1,)
+    elif xd.ndim == 3:
+        # (k*m, B): every slot's batch is one contiguous row
+        xf, axis, col = xd.reshape(-1, xd.shape[2]), 1, (-1, 1)
+    else:
+        raise ShapeError(f"batchnorm expects (B, F) or (k, m, B), got {x.shape}")
+    if gamma.size != xf.shape[1 - axis]:
+        raise ShapeError(f"batchnorm: {gamma.size} features for input {x.shape}")
+    n = xf.shape[axis]
     if training and n < 2:
         raise DomainError("batchnorm in training mode needs a batch of at least 2")
-    xd = x.data
-    if training:
-        mean = xd.mean(axis=0)
-        var = xd.var(axis=0)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mean = running_mean
-        var = running_var
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mean) * invstd
-    out = gamma.data * xhat + beta.data
+    xsh = x.shape
     gd = gamma.data
 
-    if training:
+    if not training:
+        mean = running_mean.copy()
+        invstd = 1.0 / np.sqrt(running_var + eps)
+        a = gd * invstd
+        out = xf * a.reshape(col)
+        out += (beta.data - mean * a).reshape(col)
 
         def backward(g):
-            dbeta = g.sum(axis=0)
-            dgamma = (g * xhat).sum(axis=0)
-            dx = (gd * invstd) * (g - dbeta / n - xhat * (dgamma / n))
-            return dx, dgamma, dbeta
+            gf = g.reshape(xf.shape)
+            xhat = (xf - mean.reshape(col)) * invstd.reshape(col)
+            dx = gf * a.reshape(col)
+            return dx.reshape(xsh), (gf * xhat).sum(axis=axis), gf.sum(axis=axis)
 
-    else:
+        return _result(tape, out.reshape(xsh), (x, gamma, beta), backward)
 
-        def backward(g):
-            dbeta = g.sum(axis=0)
-            dgamma = (g * xhat).sum(axis=0)
-            return g * (gd * invstd), dgamma, dbeta
+    mean = xf.mean(axis=axis)
+    xc = xf - mean.reshape(col)
+    var = np.square(xc).mean(axis=axis)
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
+    invstd = 1.0 / np.sqrt(var + eps)
+    xhat = xc * invstd.reshape(col)
+    out = xhat * gd.reshape(col)
+    out += beta.data.reshape(col)
 
-    return _result(tape, out, (x, gamma, beta), backward)
+    def backward(g):
+        gf = g.reshape(xf.shape)
+        dbeta = gf.sum(axis=axis)
+        dgamma = (gf * xhat).sum(axis=axis)
+        dx = (gd * invstd).reshape(col) * (
+            gf - (dbeta / n).reshape(col) - xhat * (dgamma / n).reshape(col)
+        )
+        return dx.reshape(xsh), dgamma, dbeta
+
+    return _result(tape, out.reshape(xsh), (x, gamma, beta), backward)
 
 
 def dropout(tape, x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -512,52 +529,67 @@ def dropout(tape, x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def _pool_view(z: Tensor, branching: int):
+    """(k, m, B) as (b, k/b, m, B): stratum t of output group i is input group t*k/b + i.
+
+    So for branching=2 group i merges with group i + k/2, and each stratum is
+    one contiguous block of the input.
+    """
     if z.data.ndim != 3:
-        raise ShapeError(f"pool expects (B, k, m), got {z.shape}")
-    n, k, m = z.shape
+        raise ShapeError(f"pool expects (k, m, B), got {z.shape}")
+    k, m, n = z.shape
     if branching < 2:
         raise ShapeError(f"pool branching must be >= 2, got {branching}")
     if k % branching != 0:
         raise ShapeError(f"pool: group count {k} not divisible by branching {branching}")
-    kb = k // branching
-    # stratum t of output group i is input group t*kb + i, so for branching=2
-    # group i merges with group i + k/2
-    return z.data.reshape(n, branching, kb, m), n, kb, m
+    return z.data.reshape(branching, k // branching, m, n)
 
 
 def pool_max(tape, z: Tensor, branching: int) -> Tensor:
-    zr, n, kb, m = _pool_view(z, branching)
-    am = zr.argmax(axis=1)
-    k = z.shape[1]
+    """Elementwise max over each set of b groups, (k, m, B) -> (k/b, m, B).
+
+    Each output's gradient goes to the stratum that attained the max, the
+    lowest one on ties. Those argmax strata are found only when the backward
+    pass runs, by comparing each stratum with the output in turn.
+    """
+    zr = _pool_view(z, branching)
+    zsh = z.shape
+    out = zr.max(axis=0)
 
     def backward(g):
-        dzr = np.zeros((n, branching, kb, m))
-        np.put_along_axis(dzr, am[:, None, :, :], g[:, None, :, :], axis=1)
-        return (dzr.reshape(n, k, m),)
+        dzr = np.empty(zr.shape)
+        free = np.ones(out.shape, dtype=bool)
+        for t in range(branching):
+            hit = zr[t] == out
+            hit &= free
+            free &= ~hit
+            np.multiply(g, hit, out=dzr[t])
+        return (dzr.reshape(zsh),)
 
-    return _result(tape, zr.max(axis=1), (z,), backward)
+    return _result(tape, out, (z,), backward)
 
 
 def pool_mean(tape, z: Tensor, branching: int) -> Tensor:
-    zr, n, kb, m = _pool_view(z, branching)
-    k = z.shape[1]
+    """Elementwise mean over each set of b groups, (k, m, B) -> (k/b, m, B)."""
+    zr = _pool_view(z, branching)
+    zsh = z.shape
 
     def backward(g):
-        dzr = np.broadcast_to(g[:, None, :, :] / branching, (n, branching, kb, m))
-        return (np.ascontiguousarray(dzr).reshape(n, k, m),)
+        dzr = np.broadcast_to(g / branching, zr.shape)
+        return (np.ascontiguousarray(dzr).reshape(zsh),)
 
-    return _result(tape, zr.mean(axis=1), (z,), backward)
+    return _result(tape, zr.mean(axis=0), (z,), backward)
 
 
 def pool_concat(tape, z: Tensor, branching: int) -> Tensor:
-    """Rearrange (B, k, m) into (B, k/b, b*m): each output row i holds its b source groups side by side."""
-    zr, n, kb, m = _pool_view(z, branching)
-    out = np.ascontiguousarray(zr.transpose(0, 2, 1, 3)).reshape(n, kb, branching * m)
-    k = z.shape[1]
+    """Rearrange (k, m, B) into (k/b, b*m, B): output group i stacks its b source groups' slots."""
+    zr = _pool_view(z, branching)
+    b, kb, m, n = zr.shape
+    out = np.ascontiguousarray(zr.transpose(1, 0, 2, 3)).reshape(kb, b * m, n)
+    zsh = z.shape
 
     def backward(g):
-        gr = g.reshape(n, kb, branching, m).transpose(0, 2, 1, 3)
-        return (np.ascontiguousarray(gr).reshape(n, k, m),)
+        gr = g.reshape(kb, b, m, n).transpose(1, 0, 2, 3)
+        return (np.ascontiguousarray(gr).reshape(zsh),)
 
     return _result(tape, out, (z,), backward)
 

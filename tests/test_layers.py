@@ -9,6 +9,11 @@ from gmlp.layers import BatchNormState, GroupFcParams, RoutingParams
 from gmlp.tensor import Tensor
 
 
+def batch_last(a):
+    """A (B, k, m) array of grouped activations as the (k, m, B) array the layers take."""
+    return np.asarray(a, dtype=np.float64).transpose(1, 2, 0)
+
+
 def routing_from_assignment(assignment, d, scale=1e6, temperature=1.0, k=None, m=None):
     """RoutingParams whose rows are saturated one-hots at the given feature indices."""
     assignment = np.asarray(assignment)
@@ -25,7 +30,7 @@ class TestGroupSelect:
         r = routing_from_assignment([2, 0], d=3, k=1, m=2)
         x = Tensor([[1.0, 2.0, 3.0]])
         out = L.group_select_forward(None, x, r, mode="hard")
-        npt.assert_array_equal(out.data, [[[3.0, 1.0]]])
+        npt.assert_array_equal(out.data, batch_last([[[3.0, 1.0]]]))
 
     def test_relaxed_saturated_matches_hard(self):
         rng = np.random.default_rng(0)
@@ -38,7 +43,7 @@ class TestGroupSelect:
     def test_relaxed_uniform_mixes_to_mean(self):
         r = RoutingParams(Tensor(np.zeros((2, 3))), 1.0, 1, 2, 3)
         out = L.group_select_forward(None, Tensor([[3.0, 6.0, 9.0]]), r, mode="relaxed")
-        npt.assert_allclose(out.data, [[[6.0, 6.0]]])
+        npt.assert_allclose(out.data, batch_last([[[6.0, 6.0]]]))
 
     def test_dimension_mismatch(self):
         r = RoutingParams(Tensor(np.zeros((2, 3))), 1.0, 1, 2, 3)
@@ -83,7 +88,7 @@ class TestGroupFc:
 
     def test_identity_weights(self):
         rng = np.random.default_rng(2)
-        z = Tensor(rng.normal(size=(3, 4, 2)))
+        z = Tensor(batch_last(rng.normal(size=(3, 4, 2))))
         out = L.group_fc_forward(None, z, self._params(4, 2))
         npt.assert_allclose(out.data, z.data)
 
@@ -92,28 +97,28 @@ class TestGroupFc:
         p = self._params(2, 2, rng)
         p.weights.data[0] = 0.0
         p.biases.data[0] = 0.0
-        z = Tensor(rng.normal(size=(3, 2, 2)))
+        z = Tensor(batch_last(rng.normal(size=(3, 2, 2))))
         out = L.group_fc_forward(None, z, p)
-        npt.assert_array_equal(out.data[:, 0], np.zeros((3, 2)))
-        assert np.abs(out.data[:, 1]).min() > 0
+        npt.assert_array_equal(out.data[0], np.zeros((2, 3)))
+        assert np.abs(out.data[1]).min() > 0
 
     def test_group_count_mismatch(self):
         with pytest.raises(ShapeError):
-            L.group_fc_forward(None, Tensor(np.zeros((1, 3, 2))), self._params(4, 2))
+            L.group_fc_forward(None, Tensor(batch_last(np.zeros((1, 3, 2)))), self._params(4, 2))
 
     def test_gradient_locality(self):
         # loss reading only group 1 gets zero gradient blocks for group 0
         rng = np.random.default_rng(4)
         p = self._params(2, 3, rng)
-        z = Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
+        z = Tensor(batch_last(rng.normal(size=(5, 2, 3))), requires_grad=True)
         tape = T.Tape()
         out = L.group_fc_forward(tape, z, p)
         mask = np.zeros((5, 2, 3))
         mask[:, 1, :] = rng.normal(size=(5, 3))
-        tape.backward(T.tsum(tape, T.mul(tape, out, Tensor(mask))))
+        tape.backward(T.tsum(tape, T.mul(tape, out, Tensor(batch_last(mask)))))
         npt.assert_array_equal(p.weights.grad[0], np.zeros((3, 3)))
         npt.assert_array_equal(p.biases.grad[0], np.zeros(3))
-        npt.assert_array_equal(z.grad[:, 0], np.zeros((5, 3)))
+        npt.assert_array_equal(z.grad[0], np.zeros((3, 5)))
         assert np.abs(p.weights.grad[1]).max() > 0
 
     def test_parameter_count(self):
@@ -123,40 +128,46 @@ class TestGroupFc:
 
 class TestGroupPool:
     def test_max_example(self):
-        z = Tensor([[[1.0, 4.0], [3.0, 2.0]]])
-        npt.assert_array_equal(L.group_pool_forward(None, z, "max").data, [[[3.0, 4.0]]])
+        z = Tensor(batch_last([[[1.0, 4.0], [3.0, 2.0]]]))
+        npt.assert_array_equal(
+            L.group_pool_forward(None, z, "max").data, batch_last([[[3.0, 4.0]]])
+        )
 
     def test_mean_example(self):
-        z = Tensor([[[1.0, 4.0], [3.0, 2.0]]])
-        npt.assert_array_equal(L.group_pool_forward(None, z, "mean").data, [[[2.0, 3.0]]])
+        z = Tensor(batch_last([[[1.0, 4.0], [3.0, 2.0]]]))
+        npt.assert_array_equal(
+            L.group_pool_forward(None, z, "mean").data, batch_last([[[2.0, 3.0]]])
+        )
 
     def test_linear_selection_matrix(self):
         # weight [I | 0] returns the first group untouched
         m = 2
         w = np.zeros((1, m, 2 * m))
         w[0, :, :m] = np.eye(m)
-        z = Tensor([[[1.0, 4.0], [3.0, 2.0]]])
+        z = Tensor(batch_last([[[1.0, 4.0], [3.0, 2.0]]]))
         out = L.group_pool_forward(None, z, "linear", params=Tensor(w))
-        npt.assert_array_equal(out.data, [[[1.0, 4.0]]])
+        npt.assert_array_equal(out.data, batch_last([[[1.0, 4.0]]]))
 
     def test_linear_requires_params(self):
         with pytest.raises(ConfigError):
-            L.group_pool_forward(None, Tensor(np.zeros((1, 2, 2))), "linear")
+            L.group_pool_forward(None, Tensor(batch_last(np.zeros((1, 2, 2)))), "linear")
 
     def test_indivisible_group_count(self):
         with pytest.raises(ShapeError):
-            L.group_pool_forward(None, Tensor(np.zeros((1, 3, 2))), "max", branching=2)
+            L.group_pool_forward(
+                None, Tensor(batch_last(np.zeros((1, 3, 2)))), "max", branching=2
+            )
 
     def test_branching_four_strata(self):
         # output group i merges input groups {i, i+2, i+4, i+6} for k'=8, b=4
         z = np.zeros((1, 8, 1))
         z[0, :, 0] = np.arange(8.0)
-        out = L.group_pool_forward(None, Tensor(z), "max", branching=4)
-        npt.assert_array_equal(out.data[0, :, 0], [6.0, 7.0])
+        out = L.group_pool_forward(None, Tensor(batch_last(z)), "max", branching=4)
+        npt.assert_array_equal(out.data[:, 0, 0], [6.0, 7.0])
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
-            L.group_pool_forward(None, Tensor(np.zeros((1, 2, 2))), "median")
+            L.group_pool_forward(None, Tensor(batch_last(np.zeros((1, 2, 2)))), "median")
 
 
 class TestBatchNorm:
@@ -218,17 +229,17 @@ class TestDropout:
 
 class TestConcat:
     def test_flatten_order(self):
-        z = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+        z = Tensor(batch_last([[[1.0, 2.0], [3.0, 4.0]]]))
         npt.assert_array_equal(L.concat_groups(None, z).data, [[1.0, 2.0, 3.0, 4.0]])
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
-        z = Tensor(rng.normal(size=(3, 4, 2)))
+        z = Tensor(batch_last(rng.normal(size=(3, 4, 2))))
         flat = L.concat_groups(None, z)
-        npt.assert_array_equal(flat.data.reshape(3, 4, 2), z.data)
+        npt.assert_array_equal(batch_last(flat.data.reshape(3, 4, 2)), z.data)
 
     def test_batch_rows_preserved(self):
-        z = Tensor(np.arange(12.0).reshape(3, 2, 2))
-        out = L.concat_groups(None, z)
+        zb = np.arange(12.0).reshape(3, 2, 2)
+        out = L.concat_groups(None, Tensor(batch_last(zb)))
         assert out.shape == (3, 4)
-        npt.assert_array_equal(out.data[1], z.data[1].reshape(-1))
+        npt.assert_array_equal(out.data[1], zb[1].reshape(-1))

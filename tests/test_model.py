@@ -93,7 +93,7 @@ class TestBuild:
             for tag, payload in model._ops:
                 if tag == "pool":
                     h = L.group_pool_forward(None, h, payload[0], payload[1], payload[2])
-            assert h.shape[1] == k // branching**pools
+            assert h.shape[0] == k // branching**pools
 
     def test_param_count_actual_matches_built_model(self):
         texts = [

@@ -13,6 +13,11 @@ def t(data, rg=False):
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg)
 
 
+def batch_last(a):
+    """A (B, k, m) array of grouped activations as the (k, m, B) array the ops take."""
+    return np.asarray(a, dtype=np.float64).transpose(1, 2, 0)
+
+
 class TestForward:
     def test_matmul_identity(self):
         a = t(np.eye(2))
@@ -166,6 +171,14 @@ class TestGradientsAgainstFiniteDifferences:
         b = t(rng.normal(size=(4, 2)), rg=True)
         _fd_check(lambda tp: T.tsum(tp, T.matmul(tp, a, b)), [a, b], tol=1e-6)
 
+    def test_matmul_nt(self):
+        rng = np.random.default_rng(8)
+        a = t(rng.normal(size=(3, 4)), rg=True)
+        b = t(rng.normal(size=(2, 4)), rg=True)
+        proj = t(rng.normal(size=(3, 2)))
+        npt.assert_allclose(T.matmul_nt(None, a, b).data, a.data @ b.data.T, rtol=1e-14)
+        _fd_check(lambda tp: T.tsum(tp, T.mul(tp, T.matmul_nt(tp, a, b), proj)), [a, b], tol=1e-6)
+
     @pytest.mark.parametrize("seed", range(24))
     def test_primitive_mix(self, seed):
         # >= 20 random instances across the primitive vocabulary
@@ -198,22 +211,22 @@ class TestGradientsAgainstFiniteDifferences:
     @pytest.mark.parametrize("seed", range(4))
     def test_group_linear(self, seed):
         rng = np.random.default_rng(seed)
-        z = t(rng.normal(size=(3, 4, 2)), rg=True)
+        z = t(batch_last(rng.normal(size=(3, 4, 2))), rg=True)
         w = t(rng.normal(size=(4, 2, 2)), rg=True)
         b = t(rng.normal(size=(4, 2)), rg=True)
-        proj = t(rng.normal(size=(3, 4, 2)))
+        proj = t(batch_last(rng.normal(size=(3, 4, 2))))
         _fd_check(
             lambda tp: T.tsum(tp, T.mul(tp, T.group_linear(tp, z, w, b), proj)),
             [z, w, b],
         )
 
-    def test_gather_cols_accumulates_duplicates(self):
+    def test_gather_rows_accumulates_duplicates(self):
         rng = np.random.default_rng(3)
-        x = t(rng.normal(size=(4, 5)), rg=True)
+        x = t(rng.normal(size=(4, 5)).T, rg=True)
         idx = np.array([2, 0, 2, 4])
-        proj = t(rng.normal(size=(4, 4)))
+        proj = t(rng.normal(size=(4, 4)).T)
         _fd_check(
-            lambda tp: T.tsum(tp, T.mul(tp, T.gather_cols(tp, x, idx), proj)),
+            lambda tp: T.tsum(tp, T.mul(tp, T.gather_rows(tp, x, idx), proj)),
             [x],
         )
 
@@ -232,14 +245,34 @@ class TestGradientsAgainstFiniteDifferences:
 
         _fd_check(build, [x, gamma, beta], tol=2e-5)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_grouped(self, training):
+        # a (k, m, B) input normalizes each slot as a (B, k*m) input does each column
+        rng = np.random.default_rng(12)
+        xb = rng.normal(size=(6, 2, 2))
+        x = t(batch_last(xb), rg=True)
+        gamma = t(rng.uniform(0.5, 1.5, size=4), rg=True)
+        beta = t(rng.normal(size=4), rg=True)
+        proj = t(batch_last(rng.normal(size=(6, 2, 2))))
+        mean, var = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+
+        def bn(tp, inp):
+            return T.batchnorm(tp, inp, gamma, beta, mean.copy(), var.copy(), 0.1, 1e-5, training)
+
+        _fd_check(lambda tp: T.tsum(tp, T.mul(tp, bn(tp, x), proj)), [x, gamma, beta], tol=2e-5)
+        flat = bn(None, t(xb.reshape(6, 4))).data
+        npt.assert_allclose(
+            bn(None, x).data, batch_last(flat.reshape(6, 2, 2)), rtol=1e-12, atol=1e-12
+        )
+
     @pytest.mark.parametrize("kind", ["max", "mean", "concat"])
     @pytest.mark.parametrize("branching", [2, 4])
     def test_pools(self, kind, branching):
         rng = np.random.default_rng(13)
-        z = t(rng.normal(size=(3, 8, 2)), rg=True)
+        z = t(batch_last(rng.normal(size=(3, 8, 2))), rg=True)
         op = {"max": T.pool_max, "mean": T.pool_mean, "concat": T.pool_concat}[kind]
-        out_shape = op(None, z, branching).shape
-        proj = t(rng.normal(size=out_shape))
+        k, m, n = op(None, z, branching).shape
+        proj = t(batch_last(rng.normal(size=(n, k, m))))
         _fd_check(lambda tp: T.tsum(tp, T.mul(tp, op(tp, z, branching), proj)), [z])
 
     def test_cross_entropy(self):
@@ -257,28 +290,37 @@ class TestGradientsAgainstFiniteDifferences:
 class TestPoolSemantics:
     def test_max_pool_halves_pairing(self):
         # groups 0..3; branching 2 pairs group i with i + k/2
-        z = t(np.array([[[1.0, 4.0], [9.0, 9.0], [3.0, 2.0], [-1.0, 0.0]]]))
+        z = t(batch_last([[[1.0, 4.0], [9.0, 9.0], [3.0, 2.0], [-1.0, 0.0]]]))
         out = T.pool_max(None, z, 2)
-        npt.assert_array_equal(out.data, [[[3.0, 4.0], [9.0, 9.0]]])
+        npt.assert_array_equal(out.data, batch_last([[[3.0, 4.0], [9.0, 9.0]]]))
 
     def test_mean_pool(self):
-        z = t(np.array([[[1.0, 4.0], [3.0, 2.0]]]))
-        npt.assert_array_equal(T.pool_mean(None, z, 2).data, [[[2.0, 3.0]]])
+        z = t(batch_last([[[1.0, 4.0], [3.0, 2.0]]]))
+        npt.assert_array_equal(T.pool_mean(None, z, 2).data, batch_last([[[2.0, 3.0]]]))
 
     def test_concat_orders_strata(self):
-        z = t(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        npt.assert_array_equal(T.pool_concat(None, z, 2).data, [[[1.0, 2.0, 3.0, 4.0]]])
+        z = t(batch_last([[[1.0, 2.0], [3.0, 4.0]]]))
+        npt.assert_array_equal(
+            T.pool_concat(None, z, 2).data, batch_last([[[1.0, 2.0, 3.0, 4.0]]])
+        )
 
     def test_indivisible_group_count(self):
         with pytest.raises(ShapeError):
-            T.pool_max(None, t(np.zeros((1, 3, 2))), 2)
+            T.pool_max(None, t(batch_last(np.zeros((1, 3, 2)))), 2)
+
+    def test_max_pool_tie_sends_gradient_to_lowest_stratum(self):
+        # groups 0 and 2 tie in every slot; group 1 beats group 3 in slot 0 only
+        z = t(batch_last([[[1.0, 2.0], [5.0, 0.0], [1.0, 2.0], [4.0, 0.0]]]), rg=True)
+        tape = T.Tape()
+        tape.backward(T.tsum(tape, T.pool_max(tape, z, 2)))
+        npt.assert_array_equal(z.grad, batch_last([[[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]]))
 
     def test_max_pool_dominates_inputs(self):
         rng = np.random.default_rng(5)
-        z = rng.normal(size=(2, 6, 3))
+        z = batch_last(rng.normal(size=(2, 6, 3)))
         out = T.pool_max(None, t(z), 2).data
-        zr = z.reshape(2, 2, 3, 3)
-        assert np.all(out >= zr[:, 0]) and np.all(out >= zr[:, 1])
+        zr = z.reshape(2, 3, 3, 2)
+        assert np.all(out >= zr[0]) and np.all(out >= zr[1])
 
 
 class TestCrossEntropyValues:
@@ -299,6 +341,11 @@ class TestReshapeTranspose:
         rng = np.random.default_rng(seed)
         a = t(rng.normal(size=(r, c)))
         npt.assert_array_equal(T.transpose(None, T.transpose(None, a)).data, a.data)
+
+    def test_transpose_large_array(self):
+        # big enough on both axes to be copied block by block, with a ragged last block
+        a = t(np.arange(130.0 * 70).reshape(130, 70))
+        npt.assert_array_equal(T.transpose(None, a).data, a.data.T)
 
     def test_reshape_backward(self):
         a = t(np.arange(6.0).reshape(2, 3), rg=True)
