@@ -138,7 +138,14 @@ def _read_container(path) -> tuple[dict, bytes]:
         if key in manifest:
             _field(manifest, key, int, where)
     if "metadata" in manifest:
-        _field(manifest, "metadata", dict, where)
+        metadata = _field(manifest, "metadata", dict, where)
+        if metadata.get("norm_stats"):
+            stats = _field(metadata, "norm_stats", dict, f"{where} metadata")
+            for name in stats:
+                at = f"{where} norm_stats[{name!r}]"
+                entry = _field(stats, name, dict, at)
+                _field(entry, "mu", (int, float), at)
+                _field(entry, "sigma", (int, float), at)
     for i, entry in enumerate(_field(manifest, "params", list, where)):
         at = f"{where} params[{i}]"
         if not isinstance(entry, dict):

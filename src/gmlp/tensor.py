@@ -410,14 +410,16 @@ def group_linear(tape, z: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Independent affine map per group: out[i] = w[i] @ z[i] + b[i][:, None].
 
     z is (k, p, B), batch last, w is (k, q, p), b is (k, q) or None; the
-    output is (k, q, B). Forward and backward are each one batched matrix
-    product over the k groups. No weight is shared across groups and no
-    output reads another group's slice.
+    output is (k, q, B). The forward pass is one batched matrix product over
+    the k groups, and the backward pass one per operand. No weight is shared
+    across groups and no output reads another group's slice.
     """
     if z.data.ndim != 3 or w.data.ndim != 3:
         raise ShapeError("group_linear expects z (k,p,B) and w (k,q,p)")
     if z.shape[0] != w.shape[0] or z.shape[1] != w.shape[2]:
         raise ShapeError(f"group_linear: z {z.shape} incompatible with w {w.shape}")
+    if b is not None and b.shape != (w.shape[0], w.shape[1]):
+        raise ShapeError(f"group_linear: bias {b.shape} != {(w.shape[0], w.shape[1])}")
     zd, wd = z.data, w.data
     out = np.matmul(wd, zd)
 
@@ -426,8 +428,6 @@ def group_linear(tape, z: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     if b is None:
         return _result(tape, out, (z, w), grads)
-    if b.shape != (w.shape[0], w.shape[1]):
-        raise ShapeError(f"group_linear: bias {b.shape} != {(w.shape[0], w.shape[1])}")
     out += b.data[:, :, None]
 
     def backward(g):

@@ -67,6 +67,7 @@ MALFORMED = {
     "final_tau_string": _with("final_tau", "cold"),
     "arch_unparseable": _with("arch", "GSel-4-2, Wiggle, Concat, FC-2"),
     "metadata_not_an_object": _with("metadata", [1, 2]),
+    "norm_stats_entry_not_an_object": _with("metadata", {"norm_stats": {"f0": 5}}),
     "routing_table_not_an_object": _with("routing_table", 3),
     "routing_table_missing_k": lambda mf: {
         **mf,
