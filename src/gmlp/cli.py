@@ -15,12 +15,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import analysis
-from .checkpoint import LoadedCheckpoint, load_checkpoint, save_checkpoint, save_model
+from .checkpoint import load_checkpoint, save_checkpoint, save_model
 from .config import OUT_DIR_ENV, RunConfig, load_config
 from .data import (
     Dataset,
@@ -44,7 +43,7 @@ from .layers import RoutingParams
 from .metrics import MetricsWriter
 from .model import build, count_complexity, parse_arch
 from .tensor import Tensor
-from .training import accuracy, config_to_dict, fit, per_class_accuracy
+from .training import accuracy, fit, predictions
 from .analysis import discretize_routing, sparsity_report
 
 
@@ -186,22 +185,6 @@ def _normalized_from_manifest(ds: Dataset, manifest: dict) -> Dataset:
     return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.split_tag)
 
 
-def _predict_threaded(model, X: np.ndarray, hard: bool, threads: int, chunk: int = 2048):
-    mode = "hard" if hard else "relaxed"
-    spans = [(s, min(s + chunk, X.shape[0])) for s in range(0, X.shape[0], chunk)]
-
-    def run(span):
-        lo, hi = span
-        return model.forward(Tensor(X[lo:hi]), training=False, mode=mode).data.argmax(axis=1)
-
-    if threads <= 1 or len(spans) <= 1:
-        parts = [run(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(run, spans))  # ordered, deterministic reduction
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
 def _load_eval_dataset(args, manifest) -> Dataset:
     label: str | int = args.label_column
     if isinstance(label, str) and label.lstrip("-").isdigit():
@@ -218,7 +201,7 @@ def cmd_eval(args) -> int:
     ds = _load_eval_dataset(args, loaded.manifest)
     model = loaded.model
 
-    pred = _predict_threaded(model, ds.X, hard=False, threads=args.threads)
+    pred = predictions(model, ds.X)
     report = {
         "checkpoint": str(args.checkpoint),
         "n_samples": ds.n,
@@ -231,7 +214,7 @@ def cmd_eval(args) -> int:
         "temperature": model.temperature,
     }
     if args.hard_routing:
-        hard_pred = _predict_threaded(model, ds.X, hard=True, threads=args.threads)
+        hard_pred = predictions(model, ds.X, hard=True)
         report["hard_routing_accuracy"] = float((hard_pred == ds.y).mean())
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
@@ -350,7 +333,6 @@ def build_parser() -> _Parser:
     p.add_argument("--no-header", action="store_true")
     p.add_argument("--hard-routing", action="store_true",
                    help="also report accuracy under discretized routing")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="", help="write the report JSON here too")
     p.set_defaults(func=cmd_eval)
 

@@ -135,16 +135,17 @@ def _float_list(text: str, key: str) -> list[float]:
         raise ConfigError(f"{key}: expected comma-separated floats, got {text!r}") from exc
 
 
-def _parse_bool(value: str, key: str) -> bool:
+def _parse_bool(value: str) -> bool:
     low = value.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    """Parse ``key = value`` lines; every malformed line raises ConfigError naming ``source:lineno``."""
     run_kw: dict = {}
     train_kw: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -157,20 +158,15 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key = key.strip().lower()
         value = value.split(" #", 1)[0].strip()
         if key in _TRAIN_KEYS:
-            caster = _TRAIN_KEYS[key]
-            dest = "lambda_" if key == "lambda" else key
-            try:
-                train_kw[dest] = _parse_bool(value, key) if caster is bool else caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from exc
+            caster, dest, name = _TRAIN_KEYS[key], train_kw, "lambda_" if key == "lambda" else key
         elif key in _RUN_KEYS:
-            caster = _RUN_KEYS[key]
-            try:
-                run_kw[key] = _parse_bool(value, key) if caster is bool else caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from exc
+            caster, dest, name = _RUN_KEYS[key], run_kw, key
         else:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        try:
+            dest[name] = _parse_bool(value) if caster is bool else caster(value)
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: {key}: {exc}") from exc
     if "arch" not in run_kw:
         raise ConfigError(f"{source}: missing required key 'arch'")
     cfg = RunConfig(train=TrainConfig(**train_kw), **run_kw)

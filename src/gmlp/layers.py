@@ -80,6 +80,15 @@ class BatchNormState:
             running_var=np.ones(num_features),
         )
 
+    def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode batch-norm as a*x + c: a = gamma/sqrt(var + eps), c = beta - mean*a.
+
+        Computed from the current parameters and running moments, in the same
+        operation order as ``tensor.batchnorm``'s eval branch.
+        """
+        a = self.gamma.data * (1.0 / np.sqrt(self.running_var + self.epsilon))
+        return a, self.beta.data - self.running_mean * a
+
 
 def hard_assignment(routing: RoutingParams) -> np.ndarray:
     """Per-row argmax of psi; ties break toward the lowest feature index."""

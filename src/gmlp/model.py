@@ -285,9 +285,24 @@ class Model:
         mode: str = "relaxed",
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Run the block list on a (B, d) batch and return (B, C) logits."""
+        """Run the block list on a (B, d) batch and return (B, C) logits.
+
+        With a tape, or in training mode, every block runs as ``Tensor`` ops
+        through the ``layers`` functions, recorded on the tape if one is
+        given. Eval mode without a tape (prediction) takes a tape-free path
+        instead: the blocks become plain numpy steps, built at each call from
+        the current parameters, running moments, routing logits and
+        temperature, and run on row chunks sized so that a chunk's widest
+        activation stays in cache (``_chunk_rows``). ReLU and batch-norm work
+        in place, batch-norm folded into one scale and shift; hard routing
+        gathers the argmax features of each chunk, relaxed routing
+        multiplies each chunk by the tempered softmax of psi, and dropout is
+        the identity. Both paths give the same logits up to rounding.
+        """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
+        if tape is None and not training:
+            return T._raw(self._eval_forward(x.data, mode))
         h = x
         if self.routing is not None:
             h = L.group_select_forward(tape, x, self.routing, mode=mode)
@@ -311,6 +326,186 @@ class Model:
                 w, b = payload
                 h = L.dense_forward(tape, h, w, b)
         return h
+
+    def _eval_steps(self, mode: str) -> list:
+        """The blocks as numpy steps, each mapping one chunk's activation to the next.
+
+        Grouped activations keep the (k, m, rows) layout of the tape path.
+        A step writes either into its input, which an earlier step owns, or
+        into an output array it keeps for every chunk of the same size;
+        never into the caller's rows.
+        """
+        steps = []
+        r = self.routing
+        if r is not None:
+            k, m = r.k, r.m
+            if mode == "hard":
+                idx = L.hard_assignment(r)
+                steps.append(_gather_step(idx, k, m))
+            elif mode == "relaxed":
+                s = T.softmax_rows(None, r.psi, r.temperature).data
+                # low temperatures leave some weights subnormal; they slow the
+                # BLAS product many times over, and each moves an output by
+                # less than 2.3e-308 times an input value
+                s[s < np.finfo(np.float64).tiny] = 0.0
+                steps.append(_mix_step(s, k, m))
+            else:
+                raise ConfigError(f"unknown group-select mode {mode!r}")
+        elif self._ops[0][0] != "dense":
+            steps.append(np.array)  # the in-place steps below must not write into x
+        grouped = r is not None
+        for tag, payload in self._ops:
+            if tag == "gfc":
+                steps.append(_group_affine_step(payload.weights.data, payload.biases.data[:, :, None]))
+            elif tag == "relu":
+                steps.append(_relu_step)
+            elif tag == "batchnorm":
+                a, c = payload.scale_shift()
+                if grouped:
+                    a, c = a.reshape(-1, m, 1), c.reshape(-1, m, 1)
+                steps.append(_scale_shift_step(a, c))
+            elif tag == "pool":
+                steps.append(_pool_step(*payload))
+            elif tag == "concat":
+                grouped = False
+                steps.append(_concat_step)
+            elif tag == "dense":
+                w, b = payload
+                steps.append(_dense_step(w.data, b.data))
+            # dropout is the identity in eval mode
+        return steps
+
+    def _eval_forward(self, x: np.ndarray, mode: str) -> np.ndarray:
+        """Eval-mode logits of (B, d) rows, computed chunk by chunk without a tape."""
+        steps = self._eval_steps(mode)
+        spec = self.spec
+        # activations only narrow after Group-Select (k*m wide) or the input,
+        # except at a dense block; a dense net's spec has k*m = its first width
+        widest = max(spec.d, spec.k * spec.m, *(b[1] for b in spec.blocks if b[0] == "dense"))
+        rows = _chunk_rows(widest)
+        out = np.empty((x.shape[0], spec.n_classes))
+        for start in range(0, x.shape[0], rows):
+            h = x[start : start + rows]
+            for step in steps:
+                h = step(h)
+            out[start : start + rows] = h
+        return out
+
+
+# ---------------------------------------------------------------------------
+# eval-mode steps
+#
+# A chunk's widest activation holds about CHUNK_FLOATS float64 values (1 MiB),
+# so the chunk's working set stays in the core's caches from one step to the
+# next. The row count is held within [MIN_CHUNK_ROWS, MAX_CHUNK_ROWS]: below
+# about 128 rows the matrix products of 1,024-wide layers lose efficiency,
+# and above a few thousand rows even narrow nets spill out of cache.
+#
+# Steps that need a new array keep one per chunk shape and write into it
+# again for the next chunk: a fresh array of this size costs page faults
+# whenever the allocator has handed the last one back to the system.
+
+CHUNK_FLOATS = 2**17
+MIN_CHUNK_ROWS = 128
+MAX_CHUNK_ROWS = 2048
+
+
+def _chunk_rows(widest: int) -> int:
+    """Rows per chunk for a net whose widest activation has ``widest`` values per row."""
+    return min(MAX_CHUNK_ROWS, max(MIN_CHUNK_ROWS, CHUNK_FLOATS // widest))
+
+
+def _buffer(cache: dict, shape: tuple) -> np.ndarray:
+    out = cache.get(shape)
+    if out is None:
+        out = cache[shape] = np.empty(shape)
+    return out
+
+
+def _gather_step(idx: np.ndarray, k: int, m: int):
+    """Hard Group-Select: slot i reads feature idx[i] of every row."""
+    cache = {}
+
+    def step(x):
+        out = _buffer(cache, (idx.size, x.shape[0]))
+        # idx comes from an argmax, so in range; "clip" spares numpy's buffered copy
+        return np.take(x.T, idx, axis=0, out=out, mode="clip").reshape(k, m, -1)
+
+    return step
+
+
+def _mix_step(s: np.ndarray, k: int, m: int):
+    """Relaxed Group-Select: S @ x.T for the routing softmax S."""
+    cache = {}
+
+    def step(x):
+        out = _buffer(cache, (s.shape[0], x.shape[0]))
+        return np.matmul(s, x.T, out=out).reshape(k, m, -1)
+
+    return step
+
+
+def _group_affine_step(w: np.ndarray, b: np.ndarray):
+    """Group-FC: one batched matmul over the groups, then the bias in place."""
+    cache = {}
+
+    def step(h):
+        out = _buffer(cache, (w.shape[0], w.shape[1], h.shape[2]))
+        np.matmul(w, h, out=out)
+        out += b
+        return out
+
+    return step
+
+
+def _dense_step(w: np.ndarray, b: np.ndarray):
+    cache = {}
+
+    def step(h):
+        out = _buffer(cache, (h.shape[0], w.shape[1]))
+        np.matmul(h, w, out=out)
+        out += b
+        return out
+
+    return step
+
+
+def _relu_step(h: np.ndarray) -> np.ndarray:
+    return np.maximum(h, 0.0, out=h)
+
+
+def _scale_shift_step(a: np.ndarray, c: np.ndarray):
+    """Eval batch-norm folded into a*h + c, written into h."""
+
+    def step(h):
+        h *= a
+        h += c
+        return h
+
+    return step
+
+
+def _concat_step(h: np.ndarray) -> np.ndarray:
+    """(k, m, rows) -> (rows, k*m), as a transposed view."""
+    return h.reshape(-1, h.shape[2]).T
+
+
+def _pool_step(kind: str, branching: int, w: Tensor | None):
+    """Group-Pool on a (k, m, rows) chunk: stratum t of output group i is input group t*k/b + i."""
+    cache, cat_cache = {}, {}
+
+    def step(h):
+        k, m, n = h.shape
+        strata = h.reshape(branching, k // branching, m, n)
+        if kind == "max":
+            return np.max(strata, axis=0, out=_buffer(cache, strata.shape[1:]))
+        if kind == "mean":
+            return np.mean(strata, axis=0, out=_buffer(cache, strata.shape[1:]))
+        cat = _buffer(cat_cache, (k // branching, branching * m, n))
+        np.copyto(cat.reshape(k // branching, branching, m, n), strata.transpose(1, 0, 2, 3))
+        return np.matmul(w.data, cat, out=_buffer(cache, (w.shape[0], w.shape[1], n)))
+
+    return step
 
 
 def build(spec: ArchSpec) -> Model:

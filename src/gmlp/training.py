@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -194,14 +194,15 @@ def schedule_step(epoch: int, val_accuracy_history, cfg: TrainConfig):
 # evaluation and the loop
 
 
-def predictions(model: Model, X: np.ndarray, hard: bool = False, chunk: int = 8192) -> np.ndarray:
-    """Eval-mode class predictions, batched to bound memory."""
+def predictions(model: Model, X: np.ndarray, hard: bool = False) -> np.ndarray:
+    """Eval-mode class labels of the rows of X, under hard or relaxed routing.
+
+    ``Tensor(X)`` checks the input once (float64, finite) and
+    ``Model.forward`` its width; the forward pass then runs the tape-free
+    eval path, which works through the rows in cache-sized chunks.
+    """
     mode = "hard" if hard else "relaxed"
-    out = []
-    for start in range(0, X.shape[0], chunk):
-        logits = model.forward(Tensor(X[start : start + chunk]), training=False, mode=mode)
-        out.append(logits.data.argmax(axis=1))
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    return model.forward(Tensor(X), training=False, mode=mode).data.argmax(axis=1)
 
 
 def accuracy(model: Model, ds: Dataset, hard: bool = False) -> float:
@@ -340,6 +341,3 @@ def fit(
         final_tau=model.temperature,
     )
 
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}

@@ -1,0 +1,59 @@
+import pytest
+
+from gmlp.config import load_config, parse_config_text
+from gmlp.errors import ConfigError
+
+ARCH_LINE = "arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
+
+
+def _parse(second_line: str):
+    return parse_config_text(f"{ARCH_LINE}\n{second_line}\n", source="run.cfg")
+
+
+class TestMalformedLines:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("epochs 3", "run.cfg:2: expected key = value, got 'epochs 3'"),
+            ("epoch = 3", "run.cfg:2: unknown key 'epoch'"),
+            ("epochs = 3.5", "run.cfg:2: epochs: "),
+            ("lr0 = fast", "run.cfg:2: lr0: "),
+            ("anneal_entropy = maybe", "run.cfg:2: anneal_entropy: expected a boolean, got 'maybe'"),
+            ("has_header = maybe", "run.cfg:2: has_header: expected a boolean, got 'maybe'"),
+        ],
+    )
+    def test_names_source_and_line(self, line, message):
+        with pytest.raises(ConfigError) as err:
+            _parse(line)
+        assert str(err.value).startswith(message)
+
+    def test_comment_and_blank_lines_count_toward_line_numbers(self):
+        with pytest.raises(ConfigError, match=r"^run\.cfg:4: epochs: "):
+            parse_config_text(f"# a run\n\n{ARCH_LINE}\nepochs = x\n", source="run.cfg")
+
+    def test_missing_arch(self):
+        with pytest.raises(ConfigError, match="missing required key 'arch'"):
+            parse_config_text("epochs = 3\n", source="run.cfg")
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "absent.cfg")
+
+
+class TestRoundTrip:
+    def test_to_dict_parses_back_to_itself(self):
+        cfg = parse_config_text(
+            f"{ARCH_LINE}\n"
+            "data = halfnoise\n"
+            "has_header = no\n"
+            "test_fraction = 0.25\n"
+            "epochs = 7\n"
+            "lambda = 0.5\n"
+            "anneal_temperature = off\n"
+            "tau_end = 0.03  # comment\n"
+        )
+        flat = cfg.to_dict()
+        text = "\n".join(f"{key} = {value}" for key, value in flat.items())
+        assert parse_config_text(text).to_dict() == flat
+        assert flat["lambda"] == 0.5 and flat["has_header"] is False
+        assert flat["anneal_temperature"] is False and flat["tau_end"] == 0.03

@@ -5,7 +5,8 @@ objective (cross-entropy, routing entropy and L2) through ``Model.forward``
 with central finite differences of the same objective. ``TestForwardReference``
 compares eval-mode logits with a plain-numpy forward pass that keeps grouped
 activations as (batch, group, slot) arrays and shares no code with the
-package.
+package. ``TestEvalExecutor`` compares the tape-free eval path of
+``Model.forward`` with the tape path and checks ``predictions``.
 """
 
 import numpy as np
@@ -13,9 +14,10 @@ import numpy.testing as npt
 import pytest
 
 from gmlp import tensor as T
-from gmlp.model import build, parse_arch
+from gmlp.errors import DomainError, ShapeError
+from gmlp.model import MAX_CHUNK_ROWS, build, parse_arch
 from gmlp.tensor import Tensor
-from gmlp.training import TrainConfig, loss_terms
+from gmlp.training import TrainConfig, loss_terms, predictions
 from gradcheck import finite_difference, max_rel_err
 
 D = 5
@@ -31,6 +33,13 @@ ARCHS = [
     "GSel-8-2, GFC, ReLU, BNorm, GPool-linear-4, GFC, ReLU, BNorm, Concat, FC-3",
     "FC-6, ReLU, BNorm, FC-4, ReLU, BNorm, FC-3",
 ]
+
+
+# eval-mode dropout is the identity; training mode would need an rng, which
+# the gradient check does not pass
+DROPOUT_ARCH = "GSel-8-2, GFC, ReLU, Dropout-0.5, BNorm, GPool-max, GFC, Concat, Dropout-0.3, FC-3"
+# a 1,024-wide dense net: its eval chunks are the shortest the executor uses
+WIDE_MLP = "FC-1024, ReLU, BNorm, FC-3"
 
 
 def _net(arch, seed):
@@ -131,3 +140,90 @@ class TestForwardReference:
         want = _reference_logits(model, x, mode)
         assert got.shape == (9, N_CLASSES)
         npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def _perturb(model, rng):
+    """Move every parameter and moment off its initial value, as TestForwardReference does."""
+    for name, arr in model.state_arrays():
+        if name.endswith("running_var"):
+            arr[:] = rng.uniform(0.5, 2.0, size=arr.shape)
+        else:
+            arr += rng.normal(scale=0.3, size=arr.shape)
+
+
+def _tape_logits(model, x, mode):
+    """Eval-mode logits through the Tensor ops, as recorded on a tape."""
+    return model.forward(Tensor(x), training=False, tape=T.Tape(), mode=mode).data
+
+
+class TestEvalExecutor:
+    @pytest.mark.parametrize("arch", ARCHS + [DROPOUT_ARCH, WIDE_MLP])
+    @pytest.mark.parametrize("mode", ["hard", "relaxed"])
+    def test_logits_match_tape_path(self, arch, mode):
+        rng = np.random.default_rng(47)
+        model = _net(arch, seed=4)
+        _perturb(model, rng)
+        x = rng.normal(size=(300, D))
+        got = model.forward(Tensor(x), training=False, mode=mode).data
+        npt.assert_allclose(got, _tape_logits(model, x, mode), rtol=1e-10, atol=1e-12)
+
+    def test_reads_parameters_at_each_call(self):
+        rng = np.random.default_rng(53)
+        model = _net(ARCHS[0], seed=5)
+        x = rng.normal(size=(20, D))
+        before = model.forward(Tensor(x)).data
+        _perturb(model, rng)
+        model.set_temperature(0.2)
+        after = model.forward(Tensor(x)).data
+        assert not np.allclose(after, before)
+        npt.assert_allclose(after, _tape_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+
+    def test_subnormal_routing_weights(self):
+        model = _net(ARCHS[0], seed=11)
+        psi = model.routing.psi.data
+        psi[:] = 0.0
+        psi[:, 1] = -7.2  # weight exp(-720) at tau 0.01: subnormal
+        psi[::2, 3] = -9.0  # weight exp(-900): 0.0
+        model.set_temperature(0.01)
+        s = T.softmax_rows(None, model.routing.psi, 0.01).data
+        assert 0.0 < s[:, 1].max() < np.finfo(np.float64).tiny
+        x = np.random.default_rng(63).normal(size=(30, D))
+        got = model.forward(Tensor(x), mode="relaxed").data
+        npt.assert_allclose(got, _tape_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("arch, chunk", [(ARCHS[0], MAX_CHUNK_ROWS), (WIDE_MLP, 128)])
+    @pytest.mark.parametrize("hard", [True, False])
+    def test_predictions_over_chunks_and_remainder(self, arch, chunk, hard):
+        rng = np.random.default_rng(59)
+        model = _net(arch, seed=6)
+        _perturb(model, rng)
+        x = rng.normal(size=(3 * chunk + 37, D))
+        mode = "hard" if hard else "relaxed"
+        want = np.concatenate(
+            [_tape_logits(model, x[s : s + chunk], mode).argmax(axis=1) for s in range(0, len(x), chunk)]
+        )
+        npt.assert_array_equal(predictions(model, x, hard=hard), want)
+
+    def test_input_rows_are_not_written(self):
+        model = _net("BNorm, ReLU, FC-4, ReLU, BNorm, FC-3", seed=7)
+        _perturb(model, np.random.default_rng(61))
+        x = np.random.default_rng(62).normal(size=(10, D))
+        kept = x.copy()
+        logits = model.forward(Tensor(x)).data
+        npt.assert_array_equal(x, kept)
+        npt.assert_allclose(logits, _tape_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[-1]])
+    def test_no_rows_give_empty_labels(self, arch):
+        pred = predictions(_net(arch, seed=8), np.zeros((0, D)), hard=True)
+        assert pred.shape == (0,) and pred.dtype == np.int64
+
+    def test_non_finite_input_raises(self):
+        x = np.zeros((4, D))
+        x[2, 1] = np.nan
+        with pytest.raises(DomainError):
+            predictions(_net(ARCHS[0], seed=9), x)
+
+    def test_wrong_width_raises(self):
+        with pytest.raises(ShapeError):
+            predictions(_net(ARCHS[0], seed=10), np.zeros((4, D + 1)))
