@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _float_list(text: str) -> list[float]:
+    """Comma-separated numbers, as an argparse type."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -231,12 +239,12 @@ def cmd_synth(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     net_kw = {}
     if args.root_prob:
-        vals = [float(v) for v in args.root_prob.split(",")]
+        vals = args.root_prob
         net_kw["root_prob"] = np.full(6, vals[0]) if len(vals) == 1 else np.asarray(vals)
     if args.xor_fidelity is not None:
         net_kw["xor_fidelity"] = args.xor_fidelity
     if args.target_rule:
-        net_kw["target_rule"] = np.asarray([float(v) for v in args.target_rule.split(",")])
+        net_kw["target_rule"] = np.asarray(args.target_rule)
     from .data import SynthBayesNet
 
     net = SynthBayesNet(**net_kw)
@@ -341,9 +349,11 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=6400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--root-prob", default="", help="scalar or 6 comma-separated values")
+    p.add_argument("--root-prob", type=_float_list, default=None,
+                   help="scalar or 6 comma-separated values")
     p.add_argument("--xor-fidelity", type=float, default=None)
-    p.add_argument("--target-rule", default="", help="4 comma-separated P(1|count) values")
+    p.add_argument("--target-rule", type=_float_list, default=None,
+                   help="4 comma-separated P(1|count) values")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("analyze", help="export routing analyses for a checkpoint")

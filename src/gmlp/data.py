@@ -364,7 +364,9 @@ def halfnoise_generate(
     rng = np.random.default_rng(seed)
     templates = rng.choice([-1.0, 1.0], size=(n_classes, n_signal))
     y = rng.integers(0, n_classes, size=n_samples)
-    signal = templates[y] + rng.normal(scale=within_scale, size=(n_samples, n_signal))
-    noise = rng.normal(size=(n_samples, n_noise))
+    X = np.empty((n_samples, n_signal + n_noise))
+    X[:, :n_signal] = templates[y]
+    X[:, :n_signal] += rng.normal(scale=within_scale, size=(n_samples, n_signal))
+    X[:, n_signal:] = rng.normal(size=(n_samples, n_noise))
     names = [f"sig{j}" for j in range(n_signal)] + [f"noise{j}" for j in range(n_noise)]
-    return Dataset(np.hstack([signal, noise]), y, n_classes, names)
+    return Dataset(X, y, n_classes, names)

@@ -99,15 +99,15 @@ def group_select_forward(tape, x: Tensor, routing: RoutingParams, mode: str = "r
     """Organize (B, d) inputs into (k, m, B) feature groups.
 
     Relaxed mode mixes features through the tempered row softmax S of psi,
-    as S @ x.T, and is differentiable in psi; hard mode gathers exactly one
-    row of x.T per slot (the argmax) and is used for sparse inference.
+    as S @ x.T in one ``relaxed_select`` node, and is differentiable in psi;
+    hard mode gathers exactly one row of x.T per slot (the argmax) and is
+    used for sparse inference.
     """
     if x.data.ndim != 2 or x.shape[1] != routing.d:
         raise ShapeError(f"input {x.shape} does not match d={routing.d}")
     n = x.shape[0]
     if mode == "relaxed":
-        s = T.softmax_rows(tape, routing.psi, routing.temperature)
-        flat = T.matmul_nt(tape, s, x)
+        flat = T.relaxed_select(tape, routing.psi, x, routing.temperature)
     elif mode == "hard":
         flat = T.gather_rows(tape, T.transpose(tape, x), hard_assignment(routing))
     else:

@@ -343,12 +343,7 @@ class Model:
                 idx = L.hard_assignment(r)
                 steps.append(_gather_step(idx, k, m))
             elif mode == "relaxed":
-                s = T.softmax_rows(None, r.psi, r.temperature).data
-                # low temperatures leave some weights subnormal; they slow the
-                # BLAS product many times over, and each moves an output by
-                # less than 2.3e-308 times an input value
-                s[s < np.finfo(np.float64).tiny] = 0.0
-                steps.append(_mix_step(s, k, m))
+                steps.append(_mix_step(T.routing_weights(r.psi.data, r.temperature), k, m))
             else:
                 raise ConfigError(f"unknown group-select mode {mode!r}")
         elif self._ops[0][0] != "dense":

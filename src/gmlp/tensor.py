@@ -5,8 +5,13 @@ Design constraints, in order of priority:
 * correctness checkable by central finite differences (everything float64),
 * low per-op Python overhead (the training loops here run hundreds of
   thousands of small steps on CPU), hence a handful of fused primitives
-  (``group_linear``, ``batchnorm``, ``cross_entropy_logits``, the pool ops)
-  instead of deep compositions,
+  (``relaxed_select``, ``neg_entropy_rows``, ``group_linear``,
+  ``batchnorm``, ``cross_entropy_logits``, the pool ops) instead of deep
+  compositions,
+* few passes over the (k*m, d) routing logits: they are the largest array
+  of a training step whatever the batch size, so ``relaxed_select`` and
+  ``neg_entropy_rows`` compute in place in arrays of that size, their
+  gradients included, instead of allocating one per elementwise step,
 * no views, no strides, no broadcasting beyond scalars and bias rows.
 
 Grouped activations are (k, m, B) arrays: group, slot within the group, then
@@ -21,12 +26,15 @@ functions taking the recording :class:`Tape` as first argument; passing
 ``tape=None`` runs the forward computation without recording (eval mode).
 Finite-ness of externally supplied values is validated in the public
 ``Tensor`` constructor; interior ops raise :class:`DomainError` only where a
-domain violation can actually occur (``log``, ``div``, ``softmax_rows``).
+domain violation can actually occur (``log``, ``div``, ``softmax_rows``,
+``relaxed_select``).
 
 A tape is single-use: build it, run forwards, call :meth:`Tape.backward`
 once, throw it away. Gradients accumulate into ``Tensor.grad`` and are never
 mutated in place, so aliasing between a node's output gradient and its
-inputs' gradients is safe.
+inputs' gradients is safe. A node's backward computes no gradient for an
+operand that does not require one, such as the input rows of a batch: the
+tape would discard it.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "matmul",
-    "matmul_nt",
     "transpose",
     "reshape",
     "add",
@@ -53,6 +60,7 @@ __all__ = [
     "tmean",
     "sum_squares",
     "softmax_rows",
+    "relaxed_select",
     "neg_entropy_rows",
     "gather_rows",
     "group_linear",
@@ -172,21 +180,12 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def backward(g):
-        return g @ bd.T, ad.T @ g
+        return (
+            g @ bd.T if a.requires_grad else None,
+            ad.T @ g if b.requires_grad else None,
+        )
 
     return _result(tape, ad @ bd, (a, b), backward)
-
-
-def matmul_nt(tape, a: Tensor, b: Tensor) -> Tensor:
-    """a @ b.T for 2-D tensors, (p,q) @ (r,q).T -> (p,r), without copying b.T."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"matmul_nt: incompatible shapes {a.shape} @ {b.shape}.T")
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return g @ bd, g.T @ ad
-
-    return _result(tape, ad @ bd.T, (a, b), backward)
 
 
 _TRANSPOSE_BLOCK = 64
@@ -356,7 +355,8 @@ def sum_squares(tape, a: Tensor) -> Tensor:
     def backward(g):
         return (2.0 * g * ad,)
 
-    return _result(tape, np.asarray(np.square(ad).sum()), (a,), backward)
+    flat = ad.reshape(-1)
+    return _result(tape, np.asarray(np.dot(flat, flat)), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +387,49 @@ def softmax_rows(tape, a: Tensor, temperature: float) -> Tensor:
         return (s * (g - dot) / temperature,)
 
     return _result(tape, s, (a,), backward)
+
+
+def routing_weights(psi: np.ndarray, temperature: float) -> np.ndarray:
+    """The row softmax of psi at the temperature, with subnormal weights set to 0.
+
+    Computed in one array, in ``softmax_rows``' operation order. A weight
+    below the smallest normal float64 moves a mixed value by less than
+    2.3e-308 times an input, and subnormal operands slow BLAS products many
+    times over.
+    """
+    if not temperature > 0.0:
+        raise DomainError(f"softmax temperature must be positive, got {temperature}")
+    s = psi / temperature
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    s[s < np.finfo(np.float64).tiny] = 0.0
+    return s
+
+
+def relaxed_select(tape, psi: Tensor, x: Tensor, temperature: float) -> Tensor:
+    """S @ x.T with S = ``routing_weights(psi, temperature)``: (r, d), (B, d) -> (r, B).
+
+    One node for the tempered softmax and the product, differentiable in
+    psi and in x; the temperature is a constant of the op. Backward forms
+    gS = g @ x and overwrites it with S*(gS - rowdot)/temperature, where
+    rowdot = sum_j S_ij gS_ij is read off the (r, B) output as
+    sum_b g_ib out_ib. x's gradient is computed only if x requires one.
+    """
+    if psi.data.ndim != 2 or x.data.ndim != 2 or psi.shape[1] != x.shape[1]:
+        raise ShapeError(f"relaxed_select: incompatible shapes {psi.shape} and {x.shape}")
+    s = routing_weights(psi.data, temperature)
+    xd = x.data
+    out = s @ xd.T
+
+    def backward(g):
+        gs = g @ xd
+        gs -= np.einsum("ij,ij->i", g, out)[:, None]
+        gs *= s
+        gs /= temperature
+        return gs, (g.T @ s if x.requires_grad else None)
+
+    return _result(tape, out, (psi, x), backward)
 
 
 def gather_rows(tape, x: Tensor, idx) -> Tensor:
@@ -597,24 +640,28 @@ def pool_concat(tape, z: Tensor, branching: int) -> Tensor:
 def neg_entropy_rows(tape, a: Tensor) -> Tensor:
     """sum over all entries of p*log(p), with p the row softmax of a at temperature 1.
 
-    The p*log(p) terms use the 0*log(0) = 0 convention, so fully saturated
-    rows are exact zeros instead of NaNs; the gradient of that convention is
-    likewise exactly zero for vanished entries.
+    With z = a - rowmax, e = exp(z) and S the row sum of e, a row's value
+    is sum(e*z)/S - log(S) and its gradient (e/S)*(z - log(S) - value).
+    Where exp underflows, e = 0, so both the term and its gradient are 0:
+    the 0*log(0) = 0 convention, and fully saturated rows are exact zeros
+    instead of NaNs. The gradient is written into z.
     """
     if a.data.ndim != 2:
         raise ShapeError(f"neg_entropy_rows expects 2-D, got {a.shape}")
     z = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    plogp = np.zeros_like(p)
-    pos = p > 0.0
-    plogp[pos] = p[pos] * np.log(p[pos])
-    row_sums = plogp.sum(axis=1, keepdims=True)
+    s = e.sum(axis=1)
+    log_s = np.log(s)
+    rows = np.einsum("ij,ij->i", e, z) / s - log_s
 
     def backward(g):
-        return (g * (plogp - p * row_sums),)
+        dz = z
+        dz -= (log_s + rows)[:, None]
+        dz *= e
+        dz *= (g / s)[:, None]
+        return (dz,)
 
-    return _result(tape, np.asarray(plogp.sum()), (a,), backward)
+    return _result(tape, np.asarray(rows.sum()), (a,), backward)
 
 
 def cross_entropy_logits(tape, logits: Tensor, targets) -> Tensor:

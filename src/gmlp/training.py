@@ -5,7 +5,10 @@ penalty on the routing distribution (weighted by ``lambda_``) that pushes
 each routing row toward one-hot, and a plain L2 penalty over every trainable
 tensor including the routing logits (weighted by ``alpha``). The entropy is
 always evaluated at temperature 1, independent of the annealed temperature
-used in the forward pass, and carries a 1/d outer factor.
+used in the forward pass, and carries a 1/d outer factor. It is one
+``neg_entropy_rows`` node, which computes p*log(p) as p*(z - log S) from the
+max-shifted logits z and their exponential row sums S, without a mask; its
+value, and its gradient, are 0 where p underflows to 0.
 
 Two schedules run per epoch: the softmax temperature decays geometrically
 from ``tau_start`` to ``tau_end`` across the configured epoch budget, and the
@@ -137,7 +140,12 @@ class AdamState:
 
 
 def adam_step(params: list[tuple[str, Tensor]], state: AdamState, lr: float) -> None:
-    """One bias-corrected update, in place; parameters without grads are left alone."""
+    """One bias-corrected update, in place; parameters without grads are left alone.
+
+    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), evaluated in that operation
+    order through two scratch arrays per parameter, allocated per call so
+    that they are not held between steps.
+    """
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
@@ -149,11 +157,20 @@ def adam_step(params: list[tuple[str, Tensor]], state: AdamState, lr: float) -> 
             raise ConfigError(f"gradient shape {g.shape} != parameter {p.data.shape} ({name})")
         m = state.m[name]
         v = state.v[name]
+        a = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += a
+        np.square(g, out=a)
+        a *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        update = np.divide(m, bc1)
+        update *= lr
+        update /= a
+        p.data -= update
 
 
 def temperature_at(epoch: int, cfg: TrainConfig) -> float:
@@ -260,7 +277,8 @@ def fit(
     """Full training loop: per-epoch schedules, Adam steps, metric records.
 
     ``val`` drives the plateau schedule and best-checkpoint tracking; ``test``
-    is only ever measured for the learning curve. Raises
+    is only ever measured for the learning curve. The last step's gradients
+    are released on return, so a trained model holds no ``grad``. Raises
     :class:`TrainingDiverged` the moment a batch loss is non-finite or
     exceeds ``DIVERGENCE_FACTOR`` times the first batch's loss.
     """
@@ -333,6 +351,8 @@ def fit(
         if on_epoch is not None:
             on_epoch(record)
 
+    for _, p in params:
+        p.grad = None
     return FitResult(
         records=records,
         best_val_accuracy=best_val if records else math.nan,

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from gmlp import cli
+from gmlp.analysis import discretize_routing
+from gmlp.checkpoint import save_model
 from gmlp.data import SynthBayesNet, save_csv, synth_generate
+from gmlp.model import build, parse_arch
 
 CONFIG = """\
 arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax
@@ -68,4 +71,84 @@ class TestEval:
     def test_threads_option_is_gone(self, trained, capsys):
         ckpt, data = trained
         assert cli.main(["eval", str(ckpt), "--data", str(data), "--threads", "2"]) == 1
+        capsys.readouterr()
+
+
+class TestSynth:
+    def test_writes_splits_and_oracle(self, tmp_path, capsys):
+        out = tmp_path / "synth"
+        assert cli.main(["synth", "--out-dir", str(out), "--n", "200", "--root-prob", "0.4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_train"] + report["n_test"] == 200
+        assert report["root_prob"] == [0.4] * 6
+        assert {p.name for p in out.iterdir()} == {"train.csv", "test.csv", "oracle.json"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--root-prob", "0.5,x"],  # not a number
+            ["--root-prob", "0.5,0.5"],  # neither 1 nor 6 values
+            ["--target-rule", "0.1,0.9"],
+            ["--xor-fidelity", "1.5"],
+            ["--n", "3"],  # too few rows to split
+            ["--n", "many"],
+        ],
+    )
+    def test_bad_argument_exits_1(self, tmp_path, argv, capsys):
+        assert cli.main(["synth", "--out-dir", str(tmp_path), *argv]) == 1
+        assert "error" in capsys.readouterr().err
+
+
+class TestAnalyze:
+    def _checkpoint(self, tmp_path, arch):
+        model = build(parse_arch(arch, d=6, seed=1))
+        path = tmp_path / "model.ckpt"
+        table = discretize_routing(model.routing) if model.routing is not None else None
+        save_model(path, model, routing_table=table)
+        return path
+
+    def test_exports_routing(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path, "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2")
+        out = tmp_path / "out"
+        assert cli.main(["analyze", str(path), "--out-dir", str(out)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["k"], summary["m"], summary["d"]) == (4, 2, 6)
+        assert {"selection_heatmap.csv", "group_graph.txt", "sparsity.json"} <= {
+            p.name for p in out.iterdir()
+        }
+
+    def test_dense_checkpoint_exits_1(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path, "FC-4, ReLU, FC-2")
+        assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "group-connected" in capsys.readouterr().err
+
+    def test_unknown_option_exits_1(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path, "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2")
+        assert cli.main(["analyze", str(path), "--bogus"]) == 1
+        capsys.readouterr()
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path, "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2")
+        path.write_bytes(path.read_bytes()[:-40])
+        assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error" in capsys.readouterr().err
+
+
+class TestComplexity:
+    def test_reports_costs(self, capsys):
+        assert cli.main(["complexity", "GSel-4-2, GFC, ReLU, Concat, FC-2", "-d", "6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["predict_ops"], report["param_count_actual"]) == (32, 90)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["GSel-4-2, Bogus, FC-2", "-d", "6"],  # unknown block
+            ["GSel-3-2, GPool-max, Concat, FC-2", "-d", "6"],  # 3 groups do not pool in pairs
+            ["GSel-4-2, GFC, Concat, FC-2"],  # no input width
+            ["GSel-4-2, GFC, Concat, FC-2", "-d", "six"],
+        ],
+    )
+    def test_bad_arch_or_argument_exits_1(self, argv, capsys):
+        assert cli.main(["complexity", *argv]) == 1
         capsys.readouterr()

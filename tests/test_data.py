@@ -254,6 +254,17 @@ class TestHalfNoise:
         assert ds.d == 16 and ds.n_classes == 3
         assert ds.feature_names[0] == "sig0" and ds.feature_names[-1] == "noise7"
 
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_same_draws_as_stacked_columns(self, seed):
+        ds = halfnoise_generate(300, n_signal=5, n_noise=7, n_classes=3, seed=seed, within_scale=2.0)
+        rng = np.random.default_rng(seed)
+        templates = rng.choice([-1.0, 1.0], size=(3, 5))
+        y = rng.integers(0, 3, size=300)
+        signal = templates[y] + rng.normal(scale=2.0, size=(300, 5))
+        noise = rng.normal(size=(300, 7))
+        assert np.array_equal(ds.X, np.hstack([signal, noise]))
+        assert np.array_equal(ds.y, y)
+
     def test_signal_carries_class_information(self):
         ds = halfnoise_generate(4000, n_signal=8, n_noise=8, n_classes=2, seed=4)
         # mean template separation shows up in signal columns, not noise

@@ -171,14 +171,6 @@ class TestGradientsAgainstFiniteDifferences:
         b = t(rng.normal(size=(4, 2)), rg=True)
         _fd_check(lambda tp: T.tsum(tp, T.matmul(tp, a, b)), [a, b], tol=1e-6)
 
-    def test_matmul_nt(self):
-        rng = np.random.default_rng(8)
-        a = t(rng.normal(size=(3, 4)), rg=True)
-        b = t(rng.normal(size=(2, 4)), rg=True)
-        proj = t(rng.normal(size=(3, 2)))
-        npt.assert_allclose(T.matmul_nt(None, a, b).data, a.data @ b.data.T, rtol=1e-14)
-        _fd_check(lambda tp: T.tsum(tp, T.mul(tp, T.matmul_nt(tp, a, b), proj)), [a, b], tol=1e-6)
-
     @pytest.mark.parametrize("seed", range(24))
     def test_primitive_mix(self, seed):
         # >= 20 random instances across the primitive vocabulary
@@ -284,7 +276,125 @@ class TestGradientsAgainstFiniteDifferences:
     def test_sum_squares(self):
         rng = np.random.default_rng(19)
         a = t(rng.normal(size=(3, 3)), rg=True)
+        assert T.sum_squares(None, a).item() == pytest.approx(np.square(a.data).sum(), rel=1e-14)
         _fd_check(lambda tp: T.sum_squares(tp, a), [a], tol=1e-6)
+
+
+# exp(-715) ~ 1e-311 is subnormal: below float64's smallest normal, about exp(-708.4)
+SUBNORMAL_GAP = 715.0
+
+
+class TestRelaxedSelect:
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 0.05])
+    def test_matches_softmax_then_product(self, tau):
+        rng = np.random.default_rng(31)
+        psi = t(rng.normal(size=(6, 5)))
+        x = t(rng.normal(size=(4, 5)))
+        s = T.softmax_rows(None, psi, tau).data
+        npt.assert_allclose(T.relaxed_select(None, psi, x, tau).data, s @ x.data.T, rtol=1e-12)
+
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 0.05])
+    def test_gradient_against_finite_differences(self, tau):
+        rng = np.random.default_rng(32)
+        psi = rng.normal(size=(4, 5))
+        # row 0 holds a weight that exp leaves subnormal, which the op sets to 0
+        psi[0] = [0.0, -SUBNORMAL_GAP * tau, 0.5, 0.2, -1.0]
+        psi, x = t(psi, rg=True), t(rng.normal(size=(3, 5)), rg=True)
+        assert T.routing_weights(psi.data, tau)[0, 1] == 0.0
+        proj = t(rng.normal(size=(4, 3)))
+        _fd_check(lambda tp: T.tsum(tp, T.mul(tp, T.relaxed_select(tp, psi, x, tau), proj)), [psi, x])
+
+    def test_routing_weights_flush_only_subnormals(self):
+        rng = np.random.default_rng(33)
+        psi = rng.normal(size=(5, 6))
+        psi[:, 0] = -SUBNORMAL_GAP
+        psi[:, 1] = 0.0
+        psi[4, 2] = -800.0  # exp underflows to an exact 0
+        s = T.softmax_rows(None, t(psi), 1.0).data
+        flushed = T.routing_weights(psi, 1.0)
+        subnormal = (s > 0.0) & (s < np.finfo(np.float64).tiny)
+        assert subnormal[:, 0].all()
+        npt.assert_array_equal(flushed[subnormal], 0.0)
+        npt.assert_array_equal(flushed[~subnormal], s[~subnormal])
+
+    def test_nonpositive_temperature(self):
+        with pytest.raises(DomainError):
+            T.relaxed_select(None, t(np.zeros((2, 3))), t(np.zeros((1, 3))), 0.0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.relaxed_select(None, t(np.zeros((2, 3))), t(np.zeros((1, 4))), 1.0)
+
+
+class TestDataOperands:
+    """A node computes no gradient for an operand that does not require one."""
+
+    def _node_grads(self, build):
+        tape = T.Tape()
+        out = build(tape)
+        assert len(tape) == 1
+        return tape.nodes[0].backward(np.ones(out.shape))
+
+    def test_matmul(self):
+        rng = np.random.default_rng(41)
+        x, w = t(rng.normal(size=(4, 3))), t(rng.normal(size=(3, 2)), rg=True)
+        dx, dw = self._node_grads(lambda tp: T.matmul(tp, x, w))
+        assert dx is None
+        npt.assert_allclose(dw, x.data.T @ np.ones((4, 2)), rtol=1e-14)
+        v = t(rng.normal(size=(2, 4)), rg=True)
+        dv, dx = self._node_grads(lambda tp: T.matmul(tp, v, x))
+        assert dx is None
+        npt.assert_allclose(dv, np.ones((2, 3)) @ x.data.T, rtol=1e-14)
+
+    def test_relaxed_select(self):
+        rng = np.random.default_rng(42)
+        psi, x = t(rng.normal(size=(4, 3)), rg=True), t(rng.normal(size=(5, 3)))
+        dpsi, dx = self._node_grads(lambda tp: T.relaxed_select(tp, psi, x, 0.5))
+        assert dpsi.shape == psi.shape and dx is None
+
+    def test_transpose_and_gather_record_nothing(self):
+        x = t(np.arange(6.0).reshape(2, 3))
+        tape = T.Tape()
+        T.gather_rows(tape, T.transpose(tape, x), [2, 0])
+        assert len(tape) == 0
+
+    def test_model_input_gets_no_gradient(self):
+        rng = np.random.default_rng(43)
+        x = t(rng.normal(size=(3, 4)))
+        w = t(rng.normal(size=(4, 2)), rg=True)
+        tape = T.Tape()
+        tape.backward(T.tsum(tape, T.matmul(tape, x, w)))
+        assert x.grad is None and w.grad is not None
+
+
+def masked_neg_entropy(a):
+    """The masked p*log(p) formula: value and gradient (for an upstream 1)."""
+    z = a - a.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    plogp = np.zeros_like(p)
+    pos = p > 0.0
+    plogp[pos] = p[pos] * np.log(p[pos])
+    return plogp.sum(), plogp - p * plogp.sum(axis=1, keepdims=True)
+
+
+class TestNegEntropyRows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_masked_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(scale=3.0, size=(6, 7))
+        a[0] = [0.0, -1e3, -2e3, 5.0, -1e4, 0.0, 1.0]  # exact zeros after exp
+        a[1] = [0.0, -SUBNORMAL_GAP, -740.0, -700.0, -30.0, -1e3, -0.5]  # subnormals
+        a[2] = [50.0, -1e3, -1e3, -1e3, -1e3, -1e3, -1e3]  # saturated: value 0
+        a[3] = 0.0  # uniform
+        value, grad = masked_neg_entropy(a)
+        at = t(a, rg=True)
+        tape = T.Tape()
+        out = T.neg_entropy_rows(tape, at)
+        tape.backward(out)
+        assert out.item() == pytest.approx(value, rel=1e-12)
+        npt.assert_allclose(at.grad, grad, rtol=1e-10, atol=1e-15)
+        assert np.all(at.grad[2] == 0.0)
 
 
 class TestPoolSemantics:

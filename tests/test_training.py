@@ -164,6 +164,29 @@ class TestAdam:
         with pytest.raises(ConfigError):
             adam_step([("p", p)], state, lr=0.1)
 
+    def test_bit_identical_to_plain_expression(self):
+        rng = np.random.default_rng(5)
+        params = [("a", Tensor(rng.normal(size=(7, 5)), requires_grad=True)),
+                  ("b", Tensor(rng.normal(size=3), requires_grad=True))]
+        state = AdamState.create(params)
+        ref = {name: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for name, p in params}
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+        for step in range(1, 6):
+            for name, p in params:
+                p.grad = rng.normal(scale=10.0 ** (step - 3), size=p.shape)
+                w, m, v = ref[name]
+                g = p.grad
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * np.square(g)
+                w -= lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+            adam_step(params, state, lr)
+            for name, p in params:
+                w, m, v = ref[name]
+                assert np.array_equal(p.data, w) and np.array_equal(state.m[name], m)
+                assert np.array_equal(state.v[name], v)
+
 
 class TestSchedules:
     def test_temperature_endpoints_and_midpoint(self):
@@ -239,6 +262,12 @@ class TestFit:
         )
         for (_, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
             assert np.array_equal(p1.data, p2.data)
+
+    def test_gradients_released_on_return(self):
+        ds = self._tiny_task(64)
+        model = build(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=3))
+        fit(model, ds, ds, cfg(epochs=2, lambda_=1.0, alpha=1e-4))
+        assert [name for name, p in model.parameters() if p.grad is not None] == []
 
     def test_divergence_detected(self):
         ds = self._tiny_task(64)
