@@ -13,7 +13,7 @@ back into (B, k*m) for the dense tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,6 +17,8 @@ cross-entropy loss.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,6 +201,7 @@ class Model:
         self._ops = []  # (tag, payload) executed in order by forward()
         self._params: list[tuple[str, Tensor]] = []
         self._bn_states: list[tuple[str, BatchNormState]] = []
+        self._eval_buffers = None  # the eval executor's chunk buffer pair, made at first use
         rng = np.random.default_rng(spec.seed)
         d, k, m, c = spec.d, spec.k, spec.m, spec.n_classes
 
@@ -293,11 +296,18 @@ class Model:
         instead: the blocks become plain numpy steps, built at each call from
         the current parameters, running moments, routing logits and
         temperature, and run on row chunks sized so that a chunk's widest
-        activation stays in cache (``_chunk_rows``). ReLU and batch-norm work
-        in place, batch-norm folded into one scale and shift; hard routing
-        gathers the argmax features of each chunk, relaxed routing
-        multiplies each chunk by the tempered softmax of psi, and dropout is
-        the identity. Both paths give the same logits up to rounding.
+        activation stays in cache (``_chunk_rows``). Hard routing gathers the
+        argmax features of each chunk, relaxed routing multiplies each chunk
+        by the tempered softmax of psi, and dropout is the identity. Each
+        ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run is folded into one
+        affine step with the batch-norm scale a and shift c taken into its
+        weights and bias, then ``max(h, c)`` in place; this holds only when
+        every a >= 0, so a block with a negative scale, like a batch-norm
+        that no affine step and ReLU precede, runs as the affine step, ReLU
+        and a*h + c. The chunks' activations live in one pair of buffers
+        that the model keeps across calls, so one model's eval path must not
+        run in two threads at once. Both paths give the same logits up to
+        rounding.
         """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
@@ -328,46 +338,72 @@ class Model:
         return h
 
     def _eval_steps(self, mode: str) -> list:
-        """The blocks as numpy steps, each mapping one chunk's activation to the next.
+        """The blocks as numpy steps ``(step, moves)``, each mapping one chunk's activation to the next.
 
-        Grouped activations keep the (k, m, rows) layout of the tape path.
-        A step writes either into its input, which an earlier step owns, or
-        into an output array it keeps for every chunk of the same size;
-        never into the caller's rows.
+        ``step(h, spare)`` gets the activation and the flat buffer that does
+        not hold it. A step that ``moves`` writes its result into ``spare``;
+        any other step works in place, in the buffer of ``h``, or returns a
+        view of it. Grouped activations keep the (k, m, rows) layout of the
+        tape path. Dropout is the identity in eval mode and is dropped, and
+        each ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run whose batch-norm
+        scale is nowhere negative is folded into two steps (see the comment
+        block below the class).
         """
         steps = []
         r = self.routing
         if r is not None:
             k, m = r.k, r.m
             if mode == "hard":
-                idx = L.hard_assignment(r)
-                steps.append(_gather_step(idx, k, m))
+                steps.append((_gather_step(L.hard_assignment(r), k, m), True))
             elif mode == "relaxed":
-                steps.append(_mix_step(T.routing_weights(r.psi.data, r.temperature), k, m))
+                steps.append((_mix_step(T.routing_weights(r.psi.data, r.temperature), k, m), True))
             else:
                 raise ConfigError(f"unknown group-select mode {mode!r}")
         elif self._ops[0][0] != "dense":
-            steps.append(np.array)  # the in-place steps below must not write into x
+            steps.append((_copy_step, True))  # the in-place steps below must not write into x
+        ops = [op for op in self._ops if op[0] != "dropout"]
         grouped = r is not None
-        for tag, payload in self._ops:
+        i = 0
+        while i < len(ops):
+            tag, payload = ops[i]
+            fold = None
+            if tag in ("gfc", "dense") and [t for t, _ in ops[i + 1 : i + 3]] == ["relu", "batchnorm"]:
+                a, c = ops[i + 2][1].scale_shift()
+                if (a >= 0.0).all():
+                    fold = a, c
             if tag == "gfc":
-                steps.append(_group_affine_step(payload.weights.data, payload.biases.data[:, :, None]))
+                w, b = payload.weights.data, payload.biases.data
+                if fold is not None:
+                    a, c = (v.reshape(-1, m) for v in fold)
+                    w, b, floor = a[:, :, None] * w, a * b + c, c[:, :, None]
+                steps.append((_group_affine_step(w, b[:, :, None]), True))
+            elif tag == "dense":
+                w, b = payload[0].data, payload[1].data
+                if fold is not None:
+                    a, c = fold
+                    w, b, floor = w * a, a * b + c, c
+                steps.append((_dense_step(w, b), True))
             elif tag == "relu":
-                steps.append(_relu_step)
+                steps.append((_relu_step, False))
             elif tag == "batchnorm":
                 a, c = payload.scale_shift()
                 if grouped:
                     a, c = a.reshape(-1, m, 1), c.reshape(-1, m, 1)
-                steps.append(_scale_shift_step(a, c))
+                steps.append((_scale_shift_step(a, c), False))
             elif tag == "pool":
-                steps.append(_pool_step(*payload))
+                kind, branching, w = payload
+                if kind == "linear":
+                    steps.append((_linear_pool_step(branching, w.data), False))
+                else:
+                    steps.append((_reduce_pool_step(kind, branching), True))
             elif tag == "concat":
                 grouped = False
-                steps.append(_concat_step)
-            elif tag == "dense":
-                w, b = payload
-                steps.append(_dense_step(w.data, b.data))
-            # dropout is the identity in eval mode
+                steps.append((_concat_step, False))
+            if fold is None:
+                i += 1
+            else:
+                steps.append((_floor_step(floor), False))
+                i += 3
         return steps
 
     def _eval_forward(self, x: np.ndarray, mode: str) -> np.ndarray:
@@ -379,10 +415,15 @@ class Model:
         widest = max(spec.d, spec.k * spec.m, *(b[1] for b in spec.blocks if b[0] == "dense"))
         rows = _chunk_rows(widest)
         out = np.empty((x.shape[0], spec.n_classes))
+        if self._eval_buffers is None:
+            self._eval_buffers = (_flat_buffer(rows * widest), _flat_buffer(rows * widest))
         for start in range(0, x.shape[0], rows):
             h = x[start : start + rows]
-            for step in steps:
-                h = step(h)
+            spare, other = self._eval_buffers
+            for step, moves in steps:
+                h = step(h, spare)
+                if moves:
+                    spare, other = other, spare
             out[start : start + rows] = h
         return out
 
@@ -396,9 +437,26 @@ class Model:
 # about 128 rows the matrix products of 1,024-wide layers lose efficiency,
 # and above a few thousand rows even narrow nets spill out of cache.
 #
-# Steps that need a new array keep one per chunk shape and write into it
-# again for the next chunk: a fresh array of this size costs page faults
-# whenever the allocator has handed the last one back to the system.
+# Every chunk's activations live in one pair of flat buffers that the model
+# keeps from call to call (``Model._eval_buffers``, made by ``_flat_buffer``),
+# each one full chunk of the widest activation. A step that needs a new
+# array writes into the buffer that does not hold its input, as a view of
+# its contiguous prefix (a tail chunk uses a shorter prefix), and the two
+# swap roles. A fresh array per step and chunk would cost page faults
+# whenever the allocator has handed the last one back to the system, and
+# its speed would depend on the allocator's history. Because the buffers
+# belong to the model, one model's eval path is not re-entrant: two threads
+# must not predict with the same model at once.
+#
+# Batch-norm fold: eval batch-norm is a*h + c, with (a, c) from
+# ``BatchNormState.scale_shift``, and for a >= 0, a*relu(y) + c equals
+# max(a*y + c, c). So an affine step y = W h + b followed by ReLU and
+# batch-norm becomes one affine step with weights a*W (row-scaled) and bias
+# a*b + c, and one in-place ``np.maximum(h, c)``: the ReLU pass and both
+# batch-norm passes collapse into one. The fold is computed at each call
+# from the current parameters. A block with any negative scale, and any
+# batch-norm that does not follow an affine step and ReLU, keeps the plain
+# steps: the affine step, ReLU, and a*h + c in place.
 
 CHUNK_FLOATS = 2**17
 MIN_CHUNK_ROWS = 128
@@ -410,19 +468,33 @@ def _chunk_rows(widest: int) -> int:
     return min(MAX_CHUNK_ROWS, max(MIN_CHUNK_ROWS, CHUNK_FLOATS // widest))
 
 
-def _buffer(cache: dict, shape: tuple) -> np.ndarray:
-    out = cache.get(shape)
-    if out is None:
-        out = cache[shape] = np.empty(shape)
+def _flat_buffer(size: int) -> np.ndarray:
+    """``size`` float64 values in an anonymous memory map of their own.
+
+    A long-lived array from the malloc heap keeps the heap from shrinking
+    back past it, so the memory of arrays freed below it stays resident: two
+    1 MiB ``np.empty`` buffers per model raised the benchmark's peak RSS on
+    ``wide-784`` by about 23 MB; in maps of their own they left it unchanged.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+
+
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The contiguous prefix of a flat buffer, shaped."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _copy_step(x, spare):
+    out = _view(spare, *x.shape)
+    out[...] = x
     return out
 
 
 def _gather_step(idx: np.ndarray, k: int, m: int):
     """Hard Group-Select: slot i reads feature idx[i] of every row."""
-    cache = {}
 
-    def step(x):
-        out = _buffer(cache, (idx.size, x.shape[0]))
+    def step(x, spare):
+        out = _view(spare, idx.size, x.shape[0])
         # idx comes from an argmax, so in range; "clip" spares numpy's buffered copy
         return np.take(x.T, idx, axis=0, out=out, mode="clip").reshape(k, m, -1)
 
@@ -431,22 +503,18 @@ def _gather_step(idx: np.ndarray, k: int, m: int):
 
 def _mix_step(s: np.ndarray, k: int, m: int):
     """Relaxed Group-Select: S @ x.T for the routing softmax S."""
-    cache = {}
 
-    def step(x):
-        out = _buffer(cache, (s.shape[0], x.shape[0]))
-        return np.matmul(s, x.T, out=out).reshape(k, m, -1)
+    def step(x, spare):
+        return np.matmul(s, x.T, out=_view(spare, s.shape[0], x.shape[0])).reshape(k, m, -1)
 
     return step
 
 
 def _group_affine_step(w: np.ndarray, b: np.ndarray):
     """Group-FC: one batched matmul over the groups, then the bias in place."""
-    cache = {}
 
-    def step(h):
-        out = _buffer(cache, (w.shape[0], w.shape[1], h.shape[2]))
-        np.matmul(w, h, out=out)
+    def step(h, spare):
+        out = np.matmul(w, h, out=_view(spare, w.shape[0], w.shape[1], h.shape[2]))
         out += b
         return out
 
@@ -454,25 +522,31 @@ def _group_affine_step(w: np.ndarray, b: np.ndarray):
 
 
 def _dense_step(w: np.ndarray, b: np.ndarray):
-    cache = {}
-
-    def step(h):
-        out = _buffer(cache, (h.shape[0], w.shape[1]))
-        np.matmul(h, w, out=out)
+    def step(h, spare):
+        out = np.matmul(h, w, out=_view(spare, h.shape[0], w.shape[1]))
         out += b
         return out
 
     return step
 
 
-def _relu_step(h: np.ndarray) -> np.ndarray:
+def _relu_step(h, spare):
     return np.maximum(h, 0.0, out=h)
 
 
-def _scale_shift_step(a: np.ndarray, c: np.ndarray):
-    """Eval batch-norm folded into a*h + c, written into h."""
+def _floor_step(c: np.ndarray):
+    """The ReLU and batch-norm of a folded block: max(h, c) in place."""
 
-    def step(h):
+    def step(h, spare):
+        return np.maximum(h, c, out=h)
+
+    return step
+
+
+def _scale_shift_step(a: np.ndarray, c: np.ndarray):
+    """Eval batch-norm as a*h + c, written into h."""
+
+    def step(h, spare):
         h *= a
         h += c
         return h
@@ -480,25 +554,41 @@ def _scale_shift_step(a: np.ndarray, c: np.ndarray):
     return step
 
 
-def _concat_step(h: np.ndarray) -> np.ndarray:
+def _concat_step(h, spare):
     """(k, m, rows) -> (rows, k*m), as a transposed view."""
     return h.reshape(-1, h.shape[2]).T
 
 
-def _pool_step(kind: str, branching: int, w: Tensor | None):
-    """Group-Pool on a (k, m, rows) chunk: stratum t of output group i is input group t*k/b + i."""
-    cache, cat_cache = {}, {}
+def _strata(h: np.ndarray, branching: int) -> np.ndarray:
+    """Stratum t of output group i is input group t*k/b + i."""
+    k, m, n = h.shape
+    return h.reshape(branching, k // branching, m, n)
 
-    def step(h):
-        k, m, n = h.shape
-        strata = h.reshape(branching, k // branching, m, n)
-        if kind == "max":
-            return np.max(strata, axis=0, out=_buffer(cache, strata.shape[1:]))
-        if kind == "mean":
-            return np.mean(strata, axis=0, out=_buffer(cache, strata.shape[1:]))
-        cat = _buffer(cat_cache, (k // branching, branching * m, n))
-        np.copyto(cat.reshape(k // branching, branching, m, n), strata.transpose(1, 0, 2, 3))
-        return np.matmul(w.data, cat, out=_buffer(cache, (w.shape[0], w.shape[1], n)))
+
+def _reduce_pool_step(kind: str, branching: int):
+    """Max or mean Group-Pool on a (k, m, rows) chunk."""
+    reduce = np.max if kind == "max" else np.mean
+
+    def step(h, spare):
+        strata = _strata(h, branching)
+        return reduce(strata, axis=0, out=_view(spare, *strata.shape[1:]))
+
+    return step
+
+
+def _linear_pool_step(branching: int, w: np.ndarray):
+    """Linear Group-Pool: the strata side by side per output group, then one batched matmul.
+
+    The side-by-side copy goes into ``spare``; the product then goes back
+    into the buffer of ``h``, whose values the copy has already read.
+    """
+
+    def step(h, spare):
+        strata = _strata(h, branching)
+        kb, m, n = strata.shape[1:]
+        cat = _view(spare, kb, branching * m, n)
+        np.copyto(cat.reshape(kb, branching, m, n), strata.transpose(1, 0, 2, 3))
+        return np.matmul(w, cat, out=_view(h.reshape(-1), *w.shape[:2], n))
 
     return step
 

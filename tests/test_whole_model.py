@@ -40,6 +40,8 @@ ARCHS = [
 DROPOUT_ARCH = "GSel-8-2, GFC, ReLU, Dropout-0.5, BNorm, GPool-max, GFC, Concat, Dropout-0.3, FC-3"
 # a 1,024-wide dense net: its eval chunks are the shortest the executor uses
 WIDE_MLP = "FC-1024, ReLU, BNorm, FC-3"
+# a batch-norm on the input, which no affine step and ReLU precede
+BN_FIRST_MLP = "BNorm, ReLU, FC-4, ReLU, BNorm, FC-3"
 
 
 def _net(arch, seed):
@@ -156,8 +158,13 @@ def _tape_logits(model, x, mode):
     return model.forward(Tensor(x), training=False, tape=T.Tape(), mode=mode).data
 
 
+def _step_names(model, mode):
+    """The factory or function name of each eval step, e.g. ``_floor_step``."""
+    return [step.__qualname__.split(".")[0] for step, _ in model._eval_steps(mode)]
+
+
 class TestEvalExecutor:
-    @pytest.mark.parametrize("arch", ARCHS + [DROPOUT_ARCH, WIDE_MLP])
+    @pytest.mark.parametrize("arch", ARCHS + [DROPOUT_ARCH, WIDE_MLP, BN_FIRST_MLP])
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
     def test_logits_match_tape_path(self, arch, mode):
         rng = np.random.default_rng(47)
@@ -166,6 +173,31 @@ class TestEvalExecutor:
         x = rng.normal(size=(300, D))
         got = model.forward(Tensor(x), training=False, mode=mode).data
         npt.assert_allclose(got, _tape_logits(model, x, mode), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["hard", "relaxed"])
+    def test_negative_and_zero_batchnorm_scale(self, mode):
+        rng = np.random.default_rng(71)
+        model = _net(ARCHS[0], seed=12)
+        _perturb(model, rng)
+        gammas = [p for name, p in model.parameters() if name.endswith("bn.gamma")]
+        for g in gammas:
+            np.abs(g.data, out=g.data)
+        gammas[0].data[3] = -0.8  # this block cannot be folded
+        gammas[1].data[5] = 0.0  # a zero scale still folds
+        assert _step_names(model, mode).count("_floor_step") == 1
+        x = rng.normal(size=(300, D))
+        got = model.forward(Tensor(x), training=False, mode=mode).data
+        npt.assert_allclose(got, _tape_logits(model, x, mode), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "arch, folds",
+        [(ARCHS[0], 2), (ARCHS[4], 2), (DROPOUT_ARCH, 1), (BN_FIRST_MLP, 1), (ARCHS[-1], 2)],
+    )
+    def test_affine_relu_batchnorm_runs_are_folded(self, arch, folds):
+        model = _net(arch, seed=13)
+        names = _step_names(model, "hard")
+        assert names.count("_floor_step") == folds
+        assert names.count("_scale_shift_step") == arch.count("BNorm") - folds
 
     def test_reads_parameters_at_each_call(self):
         rng = np.random.default_rng(53)
@@ -212,6 +244,38 @@ class TestEvalExecutor:
         logits = model.forward(Tensor(x)).data
         npt.assert_array_equal(x, kept)
         npt.assert_allclose(logits, _tape_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("arch, chunk", [(ARCHS[0], MAX_CHUNK_ROWS), (WIDE_MLP, 128)])
+    def test_buffers_reused_across_calls(self, arch, chunk):
+        rng = np.random.default_rng(73)
+        xs = [rng.normal(size=(n, D)) for n in (3 * chunk + 37, 5, 0)]
+
+        def fresh():
+            model = _net(arch, seed=14)
+            _perturb(model, np.random.default_rng(74))
+            return model
+
+        model = fresh()
+        got = [model.forward(Tensor(x)).data for x in xs[:1]]
+        pair = model._eval_buffers
+        got += [model.forward(Tensor(x)).data for x in xs[1:]]
+        assert all(a is b for a, b in zip(model._eval_buffers, pair))
+        kept = [g.copy() for g in got]
+        for x, g, k in zip(xs, got, kept):
+            npt.assert_array_equal(g, fresh().forward(Tensor(x)).data)
+            npt.assert_array_equal(g, k)  # later calls left earlier results alone
+
+    def test_two_models_do_not_interfere(self):
+        rng = np.random.default_rng(75)
+        x = rng.normal(size=(300, D))
+        # chunk buffers of 2,048 x 16 and 128 x 1,024 floats
+        models = [_net(ARCHS[0], seed=15), _net(WIDE_MLP, seed=16)]
+        for model in models:
+            _perturb(model, rng)
+        want = [_tape_logits(model, x, "hard") for model in models]
+        for _ in range(2):
+            for model, w in zip(models, want):
+                npt.assert_allclose(model.forward(Tensor(x), mode="hard").data, w, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[-1]])
     def test_no_rows_give_empty_labels(self, arch):
