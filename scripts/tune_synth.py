@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from gmlp.data import SynthBayesNet, normalize, split, synth_generate
-from gmlp.model import build, parse_arch
+from gmlp.model import Model, parse_arch
 from gmlp.training import TrainConfig, accuracy, fit
 
 PAIRS = [{0, 1}, {2, 3}, {4, 5}]
@@ -31,7 +31,7 @@ def evaluate_config(data, cfg_kw, seeds):
     train_n, val_n, test_n = data
     rel, hard, best_t, clean, spars = [], [], [], 0, []
     for seed in seeds:
-        model = build(parse_arch(ARCH, d=6, seed=seed))
+        model = Model(parse_arch(ARCH, d=6, seed=seed))
         cfg = TrainConfig(seed=seed, **cfg_kw)
         res = fit(model, train_n, val_n, cfg, test=test_n)
         rel.append(accuracy(model, test_n))

@@ -40,7 +40,7 @@ class RoutingTable:
 def discretize_routing(routing: RoutingParams) -> RoutingTable:
     """Per-row argmax of the logits; ties break toward the lowest feature index."""
     idx = routing.psi.data.argmax(axis=1)
-    probs = T.softmax_rows(None, routing.psi, routing.temperature).data
+    probs = T.routing_weights(routing.psi.data, routing.temperature)
     conf = probs[np.arange(idx.size), idx]
     return RoutingTable(idx, conf, routing.k, routing.m, routing.d)
 
@@ -48,7 +48,7 @@ def discretize_routing(routing: RoutingParams) -> RoutingTable:
 def sparsity_report(routing: RoutingParams, threshold: float = 0.99) -> float:
     """Fraction of routing rows whose softmax, at the current temperature,
     already concentrates at least ``threshold`` on one feature."""
-    probs = T.softmax_rows(None, routing.psi, routing.temperature).data
+    probs = T.routing_weights(routing.psi.data, routing.temperature)
     return float((probs.max(axis=1) >= threshold).mean())
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import RoutingTable
 from .errors import CheckpointError, ConfigError
-from .model import ArchSpec, Model, build, parse_arch
+from .model import ArchSpec, Model, parse_arch
 
 FORMAT_VERSION = 1
 _LEN = struct.Struct("<Q")
@@ -174,7 +174,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             seed=manifest.get("seed", 0),
             branching=manifest.get("branching", 2),
         )
-        model = build(spec)
+        model = Model(spec)
         model.set_temperature(float(manifest["final_tau"]))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: manifest describes no valid model: {exc}") from exc

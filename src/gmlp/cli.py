@@ -41,7 +41,7 @@ from .errors import (
 )
 from .layers import RoutingParams
 from .metrics import MetricsWriter
-from .model import build, count_complexity, parse_arch
+from .model import Model, count_complexity, parse_arch
 from .tensor import Tensor
 from .training import accuracy, fit, predictions
 from .analysis import discretize_routing, sparsity_report
@@ -116,7 +116,7 @@ def cmd_train(args) -> int:
         raise ConfigError(
             f"arch outputs {spec.n_classes} classes but data has {train_n.n_classes}"
         )
-    model = build(spec)
+    model = Model(spec)
     metadata = {
         "config": cfg.to_dict(),
         "norm_stats": stats,

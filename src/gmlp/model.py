@@ -192,7 +192,13 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.nd
 class Model:
     """A built network: routing parameters, an executable block list, and a
     flat named-parameter view for the optimizer, the L2 penalty, and
-    checkpointing."""
+    checkpointing.
+
+    Initialization is seeded Xavier-uniform. Weight fans: the routing logits
+    use (fan_in=d, fan_out=k*m), group maps use (m, m), linear pool maps
+    (b*m, m), dense layers (width, out). Biases start at zero, batch-norm at
+    identity. Same seed, same bits.
+    """
 
     def __init__(self, spec: ArchSpec):
         spec.validate()
@@ -591,16 +597,6 @@ def _linear_pool_step(branching: int, w: np.ndarray):
         return np.matmul(w, cat, out=_view(h.reshape(-1), *w.shape[:2], n))
 
     return step
-
-
-def build(spec: ArchSpec) -> Model:
-    """Instantiate a model with seeded Xavier-uniform initialization.
-
-    Weight fans: the routing logits use (fan_in=d, fan_out=k*m), group maps
-    use (m, m), linear pool maps (b*m, m), dense layers (width, out). Biases
-    start at zero, batch-norm at identity. Same seed, same bits.
-    """
-    return Model(spec)
 
 
 # ---------------------------------------------------------------------------

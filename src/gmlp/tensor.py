@@ -12,6 +12,8 @@ Design constraints, in order of priority:
   of a training step whatever the batch size, so ``relaxed_select`` and
   ``neg_entropy_rows`` compute in place in arrays of that size, their
   gradients included, instead of allocating one per elementwise step,
+* few tape nodes per step: ``sum_squares`` takes any number of tensors, so
+  the L2 penalty over a whole parameter list is one node,
 * no views, no strides, no broadcasting beyond scalars and bias rows.
 
 Grouped activations are (k, m, B) arrays: group, slot within the group, then
@@ -348,15 +350,23 @@ def tmean(tape, a: Tensor) -> Tensor:
     return _result(tape, np.asarray(a.data.mean()), (a,), backward)
 
 
-def sum_squares(tape, a: Tensor) -> Tensor:
-    """sum(a**2) as a scalar; the building block of the L2 penalty."""
-    ad = a.data
+def sum_squares(tape, *tensors: Tensor) -> Tensor:
+    """The sum of every entry squared over all the tensors, as one scalar node.
+
+    The L2 penalty over a whole parameter list. The value adds each tensor's
+    ``np.dot`` of its flat view with itself, in argument order; the gradient
+    of each tensor is 2*g*a.
+    """
+    datas = [a.data for a in tensors]
 
     def backward(g):
-        return (2.0 * g * ad,)
+        return tuple(2.0 * g * ad for ad in datas)
 
-    flat = ad.reshape(-1)
-    return _result(tape, np.asarray(np.dot(flat, flat)), (a,), backward)
+    value = 0.0
+    for ad in datas:
+        flat = ad.reshape(-1)
+        value += np.dot(flat, flat)
+    return _result(tape, np.asarray(value, dtype=np.float64), tensors, backward)
 
 
 # ---------------------------------------------------------------------------

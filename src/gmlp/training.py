@@ -8,7 +8,8 @@ always evaluated at temperature 1, independent of the annealed temperature
 used in the forward pass, and carries a 1/d outer factor. It is one
 ``neg_entropy_rows`` node, which computes p*log(p) as p*(z - log S) from the
 max-shifted logits z and their exponential row sums S, without a mask; its
-value, and its gradient, are 0 where p underflows to 0.
+value, and its gradient, are 0 where p underflows to 0. The L2 penalty is one
+``sum_squares`` node over the whole parameter list, whatever its length.
 
 Two schedules run per epoch: the softmax temperature decays geometrically
 from ``tau_start`` to ``tau_end`` across the configured epoch budget, and the
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .analysis import sparsity_report
 from .data import Dataset, batches
 from .errors import ConfigError, TrainingDiverged
 from .model import Model
@@ -39,6 +41,9 @@ from .tensor import Tensor
 
 # a batch loss above this multiple of the first batch's loss counts as divergence
 DIVERGENCE_FACTOR = 1e6
+# entries per Adam slice: 2^15 float64 is 256 KiB per array, so a slice's
+# gradient, moments, parameter and two scratch arrays fit in a 2 MiB L2 cache
+ADAM_TILE = 1 << 15
 
 
 @dataclass
@@ -99,9 +104,9 @@ def loss_terms(
     """Total objective plus its cross-entropy and entropy components.
 
     With lambda and alpha both zero the total is exactly the cross-entropy.
-    The L2 sum runs over every tensor in ``params`` (the routing logits
-    included: they only ever appear through a softmax, so nothing else
-    bounds their magnitude).
+    The L2 sum is one ``sum_squares`` node over every tensor in ``params``
+    (the routing logits included: they only ever appear through a softmax,
+    so nothing else bounds their magnitude).
     """
     ce = T.cross_entropy_logits(tape, logits, targets)
     total = ce
@@ -109,13 +114,9 @@ def loss_terms(
     if psi is not None and cfg.anneal_entropy and cfg.lambda_ > 0.0:
         ent = entropy_term(tape, psi)
         total = T.add(tape, total, T.scale(tape, ent, cfg.lambda_))
-    if cfg.alpha > 0.0:
-        l2 = None
-        for _, p in params:
-            sq = T.sum_squares(tape, p)
-            l2 = sq if l2 is None else T.add(tape, l2, sq)
-        if l2 is not None:
-            total = T.add(tape, total, T.scale(tape, l2, cfg.alpha))
+    if cfg.alpha > 0.0 and params:
+        l2 = T.sum_squares(tape, *(p for _, p in params))
+        total = T.add(tape, total, T.scale(tape, l2, cfg.alpha))
     return total, ce, ent
 
 
@@ -143,34 +144,58 @@ def adam_step(params: list[tuple[str, Tensor]], state: AdamState, lr: float) -> 
     """One bias-corrected update, in place; parameters without grads are left alone.
 
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), evaluated in that operation
-    order through two scratch arrays per parameter, allocated per call so
-    that they are not held between steps.
+    order. A parameter of more than ``ADAM_TILE`` entries is updated in
+    consecutive contiguous slices of ``ADAM_TILE`` entries of its flat view,
+    each slice running the whole update before the next starts, so that the
+    slice's gradient, moments, parameter and the two scratch arrays stay in
+    cache; the two scratch arrays hold one slice and are made per call, not
+    kept between steps. A parameter of at most one slice is updated as whole
+    arrays, with temporaries of its own size: a slicing loop costs more than
+    it saves on small arrays. The slices change no value: every operation
+    is elementwise.
     """
     state.step += 1
-    bc1 = 1.0 - state.beta1**state.step
-    bc2 = 1.0 - state.beta2**state.step
+    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    bc1 = 1.0 - beta1**state.step
+    bc2 = 1.0 - beta2**state.step
+
+    def update(g, m, v, w, a, b):
+        # a and b are scratch of g's shape, or None to have numpy make them
+        a = np.multiply(g, 1.0 - beta1, out=a)
+        m *= beta1
+        m += a
+        np.square(g, out=a)
+        a *= 1.0 - beta2
+        v *= beta2
+        v += a
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        b = np.divide(m, bc1, out=b)
+        b *= lr
+        b /= a
+        w -= b
+
+    scratch = None
     for name, p in params:
         g = p.grad
         if g is None:
             continue
-        if g.shape != p.data.shape:
-            raise ConfigError(f"gradient shape {g.shape} != parameter {p.data.shape} ({name})")
+        w = p.data
+        if g.shape != w.shape:
+            raise ConfigError(f"gradient shape {g.shape} != parameter {w.shape} ({name})")
         m = state.m[name]
         v = state.v[name]
-        a = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
-        m += a
-        np.square(g, out=a)
-        a *= 1.0 - state.beta2
-        v *= state.beta2
-        v += a
-        np.divide(v, bc2, out=a)
-        np.sqrt(a, out=a)
-        a += state.eps
-        update = np.divide(m, bc1)
-        update *= lr
-        update /= a
-        p.data -= update
+        if w.size <= ADAM_TILE:
+            update(g, m, v, w, None, None)
+            continue
+        if scratch is None:
+            scratch = np.empty(ADAM_TILE), np.empty(ADAM_TILE)
+        g, m, v, w = g.reshape(-1), m.reshape(-1), v.reshape(-1), w.reshape(-1)
+        for lo in range(0, w.size, ADAM_TILE):
+            hi = min(lo + ADAM_TILE, w.size)
+            a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
+            update(g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi], a, b)
 
 
 def temperature_at(epoch: int, cfg: TrainConfig) -> float:
@@ -260,10 +285,10 @@ class FitResult:
 
 
 def routing_sparsity(model: Model, threshold: float = 0.99) -> float:
+    """``analysis.sparsity_report`` of the model's routing; 1.0 for a dense net."""
     if model.routing is None:
         return 1.0
-    s = T.softmax_rows(None, model.routing.psi, model.routing.temperature)
-    return float((s.data.max(axis=1) >= threshold).mean())
+    return sparsity_report(model.routing, threshold)
 
 
 def fit(

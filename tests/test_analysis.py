@@ -6,7 +6,7 @@ from gmlp import analysis as A
 from gmlp.data import Dataset
 from gmlp.errors import DataError
 from gmlp.layers import RoutingParams
-from gmlp.model import build, parse_arch
+from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
 
 
@@ -105,7 +105,7 @@ class TestGroupGraph:
 class TestCorrelation:
     def _model_with_assignment(self, assign, d, k, m):
         arch = f"GSel-{k}-{m}, GFC, ReLU, BNorm, Concat, FC-2"
-        model = build(parse_arch(arch, d=d, seed=0))
+        model = Model(parse_arch(arch, d=d, seed=0))
         psi = np.full((k * m, d), -200.0)
         psi[np.arange(k * m), assign] = 200.0
         model.routing.psi.data[:] = psi

@@ -8,14 +8,14 @@ from gmlp import cli
 from gmlp.analysis import discretize_routing
 from gmlp.checkpoint import _LEN, load_checkpoint, save_model
 from gmlp.errors import CheckpointError
-from gmlp.model import build, parse_arch
+from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
 
 ARCH = "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
 
 
 def _saved(tmp_path):
-    model = build(parse_arch(ARCH, d=6, seed=1))
+    model = Model(parse_arch(ARCH, d=6, seed=1))
     path = tmp_path / "model.ckpt"
     save_model(path, model, routing_table=discretize_routing(model.routing))
     return model, path
@@ -54,6 +54,12 @@ def _with_table(key, value):
     return edit
 
 
+def _with_param(manifest, **fields):
+    """The manifest with fields of its first parameter entry replaced."""
+    manifest["params"][0].update(fields)
+    return manifest
+
+
 MALFORMED = {
     "missing_arch": _without("arch"),
     "missing_d": _without("d"),
@@ -75,6 +81,9 @@ MALFORMED = {
     },
     "routing_table_strings": _with_table("slot_to_feature", ["a"] * 8),
     "routing_table_short": _with_table("row_confidence", [1.0]),
+    "param_offset_past_blob": lambda mf: _with_param(mf, offset=mf["blob_bytes"]),
+    "param_offset_negative": lambda mf: _with_param(mf, offset=-4),
+    "param_shape_not_the_archs": lambda mf: _with_param(mf, shape=mf["params"][0]["shape"] + [1]),
 }
 
 

@@ -6,7 +6,7 @@ from gmlp import cli
 from gmlp.analysis import discretize_routing
 from gmlp.checkpoint import save_model
 from gmlp.data import SynthBayesNet, save_csv, synth_generate
-from gmlp.model import build, parse_arch
+from gmlp.model import Model, parse_arch
 
 CONFIG = """\
 arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax
@@ -101,7 +101,7 @@ class TestSynth:
 
 class TestAnalyze:
     def _checkpoint(self, tmp_path, arch):
-        model = build(parse_arch(arch, d=6, seed=1))
+        model = Model(parse_arch(arch, d=6, seed=1))
         path = tmp_path / "model.ckpt"
         table = discretize_routing(model.routing) if model.routing is not None else None
         save_model(path, model, routing_table=table)

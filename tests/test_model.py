@@ -9,7 +9,7 @@ from gmlp import tensor as T
 from gmlp.errors import ConfigError, ShapeError
 from gmlp.model import (
     ArchSpec,
-    build,
+    Model,
     count_complexity,
     parse_arch,
     predict_ops_gmlp,
@@ -62,7 +62,7 @@ class TestParse:
 
 class TestBuild:
     def test_synth_arch_output_width(self):
-        model = build(parse_arch(SYNTH_ARCH, d=6))
+        model = Model(parse_arch(SYNTH_ARCH, d=6))
         dense_w, dense_b = model._ops[-1][1]
         assert dense_w.shape == (8, 2)  # k*m = 8 features feed the 2-class output
         assert dense_b.shape == (2,)
@@ -72,13 +72,13 @@ class TestBuild:
             "GSel-8-2, GFC, ReLU, GPool-max, GFC, ReLU, GPool-max, "
             "GFC, ReLU, GPool-max, Concat, FC-2"
         )
-        model = build(parse_arch(text, d=5))
+        model = Model(parse_arch(text, d=5))
         dense_w, _ = model._ops[-1][1]
         assert dense_w.shape == (2, 2)  # one surviving group of width m=2
 
     def test_same_seed_same_bits(self):
         spec = parse_arch(SYNTH_ARCH, d=6, seed=123)
-        a, b = build(spec), build(spec)
+        a, b = Model(spec), Model(spec)
         for (name_a, pa), (name_b, pb) in zip(a.parameters(), b.parameters()):
             assert name_a == name_b
             assert np.array_equal(pa.data, pb.data)
@@ -87,7 +87,7 @@ class TestBuild:
         for k, pools, branching in [(8, 3, 2), (16, 2, 4), (6, 1, 3)]:
             body = "".join(f"GFC, GPool-mean-{branching}, " for _ in range(pools))
             text = f"GSel-{k}-2, {body}GFC, Concat, FC-2"
-            model = build(parse_arch(text, d=9))
+            model = Model(parse_arch(text, d=9))
             x = Tensor(np.random.default_rng(0).normal(size=(3, 9)))
             h = L.group_select_forward(None, x, model.routing)
             for tag, payload in model._ops:
@@ -104,10 +104,10 @@ class TestBuild:
         ]
         for text, d in texts:
             spec = parse_arch(text, d=d)
-            assert count_complexity(spec).param_count_actual == build(spec).param_count()
+            assert count_complexity(spec).param_count_actual == Model(spec).param_count()
 
     def test_psi_init_bound(self):
-        model = build(parse_arch(SYNTH_ARCH, d=6, seed=5))
+        model = Model(parse_arch(SYNTH_ARCH, d=6, seed=5))
         bound = np.sqrt(6.0 / (6 + 8))
         psi = model.routing.psi.data
         assert psi.max() <= bound and psi.min() >= -bound
@@ -116,14 +116,14 @@ class TestBuild:
 
 class TestForward:
     def test_untrained_logits_shape_and_finite(self):
-        model = build(parse_arch(SYNTH_ARCH, d=6, seed=1))
+        model = Model(parse_arch(SYNTH_ARCH, d=6, seed=1))
         x = Tensor(np.random.default_rng(2).normal(size=(5, 6)))
         logits = model.forward(x, training=False)
         assert logits.shape == (5, 2)
         assert np.all(np.isfinite(logits.data))
 
     def test_degenerate_single_slot_net_is_dense_on_one_feature(self):
-        model = build(parse_arch("GSel-1-1, GFC, Concat, FC-2", d=4, seed=3))
+        model = Model(parse_arch("GSel-1-1, GFC, Concat, FC-2", d=4, seed=3))
         # make the single group map the identity
         gfc = model._ops[0][1]
         gfc.weights.data[:] = 1.0
@@ -137,13 +137,13 @@ class TestForward:
 
     def test_column_permutation_equivariance(self):
         spec = parse_arch(SYNTH_ARCH, d=6, seed=7)
-        model = build(spec)
+        model = Model(spec)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(10, 6))
         base = model.forward(Tensor(x), training=False).data
 
         perm = rng.permutation(6)
-        permuted = build(spec)
+        permuted = Model(spec)
         for (_, p_dst), (_, p_src) in zip(permuted.parameters(), model.parameters()):
             p_dst.data[:] = p_src.data
         permuted.routing.psi.data[:] = model.routing.psi.data[:, perm]
@@ -151,7 +151,7 @@ class TestForward:
         npt.assert_allclose(out, base, rtol=1e-12, atol=1e-14)
 
     def test_input_dim_mismatch(self):
-        model = build(parse_arch(SYNTH_ARCH, d=6))
+        model = Model(parse_arch(SYNTH_ARCH, d=6))
         with pytest.raises(ShapeError):
             model.forward(Tensor(np.zeros((2, 5))))
 

@@ -279,6 +279,15 @@ class TestGradientsAgainstFiniteDifferences:
         assert T.sum_squares(None, a).item() == pytest.approx(np.square(a.data).sum(), rel=1e-14)
         _fd_check(lambda tp: T.sum_squares(tp, a), [a], tol=1e-6)
 
+    def test_sum_squares_over_several_tensors(self):
+        rng = np.random.default_rng(23)
+        ts = [t(rng.normal(size=shape), rg=True) for shape in [(3, 4), (5,), (2, 3, 2)]]
+        expected = 0.0
+        for a in ts:
+            expected += np.dot(a.data.reshape(-1), a.data.reshape(-1))
+        assert T.sum_squares(None, *ts).item() == expected
+        _fd_check(lambda tp: T.sum_squares(tp, *ts), ts, tol=1e-6)
+
 
 # exp(-715) ~ 1e-311 is subnormal: below float64's smallest normal, about exp(-708.4)
 SUBNORMAL_GAP = 715.0

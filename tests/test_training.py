@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from gmlp import tensor as T
 from gmlp.data import Dataset, SynthBayesNet, normalize, split, synth_generate
 from gmlp.errors import ConfigError, TrainingDiverged
-from gmlp.model import build, parse_arch
+from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
 from gmlp.training import (
+    ADAM_TILE,
     AdamState,
     TrainConfig,
     accuracy,
@@ -110,6 +112,18 @@ class TestLoss:
         )
         assert total.item() == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("n_params", [1, 3, 7])
+    def test_l2_is_one_sum_squares_node(self, n_params):
+        rng = np.random.default_rng(3)
+        logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        params = [(f"p{i}", Tensor(rng.normal(size=(i + 1, 2)), requires_grad=True))
+                  for i in range(n_params)]
+        tape = T.Tape()
+        loss_terms(tape, logits, np.array([0, 2, 1, 1, 0]), None, params, cfg(alpha=0.01))
+        l2_nodes = [n for n in tape.nodes if n.backward.__qualname__.startswith("sum_squares.")]
+        assert len(l2_nodes) == 1
+        assert l2_nodes[0].inputs == tuple(p for _, p in params)
+
     def test_label_out_of_range(self):
         with pytest.raises(Exception):
             loss_terms(None, Tensor(np.zeros((1, 2))), np.array([5]), None, [], cfg())
@@ -118,7 +132,7 @@ class TestLoss:
         # psi only enters through softmax, so adding a constant to a row
         # changes nothing unless the L2 term sees the raw values
         spec = parse_arch("GSel-2-2, GFC, ReLU, BNorm, Concat, FC-2", d=4, seed=3)
-        model = build(spec)
+        model = Model(spec)
         rng = np.random.default_rng(4)
         x, y = rng.normal(size=(8, 4)), rng.integers(0, 2, 8)
 
@@ -167,7 +181,9 @@ class TestAdam:
     def test_bit_identical_to_plain_expression(self):
         rng = np.random.default_rng(5)
         params = [("a", Tensor(rng.normal(size=(7, 5)), requires_grad=True)),
-                  ("b", Tensor(rng.normal(size=3), requires_grad=True))]
+                  ("b", Tensor(rng.normal(size=3), requires_grad=True)),
+                  # several slices, the last one short
+                  ("c", Tensor(rng.normal(size=(1, 2 * ADAM_TILE + 37)), requires_grad=True))]
         state = AdamState.create(params)
         ref = {name: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for name, p in params}
         b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
@@ -186,6 +202,18 @@ class TestAdam:
                 w, m, v = ref[name]
                 assert np.array_equal(p.data, w) and np.array_equal(state.m[name], m)
                 assert np.array_equal(state.v[name], v)
+
+    def test_scratch_is_one_slice(self):
+        p = Tensor(np.ones((1 << 10, 1 << 10)), requires_grad=True)
+        p.grad = np.full(p.shape, 0.5)
+        state = AdamState.create([("p", p)])
+        tracemalloc.start()
+        try:
+            adam_step([("p", p)], state, lr=0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * ADAM_TILE * 8
 
 
 class TestSchedules:
@@ -239,7 +267,7 @@ class TestFit:
         # whole budget, and each group gets 4 ReLU units, not the bare 2 one
         # XOR needs.
         (ds,), _ = normalize(self._tiny_task(96))
-        model = build(parse_arch("GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=1))
+        model = Model(parse_arch("GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=1))
         c = TrainConfig(epochs=150, batch_size=16, lambda_=0.5, alpha=1e-4, lr0=1e-2,
                         plateau_patience=150, seed=1)
         fit(model, ds, ds, c)
@@ -251,7 +279,7 @@ class TestFit:
         train, val = split(ds, 0.25, seed=2)
 
         def run():
-            model = build(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=3))
+            model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=3))
             result = fit(model, train, val, cfg(epochs=6, lambda_=1.0, alpha=1e-4))
             return result, model
 
@@ -265,19 +293,19 @@ class TestFit:
 
     def test_gradients_released_on_return(self):
         ds = self._tiny_task(64)
-        model = build(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=3))
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=3))
         fit(model, ds, ds, cfg(epochs=2, lambda_=1.0, alpha=1e-4))
         assert [name for name, p in model.parameters() if p.grad is not None] == []
 
     def test_divergence_detected(self):
         ds = self._tiny_task(64)
-        model = build(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=4))
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=4))
         with pytest.raises(TrainingDiverged):
             fit(model, ds, ds, cfg(epochs=5, lr0=1e18, alpha=1e-4))
 
     def test_divergence_error_names_the_bound(self):
         ds = self._tiny_task(64)
-        model = build(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=4))
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=4))
         with pytest.raises(TrainingDiverged, match="first batch loss") as info:
             fit(model, ds, ds, cfg(epochs=5, lr0=1e18, alpha=1e-4))
         assert info.value.epoch == 0
@@ -287,7 +315,7 @@ class TestFit:
         # lr0=1 overshoots: the loss climbs to about 5x its first value, far
         # below the 1e6x blow-up bound, so the run must finish all epochs
         ds = self._tiny_task(64)
-        model = build(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=4))
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=4))
         c = cfg(epochs=5, lr0=1.0, alpha=1e-4)
         logits = model.forward(Tensor(ds.X), training=True)
         start, _, _ = loss_terms(None, logits, ds.y, model.routing.psi, model.parameters(), c)
@@ -297,14 +325,14 @@ class TestFit:
 
     def test_zero_epochs_no_records(self):
         ds = self._tiny_task(64)
-        model = build(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=5))
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=5))
         result = fit(model, ds, ds, cfg(epochs=0))
         assert result.records == []
         assert result.best_state is None
 
     def test_batch_size_too_large(self):
         ds = self._tiny_task(8)
-        model = build(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=6))
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=6))
         with pytest.raises(ConfigError):
             fit(model, ds, ds, cfg(epochs=1, batch_size=32))
 

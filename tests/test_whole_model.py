@@ -15,7 +15,7 @@ import pytest
 
 from gmlp import tensor as T
 from gmlp.errors import DomainError, ShapeError
-from gmlp.model import MAX_CHUNK_ROWS, build, parse_arch
+from gmlp.model import MAX_CHUNK_ROWS, Model, parse_arch
 from gmlp.tensor import Tensor
 from gmlp.training import TrainConfig, loss_terms, predictions
 from gradcheck import finite_difference, max_rel_err
@@ -45,7 +45,7 @@ BN_FIRST_MLP = "BNorm, ReLU, FC-4, ReLU, BNorm, FC-3"
 
 
 def _net(arch, seed):
-    model = build(parse_arch(arch, d=D, seed=seed))
+    model = Model(parse_arch(arch, d=D, seed=seed))
     if model.routing is not None:
         model.set_temperature(0.7)
     return model
