@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset
 from .errors import DataError
-from .layers import RoutingParams
+from .layers import RoutingParams, hard_assignment
 from .model import Model
 
 
@@ -39,7 +39,7 @@ class RoutingTable:
 
 def discretize_routing(routing: RoutingParams) -> RoutingTable:
     """Per-row argmax of the logits; ties break toward the lowest feature index."""
-    idx = routing.psi.data.argmax(axis=1)
+    idx = hard_assignment(routing)
     probs = T.routing_weights(routing.psi.data, routing.temperature)
     conf = probs[np.arange(idx.size), idx]
     return RoutingTable(idx, conf, routing.k, routing.m, routing.d)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .checkpoint import load_checkpoint, save_checkpoint, save_model
-from .config import OUT_DIR_ENV, RunConfig, load_config
+from .config import RunConfig, load_config, resolve_out_dir
 from .data import (
     Dataset,
     halfnoise_generate,
@@ -29,6 +29,7 @@ from .data import (
     save_csv,
     save_norm_stats,
     split,
+    standardize,
     synth_bayes_optimal,
     synth_generate,
 )
@@ -72,6 +73,11 @@ def _write_json(path, payload) -> None:
 # data assembly for train
 
 
+def _label_column(label: str) -> str | int:
+    """A label column given as a digit string is an index, anything else a header name."""
+    return int(label) if label.lstrip("-").isdigit() else label
+
+
 def _load_run_data(cfg: RunConfig):
     seed = cfg.train.seed
     if cfg.data == "synth":
@@ -87,9 +93,7 @@ def _load_run_data(cfg: RunConfig):
         )
         train, test = split(full, cfg.test_fraction, seed=cfg.halfnoise_seed)
     else:
-        label: str | int = cfg.label_column
-        if isinstance(label, str) and label.lstrip("-").isdigit():
-            label = int(label)
+        label = _label_column(cfg.label_column)
         train = load_csv(cfg.train_csv, label_column=label, has_header=cfg.has_header)
         if cfg.test_csv:
             test = load_csv(cfg.test_csv, label_column=label, has_header=cfg.has_header)
@@ -104,7 +108,7 @@ def _load_run_data(cfg: RunConfig):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    out_dir = args.out_dir or cfg.resolve_out_dir()
+    out_dir = resolve_out_dir(args.out_dir or cfg.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     train, val, test = _load_run_data(cfg)
@@ -176,32 +180,23 @@ def cmd_train(args) -> int:
 # eval
 
 
-def _normalized_from_manifest(ds: Dataset, manifest: dict) -> Dataset:
-    stats = manifest.get("metadata", {}).get("norm_stats")
-    if not stats:
-        return ds
-    names = ds.feature_names or [f"f{j}" for j in range(ds.d)]
-    mu = np.zeros(ds.d)
-    sigma = np.ones(ds.d)
-    for j, name in enumerate(names):
-        if name in stats:
-            mu[j] = stats[name]["mu"]
-            sigma[j] = stats[name]["sigma"]
-    safe = np.where(sigma == 0.0, 1.0, sigma)
-    xn = (ds.X - mu) / safe
-    xn[:, sigma == 0.0] = 0.0
-    return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.split_tag)
-
-
 def _load_eval_dataset(args, manifest) -> Dataset:
-    label: str | int = args.label_column
-    if isinstance(label, str) and label.lstrip("-").isdigit():
-        label = int(label)
+    """The CSV rows, standardized with the training run's norm stats when the checkpoint has them."""
+    label = _label_column(args.label_column)
     ds = load_csv(args.data, label_column=label, has_header=not args.no_header)
     expected_d = manifest["d"]
     if ds.d != expected_d:
         raise DataError(f"dataset has {ds.d} features but the model expects {expected_d}")
-    return _normalized_from_manifest(ds, manifest)
+    stats = manifest.get("metadata", {}).get("norm_stats")
+    if not stats:
+        return ds
+    mu = np.zeros(ds.d)
+    sigma = np.ones(ds.d)
+    for j, name in enumerate(ds.feature_names):  # load_csv always names the columns
+        if name in stats:
+            mu[j] = stats[name]["mu"]
+            sigma[j] = stats[name]["sigma"]
+    return standardize(ds, mu, sigma)
 
 
 def cmd_eval(args) -> int:
@@ -235,7 +230,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV, "") or "gmlp-out"
+    out_dir = resolve_out_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
     net_kw = {}
     if args.root_prob:
@@ -277,7 +272,7 @@ def cmd_analyze(args) -> int:
     model = loaded.model
     if model.routing is None:
         raise ConfigError("analysis needs a group-connected model")
-    out_dir = args.out_dir or os.environ.get(OUT_DIR_ENV, "") or "gmlp-out"
+    out_dir = resolve_out_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
     table = loaded.routing_table or discretize_routing(model.routing)

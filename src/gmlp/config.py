@@ -28,6 +28,12 @@ from .training import TrainConfig
 
 OUT_DIR_ENV = "GMLP_OUT_DIR"
 
+
+def resolve_out_dir(out_dir: str) -> str:
+    """``out_dir`` if given, else ``$GMLP_OUT_DIR``, else ``gmlp-out``."""
+    return out_dir or os.environ.get(OUT_DIR_ENV, "") or "gmlp-out"
+
+
 _TRAIN_KEYS = {
     "epochs": int,
     "batch_size": int,
@@ -112,9 +118,6 @@ class RunConfig:
             rule = _float_list(self.synth_target_rule, "synth_target_rule")
             kw["target_rule"] = np.asarray(rule)
         return SynthBayesNet(**kw)
-
-    def resolve_out_dir(self) -> str:
-        return self.out_dir or os.environ.get(OUT_DIR_ENV, "") or "gmlp-out"
 
     def to_dict(self) -> dict:
         out = {}

@@ -151,16 +151,17 @@ def normalize(train: Dataset, *others: Dataset):
     """
     mu = train.X.mean(axis=0)
     sigma = train.X.std(axis=0)
-    safe = np.where(sigma == 0.0, 1.0, sigma)
-
-    def apply(ds: Dataset) -> Dataset:
-        xn = (ds.X - mu) / safe
-        xn[:, sigma == 0.0] = 0.0
-        return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.split_tag)
-
     names = train.feature_names or [f"f{j}" for j in range(train.d)]
     stats = {name: {"mu": float(m), "sigma": float(s)} for name, m, s in zip(names, mu, sigma)}
-    return [apply(ds) for ds in (train, *others)], stats
+    return [standardize(ds, mu, sigma) for ds in (train, *others)], stats
+
+
+def standardize(ds: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Dataset:
+    """``ds`` with column j mapped to (x - mu[j]) / sigma[j], or to all zeros where sigma[j] is 0."""
+    safe = np.where(sigma == 0.0, 1.0, sigma)
+    xn = (ds.X - mu) / safe
+    xn[:, sigma == 0.0] = 0.0
+    return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.split_tag)
 
 
 def save_norm_stats(stats: dict, path) -> None:

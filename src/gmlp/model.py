@@ -9,17 +9,18 @@ Architecture strings use the block tokens ``GSel-k-m``, ``GFC``, ``ReLU``,
     GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax
 
 A group-connected net must start with ``GSel`` and end with
-``Concat, FC-C[, Softmax]``; a string starting with ``FC`` describes the
-plain dense baseline. ``Softmax`` marks the probability boundary only: the
-forward pass always returns logits and the softmax lives inside the
-cross-entropy loss.
+``Concat, FC-C[, Softmax]``. A string without ``GSel`` describes the plain
+dense baseline: it may start with any block but ``GFC``, ``GPool`` and
+``Concat``, which it may not use at all, and needs at least one ``FC``.
+``Softmax`` marks the probability boundary only: the forward pass always
+returns logits and the softmax lives inside the cross-entropy loss.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,70 +41,23 @@ class ArchSpec:
     n_classes: int
     k: int
     m: int
-    pool_kind: str
     branching: int
     blocks: tuple
     seed: int = 0
     text: str = ""
 
-    def validate(self) -> None:
-        if self.kind not in ("gmlp", "mlp"):
-            raise ConfigError(f"unknown arch kind {self.kind!r}")
-        if self.d < 1 or self.n_classes < 1:
-            raise ConfigError(f"need d >= 1 and classes >= 1, got d={self.d}, C={self.n_classes}")
-        if self.kind == "gmlp":
-            if self.k < 1 or self.m < 1:
-                raise ConfigError(f"need k >= 1 and m >= 1, got k={self.k}, m={self.m}")
-            k_cur, saw_concat, saw_output, n_gfc = self.k, False, False, 0
-            for block in self.blocks:
-                tag = block[0]
-                if tag == "pool":
-                    if saw_concat:
-                        raise ConfigError("pool after concat")
-                    b = block[2]
-                    if b < 2:
-                        raise ConfigError(f"branching must be >= 2, got {b}")
-                    if k_cur % b != 0:
-                        raise ConfigError(
-                            f"pool cannot merge {k_cur} groups {b}-way (not divisible)"
-                        )
-                    k_cur //= b
-                elif tag == "gfc":
-                    if saw_concat:
-                        raise ConfigError("group block after concat")
-                    n_gfc += 1
-                elif tag == "concat":
-                    if saw_concat:
-                        raise ConfigError("more than one concat block")
-                    saw_concat = True
-                elif tag == "dense":
-                    if not saw_concat:
-                        raise ConfigError("dense output before concat")
-                    if saw_output:
-                        raise ConfigError("more than one output block")
-                    saw_output = True
-                elif tag in ("relu", "batchnorm", "dropout"):
-                    pass
-                else:
-                    raise ConfigError(f"unknown block {tag!r}")
-            if not saw_concat or not saw_output:
-                raise ConfigError("architecture must end with Concat, FC-C")
-            if n_gfc < 1:
-                raise ConfigError("architecture needs at least one GFC block")
-        else:
-            if not any(b[0] == "dense" for b in self.blocks):
-                raise ConfigError("dense baseline needs at least one FC block")
-
     @property
     def n_weight_layers(self) -> int:
-        """Total depth counted in weight layers (GFC blocks plus the output, or all FC blocks)."""
-        if self.kind == "gmlp":
-            return sum(1 for b in self.blocks if b[0] == "gfc") + 1
-        return sum(1 for b in self.blocks if b[0] == "dense")
+        """Total depth counted in weight layers: GFC blocks plus the output, or all FC blocks."""
+        return sum(1 for b in self.blocks if b[0] in ("gfc", "dense"))
+
+
+# the tokens that take no argument, and their block tags
+_PLAIN_BLOCKS = {"gfc": "gfc", "relu": "relu", "bnorm": "batchnorm", "concat": "concat"}
 
 
 def parse_arch(text: str, d: int, seed: int = 0, branching: int = 2) -> ArchSpec:
-    """Parse an architecture string into a validated ArchSpec.
+    """Parse an architecture string into an ArchSpec that ``plan`` accepts.
 
     ``branching`` is the default merge width for ``GPool-kind`` tokens
     without an explicit count.
@@ -114,7 +68,6 @@ def parse_arch(text: str, d: int, seed: int = 0, branching: int = 2) -> ArchSpec
     blocks = []
     k = m = 0
     kind = "mlp"
-    pool_kind = ""
     softmax_seen = False
     for pos, tok in enumerate(tokens):
         parts = tok.split("-")
@@ -129,18 +82,13 @@ def parse_arch(text: str, d: int, seed: int = 0, branching: int = 2) -> ArchSpec
                     raise ConfigError(f"token {pos}: expected GSel-k-m, got {tok!r}")
                 kind = "gmlp"
                 k, m = int(parts[1]), int(parts[2])
-            elif head == "gfc":
-                blocks.append(("gfc",))
-            elif head == "relu":
-                blocks.append(("relu",))
-            elif head == "bnorm":
-                blocks.append(("batchnorm",))
+            elif head in _PLAIN_BLOCKS:
+                blocks.append((_PLAIN_BLOCKS[head],))
             elif head == "gpool":
                 pk = parts[1].lower() if len(parts) > 1 else "max"
                 if pk not in POOL_KINDS:
                     raise ConfigError(f"token {pos}: unknown pool kind {pk!r}")
                 b = int(parts[2]) if len(parts) > 2 else branching
-                pool_kind = pool_kind or pk
                 blocks.append(("pool", pk, b))
             elif head == "dropout":
                 if len(parts) != 2:
@@ -149,8 +97,6 @@ def parse_arch(text: str, d: int, seed: int = 0, branching: int = 2) -> ArchSpec
                 if not 0.0 <= rate < 1.0:
                     raise ConfigError(f"token {pos}: dropout rate must be in [0, 1)")
                 blocks.append(("dropout", rate))
-            elif head == "concat":
-                blocks.append(("concat",))
             elif head == "fc":
                 if len(parts) != 2:
                     raise ConfigError(f"token {pos}: expected FC-width, got {tok!r}")
@@ -174,14 +120,95 @@ def parse_arch(text: str, d: int, seed: int = 0, branching: int = 2) -> ArchSpec
         n_classes=n_classes,
         k=k,
         m=m,
-        pool_kind=pool_kind or "max",
         branching=branchings[0] if branchings else branching,
         blocks=tuple(blocks),
         seed=seed,
         text=text,
     )
-    spec.validate()
+    plan(spec)
     return spec
+
+
+@dataclass
+class Block:
+    """One block of a planned network.
+
+    ``name`` is the block's checkpoint prefix ``block{i}``; ``tag`` and
+    ``args`` are the parsed block (``args`` holds a pool's kind and
+    branching, a dropout rate or a dense width). ``k`` is the number of
+    groups the block reads, 0 in a dense net and after Concat, and ``width``
+    the values per row it reads. ``params`` lists the block's tensors in draw
+    order as ``(suffix, shape, init)``: ``init`` is the Xavier
+    ``(fan_in, fan_out)`` the tensor is drawn with, or the constant it
+    starts at.
+    """
+
+    name: str
+    tag: str
+    args: tuple
+    k: int
+    width: int
+    params: list
+
+
+def plan(spec: ArchSpec) -> list[Block]:
+    """Walk the spec's blocks once: check the grammar, and give each block its input shape and tensors.
+
+    Every grammar error raises ``ConfigError``. GFC, GPool and Concat need
+    groups, which a dense net and the blocks after Concat do not have, and a
+    group-connected net needs a GFC and ends at its output FC.
+    """
+    if spec.kind not in ("gmlp", "mlp"):
+        raise ConfigError(f"unknown arch kind {spec.kind!r}")
+    if spec.d < 1 or spec.n_classes < 1:
+        raise ConfigError(f"need d >= 1 and classes >= 1, got d={spec.d}, C={spec.n_classes}")
+    m = spec.m
+    if spec.kind == "gmlp":
+        if spec.k < 1 or m < 1:
+            raise ConfigError(f"need k >= 1 and m >= 1, got k={spec.k}, m={m}")
+        k, width = spec.k, spec.k * m
+    else:
+        k, width = 0, spec.d
+    blocks, saw_output = [], False
+    for i, (tag, *args) in enumerate(spec.blocks):
+        if saw_output:
+            raise ConfigError(f"block {i}: nothing may follow the output FC of a group-connected net")
+        if tag in ("gfc", "pool", "concat") and k == 0:
+            raise ConfigError(f"block {i}: {tag} needs groups (none in a dense net or after Concat)")
+        block = Block(f"block{i}", tag, tuple(args), k, width, [])
+        blocks.append(block)
+        if tag == "gfc":
+            block.params += [("gfc.weights", (k, m, m), (m, m)), ("gfc.biases", (k, m), 0.0)]
+        elif tag == "pool":
+            kind, b = args
+            if b < 2 or k % b != 0:
+                raise ConfigError(f"pool cannot merge {k} groups {b}-way: need b >= 2 dividing {k}")
+            k //= b
+            width = k * m
+            if kind == "linear":
+                block.params.append(("pool.weights", (k, m, b * m), (b * m, m)))
+        elif tag == "concat":
+            k = 0
+        elif tag == "dense":
+            if spec.kind == "gmlp":
+                if k != 0:
+                    raise ConfigError("dense output before concat")
+                saw_output = True
+            (out,) = args
+            block.params += [("dense.w", (width, out), (width, out)), ("dense.b", (out,), 0.0)]
+            width = out
+        elif tag == "batchnorm":
+            block.params += [("bn.gamma", (width,), 1.0), ("bn.beta", (width,), 0.0)]
+        elif tag not in ("relu", "dropout"):
+            raise ConfigError(f"unknown block {tag!r}")
+    if spec.kind == "gmlp":
+        if not saw_output:
+            raise ConfigError("architecture must end with Concat, FC-C")
+        if not any(block.tag == "gfc" for block in blocks):
+            raise ConfigError("architecture needs at least one GFC block")
+    elif not any(block.tag == "dense" for block in blocks):
+        raise ConfigError("dense baseline needs at least one FC block")
+    return blocks
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -194,69 +221,47 @@ class Model:
     flat named-parameter view for the optimizer, the L2 penalty, and
     checkpointing.
 
-    Initialization is seeded Xavier-uniform. Weight fans: the routing logits
-    use (fan_in=d, fan_out=k*m), group maps use (m, m), linear pool maps
-    (b*m, m), dense layers (width, out). Biases start at zero, batch-norm at
-    identity. Same seed, same bits.
+    Initialization is seeded Xavier-uniform: the routing logits with
+    (fan_in=d, fan_out=k*m), then each tensor of ``plan(spec)`` in order with
+    the fans or the constant the plan gives it. Same seed, same bits.
     """
 
     def __init__(self, spec: ArchSpec):
-        spec.validate()
+        blocks = plan(spec)
         self.spec = spec
         self.routing: RoutingParams | None = None
         self._ops = []  # (tag, payload) executed in order by forward()
         self._params: list[tuple[str, Tensor]] = []
         self._bn_states: list[tuple[str, BatchNormState]] = []
+        # values per row of the widest activation: the input, a block's input or the logits
+        self._widest = max(spec.d, spec.n_classes, *(block.width for block in blocks))
         self._eval_buffers = None  # the eval executor's chunk buffer pair, made at first use
         rng = np.random.default_rng(spec.seed)
-        d, k, m, c = spec.d, spec.k, spec.m, spec.n_classes
 
         if spec.kind == "gmlp":
+            d, k, m = spec.d, spec.k, spec.m
             psi = Tensor(_xavier(rng, d, k * m, (k * m, d)), requires_grad=True)
             self.routing = RoutingParams(psi, 1.0, k, m, d)
             self._params.append(("gsel.psi", psi))
-            k_cur, width = k, k * m
-        else:
-            k_cur, width = 0, d
 
-        for i, block in enumerate(spec.blocks):
-            tag = block[0]
-            name = f"block{i}"
-            if tag == "gfc":
-                w = Tensor(_xavier(rng, m, m, (k_cur, m, m)), requires_grad=True)
-                b = Tensor(np.zeros((k_cur, m)), requires_grad=True)
-                self._ops.append(("gfc", GroupFcParams(w, b)))
-                self._params += [(f"{name}.gfc.weights", w), (f"{name}.gfc.biases", b)]
-            elif tag == "pool":
-                pk, br = block[1], block[2]
-                k_cur //= br
-                width = k_cur * m
-                if pk == "linear":
-                    w = Tensor(
-                        _xavier(rng, br * m, m, (k_cur, m, br * m)), requires_grad=True
-                    )
-                    self._ops.append(("pool", (pk, br, w)))
-                    self._params.append((f"{name}.pool.weights", w))
-                else:
-                    self._ops.append(("pool", (pk, br, None)))
-            elif tag == "relu":
-                self._ops.append(("relu", None))
-            elif tag == "batchnorm":
-                st = BatchNormState.create(width)
-                self._ops.append(("batchnorm", st))
-                self._params += [(f"{name}.bn.gamma", st.gamma), (f"{name}.bn.beta", st.beta)]
-                self._bn_states.append((f"{name}.bn", st))
-            elif tag == "dropout":
-                self._ops.append(("dropout", block[1]))
-            elif tag == "concat":
-                self._ops.append(("concat", None))
-            elif tag == "dense":
-                out_w = block[1]
-                w = Tensor(_xavier(rng, width, out_w, (width, out_w)), requires_grad=True)
-                b = Tensor(np.zeros(out_w), requires_grad=True)
-                self._ops.append(("dense", (w, b)))
-                self._params += [(f"{name}.dense.w", w), (f"{name}.dense.b", b)]
-                width = out_w
+        for block in blocks:
+            tensors = []
+            for suffix, shape, init in block.params:
+                data = _xavier(rng, *init, shape) if isinstance(init, tuple) else np.full(shape, init)
+                tensors.append(Tensor(data, requires_grad=True))
+                self._params.append((f"{block.name}.{suffix}", tensors[-1]))
+            if block.tag == "gfc":
+                payload = GroupFcParams(*tensors)
+            elif block.tag == "pool":
+                payload = (*block.args, tensors[0] if tensors else None)
+            elif block.tag == "batchnorm":
+                payload = BatchNormState(*tensors, np.zeros(block.width), np.ones(block.width))
+                self._bn_states.append((f"{block.name}.bn", payload))
+            elif block.tag == "dense":
+                payload = tuple(tensors)
+            else:
+                payload = block.args[0] if block.args else None  # a dropout rate
+            self._ops.append((block.tag, payload))
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -415,12 +420,9 @@ class Model:
     def _eval_forward(self, x: np.ndarray, mode: str) -> np.ndarray:
         """Eval-mode logits of (B, d) rows, computed chunk by chunk without a tape."""
         steps = self._eval_steps(mode)
-        spec = self.spec
-        # activations only narrow after Group-Select (k*m wide) or the input,
-        # except at a dense block; a dense net's spec has k*m = its first width
-        widest = max(spec.d, spec.k * spec.m, *(b[1] for b in spec.blocks if b[0] == "dense"))
+        widest = self._widest
         rows = _chunk_rows(widest)
-        out = np.empty((x.shape[0], spec.n_classes))
+        out = np.empty((x.shape[0], self.spec.n_classes))
         if self._eval_buffers is None:
             self._eval_buffers = (_flat_buffer(rows * widest), _flat_buffer(rows * widest))
         for start in range(0, x.shape[0], rows):
@@ -614,17 +616,9 @@ class ComplexityReport:
     receptive_field_by_layer: list[int]
 
     def to_dict(self) -> dict:
-        return {
-            "predict_ops": self.predict_ops,
-            "train_ops": self.train_ops,
-            "mlp_predict_ops": self.mlp_predict_ops,
-            "param_count_formula": self.param_count_formula,
-            "param_count_actual": self.param_count_actual,
-            "density": f"1/{self.density.denominator}"
-            if self.density.numerator == 1
-            else str(self.density),
-            "receptive_field_by_layer": self.receptive_field_by_layer,
-        }
+        density = self.density
+        text = f"1/{density.denominator}" if density.numerator == 1 else str(density)
+        return {**asdict(self), "density": text}
 
 
 def _series_value(first_term: Fraction, k: int, m: int, n_layers: int, c: int, quad: bool) -> Fraction:
@@ -665,51 +659,28 @@ def count_complexity(spec: ArchSpec) -> ComplexityReport:
     """Closed-form cost figures for a spec, next to exact parameter counts.
 
     The series values are idealized (width halves between consecutive weight
-    layers); ``param_count_actual`` walks the blocks and counts every tensor
-    the builder would allocate, biases and batch-norm included.
+    layers); ``param_count_actual`` counts the routing logits and every
+    tensor of ``plan(spec)``, biases and batch-norm included.
     """
-    spec.validate()
+    blocks = plan(spec)
     k, m, c, d = spec.k, spec.m, spec.n_classes, spec.d
     n_layers = spec.n_weight_layers
+    mlp_equiv = predict_ops_mlp(k, m, n_layers, c, d)
     if spec.kind == "gmlp":
         predict = predict_ops_gmlp(k, m, n_layers, c)
         train = train_ops_gmlp(k, m, n_layers, c, d)
+        routing = k * m * d
+        rfield = [min(d, spec.branching ** (l - 1) * m) for l in range(1, n_layers + 1)]
     else:
-        predict = train = predict_ops_mlp(k, m, n_layers, c, d)
-    mlp_equiv = predict_ops_mlp(k, m, n_layers, c, d)
-
-    actual = 0
-    if spec.kind == "gmlp":
-        actual += k * m * d  # routing logits
-        k_cur, width = k, k * m
-    else:
-        k_cur, width = 0, d
-    for block in spec.blocks:
-        tag = block[0]
-        if tag == "gfc":
-            actual += k_cur * (m * m + m)
-        elif tag == "pool":
-            pk, br = block[1], block[2]
-            k_cur //= br
-            if pk == "linear":
-                actual += k_cur * m * (br * m)
-            width = k_cur * m
-        elif tag == "batchnorm":
-            actual += 2 * width
-        elif tag == "dense":
-            actual += width * block[1] + block[1]
-            width = block[1]
-
-    b = spec.branching
-    if spec.kind == "gmlp":
-        rfield = [min(d, b ** (l - 1) * m) for l in range(1, n_layers + 1)]
-    else:
+        predict = train = mlp_equiv
+        routing = 0
         rfield = [d] * n_layers
+    actual = routing + sum(math.prod(shape) for block in blocks for _, shape, _ in block.params)
     return ComplexityReport(
         predict_ops=_as_int(predict),
         train_ops=_as_int(train),
         mlp_predict_ops=_as_int(mlp_equiv),
-        param_count_formula=_as_int(train if spec.kind == "gmlp" else predict),
+        param_count_formula=_as_int(train),
         param_count_actual=actual,
         density=Fraction(1, k) if spec.kind == "gmlp" else Fraction(1, 1),
         receptive_field_by_layer=rfield,

@@ -251,16 +251,6 @@ def accuracy(model: Model, ds: Dataset, hard: bool = False) -> float:
     return float((predictions(model, ds.X, hard=hard) == ds.y).mean())
 
 
-def per_class_accuracy(model: Model, ds: Dataset, hard: bool = False) -> dict[int, float]:
-    pred = predictions(model, ds.X, hard=hard)
-    out = {}
-    for c in range(ds.n_classes):
-        mask = ds.y == c
-        if mask.any():
-            out[c] = float((pred[mask] == c).mean())
-    return out
-
-
 @dataclass
 class EpochRecord:
     epoch: int

@@ -1,12 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from gmlp import cli
 from gmlp.analysis import discretize_routing
-from gmlp.checkpoint import save_model
-from gmlp.data import SynthBayesNet, save_csv, synth_generate
+from gmlp.checkpoint import load_checkpoint, save_model
+from gmlp.data import Dataset, SynthBayesNet, save_csv, synth_generate
 from gmlp.model import Model, parse_arch
+from gmlp.training import predictions
 
 CONFIG = """\
 arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax
@@ -55,6 +57,46 @@ class TestEval:
         for key in ("accuracy", "hard_routing_accuracy"):
             assert 0.0 <= report[key] <= 1.0, key
         assert set(report["per_class_accuracy"]) <= {"0", "1"}
+
+    def test_accuracy_uses_the_runs_standardization(self, tmp_path, capsys):
+        def rows(n, seed, const):
+            """Synth rows moved off mean 0 and std 1, plus a column that holds ``const``."""
+            ds = synth_generate(SynthBayesNet(), n, seed=seed)
+            X = np.column_stack([ds.X * 4.0 + 3.0, np.full(n, const)])
+            return Dataset(X, ds.y, ds.n_classes, [f"x{j}" for j in range(X.shape[1])])
+
+        save_csv(rows(400, 3, 1.0), tmp_path / "train.csv")
+        # the constant column takes another value here, and standardization must zero it
+        test = rows(300, 11, 25.0)
+        save_csv(test, tmp_path / "rows.csv")
+        config = tmp_path / "run.cfg"
+        csv_source = f"data = csv\ntrain_csv = {tmp_path / 'train.csv'}"
+        config.write_text(CONFIG.replace("data = synth", csv_source), encoding="utf-8")
+        run = tmp_path / "run"
+        assert cli.main(["train", str(config), "--out-dir", str(run)]) == 0
+        capsys.readouterr()
+        argv = ["eval", str(run / "model_final.ckpt"), "--data", str(tmp_path / "rows.csv")]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+
+        stats = json.loads((run / "norm_stats.json").read_text(encoding="utf-8"))
+        mu = np.array([stats[name]["mu"] for name in test.feature_names])
+        sigma = np.array([stats[name]["sigma"] for name in test.feature_names])
+        live = sigma != 0.0
+        assert not live[-1]
+        standardized = np.zeros_like(test.X)
+        standardized[:, live] = (test.X[:, live] - mu[live]) / sigma[live]
+        model = load_checkpoint(run / "model_final.ckpt").model
+
+        def acc(X):
+            return float((predictions(model, X) == test.y).mean())
+
+        assert report["accuracy"] == acc(standardized)
+        # the check can tell: raw rows, or the constant column left unzeroed, score otherwise
+        unzeroed = standardized.copy()
+        unzeroed[:, -1] = test.X[:, -1] - mu[-1]
+        assert acc(test.X) != acc(standardized)
+        assert acc(unzeroed) != acc(standardized)
 
     def test_wrong_width_exits_1(self, trained, tmp_path, capsys):
         ckpt, _ = trained
@@ -147,6 +189,7 @@ class TestComplexity:
             ["GSel-3-2, GPool-max, Concat, FC-2", "-d", "6"],  # 3 groups do not pool in pairs
             ["GSel-4-2, GFC, Concat, FC-2"],  # no input width
             ["GSel-4-2, GFC, Concat, FC-2", "-d", "six"],
+            ["FC-4, GFC, FC-2", "-d", "3"],  # a Group-FC in a dense net
         ],
     )
     def test_bad_arch_or_argument_exits_1(self, argv, capsys):

@@ -12,6 +12,7 @@ from gmlp.model import (
     Model,
     count_complexity,
     parse_arch,
+    plan,
     predict_ops_gmlp,
     predict_ops_mlp,
     train_ops_gmlp,
@@ -30,7 +31,7 @@ class TestParse:
 
     def test_pool_tokens(self):
         spec = parse_arch("GSel-8-2, GFC, ReLU, BNorm, GPool-mean, GFC, Concat, FC-3", d=10)
-        assert spec.pool_kind == "mean"
+        assert [b for b in spec.blocks if b[0] == "pool"] == [("pool", "mean", 2)]
         assert spec.branching == 2
         spec4 = parse_arch("GSel-8-2, GFC, GPool-max-4, GFC, Concat, FC-3", d=10)
         assert spec4.branching == 4
@@ -52,6 +53,10 @@ class TestParse:
             "GSel-4-2, Wiggle, Concat, FC-2",  # unknown token
             "GSel-4-2, Dropout-1.5, GFC, Concat, FC-2",  # bad rate
             "GSel-4, GFC, Concat, FC-2",  # malformed GSel
+            "FC-4, GFC, FC-2",  # group blocks in a dense net
+            "FC-4, GPool-max, FC-2",
+            "FC-4, Concat, FC-2",
+            "GSel-4-2, GFC, Concat, FC-3, ReLU, BNorm",  # blocks after the output
             "",
         ],
     )
@@ -83,6 +88,57 @@ class TestBuild:
             assert name_a == name_b
             assert np.array_equal(pa.data, pb.data)
 
+    def test_parameter_names_and_shapes_in_draw_order(self):
+        # the order is the RNG draw order and the checkpoint layout
+        grouped = "GSel-8-2, GFC, ReLU, BNorm, GPool-linear-4, GFC, ReLU, BNorm, Concat, FC-3"
+        dense = "BNorm, ReLU, FC-4, ReLU, BNorm, FC-3"
+        expected = {
+            grouped: [
+                ("gsel.psi", (16, 5)),
+                ("block0.gfc.weights", (8, 2, 2)),
+                ("block0.gfc.biases", (8, 2)),
+                ("block2.bn.gamma", (16,)),
+                ("block2.bn.beta", (16,)),
+                ("block3.pool.weights", (2, 2, 8)),
+                ("block4.gfc.weights", (2, 2, 2)),
+                ("block4.gfc.biases", (2, 2)),
+                ("block6.bn.gamma", (4,)),
+                ("block6.bn.beta", (4,)),
+                ("block8.dense.w", (4, 3)),
+                ("block8.dense.b", (3,)),
+            ],
+            dense: [
+                ("block0.bn.gamma", (5,)),
+                ("block0.bn.beta", (5,)),
+                ("block2.dense.w", (5, 4)),
+                ("block2.dense.b", (4,)),
+                ("block4.bn.gamma", (4,)),
+                ("block4.bn.beta", (4,)),
+                ("block5.dense.w", (4, 3)),
+                ("block5.dense.b", (3,)),
+            ],
+        }
+        for text, names_shapes in expected.items():
+            model = Model(parse_arch(text, d=5))
+            assert [(name, t.shape) for name, t in model.parameters()] == names_shapes
+
+    def test_plan_gives_each_block_its_input_groups_and_width(self):
+        grouped = plan(parse_arch("GSel-8-2, GFC, GPool-max-4, GFC, Concat, BNorm, FC-3", d=5))
+        assert [(b.name, b.tag, b.k, b.width) for b in grouped] == [
+            ("block0", "gfc", 8, 16),
+            ("block1", "pool", 8, 16),
+            ("block2", "gfc", 2, 4),
+            ("block3", "concat", 2, 4),
+            ("block4", "batchnorm", 0, 4),
+            ("block5", "dense", 0, 4),
+        ]
+        dense = plan(parse_arch("BNorm, FC-4, FC-3", d=5))
+        assert [(b.tag, b.k, b.width) for b in dense] == [
+            ("batchnorm", 0, 5),
+            ("dense", 0, 5),
+            ("dense", 0, 4),
+        ]
+
     def test_group_count_after_pools(self):
         for k, pools, branching in [(8, 3, 2), (16, 2, 4), (6, 1, 3)]:
             body = "".join(f"GFC, GPool-mean-{branching}, " for _ in range(pools))
@@ -101,6 +157,18 @@ class TestBuild:
             ("GSel-8-2, GFC, ReLU, BNorm, GPool-linear, GFC, ReLU, BNorm, Concat, FC-2", 6),
             ("GSel-16-3, GFC, ReLU, BNorm, GPool-mean-4, GFC, Concat, FC-5", 20),
             ("FC-12, ReLU, BNorm, FC-4", 7),
+            # the benchmark's wide-784 and mlp-784 nets, and a net with dropout
+            (
+                "GSel-64-16, GFC, ReLU, BNorm, GPool-max, GFC, ReLU, BNorm, GPool-max, "
+                "GFC, ReLU, BNorm, Concat, FC-10",
+                784,
+            ),
+            ("FC-1024, ReLU, BNorm, FC-512, ReLU, BNorm, FC-256, ReLU, BNorm, FC-10", 784),
+            (
+                "GSel-8-2, GFC, ReLU, Dropout-0.5, BNorm, GPool-max, GFC, Concat, "
+                "Dropout-0.3, FC-3",
+                5,
+            ),
         ]
         for text, d in texts:
             spec = parse_arch(text, d=d)
