@@ -23,15 +23,13 @@ from .model import Model
 
 @dataclass
 class RoutingTable:
-    """Hard slot-to-feature assignment plus per-row confidence.
+    """Hard slot-to-feature assignment.
 
     ``slot_to_feature[i*m + j]`` is the input feature feeding slot j of group
-    i; confidence is the winning softmax probability at the temperature the
-    routing carried when discretized.
+    i.
     """
 
     slot_to_feature: np.ndarray  # (k*m,) int
-    row_confidence: np.ndarray  # (k*m,) float in (0, 1]
     k: int
     m: int
     d: int
@@ -39,10 +37,7 @@ class RoutingTable:
 
 def discretize_routing(routing: RoutingParams) -> RoutingTable:
     """Per-row argmax of the logits; ties break toward the lowest feature index."""
-    idx = hard_assignment(routing)
-    probs = T.routing_weights(routing.psi.data, routing.temperature)
-    conf = probs[np.arange(idx.size), idx]
-    return RoutingTable(idx, conf, routing.k, routing.m, routing.d)
+    return RoutingTable(hard_assignment(routing), routing.k, routing.m, routing.d)
 
 
 def sparsity_report(routing: RoutingParams, threshold: float = 0.99) -> float:
@@ -52,10 +47,9 @@ def sparsity_report(routing: RoutingParams, threshold: float = 0.99) -> float:
     return float((probs.max(axis=1) >= threshold).mean())
 
 
-def selection_heatmap(table: RoutingTable, d: int | None = None) -> np.ndarray:
+def selection_heatmap(table: RoutingTable) -> np.ndarray:
     """How often each input feature is selected across all k*m slots."""
-    d = table.d if d is None else d
-    return np.bincount(table.slot_to_feature, minlength=d)
+    return np.bincount(table.slot_to_feature, minlength=table.d)
 
 
 @dataclass
@@ -75,9 +69,8 @@ class GroupGraph:
         return sum(w for _, _, w in self.edges)
 
 
-def group_graph(table: RoutingTable, k: int | None = None, m: int | None = None) -> GroupGraph:
-    k = table.k if k is None else k
-    m = table.m if m is None else m
+def group_graph(table: RoutingTable) -> GroupGraph:
+    k, m = table.k, table.m
     weights: dict[tuple[int, int], int] = {}
     nodes: set[int] = set()
     for g in range(k):

@@ -3,11 +3,14 @@ raw little-endian float32 parameter blob in one container file.
 
 The manifest indexes every array a reload needs (parameters plus batch-norm
 running moments) by name, shape, and byte offset, and carries the
-architecture string, input width, final softmax temperature, training
-metadata (seed, config echo, normalization statistics), and optionally the
-discretized routing table. Weights are down-converted to float32 on save and
-promoted back to float64 on load, so a reloaded model reproduces eval-mode
-outputs to float32 rounding (about 1e-7 relative) rather than bit-exactly.
+architecture string, input width, final softmax temperature and training
+metadata (seed, config echo, normalization statistics). It stores nothing
+that the rest of the file determines: the hard routing table is the per-row
+argmax of the stored ``gsel.psi``, so ``gmlp analyze`` derives it from the
+loaded model, and the ``routing_table`` key of older files is ignored.
+Weights are down-converted to float32 on save and promoted back to float64
+on load, so a reloaded model reproduces eval-mode outputs to float32
+rounding (about 1e-7 relative) rather than bit-exactly.
 
 Nothing non-deterministic (timestamps, hostnames) is written: identical
 models under identical metadata serialize to identical bytes.
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import RoutingTable
 from .errors import CheckpointError, ConfigError
 from .model import ArchSpec, Model, parse_arch
 
@@ -35,7 +37,6 @@ def save_checkpoint(
     arrays: list[tuple[str, np.ndarray]],
     final_tau: float,
     metadata: dict | None = None,
-    routing_table: RoutingTable | None = None,
 ) -> None:
     entries = []
     blob = bytearray()
@@ -54,14 +55,6 @@ def save_checkpoint(
         "params": entries,
         "blob_bytes": len(blob),
     }
-    if routing_table is not None:
-        manifest["routing_table"] = {
-            "slot_to_feature": [int(v) for v in routing_table.slot_to_feature],
-            "row_confidence": [float(v) for v in routing_table.row_confidence],
-            "k": routing_table.k,
-            "m": routing_table.m,
-            "d": routing_table.d,
-        }
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_LEN.pack(len(payload)))
@@ -69,14 +62,13 @@ def save_checkpoint(
         fh.write(bytes(blob))
 
 
-def save_model(path, model: Model, final_tau: float | None = None, metadata=None, routing_table=None):
+def save_model(path, model: Model, final_tau: float | None = None, metadata=None):
     save_checkpoint(
         path,
         model.spec,
         model.state_arrays(),
         model.temperature if final_tau is None else final_tau,
         metadata=metadata,
-        routing_table=routing_table,
     )
 
 
@@ -84,7 +76,6 @@ def save_model(path, model: Model, final_tau: float | None = None, metadata=None
 class LoadedCheckpoint:
     model: Model
     manifest: dict
-    routing_table: RoutingTable | None
 
 
 def _field(obj: dict, key: str, kind, where: str):
@@ -153,15 +144,6 @@ def _read_container(path) -> tuple[dict, bytes]:
         _field(entry, "name", str, at)
         _list_of(entry, "shape", int, at)
         _field(entry, "offset", int, at)
-    if "routing_table" in manifest:
-        rt = _field(manifest, "routing_table", dict, where)
-        at = f"{where} routing_table"
-        k, m = _field(rt, "k", int, at), _field(rt, "m", int, at)
-        _field(rt, "d", int, at)
-        slots = _list_of(rt, "slot_to_feature", int, at)
-        conf = _list_of(rt, "row_confidence", (int, float), at)
-        if len(slots) != k * m or len(conf) != k * m:
-            raise CheckpointError(f"{at}: needs k*m = {k * m} slots and confidences")
     return manifest, blob
 
 
@@ -194,15 +176,4 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         dst[:] = values.reshape(shape).astype(np.float64)
     if available:
         raise CheckpointError(f"checkpoint is missing arrays: {sorted(available)}")
-
-    table = None
-    if "routing_table" in manifest:
-        rt = manifest["routing_table"]
-        table = RoutingTable(
-            np.asarray(rt["slot_to_feature"], dtype=np.int64),
-            np.asarray(rt["row_confidence"], dtype=np.float64),
-            rt["k"],
-            rt["m"],
-            rt["d"],
-        )
-    return LoadedCheckpoint(model=model, manifest=manifest, routing_table=table)
+    return LoadedCheckpoint(model=model, manifest=manifest)

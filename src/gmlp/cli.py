@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 runtime failure
 (diverged training, corrupt checkpoint, I/O trouble). All commands are
-deterministic under a fixed config and seed; wall-clock timings are kept out
-of the deterministic artifacts.
+deterministic under a fixed config, seed and BLAS thread count
+(``OPENBLAS_NUM_THREADS``): at another thread count BLAS may sum a product
+in another order, so a wide net's fitted parameters, and the metrics and
+checkpoints that come from them, can differ in the last bits. Wall-clock
+timings are kept out of the deterministic artifacts.
 
 ``GMLP_OUT_DIR`` provides the default output directory when a config or
 command line does not name one.
@@ -40,10 +43,8 @@ from .errors import (
     GmlpError,
     TrainingDiverged,
 )
-from .layers import RoutingParams
 from .metrics import MetricsWriter
 from .model import Model, count_complexity, parse_arch
-from .tensor import Tensor
 from .training import accuracy, fit, predictions
 from .analysis import discretize_routing, sparsity_report
 
@@ -134,32 +135,22 @@ def cmd_train(args) -> int:
     ) as writer:
         result = fit(model, train_n, val_n, cfg.train, test=test_n, on_epoch=writer.write)
 
-    table = discretize_routing(model.routing) if model.routing is not None else None
     save_model(
         os.path.join(out_dir, "model_final.ckpt"),
         model,
         metadata={**metadata, "checkpoint": "final", "epochs_run": len(result.records)},
-        routing_table=table,
     )
     if result.best_state is not None:
-        best_tau = result.records[result.best_epoch].tau
-        best_table = None
-        arrays = result.best_state
-        psi = dict(arrays).get("gsel.psi")
-        if psi is not None:
-            routing = RoutingParams(Tensor(psi), best_tau, spec.k, spec.m, spec.d)
-            best_table = discretize_routing(routing)
         save_checkpoint(
             os.path.join(out_dir, "model_best.ckpt"),
             spec,
-            arrays,
-            best_tau,
+            result.best_state,
+            result.records[result.best_epoch].tau,
             metadata={
                 **metadata,
                 "checkpoint": "best_validation",
                 "best_epoch": result.best_epoch,
             },
-            routing_table=best_table,
         )
 
     report = {
@@ -181,7 +172,11 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_dataset(args, manifest) -> Dataset:
-    """The CSV rows, standardized with the training run's norm stats when the checkpoint has them."""
+    """The CSV rows, standardized with the training run's norm stats when the checkpoint has them.
+
+    The stats are keyed by column name only, so a column whose name has none
+    (say, f0 from ``--no-header`` after a headed training CSV) raises ``DataError``.
+    """
     label = _label_column(args.label_column)
     ds = load_csv(args.data, label_column=label, has_header=not args.no_header)
     expected_d = manifest["d"]
@@ -190,12 +185,12 @@ def _load_eval_dataset(args, manifest) -> Dataset:
     stats = manifest.get("metadata", {}).get("norm_stats")
     if not stats:
         return ds
-    mu = np.zeros(ds.d)
-    sigma = np.ones(ds.d)
-    for j, name in enumerate(ds.feature_names):  # load_csv always names the columns
-        if name in stats:
-            mu[j] = stats[name]["mu"]
-            sigma[j] = stats[name]["sigma"]
+    names = ds.feature_names  # load_csv always names the columns
+    unknown = [name for name in names if name not in stats]
+    if unknown:
+        raise DataError(f"columns {unknown} have no norm stats in the checkpoint's training run")
+    mu = np.array([stats[name]["mu"] for name in names], dtype=np.float64)
+    sigma = np.array([stats[name]["sigma"] for name in names], dtype=np.float64)
     return standardize(ds, mu, sigma)
 
 
@@ -234,8 +229,7 @@ def cmd_synth(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     net_kw = {}
     if args.root_prob:
-        vals = args.root_prob
-        net_kw["root_prob"] = np.full(6, vals[0]) if len(vals) == 1 else np.asarray(vals)
+        net_kw["root_prob"] = args.root_prob
     if args.xor_fidelity is not None:
         net_kw["xor_fidelity"] = args.xor_fidelity
     if args.target_rule:
@@ -275,7 +269,7 @@ def cmd_analyze(args) -> int:
     out_dir = resolve_out_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    table = loaded.routing_table or discretize_routing(model.routing)
+    table = discretize_routing(model.routing)
     counts = analysis.selection_heatmap(table)
     analysis.save_heatmap_csv(counts, os.path.join(out_dir, "selection_heatmap.csv"))
     graph = analysis.group_graph(table)

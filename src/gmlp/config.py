@@ -45,8 +45,6 @@ _TRAIN_KEYS = {
     "tau_start": float,
     "tau_end": float,
     "seed": int,
-    "anneal_entropy": bool,
-    "anneal_temperature": bool,
     "val_fraction": float,
 }
 
@@ -112,8 +110,7 @@ class RunConfig:
     def synth_net(self) -> SynthBayesNet:
         kw = {"xor_fidelity": self.synth_xor_fidelity}
         if self.synth_root_prob:
-            probs = _float_list(self.synth_root_prob, "synth_root_prob")
-            kw["root_prob"] = np.full(6, probs[0]) if len(probs) == 1 else np.asarray(probs)
+            kw["root_prob"] = _float_list(self.synth_root_prob, "synth_root_prob")
         if self.synth_target_rule:
             rule = _float_list(self.synth_target_rule, "synth_target_rule")
             kw["target_rule"] = np.asarray(rule)

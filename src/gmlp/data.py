@@ -249,8 +249,9 @@ class SynthBayesNet:
     """Six binary roots, three XOR-with-noise hidden nodes, one binary target.
 
     ``target_rule[c]`` is P(label = 1 | c hidden nodes active); the default
-    says "high if at least two are on". Everything is configurable, and the
-    enumeration oracle below always matches whatever is configured.
+    says "high if at least two are on". ``root_prob`` is one value per root,
+    or a single value that every root shares. Everything is configurable,
+    and the enumeration oracle below always matches whatever is configured.
     """
 
     root_prob: np.ndarray = field(default_factory=lambda: np.full(6, 0.5))
@@ -260,6 +261,8 @@ class SynthBayesNet:
 
     def __post_init__(self):
         self.root_prob = np.asarray(self.root_prob, dtype=np.float64)
+        if self.root_prob.size == 1:
+            self.root_prob = np.full(6, self.root_prob.item())
         self.target_rule = np.asarray(self.target_rule, dtype=np.float64)
         if self.root_prob.shape != (6,):
             raise DataError("need one Bernoulli parameter per root (6)")

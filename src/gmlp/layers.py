@@ -49,18 +49,6 @@ class RoutingParams:
 
 
 @dataclass
-class GroupFcParams:
-    """One (m_out x m_in) weight matrix and bias vector per group, stacked on axis 0."""
-
-    weights: Tensor  # (k, m, m)
-    biases: Tensor  # (k, m)
-
-    @property
-    def k(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass
 class BatchNormState:
     """Trainable scale/shift plus running moments for one normalized width."""
 
@@ -115,11 +103,13 @@ def group_select_forward(tape, x: Tensor, routing: RoutingParams, mode: str = "r
     return T.reshape(tape, flat, (routing.k, routing.m, n))
 
 
-def group_fc_forward(tape, z: Tensor, params: GroupFcParams) -> Tensor:
-    """Apply each group's private affine map; there are no cross-group weights."""
-    if z.data.ndim != 3 or z.shape[0] != params.k:
-        raise ShapeError(f"grouped input {z.shape} does not match k={params.k} groups")
-    return T.group_linear(tape, z, params.weights, params.biases)
+def group_fc_forward(tape, z: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Apply each group's private affine map; there are no cross-group weights.
+
+    z is (k, m, B), w the (k, m, m) stack of per-group weights and b the
+    (k, m) stack of biases; ``group_linear`` checks the shapes.
+    """
+    return T.group_linear(tape, z, w, b)
 
 
 def group_pool_forward(

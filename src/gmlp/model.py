@@ -11,7 +11,7 @@ Architecture strings use the block tokens ``GSel-k-m``, ``GFC``, ``ReLU``,
 A group-connected net must start with ``GSel`` and end with
 ``Concat, FC-C[, Softmax]``. A string without ``GSel`` describes the plain
 dense baseline: it may start with any block but ``GFC``, ``GPool`` and
-``Concat``, which it may not use at all, and needs at least one ``FC``.
+``Concat``, which it may not use at all, and ends at its last ``FC``.
 ``Softmax`` marks the probability boundary only: the forward pass always
 returns logits and the softmax lives inside the cross-entropy loss.
 """
@@ -28,7 +28,7 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .layers import POOL_KINDS, BatchNormState, GroupFcParams, RoutingParams
+from .layers import POOL_KINDS, BatchNormState, RoutingParams
 from .tensor import Tensor
 
 
@@ -155,8 +155,9 @@ def plan(spec: ArchSpec) -> list[Block]:
     """Walk the spec's blocks once: check the grammar, and give each block its input shape and tensors.
 
     Every grammar error raises ``ConfigError``. GFC, GPool and Concat need
-    groups, which a dense net and the blocks after Concat do not have, and a
-    group-connected net needs a GFC and ends at its output FC.
+    groups, which a dense net and the blocks after Concat do not have, a
+    group-connected net needs a GFC, and every net ends at its output FC:
+    the first FC of a group-connected net, the last FC of a dense one.
     """
     if spec.kind not in ("gmlp", "mlp"):
         raise ConfigError(f"unknown arch kind {spec.kind!r}")
@@ -170,9 +171,10 @@ def plan(spec: ArchSpec) -> list[Block]:
     else:
         k, width = 0, spec.d
     blocks, saw_output = [], False
+    last_fc = max((i for i, (tag, *_) in enumerate(spec.blocks) if tag == "dense"), default=-1)
     for i, (tag, *args) in enumerate(spec.blocks):
         if saw_output:
-            raise ConfigError(f"block {i}: nothing may follow the output FC of a group-connected net")
+            raise ConfigError(f"block {i}: nothing may follow the output FC")
         if tag in ("gfc", "pool", "concat") and k == 0:
             raise ConfigError(f"block {i}: {tag} needs groups (none in a dense net or after Concat)")
         block = Block(f"block{i}", tag, tuple(args), k, width, [])
@@ -190,10 +192,9 @@ def plan(spec: ArchSpec) -> list[Block]:
         elif tag == "concat":
             k = 0
         elif tag == "dense":
-            if spec.kind == "gmlp":
-                if k != 0:
-                    raise ConfigError("dense output before concat")
-                saw_output = True
+            if spec.kind == "gmlp" and k != 0:
+                raise ConfigError("dense output before concat")
+            saw_output = spec.kind == "gmlp" or i == last_fc
             (out,) = args
             block.params += [("dense.w", (width, out), (width, out)), ("dense.b", (out,), 0.0)]
             width = out
@@ -250,14 +251,12 @@ class Model:
                 data = _xavier(rng, *init, shape) if isinstance(init, tuple) else np.full(shape, init)
                 tensors.append(Tensor(data, requires_grad=True))
                 self._params.append((f"{block.name}.{suffix}", tensors[-1]))
-            if block.tag == "gfc":
-                payload = GroupFcParams(*tensors)
-            elif block.tag == "pool":
+            if block.tag == "pool":
                 payload = (*block.args, tensors[0] if tensors else None)
             elif block.tag == "batchnorm":
                 payload = BatchNormState(*tensors, np.zeros(block.width), np.ones(block.width))
                 self._bn_states.append((f"{block.name}.bn", payload))
-            elif block.tag == "dense":
+            elif block.tag in ("gfc", "dense"):
                 payload = tuple(tensors)
             else:
                 payload = block.args[0] if block.args else None  # a dropout rate
@@ -329,7 +328,7 @@ class Model:
             h = L.group_select_forward(tape, x, self.routing, mode=mode)
         for tag, payload in self._ops:
             if tag == "gfc":
-                h = L.group_fc_forward(tape, h, payload)
+                h = L.group_fc_forward(tape, h, *payload)
             elif tag == "relu":
                 h = T.relu(tape, h)
             elif tag == "batchnorm":
@@ -383,13 +382,13 @@ class Model:
                 if (a >= 0.0).all():
                     fold = a, c
             if tag == "gfc":
-                w, b = payload.weights.data, payload.biases.data
+                w, b = (t.data for t in payload)
                 if fold is not None:
                     a, c = (v.reshape(-1, m) for v in fold)
                     w, b, floor = a[:, :, None] * w, a * b + c, c[:, :, None]
                 steps.append((_group_affine_step(w, b[:, :, None]), True))
             elif tag == "dense":
-                w, b = payload[0].data, payload[1].data
+                w, b = (t.data for t in payload)
                 if fold is not None:
                     a, c = fold
                     w, b, floor = w * a, a * b + c, c

@@ -14,7 +14,7 @@ Design constraints, in order of priority:
   gradients included, instead of allocating one per elementwise step,
 * few tape nodes per step: ``sum_squares`` takes any number of tensors, so
   the L2 penalty over a whole parameter list is one node,
-* no views, no strides, no broadcasting beyond scalars and bias rows.
+* no views, no strides, no broadcasting beyond bias rows.
 
 Grouped activations are (k, m, B) arrays: group, slot within the group, then
 the batch, last. Every grouped primitive (``group_linear``, the pool ops,
@@ -28,8 +28,8 @@ functions taking the recording :class:`Tape` as first argument; passing
 ``tape=None`` runs the forward computation without recording (eval mode).
 Finite-ness of externally supplied values is validated in the public
 ``Tensor`` constructor; interior ops raise :class:`DomainError` only where a
-domain violation can actually occur (``log``, ``div``, ``softmax_rows``,
-``relaxed_select``).
+domain violation can actually occur (``softmax_rows``, ``relaxed_select``,
+``batchnorm``, ``dropout``, ``cross_entropy_logits``).
 
 A tape is single-use: build it, run forwards, call :meth:`Tape.backward`
 once, throw it away. Gradients accumulate into ``Tensor.grad`` and are never
@@ -53,13 +53,9 @@ __all__ = [
     "reshape",
     "add",
     "mul",
-    "div",
     "scale",
-    "exp",
-    "log",
     "relu",
     "tsum",
-    "tmean",
     "sum_squares",
     "softmax_rows",
     "relaxed_select",
@@ -229,27 +225,17 @@ def reshape(tape, a: Tensor, shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops (shapes equal, or b a scalar / bias row of a 2-D left operand)
+# elementwise ops (shapes equal, or b a bias row of a 2-D left operand)
 
 
 def _bcast_backward(a_shape, b_shape, g):
-    """Reduce gradient g to b's shape for the supported broadcast forms."""
-    if b_shape == a_shape:
-        return g
-    if b_shape == () or b_shape == (1,):
-        return np.asarray(g.sum()).reshape(b_shape)
-    # bias row over a 2-D operand
-    return g.sum(axis=0)
+    """Reduce gradient g to b's shape: g itself, or its column sums for a bias row."""
+    return g if b_shape == a_shape else g.sum(axis=0)
 
 
 def _check_bcast(a, b, opname):
-    if b.shape == a.shape:
-        return
-    if b.size == 1:
-        return
-    if a.data.ndim == 2 and b.shape == (a.shape[1],):
-        return
-    raise ShapeError(f"{opname}: cannot broadcast {b.shape} to {a.shape}")
+    if b.shape != a.shape and (a.data.ndim != 2 or b.shape != (a.shape[1],)):
+        raise ShapeError(f"{opname}: cannot broadcast {b.shape} to {a.shape}")
 
 
 def add(tape, a: Tensor, b: Tensor) -> Tensor:
@@ -273,19 +259,6 @@ def mul(tape, a: Tensor, b: Tensor) -> Tensor:
     return _result(tape, ad * bd, (a, b), backward)
 
 
-def div(tape, a: Tensor, b: Tensor) -> Tensor:
-    _check_bcast(a, b, "div")
-    if np.any(b.data == 0.0):
-        raise DomainError("division by zero")
-    ash, bsh = a.shape, b.shape
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return g / bd, _bcast_backward(ash, bsh, -g * ad / (bd * bd))
-
-    return _result(tape, ad / bd, (a, b), backward)
-
-
 def scale(tape, a: Tensor, c: float) -> Tensor:
     """Multiply by a non-differentiable python constant."""
     c = float(c)
@@ -294,26 +267,6 @@ def scale(tape, a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _result(tape, a.data * c, (a,), backward)
-
-
-def exp(tape, a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        return (g * out_data,)
-
-    return _result(tape, out_data, (a,), backward)
-
-
-def log(tape, a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise DomainError("log of non-positive value")
-    ad = a.data
-
-    def backward(g):
-        return (g / ad,)
-
-    return _result(tape, np.log(ad), (a,), backward)
 
 
 def relu(tape, a: Tensor) -> Tensor:
@@ -338,16 +291,6 @@ def tsum(tape, a: Tensor) -> Tensor:
         return (np.broadcast_to(g, ash).copy(),)
 
     return _result(tape, np.asarray(a.data.sum()), (a,), backward)
-
-
-def tmean(tape, a: Tensor) -> Tensor:
-    n = a.size
-    ash = a.shape
-
-    def backward(g):
-        return (np.broadcast_to(g / n, ash).copy(),)
-
-    return _result(tape, np.asarray(a.data.mean()), (a,), backward)
 
 
 def sum_squares(tape, *tensors: Tensor) -> Tensor:

@@ -14,7 +14,9 @@ value, and its gradient, are 0 where p underflows to 0. The L2 penalty is one
 Two schedules run per epoch: the softmax temperature decays geometrically
 from ``tau_start`` to ``tau_end`` across the configured epoch budget, and the
 learning rate divides by ``plateau_factor`` whenever the best validation
-accuracy has not improved for ``plateau_patience`` epochs.
+accuracy has not improved for ``plateau_patience`` epochs. The ablations of
+the paper's regularizers need no switch of their own: ``lambda_ = 0`` drops
+the entropy term and ``tau_end = tau_start`` holds the temperature.
 
 Runaway training stops with :class:`TrainingDiverged` under one blow-up
 rule: a batch loss that is non-finite, or that exceeds ``DIVERGENCE_FACTOR``
@@ -58,8 +60,6 @@ class TrainConfig:
     tau_start: float = 1.0
     tau_end: float = 0.01
     seed: int = 0
-    anneal_entropy: bool = True  # ablation switch: include the entropy term
-    anneal_temperature: bool = True  # ablation switch: decay the temperature
     val_fraction: float = 0.1
 
     def validate(self) -> None:
@@ -111,7 +111,7 @@ def loss_terms(
     ce = T.cross_entropy_logits(tape, logits, targets)
     total = ce
     ent = None
-    if psi is not None and cfg.anneal_entropy and cfg.lambda_ > 0.0:
+    if psi is not None and cfg.lambda_ > 0.0:
         ent = entropy_term(tape, psi)
         total = T.add(tape, total, T.scale(tape, ent, cfg.lambda_))
     if cfg.alpha > 0.0 and params:
@@ -200,8 +200,6 @@ def adam_step(params: list[tuple[str, Tensor]], state: AdamState, lr: float) -> 
 
 def temperature_at(epoch: int, cfg: TrainConfig) -> float:
     """Geometric interpolation from tau_start (epoch 0) to tau_end (last epoch)."""
-    if not cfg.anneal_temperature:
-        return cfg.tau_start
     if cfg.epochs <= 1:
         return cfg.tau_start
     frac = epoch / (cfg.epochs - 1)
@@ -293,7 +291,9 @@ def fit(
 
     ``val`` drives the plateau schedule and best-checkpoint tracking; ``test``
     is only ever measured for the learning curve. The last step's gradients
-    are released on return, so a trained model holds no ``grad``. Raises
+    are released on return, so a trained model holds no ``grad``. The same
+    inputs fit the same bits at one BLAS thread count; at another, BLAS may
+    sum a product in another order and a wide net ends bits apart. Raises
     :class:`TrainingDiverged` the moment a batch loss is non-finite or
     exceeds ``DIVERGENCE_FACTOR`` times the first batch's loss.
     """

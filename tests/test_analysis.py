@@ -27,13 +27,11 @@ class TestDiscretize:
         table = A.discretize_routing(routing([[3.0, 3.0]]))
         assert table.slot_to_feature[0] == 0
 
-    def test_confidence_at_current_temperature(self):
-        r = routing([[2.0, 0.0]], temperature=0.1)
-        table = A.discretize_routing(r)
-        assert table.row_confidence[0] == pytest.approx(1.0, abs=1e-8)
-        r.temperature = 1.0
-        softer = A.discretize_routing(r)
-        assert softer.row_confidence[0] == pytest.approx(np.exp(2) / (np.exp(2) + 1), rel=1e-9)
+    def test_slots_do_not_depend_on_temperature(self):
+        psi = [[2.0, 0.0, 1.9], [0.0, -1.0, 0.1]]
+        for temperature in [0.01, 1.0, 100.0]:
+            table = A.discretize_routing(routing(psi, temperature=temperature))
+            assert table.slot_to_feature.tolist() == [0, 2]
 
 
 class TestSparsity:
@@ -56,14 +54,14 @@ class TestSparsity:
 
 class TestHeatmap:
     def test_counts(self):
-        table = A.RoutingTable(np.array([3, 3]), np.ones(2), 1, 2, 5)
+        table = A.RoutingTable(np.array([3, 3]), 1, 2, 5)
         counts = A.selection_heatmap(table)
         npt.assert_array_equal(counts, [0, 0, 0, 2, 0])
 
     def test_total_is_km(self):
         rng = np.random.default_rng(1)
         slots = rng.integers(0, 7, size=12)
-        table = A.RoutingTable(slots, np.ones(12), 4, 3, 7)
+        table = A.RoutingTable(slots, 4, 3, 7)
         assert A.selection_heatmap(table).sum() == 12
 
     def test_permutation_equivariance(self):
@@ -71,30 +69,30 @@ class TestHeatmap:
         rng = np.random.default_rng(2)
         slots = rng.integers(0, 5, size=8)
         perm = rng.permutation(5)
-        counts = A.selection_heatmap(A.RoutingTable(slots, np.ones(8), 4, 2, 5))
-        relabeled = A.selection_heatmap(A.RoutingTable(perm[slots], np.ones(8), 4, 2, 5))
+        counts = A.selection_heatmap(A.RoutingTable(slots, 4, 2, 5))
+        relabeled = A.selection_heatmap(A.RoutingTable(perm[slots], 4, 2, 5))
         npt.assert_array_equal(relabeled[perm], counts)
 
 
 class TestGroupGraph:
     def test_repeated_pair_accumulates(self):
-        table = A.RoutingTable(np.array([0, 1, 0, 1]), np.ones(4), 2, 2, 4)
+        table = A.RoutingTable(np.array([0, 1, 0, 1]), 2, 2, 4)
         graph = A.group_graph(table)
         assert graph.edges == [(0, 1, 2)]
 
     def test_no_self_edge(self):
-        table = A.RoutingTable(np.array([2, 2]), np.ones(2), 1, 2, 4)
+        table = A.RoutingTable(np.array([2, 2]), 1, 2, 4)
         assert A.group_graph(table).edges == []
 
     def test_triple_group_complete_subgraph(self):
-        table = A.RoutingTable(np.array([0, 1, 2]), np.ones(3), 1, 3, 4)
+        table = A.RoutingTable(np.array([0, 1, 2]), 1, 3, 4)
         assert A.group_graph(table).edges == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
 
     def test_total_weight_counts_pairs(self):
         rng = np.random.default_rng(3)
         k, m, d = 5, 3, 8
         slots = rng.integers(0, d, size=k * m)
-        graph = A.group_graph(A.RoutingTable(slots, np.ones(k * m), k, m, d))
+        graph = A.group_graph(A.RoutingTable(slots, k, m, d))
         expected = 0
         for g in range(k):
             uniq = len(set(slots[g * m : (g + 1) * m].tolist()))

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from gmlp import cli
-from gmlp.analysis import discretize_routing
 from gmlp.checkpoint import _LEN, load_checkpoint, save_model
 from gmlp.errors import CheckpointError
 from gmlp.model import Model, parse_arch
@@ -17,7 +16,7 @@ ARCH = "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
 def _saved(tmp_path):
     model = Model(parse_arch(ARCH, d=6, seed=1))
     path = tmp_path / "model.ckpt"
-    save_model(path, model, routing_table=discretize_routing(model.routing))
+    save_model(path, model)
     return model, path
 
 
@@ -46,14 +45,6 @@ def _with(key, value):
     return edit
 
 
-def _with_table(key, value):
-    def edit(manifest):
-        manifest["routing_table"][key] = value
-        return manifest
-
-    return edit
-
-
 def _with_param(manifest, **fields):
     """The manifest with fields of its first parameter entry replaced."""
     manifest["params"][0].update(fields)
@@ -74,13 +65,6 @@ MALFORMED = {
     "arch_unparseable": _with("arch", "GSel-4-2, Wiggle, Concat, FC-2"),
     "metadata_not_an_object": _with("metadata", [1, 2]),
     "norm_stats_entry_not_an_object": _with("metadata", {"norm_stats": {"f0": 5}}),
-    "routing_table_not_an_object": _with("routing_table", 3),
-    "routing_table_missing_k": lambda mf: {
-        **mf,
-        "routing_table": {k: v for k, v in mf["routing_table"].items() if k != "k"},
-    },
-    "routing_table_strings": _with_table("slot_to_feature", ["a"] * 8),
-    "routing_table_short": _with_table("row_confidence", [1.0]),
     "param_offset_past_blob": lambda mf: _with_param(mf, offset=mf["blob_bytes"]),
     "param_offset_negative": lambda mf: _with_param(mf, offset=-4),
     "param_shape_not_the_archs": lambda mf: _with_param(mf, shape=mf["params"][0]["shape"] + [1]),
@@ -99,9 +83,32 @@ class TestRoundTrip:
                 rtol=1e-5,
                 atol=1e-6,
             )
-        assert loaded.routing_table.slot_to_feature.tolist() == model.routing.psi.data.argmax(
-            axis=1
-        ).tolist()
+
+    def test_stored_routing_table_of_older_files_is_ignored(self, tmp_path, capsys):
+        model, path = _saved(tmp_path)
+        # the table earlier versions wrote, here one that disagrees with psi
+        slots = (model.routing.psi.data.argmax(axis=1) + 1) % 6
+        table = {
+            "slot_to_feature": slots.tolist(),
+            "row_confidence": [1.0] * 8,
+            "k": 4,
+            "m": 2,
+            "d": 6,
+        }
+        _rewrite_manifest(path, _with("routing_table", table))
+        loaded = load_checkpoint(path)
+        assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["slot_to_feature"] == loaded.model.routing.psi.data.argmax(axis=1).tolist()
+
+    def test_unreadable_stored_routing_table_does_not_block_loading(self, tmp_path):
+        # nothing reads the key any more, so a value earlier versions rejected loads
+        model, path = _saved(tmp_path)
+        _rewrite_manifest(path, _with("routing_table", 3))
+        loaded = load_checkpoint(path)
+        npt.assert_array_equal(
+            loaded.model.routing.psi.data, model.routing.psi.data.astype(np.float32)
+        )
 
 
 class TestMalformed:

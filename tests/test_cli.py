@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from gmlp import cli
-from gmlp.analysis import discretize_routing
 from gmlp.checkpoint import load_checkpoint, save_model
 from gmlp.data import Dataset, SynthBayesNet, save_csv, synth_generate
 from gmlp.model import Model, parse_arch
-from gmlp.training import predictions
+from gmlp.training import fit, predictions
 
 CONFIG = """\
 arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax
@@ -34,6 +33,14 @@ class TestTrainDeterminism:
             first, second = (out / name for out in runs)
             assert first.read_bytes() == second.read_bytes(), name
         assert b"wall_time" not in (runs[0] / "train_report.json").read_bytes()
+
+    @pytest.mark.parametrize("key", ["anneal_entropy", "anneal_temperature"])
+    def test_removed_switches_exit_1(self, tmp_path, key, capsys):
+        # lambda = 0 and tau_end = tau_start do what these switches did
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{CONFIG}{key} = false\n", encoding="utf-8")
+        assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 class TestEval:
@@ -98,6 +105,20 @@ class TestEval:
         assert acc(test.X) != acc(standardized)
         assert acc(unzeroed) != acc(standardized)
 
+    def test_columns_without_norm_stats_exit_1(self, tmp_path, capsys):
+        # a headed training CSV evaluated without its header: the columns become f0, f1, ...
+        rows = tmp_path / "rows.csv"
+        save_csv(synth_generate(SynthBayesNet(), 400, seed=3), rows)
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("data = synth", f"data = csv\ntrain_csv = {rows}"))
+        run = tmp_path / "run"
+        assert cli.main(["train", str(config), "--out-dir", str(run)]) == 0
+        headless = tmp_path / "headless.csv"
+        headless.write_text(rows.read_text().split("\n", 1)[1])
+        argv = ["eval", str(run / "model_final.ckpt"), "--data", str(headless)]
+        assert cli.main([*argv, "--no-header", "--label-column", "6"]) == 1
+        assert "'f0'" in capsys.readouterr().err
+
     def test_wrong_width_exits_1(self, trained, tmp_path, capsys):
         ckpt, _ = trained
         narrow = tmp_path / "narrow.csv"
@@ -145,8 +166,7 @@ class TestAnalyze:
     def _checkpoint(self, tmp_path, arch):
         model = Model(parse_arch(arch, d=6, seed=1))
         path = tmp_path / "model.ckpt"
-        table = discretize_routing(model.routing) if model.routing is not None else None
-        save_model(path, model, routing_table=table)
+        save_model(path, model)
         return path
 
     def test_exports_routing(self, tmp_path, capsys):
@@ -158,6 +178,26 @@ class TestAnalyze:
         assert {"selection_heatmap.csv", "group_graph.txt", "sparsity.json"} <= {
             p.name for p in out.iterdir()
         }
+
+    def test_routing_is_the_reloaded_models_argmax(self, tmp_path, monkeypatch, capsys):
+        # a psi row whose top two logits tie in float32: the checkpoint's float32
+        # copy picks feature 0, the float64 model that was saved feature 1
+        def fit_to_near_tie(model, *args, **kwargs):
+            result = fit(model, *args, **kwargs)
+            model.routing.psi.data[0] = [1.0, 1.0 + 1e-9, 0.0, 0.0, 0.0, 0.0]
+            return result
+
+        monkeypatch.setattr(cli, "fit", fit_to_near_tie)
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG, encoding="utf-8")
+        assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 0
+        ckpt = tmp_path / "run" / "model_final.ckpt"
+        capsys.readouterr()
+        assert cli.main(["analyze", str(ckpt), "--out-dir", str(tmp_path / "out")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        psi = load_checkpoint(ckpt).model.routing.psi.data
+        assert summary["slot_to_feature"][0] == 0
+        assert summary["slot_to_feature"] == psi.argmax(axis=1).tolist()
 
     def test_dense_checkpoint_exits_1(self, tmp_path, capsys):
         path = self._checkpoint(tmp_path, "FC-4, ReLU, FC-2")
@@ -190,6 +230,7 @@ class TestComplexity:
             ["GSel-4-2, GFC, Concat, FC-2"],  # no input width
             ["GSel-4-2, GFC, Concat, FC-2", "-d", "six"],
             ["FC-4, GFC, FC-2", "-d", "3"],  # a Group-FC in a dense net
+            ["FC-4, ReLU, BNorm, FC-3, ReLU", "-d", "5"],  # a block after the output FC
         ],
     )
     def test_bad_arch_or_argument_exits_1(self, argv, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from gmlp.config import load_config, parse_config_text
-from gmlp.errors import ConfigError
+from gmlp.errors import ConfigError, DataError
 
 ARCH_LINE = "arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
 
@@ -18,7 +18,7 @@ class TestMalformedLines:
             ("epoch = 3", "run.cfg:2: unknown key 'epoch'"),
             ("epochs = 3.5", "run.cfg:2: epochs: "),
             ("lr0 = fast", "run.cfg:2: lr0: "),
-            ("anneal_entropy = maybe", "run.cfg:2: anneal_entropy: expected a boolean, got 'maybe'"),
+            ("anneal_entropy = true", "run.cfg:2: unknown key 'anneal_entropy'"),
             ("has_header = maybe", "run.cfg:2: has_header: expected a boolean, got 'maybe'"),
         ],
     )
@@ -49,11 +49,20 @@ class TestRoundTrip:
             "test_fraction = 0.25\n"
             "epochs = 7\n"
             "lambda = 0.5\n"
-            "anneal_temperature = off\n"
+            "tau_start = 0.5\n"
             "tau_end = 0.03  # comment\n"
         )
         flat = cfg.to_dict()
         text = "\n".join(f"{key} = {value}" for key, value in flat.items())
         assert parse_config_text(text).to_dict() == flat
         assert flat["lambda"] == 0.5 and flat["has_header"] is False
-        assert flat["anneal_temperature"] is False and flat["tau_end"] == 0.03
+        assert flat["tau_start"] == 0.5 and flat["tau_end"] == 0.03
+
+
+class TestSynthNet:
+    def test_one_root_probability_is_shared(self):
+        assert _parse("synth_root_prob = 0.3").synth_net().root_prob.tolist() == [0.3] * 6
+
+    def test_wrong_count_raises_data_error(self):
+        with pytest.raises(DataError):
+            _parse("synth_root_prob = 0.3, 0.4").synth_net()

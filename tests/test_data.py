@@ -213,6 +213,8 @@ class TestSynth:
         with pytest.raises(DataError):
             SynthBayesNet(root_prob=np.full(5, 0.5))
         with pytest.raises(DataError):
+            SynthBayesNet(root_prob=[0.5, 0.5])
+        with pytest.raises(DataError):
             SynthBayesNet(parent_pairs=((0, 1), (2, 3), (4, 4)))
         with pytest.raises(DataError):
             SynthBayesNet(xor_fidelity=1.5)

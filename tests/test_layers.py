@@ -5,7 +5,7 @@ import pytest
 from gmlp import layers as L
 from gmlp import tensor as T
 from gmlp.errors import ConfigError, ShapeError
-from gmlp.layers import BatchNormState, GroupFcParams, RoutingParams
+from gmlp.layers import BatchNormState, RoutingParams
 from gmlp.tensor import Tensor
 
 
@@ -84,46 +84,46 @@ class TestGroupFc:
         else:
             w = rng.normal(size=(k, m, m))
             b = rng.normal(size=(k, m))
-        return GroupFcParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+        return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
 
     def test_identity_weights(self):
         rng = np.random.default_rng(2)
         z = Tensor(batch_last(rng.normal(size=(3, 4, 2))))
-        out = L.group_fc_forward(None, z, self._params(4, 2))
+        out = L.group_fc_forward(None, z, *self._params(4, 2))
         npt.assert_allclose(out.data, z.data)
 
     def test_zeroed_group_is_local(self):
         rng = np.random.default_rng(3)
-        p = self._params(2, 2, rng)
-        p.weights.data[0] = 0.0
-        p.biases.data[0] = 0.0
+        w, b = self._params(2, 2, rng)
+        w.data[0] = 0.0
+        b.data[0] = 0.0
         z = Tensor(batch_last(rng.normal(size=(3, 2, 2))))
-        out = L.group_fc_forward(None, z, p)
+        out = L.group_fc_forward(None, z, w, b)
         npt.assert_array_equal(out.data[0], np.zeros((2, 3)))
         assert np.abs(out.data[1]).min() > 0
 
     def test_group_count_mismatch(self):
         with pytest.raises(ShapeError):
-            L.group_fc_forward(None, Tensor(batch_last(np.zeros((1, 3, 2)))), self._params(4, 2))
+            L.group_fc_forward(None, Tensor(batch_last(np.zeros((1, 3, 2)))), *self._params(4, 2))
 
     def test_gradient_locality(self):
         # loss reading only group 1 gets zero gradient blocks for group 0
         rng = np.random.default_rng(4)
-        p = self._params(2, 3, rng)
+        w, b = self._params(2, 3, rng)
         z = Tensor(batch_last(rng.normal(size=(5, 2, 3))), requires_grad=True)
         tape = T.Tape()
-        out = L.group_fc_forward(tape, z, p)
+        out = L.group_fc_forward(tape, z, w, b)
         mask = np.zeros((5, 2, 3))
         mask[:, 1, :] = rng.normal(size=(5, 3))
         tape.backward(T.tsum(tape, T.mul(tape, out, Tensor(batch_last(mask)))))
-        npt.assert_array_equal(p.weights.grad[0], np.zeros((3, 3)))
-        npt.assert_array_equal(p.biases.grad[0], np.zeros(3))
+        npt.assert_array_equal(w.grad[0], np.zeros((3, 3)))
+        npt.assert_array_equal(b.grad[0], np.zeros(3))
         npt.assert_array_equal(z.grad[0], np.zeros((3, 5)))
-        assert np.abs(p.weights.grad[1]).max() > 0
+        assert np.abs(w.grad[1]).max() > 0
 
     def test_parameter_count(self):
-        p = self._params(7, 3)
-        assert p.weights.size + p.biases.size == 7 * (3 * 3 + 3)
+        w, b = self._params(7, 3)
+        assert w.size + b.size == 7 * (3 * 3 + 3)
 
 
 class TestGroupPool:

@@ -57,6 +57,8 @@ class TestParse:
             "FC-4, GPool-max, FC-2",
             "FC-4, Concat, FC-2",
             "GSel-4-2, GFC, Concat, FC-3, ReLU, BNorm",  # blocks after the output
+            "FC-4, ReLU, BNorm, FC-3, ReLU",  # a ReLU on a dense net's logits
+            "FC-3, Dropout-0.5",
             "",
         ],
     )
@@ -193,9 +195,9 @@ class TestForward:
     def test_degenerate_single_slot_net_is_dense_on_one_feature(self):
         model = Model(parse_arch("GSel-1-1, GFC, Concat, FC-2", d=4, seed=3))
         # make the single group map the identity
-        gfc = model._ops[0][1]
-        gfc.weights.data[:] = 1.0
-        gfc.biases.data[:] = 0.0
+        gfc_w, gfc_b = model._ops[0][1]
+        gfc_w.data[:] = 1.0
+        gfc_b.data[:] = 0.0
         x = Tensor(np.random.default_rng(4).normal(size=(7, 4)))
         logits = model.forward(x, mode="hard")
         j = int(model.routing.psi.data.argmax())
@@ -235,7 +237,7 @@ class TestForward:
         def group_stage(tape, h, k_cur):
             w = Tensor(rng.normal(size=(k_cur, m, m)), requires_grad=True)
             b = Tensor(rng.normal(size=(k_cur, m)), requires_grad=True)
-            return L.group_fc_forward(tape, h, L.GroupFcParams(w, b))
+            return L.group_fc_forward(tape, h, w, b)
 
         for layer, max_features in [(1, m), (2, 2 * m), (3, 4 * m)]:
             x = Tensor(rng.normal(size=(1, d)), requires_grad=True)

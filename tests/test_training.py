@@ -224,8 +224,8 @@ class TestSchedules:
         assert temperature_at(150, c) == pytest.approx(0.1)
 
     def test_annealing_disabled(self):
-        c = cfg(epochs=100, anneal_temperature=False)
-        assert temperature_at(99, c) == 1.0
+        c = cfg(epochs=100, tau_start=0.5, tau_end=0.5)
+        assert {temperature_at(e, c) for e in range(100)} == {0.5}
 
     def test_improving_history_never_decays(self):
         c = cfg(epochs=50, plateau_patience=3)
