@@ -34,19 +34,13 @@ def resolve_out_dir(out_dir: str) -> str:
     return out_dir or os.environ.get(OUT_DIR_ENV, "") or "gmlp-out"
 
 
-_TRAIN_KEYS = {
-    "epochs": int,
-    "batch_size": int,
-    "lambda": float,
-    "alpha": float,
-    "lr0": float,
-    "plateau_patience": int,
-    "plateau_factor": float,
-    "tau_start": float,
-    "tau_end": float,
-    "seed": int,
-    "val_fraction": float,
-}
+def _train_key(name: str) -> str:
+    """The config key of a TrainConfig field: its name without a keyword escape (``lambda_``)."""
+    return name.rstrip("_")
+
+
+# config key -> (TrainConfig field, the type of its default, which casts the value)
+_TRAIN_KEYS = {_train_key(f.name): (f.name, type(f.default)) for f in fields(TrainConfig)}
 
 _RUN_KEYS = {
     "arch": str,
@@ -123,8 +117,7 @@ class RunConfig:
                 continue
             out[f.name] = getattr(self, f.name)
         for f in fields(self.train):
-            key = "lambda" if f.name == "lambda_" else f.name
-            out[key] = getattr(self.train, f.name)
+            out[_train_key(f.name)] = getattr(self.train, f.name)
         return out
 
 
@@ -158,7 +151,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key = key.strip().lower()
         value = value.split(" #", 1)[0].strip()
         if key in _TRAIN_KEYS:
-            caster, dest, name = _TRAIN_KEYS[key], train_kw, "lambda_" if key == "lambda" else key
+            (name, caster), dest = _TRAIN_KEYS[key], train_kw
         elif key in _RUN_KEYS:
             caster, dest, name = _RUN_KEYS[key], run_kw, key
         else:

@@ -212,9 +212,22 @@ def plan(spec: ArchSpec) -> list[Block]:
     return blocks
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
+# values per Xavier draw: a tensor is drawn into its slot a slice at a time
+DRAW_SLICE = 1 << 15
+
+
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, out: np.ndarray) -> None:
+    """Fill ``out`` with uniform draws from +-sqrt(6 / (fan_in + fan_out)).
+
+    Each draw takes one value of the generator's stream, so drawing the flat
+    view ``DRAW_SLICE`` values at a time gives the values of one draw of
+    ``out``'s shape, without a temporary of that size.
+    """
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, DRAW_SLICE):
+        part = flat[lo : lo + DRAW_SLICE]
+        part[...] = rng.uniform(-bound, bound, size=part.size)
 
 
 class Model:
@@ -222,9 +235,13 @@ class Model:
     flat named-parameter view for the optimizer, the L2 penalty, and
     checkpointing.
 
-    Initialization is seeded Xavier-uniform: the routing logits with
-    (fan_in=d, fan_out=k*m), then each tensor of ``plan(spec)`` in order with
-    the fans or the constant the plan gives it. Same seed, same bits.
+    Every parameter lives in one flat float64 vector (``_flat``), back to
+    back in draw order; each named ``Tensor`` is a view of its slot, so
+    writing into a parameter writes into the vector and the other way round.
+    ``_offsets[i]`` is where ``_params[i]`` starts. Initialization is seeded
+    Xavier-uniform: the routing logits with (fan_in=d, fan_out=k*m), then
+    each tensor of ``plan(spec)`` in order with the fans or the constant the
+    plan gives it. Same seed, same bits.
     """
 
     def __init__(self, spec: ArchSpec):
@@ -239,18 +256,36 @@ class Model:
         self._eval_buffers = None  # the eval executor's chunk buffer pair, made at first use
         rng = np.random.default_rng(spec.seed)
 
+        named = [
+            (f"{block.name}.{suffix}", shape, init)
+            for block in blocks
+            for suffix, shape, init in block.params
+        ]
         if spec.kind == "gmlp":
             d, k, m = spec.d, spec.k, spec.m
-            psi = Tensor(_xavier(rng, d, k * m, (k * m, d)), requires_grad=True)
-            self.routing = RoutingParams(psi, 1.0, k, m, d)
-            self._params.append(("gsel.psi", psi))
+            named.insert(0, ("gsel.psi", (k * m, d), (d, k * m)))
+        sizes = [math.prod(shape) for _, shape, _ in named]
+        self._offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+        # A heap array, not a map of its own (_flat_buffer): it reuses heap
+        # memory that earlier arrays freed, as separate tensors did; in a map
+        # it raised the benchmark's peak RSS on mlp-784 by 10 MB.
+        self._flat = np.zeros(sum(sizes))
+        for (name, shape, init), offset in zip(named, self._offsets):
+            slot = _view(self._flat[offset:], *shape)
+            if isinstance(init, tuple):
+                _xavier(rng, *init, slot)
+            else:
+                slot[...] = init
+            tensor = T._raw(slot)
+            tensor.requires_grad = True
+            self._params.append((name, tensor))
+        drawn = iter(t for _, t in self._params)
+
+        if spec.kind == "gmlp":
+            self.routing = RoutingParams(next(drawn), 1.0, k, m, d)
 
         for block in blocks:
-            tensors = []
-            for suffix, shape, init in block.params:
-                data = _xavier(rng, *init, shape) if isinstance(init, tuple) else np.full(shape, init)
-                tensors.append(Tensor(data, requires_grad=True))
-                self._params.append((f"{block.name}.{suffix}", tensors[-1]))
+            tensors = [next(drawn) for _ in block.params]
             if block.tag == "pool":
                 payload = (*block.args, tensors[0] if tensors else None)
             elif block.tag == "batchnorm":
@@ -302,7 +337,9 @@ class Model:
 
         With a tape, or in training mode, every block runs as ``Tensor`` ops
         through the ``layers`` functions, recorded on the tape if one is
-        given. Eval mode without a tape (prediction) takes a tape-free path
+        given. ``fit`` does not train through this path but through the
+        compiled steps of ``_train_steps``, for which it is the tested
+        reference. Eval mode without a tape (prediction) takes a tape-free path
         instead: the blocks become plain numpy steps, built at each call from
         the current parameters, running moments, routing logits and
         temperature, and run on row chunks sized so that a chunk's widest
@@ -433,6 +470,61 @@ class Model:
                     spare, other = other, spare
             out[start : start + rows] = h
         return out
+
+    def _train_steps(self, grad: np.ndarray, add: bool, add_psi: bool, scratch, rng) -> list:
+        """The blocks as training-mode numpy steps ``(forward, backward)``, in block order.
+
+        ``forward(h)`` returns the block's output and what its backward
+        reads; ``backward(g, saved)`` takes the gradient of that output and
+        returns the gradient of the block's input, or None where nothing
+        reads it (the rows of the batch). Each pair does the arithmetic of
+        the ``tensor`` ops that the tape path records for its block, one
+        operation for another on arrays of the same layout, so the two paths
+        give the same bits: Group-Select is relaxed, batch-norm folds the
+        batch moments into the running moments in its forward step, and
+        dropout draws its mask from ``rng`` in block order.
+
+        A parameter's gradient goes into its slot of ``grad``, a flat vector
+        laid out like ``_flat``: added to what the slot holds if ``add``
+        (``add_psi`` for the routing logits), written over it otherwise.
+        Group-Select keeps the routing weights in ``scratch[0]`` from forward
+        to backward and forms psi's gradient term in ``scratch[1]``, two flat
+        buffers of psi's size.
+        """
+        slots = {id(t): _view(grad[o:], *t.shape) for (_, t), o in zip(self._params, self._offsets)}
+        put = _add_into if add else np.copyto
+        pairs = []
+        r = self.routing
+        if r is not None:
+            psi_put = _add_into if add_psi else np.copyto
+            pairs.append(_select_pair(r, slots[id(r.psi)], psi_put, scratch))
+        grouped = r is not None
+        for tag, payload in self._ops:
+            if tag == "gfc":
+                w, b = payload
+                pairs.append(_group_affine_pair(w.data, b.data, slots[id(w)], slots[id(b)], put))
+            elif tag == "dense":
+                w, b = payload
+                # the first step of a dense net reads the batch, which needs no gradient
+                pairs.append(_dense_pair(w.data, b.data, slots[id(w)], slots[id(b)], put, bool(pairs)))
+            elif tag == "relu":
+                pairs.append((_relu_forward, _relu_backward))
+            elif tag == "batchnorm":
+                gamma, beta = slots[id(payload.gamma)], slots[id(payload.beta)]
+                pairs.append(_batchnorm_pair(payload, gamma, beta, put, grouped))
+            elif tag == "pool":
+                kind, branching, w = payload
+                if kind == "linear":
+                    pairs.append(_linear_pool_pair(branching, w.data, slots[id(w)], put))
+                else:
+                    pairs.append(_reduce_pool_pair(kind, branching))
+            elif tag == "dropout":
+                if payload > 0.0:
+                    pairs.append(_dropout_pair(payload, rng))
+            elif tag == "concat":
+                grouped = False
+                pairs.append((_concat_forward, _concat_backward))
+        return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +690,202 @@ def _linear_pool_step(branching: int, w: np.ndarray):
         return np.matmul(w, cat, out=_view(h.reshape(-1), *w.shape[:2], n))
 
     return step
+
+
+# ---------------------------------------------------------------------------
+# training-mode steps
+#
+# One (forward, backward) pair per block, built by ``Model._train_steps``.
+# Each pair repeats the arithmetic of the ``tensor`` op that the tape path
+# records for its block (named in each docstring), in the same operation
+# order and on arrays of the same shape and layout, so a compiled step and a
+# tape step give the same bits. The parameters are captured as views of the
+# model's flat vector, which the optimizer updates in place, and each
+# parameter gradient goes to its slot of the flat gradient vector through
+# ``put``: ``_add_into`` where a loss term has already written the slot,
+# ``np.copyto`` where the block's term is the first. Sums and means call
+# ``np.add.reduce``, the reduction behind ``ndarray.sum`` and ``.mean``,
+# without their Python wrappers; a mean divides by the count afterwards,
+# as ``ndarray.mean`` does.
+
+
+def _add_into(dst: np.ndarray, src: np.ndarray) -> None:
+    dst += src
+
+
+def _select_pair(r: RoutingParams, gpsi: np.ndarray, put, scratch):
+    """Relaxed Group-Select, as ``tensor.relaxed_select``: S @ x.T, with S kept in ``scratch[0]``."""
+    psi = r.psi.data
+    s, gs = (_view(buf, *psi.shape) for buf in scratch)
+    k, m = r.k, r.m
+
+    def forward(x):
+        tau = r.temperature
+        T.routing_weights(psi, tau, out=s)
+        out = s @ x.T
+        return out.reshape(k, m, -1), (x, out, tau)
+
+    def backward(g, saved):
+        x, out, tau = saved
+        g = g.reshape(out.shape)
+        term = np.matmul(g, x, out=gs)
+        term -= np.einsum("ij,ij->i", g, out)[:, None]
+        term *= s
+        term /= tau
+        put(gpsi, term)
+        return None
+
+    return forward, backward
+
+
+def _group_affine_pair(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray, put):
+    """Group-FC, as ``tensor.group_linear`` with a bias."""
+
+    def forward(z):
+        out = np.matmul(w, z)
+        out += b[:, :, None]
+        return out, z
+
+    def backward(g, z):
+        put(gw, np.matmul(g, z.transpose(0, 2, 1)))
+        put(gb, np.add.reduce(g, 2))
+        return np.matmul(w.transpose(0, 2, 1), g)
+
+    return forward, backward
+
+
+def _dense_pair(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray, put, input_grad: bool):
+    """FC, as ``tensor.matmul`` and a bias-row ``tensor.add``."""
+
+    def forward(h):
+        out = h @ w
+        out += b
+        return out, h
+
+    def backward(g, h):
+        put(gb, np.add.reduce(g, 0))
+        put(gw, h.T @ g)
+        return g @ w.T if input_grad else None
+
+    return forward, backward
+
+
+def _relu_forward(h):
+    return np.maximum(h, 0.0), h
+
+
+def _relu_backward(g, h):
+    return g * (h > 0.0)
+
+
+def _batchnorm_pair(state: BatchNormState, ggamma: np.ndarray, gbeta: np.ndarray, put, grouped: bool):
+    """Training-mode ``tensor.batchnorm`` of (B, F) rows, or of (k, m, B) groups per slot."""
+    momentum, eps = state.momentum, state.epsilon
+    axis, col = (1, (-1, 1)) if grouped else (0, (-1,))
+    gamma, beta = state.gamma.data, state.beta.data.reshape(col)
+
+    def forward(h):
+        xf = h.reshape(-1, h.shape[2]) if grouped else h
+        n = xf.shape[axis]
+        mean = np.add.reduce(xf, axis)
+        mean /= n
+        xc = xf - mean.reshape(col)
+        var = np.add.reduce(np.square(xc), axis)
+        var /= n
+        state.running_mean *= 1.0 - momentum
+        state.running_mean += momentum * mean
+        state.running_var *= 1.0 - momentum
+        state.running_var += momentum * var
+        invstd = 1.0 / np.sqrt(var + eps)
+        xhat = xc * invstd.reshape(col)
+        out = xhat * gamma.reshape(col)
+        out += beta
+        return out.reshape(h.shape), (xhat, invstd)
+
+    def backward(g, saved):
+        xhat, invstd = saved
+        n = xhat.shape[axis]
+        gf = g.reshape(xhat.shape)
+        dbeta = np.add.reduce(gf, axis)
+        dgamma = np.add.reduce(gf * xhat, axis)
+        dx = (gamma * invstd).reshape(col) * (
+            gf - (dbeta / n).reshape(col) - xhat * (dgamma / n).reshape(col)
+        )
+        put(ggamma, dgamma)
+        put(gbeta, dbeta)
+        return dx.reshape(g.shape)
+
+    return forward, backward
+
+
+def _reduce_pool_pair(kind: str, branching: int):
+    """Max or mean Group-Pool, as ``tensor.pool_max`` or ``tensor.pool_mean``.
+
+    Max sends each output's gradient to the lowest stratum that attains it.
+    """
+
+    def forward(z):
+        strata = _strata(z, branching)
+        out = strata.max(axis=0) if kind == "max" else strata.mean(axis=0)
+        return out, (strata, out)
+
+    def backward(g, saved):
+        strata, out = saved
+        if kind == "mean":
+            dz = np.ascontiguousarray(np.broadcast_to(g / branching, strata.shape))
+        else:
+            dz = np.empty(strata.shape)
+            free = np.ones(out.shape, dtype=bool)
+            for t in range(branching):
+                hit = strata[t] == out
+                hit &= free
+                free &= ~hit
+                np.multiply(g, hit, out=dz[t])
+        return dz.reshape(-1, *dz.shape[2:])
+
+    return forward, backward
+
+
+def _linear_pool_pair(branching: int, w: np.ndarray, gw: np.ndarray, put):
+    """Linear Group-Pool, as ``tensor.pool_concat`` and a bias-free ``tensor.group_linear``."""
+
+    def forward(z):
+        strata = _strata(z, branching)
+        b, kb, m, n = strata.shape
+        cat = np.ascontiguousarray(strata.transpose(1, 0, 2, 3)).reshape(kb, b * m, n)
+        return np.matmul(w, cat), cat
+
+    def backward(g, cat):
+        put(gw, np.matmul(g, cat.transpose(0, 2, 1)))
+        dcat = np.matmul(w.transpose(0, 2, 1), g)
+        kb, bm, n = cat.shape
+        m = bm // branching
+        dz = dcat.reshape(kb, branching, m, n).transpose(1, 0, 2, 3)
+        return np.ascontiguousarray(dz).reshape(-1, m, n)
+
+    return forward, backward
+
+
+def _dropout_pair(rate: float, rng: np.random.Generator):
+    """Inverted dropout at a positive rate, as ``tensor.dropout``."""
+
+    def forward(h):
+        mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
+        return h * mask, mask
+
+    def backward(g, mask):
+        return g * mask
+
+    return forward, backward
+
+
+def _concat_forward(h):
+    """(k, m, B) -> (B, k*m) as a new C-contiguous array, as ``tensor.transpose`` of the reshape."""
+    return T._transposed(h.reshape(-1, h.shape[2])), h.shape
+
+
+def _concat_backward(g, shape):
+    return T._transposed(g).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

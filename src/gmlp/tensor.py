@@ -342,20 +342,20 @@ def softmax_rows(tape, a: Tensor, temperature: float) -> Tensor:
     return _result(tape, s, (a,), backward)
 
 
-def routing_weights(psi: np.ndarray, temperature: float) -> np.ndarray:
+def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None = None) -> np.ndarray:
     """The row softmax of psi at the temperature, with subnormal weights set to 0.
 
-    Computed in one array, in ``softmax_rows``' operation order. A weight
-    below the smallest normal float64 moves a mixed value by less than
-    2.3e-308 times an input, and subnormal operands slow BLAS products many
-    times over.
+    Computed in one array, ``out`` if given, in ``softmax_rows``' operation
+    order. A weight below the smallest normal float64 moves a mixed value by
+    less than 2.3e-308 times an input, and subnormal operands slow BLAS
+    products many times over.
     """
     if not temperature > 0.0:
         raise DomainError(f"softmax temperature must be positive, got {temperature}")
-    s = psi / temperature
-    s -= s.max(axis=1, keepdims=True)
+    s = np.divide(psi, temperature, out=out)
+    s -= np.maximum.reduce(s, axis=1, keepdims=True)
     np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
+    s /= np.add.reduce(s, axis=1, keepdims=True)
     s[s < np.finfo(np.float64).tiny] = 0.0
     return s
 

@@ -5,11 +5,20 @@ penalty on the routing distribution (weighted by ``lambda_``) that pushes
 each routing row toward one-hot, and a plain L2 penalty over every trainable
 tensor including the routing logits (weighted by ``alpha``). The entropy is
 always evaluated at temperature 1, independent of the annealed temperature
-used in the forward pass, and carries a 1/d outer factor. It is one
-``neg_entropy_rows`` node, which computes p*log(p) as p*(z - log S) from the
-max-shifted logits z and their exponential row sums S, without a mask; its
-value, and its gradient, are 0 where p underflows to 0. The L2 penalty is one
-``sum_squares`` node over the whole parameter list, whatever its length.
+used in the forward pass, and carries a 1/d outer factor. It computes
+p*log(p) as p*(z - log S) from the max-shifted logits z and their
+exponential row sums S, without a mask; its value, and its gradient, are 0
+where p underflows to 0.
+
+``fit`` trains through a compiled step, :class:`TrainStep`: the model's plan
+turned once into plain numpy forward and backward steps
+(``Model._train_steps``), then the loss terms, with every gradient written
+into one flat vector that mirrors the model's flat parameter vector, and one
+Adam pass over that vector. No tape is built. The tape path stays as the
+reference that the compiled step is tested against, bit for bit:
+``Model.forward`` with a tape, ``loss_terms`` (the entropy as one
+``neg_entropy_rows`` node, the L2 penalty as one ``sum_squares`` node over
+the whole parameter list) and ``Tape.backward``.
 
 Two schedules run per epoch: the softmax temperature decays geometrically
 from ``tau_start`` to ``tau_end`` across the configured epoch budget, and the
@@ -37,8 +46,8 @@ import numpy as np
 from . import tensor as T
 from .analysis import sparsity_report
 from .data import Dataset, batches
-from .errors import ConfigError, TrainingDiverged
-from .model import Model
+from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
+from .model import Model, _flat_buffer
 from .tensor import Tensor
 
 # a batch loss above this multiple of the first batch's loss counts as divergence
@@ -279,6 +288,126 @@ def routing_sparsity(model: Model, threshold: float = 0.99) -> float:
     return sparsity_report(model.routing, threshold)
 
 
+class TrainStep:
+    """One training step of a model under a config, compiled once from its plan.
+
+    ``loss(x, y)`` runs the blocks forward as ``Model._train_steps`` and
+    returns the objective and its cross-entropy and entropy terms as
+    floats; ``backward()`` then writes the objective's gradient into
+    ``parameters.grad``, one flat vector laid out like the model's flat
+    parameter vector ``parameters.data``; ``rng`` draws the dropout masks,
+    in block order. The arithmetic is that of the tape
+    path (``Model.forward`` with a tape, ``loss_terms`` and
+    ``Tape.backward``), operation for operation, so both give the same bits:
+    each parameter's gradient is its L2 term, then its entropy term (psi
+    only), then its block's term, summed in place in that order. The entropy
+    and the routing weights use psi-sized buffers that live as long as the
+    step, in maps of their own (``gmlp.model._flat_buffer``); the entropy's
+    exponent shares its buffer with Group-Select's gradient term, which is
+    formed only after the entropy's gradient has been added.
+
+    Reductions call ``np.add.reduce`` and its kin, the arithmetic behind
+    ``ndarray.sum``, ``.mean`` and ``.max``, without their Python wrappers.
+    The model holds no reference to the step, so once the step is dropped
+    its buffers are unmapped. Like the eval path, a step is not re-entrant.
+    """
+
+    def __init__(self, model: Model, cfg: TrainConfig, rng: np.random.Generator):
+        self.d = model.spec.d
+        self.alpha = cfg.alpha
+        self.parameters = T._raw(model._flat)
+        self.parameters.grad = grad = _flat_buffer(model._flat.size)
+        self._flats = [t.data.reshape(-1) for _, t in model.parameters()]
+        psi = model.routing.psi.data if model.routing is not None else None
+        self.lambda_ = cfg.lambda_ if psi is not None else 0.0
+        scratch = (None, None)
+        if psi is not None:
+            scratch = (_flat_buffer(psi.size), _flat_buffer(psi.size))
+        if self.lambda_ > 0.0:
+            self._psi = psi
+            self._gpsi = grad[: psi.size].reshape(psi.shape)  # psi is the first parameter
+            self._z = scratch[1].reshape(psi.shape)
+            self._e = _flat_buffer(psi.size).reshape(psi.shape)
+        add = self.alpha > 0.0
+        self._pairs = model._train_steps(grad, add, add or self.lambda_ > 0.0, scratch, rng)
+        self._saved = self._ce = self._ent = None
+
+    def loss(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+        """(objective, cross-entropy, entropy term) of one batch; the entropy term is 0.0 at lambda 0.
+
+        Checks what the tape path checks: the rows are finite and ``d``
+        wide, and every label names a class.
+        """
+        h = Tensor(x).data
+        if h.ndim != 2 or h.shape[1] != self.d:
+            raise ShapeError(f"input {h.shape} does not match d={self.d}")
+        saved = []
+        for forward, _ in self._pairs:
+            h, s = forward(h)
+            saved.append(s)
+        ce = self._cross_entropy(h, np.asarray(y))
+        total = ce
+        ent = 0.0
+        if self.lambda_ > 0.0:
+            ent = self._entropy()
+            total = total + ent * self.lambda_
+        if self.alpha > 0.0:
+            l2 = 0.0
+            for p in self._flats:
+                l2 += np.dot(p, p)
+            total = total + l2 * self.alpha
+        self._saved = saved
+        return float(total), float(ce), float(ent)
+
+    def backward(self) -> None:
+        """The gradient of the last ``loss`` into ``parameters.grad``."""
+        grad = self.parameters.grad
+        if self.alpha > 0.0:
+            np.multiply(self.parameters.data, 2.0 * self.alpha, out=grad)
+        if self.lambda_ > 0.0:
+            s, log_s, rows = self._ent
+            dz = self._z
+            dz -= (log_s + rows)[:, None]
+            dz *= self._e
+            dz *= ((self.lambda_ * (-1.0 / self.d)) / s)[:, None]
+            if self.alpha > 0.0:
+                self._gpsi += dz
+            else:
+                np.copyto(self._gpsi, dz)
+        ez, sez, y = self._ce
+        g = ez / sez
+        g[np.arange(len(y)), y] -= 1.0
+        g *= 1.0 / len(y)
+        for (_, backward), saved in zip(reversed(self._pairs), reversed(self._saved)):
+            g = backward(g, saved)
+        self._saved = self._ce = self._ent = None
+
+    def _cross_entropy(self, logits: np.ndarray, y: np.ndarray) -> float:
+        """Mean cross-entropy of the row softmax, as ``tensor.cross_entropy_logits``."""
+        n, c = logits.shape
+        if y.ndim != 1 or y.shape[0] != n:
+            raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {y.shape}")
+        if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c:
+            raise DomainError(f"target label out of range [0, {c})")
+        shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
+        ez = np.exp(shifted)
+        sez = np.add.reduce(ez, 1, keepdims=True)
+        logp = shifted - np.log(sez)
+        self._ce = ez, sez, y
+        return -(np.add.reduce(logp[np.arange(n), y]) / n)
+
+    def _entropy(self) -> float:
+        """``entropy_term``'s value, -(1/d) sum p*log(p), with z and exp(z) kept for backward."""
+        psi = self._psi
+        z = np.subtract(psi, np.maximum.reduce(psi, 1, keepdims=True), out=self._z)
+        e = np.exp(z, out=self._e)
+        s = np.add.reduce(e, 1)
+        log_s = np.log(s)
+        rows = np.einsum("ij,ij->i", e, z) / s - log_s
+        self._ent = s, log_s, rows
+        return np.add.reduce(rows) * (-1.0 / self.d)
+
+
 def fit(
     model: Model,
     train: Dataset,
@@ -289,19 +418,29 @@ def fit(
 ) -> FitResult:
     """Full training loop: per-epoch schedules, Adam steps, metric records.
 
+    Each batch runs one compiled step (:class:`TrainStep`, built once per
+    call from the model's plan) and builds no tape: the blocks run as plain
+    numpy steps, the loss terms and their gradients follow, and the gradient
+    lands in one flat vector laid out like the model's flat parameter
+    vector. Adam then runs once per step over that whole vector, as one
+    parameter, in ``adam_step``'s tiles. The fitted bits are those of the
+    tape path (``Model.forward`` with a tape, ``loss_terms``,
+    ``Tape.backward`` and a per-tensor ``adam_step``), which stays as the
+    reference the compiled step is tested against.
+
     ``val`` drives the plateau schedule and best-checkpoint tracking; ``test``
-    is only ever measured for the learning curve. The last step's gradients
-    are released on return, so a trained model holds no ``grad``. The same
+    is only ever measured for the learning curve. The step and its gradient
+    vector are dropped on return, so a trained model holds no gradient and
+    no step buffer, and no parameter's ``grad`` is set. The same
     inputs fit the same bits at one BLAS thread count; at another, BLAS may
     sum a product in another order and a wide net ends bits apart. Raises
     :class:`TrainingDiverged` the moment a batch loss is non-finite or
     exceeds ``DIVERGENCE_FACTOR`` times the first batch's loss.
     """
     cfg.validate()
-    params = model.parameters()
+    step = TrainStep(model, cfg, np.random.default_rng((cfg.seed, 7919)))
+    params = [("parameters", step.parameters)]
     adam = AdamState.create(params)
-    psi = model.routing.psi if model.routing is not None else None
-    dropout_rng = np.random.default_rng((cfg.seed, 7919))
     val_history: list[float] = []
     records: list[EpochRecord] = []
     best_val = -math.inf
@@ -316,12 +455,7 @@ def fit(
         loss_sum = ce_sum = ent_sum = 0.0
         n_batches = 0
         for xb, yb in batches(train, cfg.batch_size, cfg.seed, epoch, drop_last=True):
-            for _, p in params:
-                p.grad = None
-            tape = T.Tape()
-            logits = model.forward(Tensor(xb), training=True, tape=tape, rng=dropout_rng)
-            total, ce, ent = loss_terms(tape, logits, yb, psi, params, cfg)
-            value = total.item()
+            value, ce, ent = step.loss(xb, yb)
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, value)
             if first_loss is None:
@@ -332,11 +466,11 @@ def fit(
                     value,
                     f"exceeds {DIVERGENCE_FACTOR:g} x the first batch loss ({first_loss:.4g})",
                 )
-            tape.backward(total)
+            step.backward()
             adam_step(params, adam, lr)
             loss_sum += value
-            ce_sum += ce.item()
-            ent_sum += ent.item() if ent is not None else 0.0
+            ce_sum += ce
+            ent_sum += ent
             n_batches += 1
         if n_batches == 0:
             raise ConfigError(
@@ -366,7 +500,7 @@ def fit(
         if on_epoch is not None:
             on_epoch(record)
 
-    for _, p in params:
+    for _, p in model.parameters():
         p.grad = None
     return FitResult(
         records=records,

@@ -14,20 +14,24 @@ def finite_difference(f, arrays, eps=1e-5):
     Perturbs the arrays in place and restores them. Returns one gradient array
     per input array.
     """
-    grads = []
-    for arr in arrays:
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = f()
-            flat[i] = orig - eps
-            fm = f()
-            flat[i] = orig
-            gf[i] = (fp - fm) / (2.0 * eps)
-        grads.append(g)
+    return [finite_difference_at(f, arr, range(arr.size), eps).reshape(arr.shape) for arr in arrays]
+
+
+def finite_difference_at(f, arr, indices, eps=1e-5):
+    """Central finite differences of scalar f() w.r.t. the entries ``indices`` of ``arr``'s flat view.
+
+    ``arr`` must be contiguous, so that its flat view writes into it.
+    """
+    flat = arr.reshape(-1)
+    grads = np.zeros(len(indices))
+    for j, i in enumerate(indices):
+        orig = flat[i]
+        flat[i] = orig + eps
+        fp = f()
+        flat[i] = orig - eps
+        fm = f()
+        flat[i] = orig
+        grads[j] = (fp - fm) / (2.0 * eps)
     return grads
 
 

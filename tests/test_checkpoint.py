@@ -6,9 +6,11 @@ import pytest
 
 from gmlp import cli
 from gmlp.checkpoint import _LEN, load_checkpoint, save_model
+from gmlp.data import Dataset
 from gmlp.errors import CheckpointError
 from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
+from gmlp.training import TrainConfig, fit
 
 ARCH = "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
 
@@ -83,6 +85,25 @@ class TestRoundTrip:
                 rtol=1e-5,
                 atol=1e-6,
             )
+
+    def test_reload_writes_into_the_flat_vector_and_trains_to_the_same_bits(self, tmp_path):
+        model = Model(parse_arch(ARCH, d=6, seed=1))
+        rng = np.random.default_rng(2)
+        for _, arr in model.state_arrays():
+            # float32 values, which the checkpoint stores exactly
+            arr[:] = (arr + rng.normal(scale=0.3, size=arr.shape)).astype(np.float32)
+        path = tmp_path / "model.ckpt"
+        save_model(path, model)
+        loaded = load_checkpoint(path).model
+        for name, p in loaded.parameters():
+            assert np.shares_memory(p.data, loaded._flat), name
+        npt.assert_array_equal(loaded._flat, model._flat)
+        ds = Dataset(rng.normal(size=(48, 6)), rng.integers(0, 2, 48), 2)
+        cfg = TrainConfig(epochs=2, batch_size=16, lr0=1e-2)
+        fit(model, ds, ds, cfg)
+        fit(loaded, ds, ds, cfg)
+        for (name, a), (_, b) in zip(model.state_arrays(), loaded.state_arrays()):
+            assert a.tobytes() == b.tobytes(), name
 
     def test_stored_routing_table_of_older_files_is_ignored(self, tmp_path, capsys):
         model, path = _saved(tmp_path)

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
 from gmlp.config import load_config, parse_config_text
 from gmlp.errors import ConfigError, DataError
+from gmlp.training import TrainConfig
 
 ARCH_LINE = "arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
 
@@ -57,6 +60,18 @@ class TestRoundTrip:
         assert parse_config_text(text).to_dict() == flat
         assert flat["lambda"] == 0.5 and flat["has_header"] is False
         assert flat["tau_start"] == 0.5 and flat["tau_end"] == 0.03
+
+
+class TestTrainKeys:
+    @pytest.mark.parametrize("field", fields(TrainConfig), ids=lambda f: f.name)
+    def test_every_train_config_field_parses_from_its_key(self, field):
+        # a valid value other than the default: one more, or half as much
+        value = field.default + 1 if isinstance(field.default, int) else field.default / 2
+        key = "lambda" if field.name == "lambda_" else field.name
+        train = _parse(f"{key} = {value}").train
+        assert getattr(train, field.name) == value
+        assert type(getattr(train, field.name)) is type(field.default)
+        assert vars(train) == {**vars(TrainConfig()), field.name: value}
 
 
 class TestSynthNet:

@@ -124,6 +124,23 @@ class TestBuild:
             model = Model(parse_arch(text, d=5))
             assert [(name, t.shape) for name, t in model.parameters()] == names_shapes
 
+    def test_parameters_are_views_of_one_flat_vector(self):
+        model = Model(parse_arch("GSel-8-2, GFC, ReLU, BNorm, GPool-linear-4, GFC, Concat, FC-3", d=5))
+        flat, end = model._flat, 0
+        for (name, p), offset in zip(model.parameters(), model._offsets):
+            assert offset == end, name  # back to back, in draw order
+            assert p.data.ctypes.data == flat.ctypes.data + 8 * offset, name
+            assert p.data.flags.c_contiguous, name
+            end += p.size
+        assert end == flat.size
+        before = [p.data.copy() for _, p in model.parameters()]
+        flat += 1.0  # a write into the vector shows in every parameter
+        for kept, (name, p) in zip(before, model.parameters()):
+            npt.assert_array_equal(p.data, kept + 1.0, err_msg=name)
+        for _, p in model.parameters():
+            p.data *= 2.0  # and a write into a parameter shows in the vector
+        npt.assert_array_equal(flat, np.concatenate([2.0 * (k.reshape(-1) + 1.0) for k in before]))
+
     def test_plan_gives_each_block_its_input_groups_and_width(self):
         grouped = plan(parse_arch("GSel-8-2, GFC, GPool-max-4, GFC, Concat, BNorm, FC-3", d=5))
         assert [(b.name, b.tag, b.k, b.width) for b in grouped] == [

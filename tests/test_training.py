@@ -294,8 +294,23 @@ class TestFit:
     def test_gradients_released_on_return(self):
         ds = self._tiny_task(64)
         model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=3))
+        before = dict(vars(model))
         fit(model, ds, ds, cfg(epochs=2, lambda_=1.0, alpha=1e-4))
         assert [name for name, p in model.parameters() if p.grad is not None] == []
+        # no flat gradient or step buffer stays on the model: every attribute
+        # is the object it was, but the eval buffers that scoring made
+        after = vars(model)
+        assert after.keys() == before.keys()
+        assert [k for k in after if after[k] is not before[k]] == ["_eval_buffers"]
+
+    def test_best_state_holds_copies(self):
+        ds = self._tiny_task(64)
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=3))
+        result = fit(model, ds, ds, cfg(epochs=3, lambda_=1.0, alpha=1e-4))
+        live = [arr for _, arr in model.state_arrays()]
+        for name, saved in result.best_state:
+            assert not any(np.shares_memory(saved, arr) for arr in live), name
+            assert not np.shares_memory(saved, model._flat), name
 
     def test_divergence_detected(self):
         ds = self._tiny_task(64)

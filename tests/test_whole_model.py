@@ -7,6 +7,8 @@ compares eval-mode logits with a plain-numpy forward pass that keeps grouped
 activations as (batch, group, slot) arrays and shares no code with the
 package. ``TestEvalExecutor`` compares the tape-free eval path of
 ``Model.forward`` with the tape path and checks ``predictions``.
+``TestTrainStep`` holds the compiled training step that ``fit`` runs to the
+tape path bit for bit, and to central finite differences.
 """
 
 import numpy as np
@@ -14,11 +16,21 @@ import numpy.testing as npt
 import pytest
 
 from gmlp import tensor as T
+from gmlp.data import Dataset, batches
 from gmlp.errors import DomainError, ShapeError
 from gmlp.model import MAX_CHUNK_ROWS, Model, parse_arch
 from gmlp.tensor import Tensor
-from gmlp.training import TrainConfig, loss_terms, predictions
-from gradcheck import finite_difference, max_rel_err
+from gmlp.training import (
+    AdamState,
+    TrainConfig,
+    TrainStep,
+    adam_step,
+    fit,
+    loss_terms,
+    predictions,
+    schedule_step,
+)
+from gradcheck import finite_difference, finite_difference_at, max_rel_err
 
 D = 5
 N_CLASSES = 3
@@ -291,3 +303,151 @@ class TestEvalExecutor:
     def test_wrong_width_raises(self):
         with pytest.raises(ShapeError):
             predictions(_net(ARCHS[0], seed=10), np.zeros((4, D + 1)))
+
+
+# ---------------------------------------------------------------------------
+# the compiled training step
+
+TAUS = [1.0, 0.3, 0.01]
+# every architecture once per temperature; the temperature is moot in a dense net
+STEP_CASES = [
+    (arch, tau) for arch in ARCHS[:-1] + [DROPOUT_ARCH] for tau in TAUS
+] + [(ARCHS[-1], 1.0), (WIDE_MLP, 1.0), (BN_FIRST_MLP, 1.0)]
+# (lambda, alpha): both terms, neither, and each alone, so that each
+# gradient slot is written first by L2, by the entropy and by its block
+STEP_CFGS = [(0.5, 1e-2), (0.0, 0.0), (1.0, 0.0), (0.0, 1e-3)]
+
+
+def _step_net(arch, tau, seed=21):
+    """A net with every parameter and moment moved off its start and, if it routes, one subnormal routing weight."""
+    model = _net(arch, seed)
+    _perturb(model, np.random.default_rng(seed))
+    if model.routing is not None:
+        model.set_temperature(tau)
+        psi = model.routing.psi.data
+        j = (psi[0].argmax() + 1) % D
+        psi[0, j] = psi[0].max() - 720.0 * tau  # weight exp(-720) at tau: subnormal
+        assert 0.0 < np.exp((psi[0, j] - psi[0].max()) / tau) < np.finfo(np.float64).tiny
+    return model
+
+
+def _batch(model, n=6, seed=22):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, D)), rng.integers(0, model.spec.n_classes, size=n)
+
+
+def _tape_step(model, x, y, cfg, rng):
+    """(loss, ce, entropy term) and the flat gradient, through the tape path."""
+    params = model.parameters()
+    psi = model.routing.psi if model.routing is not None else None
+    tape = T.Tape()
+    logits = model.forward(Tensor(x), training=True, tape=tape, rng=rng)
+    total, ce, ent = loss_terms(tape, logits, y, psi, params, cfg)
+    tape.backward(total)
+    grad = np.zeros_like(model._flat)
+    for (_, p), offset in zip(params, model._offsets):
+        grad[offset : offset + p.size] = p.grad.reshape(-1)
+        p.grad = None
+    return (total.item(), ce.item(), ent.item() if ent is not None else 0.0), grad
+
+
+def _bits(a):
+    """The raw bits of an array: equal bits, equal values, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _moments(model):
+    return [arr.copy() for name, arr in model.state_arrays() if ".running_" in name]
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("arch, tau", STEP_CASES)
+    def test_same_bits_as_tape_path(self, arch, tau):
+        x, y = _batch(_net(arch, seed=1))
+        for lam, alpha in STEP_CFGS:
+            cfg = TrainConfig(lambda_=lam, alpha=alpha)
+            taped, compiled = _step_net(arch, tau), _step_net(arch, tau)
+            want, want_grad = _tape_step(taped, x, y, cfg, np.random.default_rng(5))
+            step = TrainStep(compiled, cfg, np.random.default_rng(5))
+            assert step.loss(x, y) == want
+            step.backward()
+            npt.assert_array_equal(_bits(step.parameters.grad), _bits(want_grad))
+            for got, kept in zip(_moments(compiled), _moments(taped)):
+                npt.assert_array_equal(_bits(got), _bits(kept))
+
+    @pytest.mark.parametrize("arch, tau", STEP_CASES)
+    def test_gradient_matches_finite_differences(self, arch, tau):
+        model = _step_net(arch, tau)
+        x, y = _batch(model)
+        rng = np.random.default_rng(5)
+        start = rng.bit_generator.state
+        # a small alpha: the subnormal weight's logit of about -720*tau
+        # would make the L2 term, and the rounding of each difference, large
+        step = TrainStep(model, TrainConfig(lambda_=0.5, alpha=1e-6), rng)
+
+        def objective():
+            rng.bit_generator.state = start  # the same dropout masks at every evaluation
+            return step.loss(x, y)[0]
+
+        objective()
+        step.backward()
+        analytic = step.parameters.grad.copy()
+        pick = np.random.default_rng(6)
+        for (name, p), offset in zip(model.parameters(), model._offsets):
+            # at most 24 coordinates of each tensor: the wide net has 11k
+            idx = np.sort(pick.choice(p.size, size=min(p.size, 24), replace=False))
+            # psi enters divided by tau, so its differences step by 1e-5*tau
+            eps = 1e-5 * (tau if name == "gsel.psi" else 1.0)
+            numeric = finite_difference_at(objective, p.data, idx, eps)
+            # an objective of about 5 is evaluated to about 1e-15, so each
+            # difference carries up to 1e-8 of rounding at the smallest step:
+            # entries below 1e-3 are compared on the 1e-3 scale
+            assert max_rel_err(analytic[offset + idx], numeric, floor=1e-3) < 1e-5, name
+
+    @pytest.mark.parametrize(
+        "arch",
+        ["GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", ARCHS[5], DROPOUT_ARCH],
+    )
+    def test_fit_matches_tape_loop(self, arch):
+        model, reference = _net(arch, seed=23), _net(arch, seed=23)
+        rng = np.random.default_rng(24)
+        train = Dataset(rng.normal(size=(96, D)), rng.integers(0, model.spec.n_classes, 96),
+                        model.spec.n_classes)
+        cfg = TrainConfig(epochs=3, batch_size=16, lr0=1e-2, plateau_patience=3, seed=4)
+        result = fit(model, train, train, cfg)
+        losses = _tape_fit(reference, train, cfg)
+        assert [r.train_loss for r in result.records] == losses
+        for (name, got), (_, want) in zip(model.state_arrays(), reference.state_arrays()):
+            npt.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+
+
+def _tape_fit(model, train, cfg):
+    """``fit``'s training loop through the tape, per-tensor Adam and all; the mean loss of each epoch.
+
+    The plateau rule needs ``cfg.epochs`` completed epochs to act, so the
+    learning rate stays ``lr0`` and no validation accuracy is needed.
+    """
+    assert cfg.plateau_patience >= cfg.epochs
+    params = model.parameters()
+    psi = model.routing.psi if model.routing is not None else None
+    adam = AdamState.create(params)
+    dropout_rng = np.random.default_rng((cfg.seed, 7919))
+    losses = []
+    for epoch in range(cfg.epochs):
+        lr, tau = schedule_step(epoch, [], cfg)
+        model.set_temperature(tau)
+        total_sum, n = 0.0, 0
+        for xb, yb in batches(train, cfg.batch_size, cfg.seed, epoch):
+            for _, p in params:
+                p.grad = None
+            tape = T.Tape()
+            logits = model.forward(Tensor(xb), training=True, tape=tape, rng=dropout_rng)
+            total, _, _ = loss_terms(tape, logits, yb, psi, params, cfg)
+            tape.backward(total)
+            adam_step(params, adam, lr)
+            total_sum += total.item()
+            n += 1
+        losses.append(total_sum / n)
+    for _, p in params:
+        p.grad = None
+    return losses
