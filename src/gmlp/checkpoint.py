@@ -11,6 +11,8 @@ loaded model, and the ``routing_table`` key of older files is ignored.
 Weights are down-converted to float32 on save and promoted back to float64
 on load, so a reloaded model reproduces eval-mode outputs to float32
 rounding (about 1e-7 relative) rather than bit-exactly.
+A file whose arrays hold a NaN or an infinity, or whose final temperature
+is not finite, is rejected on load like any other corrupt file.
 
 Nothing non-deterministic (timestamps, hostnames) is written: identical
 models under identical metadata serialize to identical bytes.
@@ -19,6 +21,7 @@ models under identical metadata serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -111,7 +114,7 @@ def _read_container(path) -> tuple[dict, bytes]:
         blob = fh.read()
     try:
         manifest = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
         raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is a JSON {type(manifest).__name__}, not an object")
@@ -124,7 +127,12 @@ def _read_container(path) -> tuple[dict, bytes]:
     where = f"{path}: manifest"
     _field(manifest, "arch", str, where)
     _field(manifest, "d", int, where)
-    _field(manifest, "final_tau", (int, float), where)
+    try:
+        tau = float(_field(manifest, "final_tau", (int, float), where))
+    except OverflowError:
+        tau = math.inf
+    if not math.isfinite(tau):
+        raise CheckpointError(f"{where}: final_tau {manifest['final_tau']} is not finite")
     for key in ("seed", "branching"):
         if key in manifest:
             _field(manifest, key, int, where)
@@ -173,6 +181,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         if dst.shape != shape:
             raise CheckpointError(f"{name}: shape {shape} != expected {dst.shape}")
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{name}: holds non-finite values")
         dst[:] = values.reshape(shape).astype(np.float64)
     if available:
         raise CheckpointError(f"checkpoint is missing arrays: {sorted(available)}")

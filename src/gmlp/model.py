@@ -22,6 +22,7 @@ import math
 import mmap
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -319,8 +320,8 @@ class Model:
 
     def set_temperature(self, tau: float) -> None:
         if self.routing is not None:
-            if not tau > 0.0:
-                raise ConfigError(f"temperature must be positive, got {tau}")
+            if not 0.0 < tau < math.inf:
+                raise ConfigError(f"temperature must be positive and finite, got {tau}")
             self.routing.temperature = tau
 
     # -- execution ----------------------------------------------------------
@@ -335,11 +336,11 @@ class Model:
     ) -> Tensor:
         """Run the block list on a (B, d) batch and return (B, C) logits.
 
-        With a tape, or in training mode, every block runs as ``Tensor`` ops
-        through the ``layers`` functions, recorded on the tape if one is
-        given. ``fit`` does not train through this path but through the
-        compiled steps of ``_train_steps``, for which it is the tested
-        reference. Eval mode without a tape (prediction) takes a tape-free path
+        With a tape, or in training mode, every block runs through its
+        ``layers`` function, which runs the block's kernel and records it on
+        the tape as one node if one is given. ``fit`` trains on the same
+        kernels without a tape, compiled once by ``_train_steps``. Eval mode
+        without a tape (prediction) takes a tape-free path
         instead: the blocks become plain numpy steps, built at each call from
         the current parameters, running moments, routing logits and
         temperature, and run on row chunks sized so that a chunk's widest
@@ -472,59 +473,56 @@ class Model:
         return out
 
     def _train_steps(self, grad: np.ndarray, add: bool, add_psi: bool, scratch, rng) -> list:
-        """The blocks as training-mode numpy steps ``(forward, backward)``, in block order.
+        """The blocks' kernels as training-mode steps ``(forward, backward, puts)``, in block order.
 
-        ``forward(h)`` returns the block's output and what its backward
-        reads; ``backward(g, saved)`` takes the gradient of that output and
-        returns the gradient of the block's input, or None where nothing
-        reads it (the rows of the batch). Each pair does the arithmetic of
-        the ``tensor`` ops that the tape path records for its block, one
-        operation for another on arrays of the same layout, so the two paths
-        give the same bits: Group-Select is relaxed, batch-norm folds the
-        batch moments into the running moments in its forward step, and
-        dropout draws its mask from ``rng`` in block order.
-
-        A parameter's gradient goes into its slot of ``grad``, a flat vector
-        laid out like ``_flat``: added to what the slot holds if ``add``
+        ``forward`` and ``backward`` are the ``layers`` pair of the block,
+        the one its layer function records on a tape: Group-Select is
+        relaxed, batch-norm folds the batch moments into the running moments
+        in its forward step, and dropout draws its mask from ``rng`` in
+        block order. ``backward`` returns the gradient of the block's input,
+        None where nothing reads it (the rows of the batch), and then of
+        each parameter; ``puts`` holds one function per parameter that
+        writes its gradient into its slot of ``grad``, a flat vector laid
+        out like ``_flat``: added to what the slot holds if ``add``
         (``add_psi`` for the routing logits), written over it otherwise.
-        Group-Select keeps the routing weights in ``scratch[0]`` from forward
-        to backward and forms psi's gradient term in ``scratch[1]``, two flat
-        buffers of psi's size.
+        Group-Select keeps its routing weights and psi's gradient term in
+        ``scratch``, two flat buffers of psi's size.
         """
         slots = {id(t): _view(grad[o:], *t.shape) for (_, t), o in zip(self._params, self._offsets)}
-        put = _add_into if add else np.copyto
-        pairs = []
+
+        def puts(*tensors, adding=add):
+            return [slots[id(t)].__iadd__ if adding else partial(np.copyto, slots[id(t)]) for t in tensors]
+
+        steps = []
         r = self.routing
         if r is not None:
-            psi_put = _add_into if add_psi else np.copyto
-            pairs.append(_select_pair(r, slots[id(r.psi)], psi_put, scratch))
+            steps.append((*L.select_pair(r, scratch, False), puts(r.psi, adding=add_psi)))
         grouped = r is not None
         for tag, payload in self._ops:
             if tag == "gfc":
                 w, b = payload
-                pairs.append(_group_affine_pair(w.data, b.data, slots[id(w)], slots[id(b)], put))
+                steps.append((*L.group_fc_pair(w.data, b.data), puts(w, b)))
             elif tag == "dense":
                 w, b = payload
                 # the first step of a dense net reads the batch, which needs no gradient
-                pairs.append(_dense_pair(w.data, b.data, slots[id(w)], slots[id(b)], put, bool(pairs)))
+                steps.append((*L.dense_pair(w.data, b.data, bool(steps)), puts(w, b)))
             elif tag == "relu":
-                pairs.append((_relu_forward, _relu_backward))
+                steps.append((*T.RELU_PAIR, []))
             elif tag == "batchnorm":
-                gamma, beta = slots[id(payload.gamma)], slots[id(payload.beta)]
-                pairs.append(_batchnorm_pair(payload, gamma, beta, put, grouped))
+                steps.append((*L.batchnorm_pair(payload, grouped), puts(payload.gamma, payload.beta)))
             elif tag == "pool":
                 kind, branching, w = payload
                 if kind == "linear":
-                    pairs.append(_linear_pool_pair(branching, w.data, slots[id(w)], put))
+                    steps.append((*L.linear_pool_pair(branching, w.data), puts(w)))
                 else:
-                    pairs.append(_reduce_pool_pair(kind, branching))
+                    steps.append((*L.reduce_pool_pair(kind, branching), []))
             elif tag == "dropout":
                 if payload > 0.0:
-                    pairs.append(_dropout_pair(payload, rng))
+                    steps.append((*L.dropout_pair(payload, rng), []))
             elif tag == "concat":
                 grouped = False
-                pairs.append((_concat_forward, _concat_backward))
-        return pairs
+                steps.append((*L.CONCAT_PAIR, []))
+        return steps
 
 
 # ---------------------------------------------------------------------------
@@ -658,18 +656,12 @@ def _concat_step(h, spare):
     return h.reshape(-1, h.shape[2]).T
 
 
-def _strata(h: np.ndarray, branching: int) -> np.ndarray:
-    """Stratum t of output group i is input group t*k/b + i."""
-    k, m, n = h.shape
-    return h.reshape(branching, k // branching, m, n)
-
-
 def _reduce_pool_step(kind: str, branching: int):
     """Max or mean Group-Pool on a (k, m, rows) chunk."""
     reduce = np.max if kind == "max" else np.mean
 
     def step(h, spare):
-        strata = _strata(h, branching)
+        strata = L.strata(h, branching)
         return reduce(strata, axis=0, out=_view(spare, *strata.shape[1:]))
 
     return step
@@ -683,209 +675,13 @@ def _linear_pool_step(branching: int, w: np.ndarray):
     """
 
     def step(h, spare):
-        strata = _strata(h, branching)
+        strata = L.strata(h, branching)
         kb, m, n = strata.shape[1:]
         cat = _view(spare, kb, branching * m, n)
         np.copyto(cat.reshape(kb, branching, m, n), strata.transpose(1, 0, 2, 3))
         return np.matmul(w, cat, out=_view(h.reshape(-1), *w.shape[:2], n))
 
     return step
-
-
-# ---------------------------------------------------------------------------
-# training-mode steps
-#
-# One (forward, backward) pair per block, built by ``Model._train_steps``.
-# Each pair repeats the arithmetic of the ``tensor`` op that the tape path
-# records for its block (named in each docstring), in the same operation
-# order and on arrays of the same shape and layout, so a compiled step and a
-# tape step give the same bits. The parameters are captured as views of the
-# model's flat vector, which the optimizer updates in place, and each
-# parameter gradient goes to its slot of the flat gradient vector through
-# ``put``: ``_add_into`` where a loss term has already written the slot,
-# ``np.copyto`` where the block's term is the first. Sums and means call
-# ``np.add.reduce``, the reduction behind ``ndarray.sum`` and ``.mean``,
-# without their Python wrappers; a mean divides by the count afterwards,
-# as ``ndarray.mean`` does.
-
-
-def _add_into(dst: np.ndarray, src: np.ndarray) -> None:
-    dst += src
-
-
-def _select_pair(r: RoutingParams, gpsi: np.ndarray, put, scratch):
-    """Relaxed Group-Select, as ``tensor.relaxed_select``: S @ x.T, with S kept in ``scratch[0]``."""
-    psi = r.psi.data
-    s, gs = (_view(buf, *psi.shape) for buf in scratch)
-    k, m = r.k, r.m
-
-    def forward(x):
-        tau = r.temperature
-        T.routing_weights(psi, tau, out=s)
-        out = s @ x.T
-        return out.reshape(k, m, -1), (x, out, tau)
-
-    def backward(g, saved):
-        x, out, tau = saved
-        g = g.reshape(out.shape)
-        term = np.matmul(g, x, out=gs)
-        term -= np.einsum("ij,ij->i", g, out)[:, None]
-        term *= s
-        term /= tau
-        put(gpsi, term)
-        return None
-
-    return forward, backward
-
-
-def _group_affine_pair(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray, put):
-    """Group-FC, as ``tensor.group_linear`` with a bias."""
-
-    def forward(z):
-        out = np.matmul(w, z)
-        out += b[:, :, None]
-        return out, z
-
-    def backward(g, z):
-        put(gw, np.matmul(g, z.transpose(0, 2, 1)))
-        put(gb, np.add.reduce(g, 2))
-        return np.matmul(w.transpose(0, 2, 1), g)
-
-    return forward, backward
-
-
-def _dense_pair(w: np.ndarray, b: np.ndarray, gw: np.ndarray, gb: np.ndarray, put, input_grad: bool):
-    """FC, as ``tensor.matmul`` and a bias-row ``tensor.add``."""
-
-    def forward(h):
-        out = h @ w
-        out += b
-        return out, h
-
-    def backward(g, h):
-        put(gb, np.add.reduce(g, 0))
-        put(gw, h.T @ g)
-        return g @ w.T if input_grad else None
-
-    return forward, backward
-
-
-def _relu_forward(h):
-    return np.maximum(h, 0.0), h
-
-
-def _relu_backward(g, h):
-    return g * (h > 0.0)
-
-
-def _batchnorm_pair(state: BatchNormState, ggamma: np.ndarray, gbeta: np.ndarray, put, grouped: bool):
-    """Training-mode ``tensor.batchnorm`` of (B, F) rows, or of (k, m, B) groups per slot."""
-    momentum, eps = state.momentum, state.epsilon
-    axis, col = (1, (-1, 1)) if grouped else (0, (-1,))
-    gamma, beta = state.gamma.data, state.beta.data.reshape(col)
-
-    def forward(h):
-        xf = h.reshape(-1, h.shape[2]) if grouped else h
-        n = xf.shape[axis]
-        mean = np.add.reduce(xf, axis)
-        mean /= n
-        xc = xf - mean.reshape(col)
-        var = np.add.reduce(np.square(xc), axis)
-        var /= n
-        state.running_mean *= 1.0 - momentum
-        state.running_mean += momentum * mean
-        state.running_var *= 1.0 - momentum
-        state.running_var += momentum * var
-        invstd = 1.0 / np.sqrt(var + eps)
-        xhat = xc * invstd.reshape(col)
-        out = xhat * gamma.reshape(col)
-        out += beta
-        return out.reshape(h.shape), (xhat, invstd)
-
-    def backward(g, saved):
-        xhat, invstd = saved
-        n = xhat.shape[axis]
-        gf = g.reshape(xhat.shape)
-        dbeta = np.add.reduce(gf, axis)
-        dgamma = np.add.reduce(gf * xhat, axis)
-        dx = (gamma * invstd).reshape(col) * (
-            gf - (dbeta / n).reshape(col) - xhat * (dgamma / n).reshape(col)
-        )
-        put(ggamma, dgamma)
-        put(gbeta, dbeta)
-        return dx.reshape(g.shape)
-
-    return forward, backward
-
-
-def _reduce_pool_pair(kind: str, branching: int):
-    """Max or mean Group-Pool, as ``tensor.pool_max`` or ``tensor.pool_mean``.
-
-    Max sends each output's gradient to the lowest stratum that attains it.
-    """
-
-    def forward(z):
-        strata = _strata(z, branching)
-        out = strata.max(axis=0) if kind == "max" else strata.mean(axis=0)
-        return out, (strata, out)
-
-    def backward(g, saved):
-        strata, out = saved
-        if kind == "mean":
-            dz = np.ascontiguousarray(np.broadcast_to(g / branching, strata.shape))
-        else:
-            dz = np.empty(strata.shape)
-            free = np.ones(out.shape, dtype=bool)
-            for t in range(branching):
-                hit = strata[t] == out
-                hit &= free
-                free &= ~hit
-                np.multiply(g, hit, out=dz[t])
-        return dz.reshape(-1, *dz.shape[2:])
-
-    return forward, backward
-
-
-def _linear_pool_pair(branching: int, w: np.ndarray, gw: np.ndarray, put):
-    """Linear Group-Pool, as ``tensor.pool_concat`` and a bias-free ``tensor.group_linear``."""
-
-    def forward(z):
-        strata = _strata(z, branching)
-        b, kb, m, n = strata.shape
-        cat = np.ascontiguousarray(strata.transpose(1, 0, 2, 3)).reshape(kb, b * m, n)
-        return np.matmul(w, cat), cat
-
-    def backward(g, cat):
-        put(gw, np.matmul(g, cat.transpose(0, 2, 1)))
-        dcat = np.matmul(w.transpose(0, 2, 1), g)
-        kb, bm, n = cat.shape
-        m = bm // branching
-        dz = dcat.reshape(kb, branching, m, n).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(dz).reshape(-1, m, n)
-
-    return forward, backward
-
-
-def _dropout_pair(rate: float, rng: np.random.Generator):
-    """Inverted dropout at a positive rate, as ``tensor.dropout``."""
-
-    def forward(h):
-        mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
-        return h * mask, mask
-
-    def backward(g, mask):
-        return g * mask
-
-    return forward, backward
-
-
-def _concat_forward(h):
-    """(k, m, B) -> (B, k*m) as a new C-contiguous array, as ``tensor.transpose`` of the reshape."""
-    return T._transposed(h.reshape(-1, h.shape[2])), h.shape
-
-
-def _concat_backward(g, shape):
-    return T._transposed(g).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

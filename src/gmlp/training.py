@@ -11,14 +11,15 @@ exponential row sums S, without a mask; its value, and its gradient, are 0
 where p underflows to 0.
 
 ``fit`` trains through a compiled step, :class:`TrainStep`: the model's plan
-turned once into plain numpy forward and backward steps
-(``Model._train_steps``), then the loss terms, with every gradient written
-into one flat vector that mirrors the model's flat parameter vector, and one
-Adam pass over that vector. No tape is built. The tape path stays as the
-reference that the compiled step is tested against, bit for bit:
-``Model.forward`` with a tape, ``loss_terms`` (the entropy as one
-``neg_entropy_rows`` node, the L2 penalty as one ``sum_squares`` node over
-the whole parameter list) and ``Tape.backward``.
+turned once into the blocks' kernels (``Model._train_steps``), then the
+loss terms' kernels, with every gradient written into one flat vector that
+mirrors the model's flat parameter vector, and one Adam pass over that
+vector. No tape is built. The tape path (``Model.forward`` with a tape,
+``loss_terms`` and ``Tape.backward``) records the same kernels as one node
+each, the entropy as one ``neg_entropy_rows`` node and the L2 penalty as
+one ``sum_squares`` node over the whole parameter list, so both paths give
+the same bits and the gradient checks of the tape path check the
+arithmetic that ``fit`` runs.
 
 Two schedules run per epoch: the softmax temperature decays geometrically
 from ``tau_start`` to ``tau_end`` across the configured epoch budget, and the
@@ -46,7 +47,7 @@ import numpy as np
 from . import tensor as T
 from .analysis import sparsity_report
 from .data import Dataset, batches
-from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
+from .errors import ConfigError, ShapeError, TrainingDiverged
 from .model import Model, _flat_buffer
 from .tensor import Tensor
 
@@ -72,6 +73,9 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def validate(self) -> None:
+        for name in ("lambda_", "alpha", "lr0", "plateau_factor", "tau_start", "tau_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
@@ -291,23 +295,22 @@ def routing_sparsity(model: Model, threshold: float = 0.99) -> float:
 class TrainStep:
     """One training step of a model under a config, compiled once from its plan.
 
-    ``loss(x, y)`` runs the blocks forward as ``Model._train_steps`` and
-    returns the objective and its cross-entropy and entropy terms as
-    floats; ``backward()`` then writes the objective's gradient into
-    ``parameters.grad``, one flat vector laid out like the model's flat
-    parameter vector ``parameters.data``; ``rng`` draws the dropout masks,
-    in block order. The arithmetic is that of the tape
-    path (``Model.forward`` with a tape, ``loss_terms`` and
-    ``Tape.backward``), operation for operation, so both give the same bits:
-    each parameter's gradient is its L2 term, then its entropy term (psi
-    only), then its block's term, summed in place in that order. The entropy
-    and the routing weights use psi-sized buffers that live as long as the
-    step, in maps of their own (``gmlp.model._flat_buffer``); the entropy's
-    exponent shares its buffer with Group-Select's gradient term, which is
-    formed only after the entropy's gradient has been added.
+    ``loss(x, y)`` runs the blocks' kernels forward (``Model._train_steps``)
+    and the loss terms' kernels (``tensor.cross_entropy_value``,
+    ``neg_entropy_value`` and ``squares_sum``), and returns the objective
+    and its cross-entropy and entropy terms as floats; ``backward()`` then
+    writes the objective's gradient into ``parameters.grad``, one flat
+    vector laid out like the model's flat parameter vector
+    ``parameters.data``; ``rng`` draws the dropout masks, in block order.
+    The tape path records the same kernels, and sums each parameter's
+    gradient in the same order, so both give the same bits: its L2 term,
+    then its entropy term (psi only), then its block's term, summed in
+    place here. The entropy and the routing weights use psi-sized buffers
+    that live as long as the step, in maps of their own
+    (``gmlp.model._flat_buffer``); the entropy's exponent shares its buffer
+    with Group-Select's gradient term, which is formed only after the
+    entropy's gradient has been added.
 
-    Reductions call ``np.add.reduce`` and its kin, the arithmetic behind
-    ``ndarray.sum``, ``.mean`` and ``.max``, without their Python wrappers.
     The model holds no reference to the step, so once the step is dropped
     its buffers are unmapped. Like the eval path, a step is not re-entrant.
     """
@@ -329,7 +332,7 @@ class TrainStep:
             self._z = scratch[1].reshape(psi.shape)
             self._e = _flat_buffer(psi.size).reshape(psi.shape)
         add = self.alpha > 0.0
-        self._pairs = model._train_steps(grad, add, add or self.lambda_ > 0.0, scratch, rng)
+        self._steps = model._train_steps(grad, add, add or self.lambda_ > 0.0, scratch, rng)
         self._saved = self._ce = self._ent = None
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -342,20 +345,18 @@ class TrainStep:
         if h.ndim != 2 or h.shape[1] != self.d:
             raise ShapeError(f"input {h.shape} does not match d={self.d}")
         saved = []
-        for forward, _ in self._pairs:
+        for forward, _, _ in self._steps:
             h, s = forward(h)
             saved.append(s)
-        ce = self._cross_entropy(h, np.asarray(y))
+        ce, self._ce = T.cross_entropy_value(h, np.asarray(y))
         total = ce
         ent = 0.0
         if self.lambda_ > 0.0:
-            ent = self._entropy()
+            value, self._ent = T.neg_entropy_value(self._psi, self._z, self._e)
+            ent = value * (-1.0 / self.d)
             total = total + ent * self.lambda_
         if self.alpha > 0.0:
-            l2 = 0.0
-            for p in self._flats:
-                l2 += np.dot(p, p)
-            total = total + l2 * self.alpha
+            total = total + T.squares_sum(self._flats) * self.alpha
         self._saved = saved
         return float(total), float(ce), float(ent)
 
@@ -365,47 +366,17 @@ class TrainStep:
         if self.alpha > 0.0:
             np.multiply(self.parameters.data, 2.0 * self.alpha, out=grad)
         if self.lambda_ > 0.0:
-            s, log_s, rows = self._ent
-            dz = self._z
-            dz -= (log_s + rows)[:, None]
-            dz *= self._e
-            dz *= ((self.lambda_ * (-1.0 / self.d)) / s)[:, None]
+            dz = T.neg_entropy_grad(self.lambda_ * (-1.0 / self.d), self._ent)
             if self.alpha > 0.0:
                 self._gpsi += dz
             else:
                 np.copyto(self._gpsi, dz)
-        ez, sez, y = self._ce
-        g = ez / sez
-        g[np.arange(len(y)), y] -= 1.0
-        g *= 1.0 / len(y)
-        for (_, backward), saved in zip(reversed(self._pairs), reversed(self._saved)):
-            g = backward(g, saved)
+        g = T.cross_entropy_grad(1.0, self._ce)
+        for (_, backward, puts), saved in zip(reversed(self._steps), reversed(self._saved)):
+            g, *param_grads = backward(g, saved)
+            for put, param_grad in zip(puts, param_grads):
+                put(param_grad)
         self._saved = self._ce = self._ent = None
-
-    def _cross_entropy(self, logits: np.ndarray, y: np.ndarray) -> float:
-        """Mean cross-entropy of the row softmax, as ``tensor.cross_entropy_logits``."""
-        n, c = logits.shape
-        if y.ndim != 1 or y.shape[0] != n:
-            raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {y.shape}")
-        if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c:
-            raise DomainError(f"target label out of range [0, {c})")
-        shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
-        ez = np.exp(shifted)
-        sez = np.add.reduce(ez, 1, keepdims=True)
-        logp = shifted - np.log(sez)
-        self._ce = ez, sez, y
-        return -(np.add.reduce(logp[np.arange(n), y]) / n)
-
-    def _entropy(self) -> float:
-        """``entropy_term``'s value, -(1/d) sum p*log(p), with z and exp(z) kept for backward."""
-        psi = self._psi
-        z = np.subtract(psi, np.maximum.reduce(psi, 1, keepdims=True), out=self._z)
-        e = np.exp(z, out=self._e)
-        s = np.add.reduce(e, 1)
-        log_s = np.log(s)
-        rows = np.einsum("ij,ij->i", e, z) / s - log_s
-        self._ent = s, log_s, rows
-        return np.add.reduce(rows) * (-1.0 / self.d)
 
 
 def fit(
@@ -419,14 +390,14 @@ def fit(
     """Full training loop: per-epoch schedules, Adam steps, metric records.
 
     Each batch runs one compiled step (:class:`TrainStep`, built once per
-    call from the model's plan) and builds no tape: the blocks run as plain
-    numpy steps, the loss terms and their gradients follow, and the gradient
-    lands in one flat vector laid out like the model's flat parameter
-    vector. Adam then runs once per step over that whole vector, as one
-    parameter, in ``adam_step``'s tiles. The fitted bits are those of the
-    tape path (``Model.forward`` with a tape, ``loss_terms``,
-    ``Tape.backward`` and a per-tensor ``adam_step``), which stays as the
-    reference the compiled step is tested against.
+    call from the model's plan) and builds no tape: the blocks' kernels run
+    as plain numpy steps, the loss terms and their gradients follow, and the
+    gradient lands in one flat vector laid out like the model's flat
+    parameter vector. Adam then runs once per step over that whole vector,
+    as one parameter, in ``adam_step``'s tiles. The fitted bits are those
+    of a loop over the tape path (``Model.forward`` with a tape,
+    ``loss_terms``, ``Tape.backward`` and a per-tensor ``adam_step``),
+    which records the same kernels.
 
     ``val`` drives the plateau schedule and best-checkpoint tracking; ``test``
     is only ever measured for the learning curve. The step and its gradient

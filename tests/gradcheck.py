@@ -2,10 +2,13 @@
 
 The oracle re-evaluates a scalar-valued closure under elementwise
 perturbations of the raw parameter arrays; it never touches the autodiff
-path it is checking.
+path it is checking. ``check_tape_gradients`` compares a tape's gradients
+with it.
 """
 
 import numpy as np
+
+from gmlp import tensor as T
 
 
 def finite_difference(f, arrays, eps=1e-5):
@@ -47,3 +50,16 @@ def max_rel_err(analytic, numeric, floor=1e-5):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     err = np.abs(a - n) / denom
     return float(err.max()) if err.size else 0.0
+
+
+def check_tape_gradients(build, tensors, tol=1e-5, eps=1e-5):
+    """Assert that the tape gradients of build(tape), a scalar Tensor, match the oracle's.
+
+    ``tensors`` are the leaves to perturb; each must receive a gradient.
+    """
+    tape = T.Tape()
+    tape.backward(build(tape))
+    numeric = finite_difference(lambda: build(None).item(), [t.data for t in tensors], eps=eps)
+    for t, n in zip(tensors, numeric):
+        assert t.grad is not None
+        assert max_rel_err(t.grad, n) < tol

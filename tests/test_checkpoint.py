@@ -6,7 +6,7 @@ import pytest
 
 from gmlp import cli
 from gmlp.checkpoint import _LEN, load_checkpoint, save_model
-from gmlp.data import Dataset
+from gmlp.data import Dataset, save_csv
 from gmlp.errors import CheckpointError
 from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
@@ -64,6 +64,8 @@ MALFORMED = {
     },
     "top_level_list": lambda mf: [mf],
     "final_tau_string": _with("final_tau", "cold"),
+    "final_tau_infinite": _with("final_tau", float("inf")),  # written as the token Infinity
+    "final_tau_huge_int": _with("final_tau", 10**400),  # past float64's range
     "arch_unparseable": _with("arch", "GSel-4-2, Wiggle, Concat, FC-2"),
     "metadata_not_an_object": _with("metadata", [1, 2]),
     "norm_stats_entry_not_an_object": _with("metadata", {"norm_stats": {"f0": 5}}),
@@ -71,6 +73,30 @@ MALFORMED = {
     "param_offset_negative": lambda mf: _with_param(mf, offset=-4),
     "param_shape_not_the_archs": lambda mf: _with_param(mf, shape=mf["params"][0]["shape"] + [1]),
 }
+
+
+def _f4(value) -> bytes:
+    """One little-endian float32, as the blob stores it."""
+    return np.array([value], dtype="<f4").tobytes()
+
+
+# blob edits, bytes -> bytes
+CORRUPT_BLOBS = {
+    "blob_first_float_nan": lambda blob: _f4(np.nan) + blob[4:],
+    "blob_last_float_minus_inf": lambda blob: blob[:-4] + _f4(-np.inf),
+}
+CORRUPT = sorted(MALFORMED) + sorted(CORRUPT_BLOBS)
+
+
+def _corrupt(path, case):
+    """Apply the MALFORMED manifest edit or the CORRUPT_BLOBS blob edit named ``case``."""
+    if case in MALFORMED:
+        _rewrite_manifest(path, MALFORMED[case])
+        return
+    raw = path.read_bytes()
+    (n,) = _LEN.unpack(raw[: _LEN.size])
+    head = _LEN.size + n
+    path.write_bytes(raw[:head] + CORRUPT_BLOBS[case](raw[head:]))
 
 
 class TestRoundTrip:
@@ -133,18 +159,29 @@ class TestRoundTrip:
 
 
 class TestMalformed:
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("case", CORRUPT)
     def test_raises_checkpoint_error(self, tmp_path, case):
         _, path = _saved(tmp_path)
-        _rewrite_manifest(path, MALFORMED[case])
+        _corrupt(path, case)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("case", CORRUPT)
     def test_analyze_exits_with_code_2(self, tmp_path, case, capsys):
         _, path = _saved(tmp_path)
-        _rewrite_manifest(path, MALFORMED[case])
+        _corrupt(path, case)
         assert cli.main(["analyze", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case", ["final_tau_infinite", "final_tau_huge_int", *sorted(CORRUPT_BLOBS)]
+    )
+    def test_eval_exits_with_code_2(self, tmp_path, case, capsys):
+        _, path = _saved(tmp_path)
+        _corrupt(path, case)
+        data = tmp_path / "rows.csv"
+        save_csv(Dataset(np.zeros((3, 6)), np.array([0, 1, 0]), 2), data)
+        assert cli.main(["eval", str(path), "--data", str(data)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_truncated_file(self, tmp_path):
@@ -156,5 +193,13 @@ class TestMalformed:
     def test_manifest_not_json(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(_LEN.pack(3) + b"{x}")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_manifest_integer_past_the_digit_limit(self, tmp_path):
+        # json refuses to convert an integer literal of more than 4300 digits
+        path = tmp_path / "bad.ckpt"
+        payload = b'{"d": 1' + b"0" * 5000 + b"}"
+        path.write_bytes(_LEN.pack(len(payload)) + payload)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)

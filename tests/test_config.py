@@ -1,7 +1,9 @@
+import math
 from dataclasses import fields
 
 import pytest
 
+from gmlp import cli
 from gmlp.config import load_config, parse_config_text
 from gmlp.errors import ConfigError, DataError
 from gmlp.training import TrainConfig
@@ -72,6 +74,27 @@ class TestTrainKeys:
         assert getattr(train, field.name) == value
         assert type(getattr(train, field.name)) is type(field.default)
         assert vars(train) == {**vars(TrainConfig()), field.name: value}
+
+
+class TestNonFiniteTrainValues:
+    @pytest.mark.parametrize(
+        "key", ["lambda", "alpha", "lr0", "plateau_factor", "tau_start", "tau_end"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejected_at_parse(self, key, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            _parse(f"{key} = {value}")
+
+    def test_infinite_temperatures_rejected(self):
+        # both at inf pass 0 < tau_end <= tau_start
+        with pytest.raises(ConfigError, match="must be finite"):
+            TrainConfig(tau_start=math.inf, tau_end=math.inf).validate()
+
+    def test_train_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{ARCH_LINE}\nlambda = nan\n", encoding="utf-8")
+        assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+        assert "lambda_ must be finite" in capsys.readouterr().err
 
 
 class TestSynthNet:

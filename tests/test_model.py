@@ -237,6 +237,13 @@ class TestForward:
         out = permuted.forward(Tensor(x[:, perm]), training=False).data
         npt.assert_allclose(out, base, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
+    def test_temperature_must_be_positive_and_finite(self, tau):
+        model = Model(parse_arch(SYNTH_ARCH, d=6))
+        with pytest.raises(ConfigError):
+            model.set_temperature(tau)
+        assert model.temperature == 1.0
+
     def test_input_dim_mismatch(self):
         model = Model(parse_arch(SYNTH_ARCH, d=6))
         with pytest.raises(ShapeError):

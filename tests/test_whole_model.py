@@ -8,7 +8,10 @@ activations as (batch, group, slot) arrays and shares no code with the
 package. ``TestEvalExecutor`` compares the tape-free eval path of
 ``Model.forward`` with the tape path and checks ``predictions``.
 ``TestTrainStep`` holds the compiled training step that ``fit`` runs to the
-tape path bit for bit, and to central finite differences.
+tape path bit for bit, and to central finite differences. The two paths run
+the same block and loss kernels, so the bit checks guard the order in which
+the compiled step sums each parameter's gradient terms, and the
+recording of each kernel on the tape.
 """
 
 import numpy as np
@@ -166,7 +169,7 @@ def _perturb(model, rng):
 
 
 def _tape_logits(model, x, mode):
-    """Eval-mode logits through the Tensor ops, as recorded on a tape."""
+    """Eval-mode logits through the layer kernels, as recorded on a tape."""
     return model.forward(Tensor(x), training=False, tape=T.Tape(), mode=mode).data
 
 
@@ -229,7 +232,8 @@ class TestEvalExecutor:
         psi[:, 1] = -7.2  # weight exp(-720) at tau 0.01: subnormal
         psi[::2, 3] = -9.0  # weight exp(-900): 0.0
         model.set_temperature(0.01)
-        s = T.softmax_rows(None, model.routing.psi, 0.01).data
+        e = np.exp((psi - psi.max(axis=1, keepdims=True)) / 0.01)
+        s = e / e.sum(axis=1, keepdims=True)  # the softmax before the flush to 0
         assert 0.0 < s[:, 1].max() < np.finfo(np.float64).tiny
         x = np.random.default_rng(63).normal(size=(30, D))
         got = model.forward(Tensor(x), mode="relaxed").data
