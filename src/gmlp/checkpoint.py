@@ -12,7 +12,8 @@ Weights are down-converted to float32 on save and promoted back to float64
 on load, so a reloaded model reproduces eval-mode outputs to float32
 rounding (about 1e-7 relative) rather than bit-exactly.
 A file whose arrays hold a NaN or an infinity, or whose final temperature
-is not finite, is rejected on load like any other corrupt file.
+or normalization statistics are not finite, is rejected on load like any
+other corrupt file.
 
 Nothing non-deterministic (timestamps, hostnames) is written: identical
 models under identical metadata serialize to identical bytes.
@@ -97,11 +98,22 @@ def _list_of(obj: dict, key: str, kind, where: str) -> list:
     return values
 
 
+def _finite(obj: dict, key: str, where: str) -> None:
+    """_field for a number that must also be finite; an int past float64's range is not."""
+    try:
+        value = float(_field(obj, key, (int, float), where))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise CheckpointError(f"{where}: {key!r} is {value}, not finite")
+
+
 def _read_container(path) -> tuple[dict, bytes]:
     """Parse a checkpoint file into its manifest and blob, checking the manifest's structure.
 
     Every way a file can be malformed (truncation, bad JSON, a manifest that
-    is not an object, a missing or mistyped field) raises CheckpointError.
+    is not an object, a missing or mistyped field, a final temperature or
+    normalization statistic that is not finite) raises CheckpointError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_LEN.size)
@@ -127,12 +139,7 @@ def _read_container(path) -> tuple[dict, bytes]:
     where = f"{path}: manifest"
     _field(manifest, "arch", str, where)
     _field(manifest, "d", int, where)
-    try:
-        tau = float(_field(manifest, "final_tau", (int, float), where))
-    except OverflowError:
-        tau = math.inf
-    if not math.isfinite(tau):
-        raise CheckpointError(f"{where}: final_tau {manifest['final_tau']} is not finite")
+    _finite(manifest, "final_tau", where)
     for key in ("seed", "branching"):
         if key in manifest:
             _field(manifest, key, int, where)
@@ -143,8 +150,8 @@ def _read_container(path) -> tuple[dict, bytes]:
             for name in stats:
                 at = f"{where} norm_stats[{name!r}]"
                 entry = _field(stats, name, dict, at)
-                _field(entry, "mu", (int, float), at)
-                _field(entry, "sigma", (int, float), at)
+                _finite(entry, "mu", at)
+                _finite(entry, "sigma", at)
     for i, entry in enumerate(_field(manifest, "params", list, where)):
         at = f"{where} params[{i}]"
         if not isinstance(entry, dict):

@@ -12,14 +12,14 @@ back into (B, k*m) for the dense tail.
 
 Each block's training forward and backward is written once, as a kernel:
 a ``*_pair`` factory returns ``(forward, backward)`` as ``tensor`` describes
-(ReLU's is ``tensor.RELU_PAIR``). The layer functions (``*_forward(tape,
-...)``, ``concat_groups``) check their operands and record the pair as one
-tape node; ``Model._train_steps`` compiles the training step from the same
-pairs. Prediction does not use these kernels: it runs its own chunked
-forward steps in ``model``, a second forward of every block. Two kernels
-serve the tape path alone, hard Group-Select and eval-mode batch-norm, and
-their forwards repeat the eval steps ``_gather_step`` and
-``_scale_shift_step``.
+(ReLU's is ``tensor.RELU_PAIR``). ``Model._train_pairs`` lists the pairs of
+a model's blocks, which ``Model.forward`` records on a tape and the
+compiled training step runs without one. Prediction does not use these
+kernels: the eval executor in ``model`` runs its own chunked steps.
+The layer functions (``*_forward(tape, ...)``, ``concat_groups``) check
+their operands and record one pair as one tape node; they are thin
+recorders kept for the tests and for the benchmark's tracer, which times
+layers by these names.
 Parameters are captured as arrays, views of the model's flat vector that
 the optimizer updates in place. Sums call ``np.add.reduce``, the reduction
 behind ``ndarray.sum``, without its Python wrapper.
@@ -85,8 +85,8 @@ class BatchNormState:
     def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode batch-norm as a*x + c: a = gamma/sqrt(var + eps), c = beta - mean*a.
 
-        Computed from the current parameters and running moments; the eval
-        steps of ``Model.forward`` and ``batchnorm_eval_pair`` both apply it.
+        Computed from the current parameters and running moments, for the
+        eval executor of ``Model.forward``.
         """
         a = self.gamma.data * (1.0 / np.sqrt(self.running_var + self.epsilon))
         return a, self.beta.data - self.running_mean * a
@@ -128,41 +128,16 @@ def select_pair(routing: RoutingParams, scratch, input_grad: bool):
     return forward, backward
 
 
-def hard_select_pair(routing: RoutingParams):
-    """Hard Group-Select: slot i reads feature ``hard_assignment(routing)[i]`` of every row.
+def group_select_forward(tape, x: Tensor, routing: RoutingParams) -> Tensor:
+    """Relaxed Group-Select of (B, d) inputs into (k, m, B) feature groups, as one node.
 
-    psi gets no gradient; x's gradient sums over the slots that read the
-    same feature.
-    """
-    idx = hard_assignment(routing)
-    k, m = routing.k, routing.m
-
-    def forward(x):
-        return np.take(x.T, idx, axis=0).reshape(k, m, -1), x.shape
-
-    def backward(g, shape):
-        dx = np.zeros(shape)
-        np.add.at(dx.T, idx, g.reshape(idx.size, -1))
-        return (dx,)
-
-    return forward, backward
-
-
-def group_select_forward(tape, x: Tensor, routing: RoutingParams, mode: str = "relaxed") -> Tensor:
-    """Organize (B, d) inputs into (k, m, B) feature groups, as one node.
-
-    Relaxed mode mixes features through the tempered row softmax of psi
-    and is differentiable in psi; hard mode gathers exactly one feature per
-    slot (the argmax) and is used for sparse inference.
+    Mixes features through the tempered row softmax of psi; differentiable
+    in psi. Hard routing runs only in the eval executor.
     """
     if x.data.ndim != 2 or x.shape[1] != routing.d:
         raise ShapeError(f"input {x.shape} does not match d={routing.d}")
-    if mode == "relaxed":
-        scratch = (np.empty(routing.psi.shape), np.empty(routing.psi.shape))
-        return T.node(tape, select_pair(routing, scratch, x.requires_grad), x, routing.psi)
-    if mode == "hard":
-        return T.node(tape, hard_select_pair(routing), x)
-    raise ConfigError(f"unknown group-select mode {mode!r}")
+    scratch = (np.empty(routing.psi.shape), np.empty(routing.psi.shape))
+    return T.node(tape, select_pair(routing, scratch, x.requires_grad), x, routing.psi)
 
 
 def group_fc_pair(w: np.ndarray, b: np.ndarray):
@@ -289,7 +264,7 @@ def batchnorm_pair(state: BatchNormState, grouped: bool):
     """Training-mode batch-norm of (B, F) rows, or of (k, m, B) groups per slot.
 
     Normalizes by the batch moments (biased variance) and folds them into
-    the running moments in place.
+    the running moments in place; a batch of one row raises ``DomainError``.
     """
     momentum, eps = state.momentum, state.epsilon
     axis, col = _layout(grouped)
@@ -298,6 +273,8 @@ def batchnorm_pair(state: BatchNormState, grouped: bool):
     def forward(h):
         xf = h.reshape(-1, h.shape[2]) if grouped else h
         n = xf.shape[axis]
+        if n < 2:
+            raise DomainError("batchnorm in training mode needs a batch of at least 2")
         mean = np.add.reduce(xf, axis)
         mean /= n
         xc = xf - mean.reshape(col)
@@ -327,49 +304,18 @@ def batchnorm_pair(state: BatchNormState, grouped: bool):
     return forward, backward
 
 
-def batchnorm_eval_pair(state: BatchNormState, grouped: bool):
-    """Eval-mode batch-norm: a*x + c with (a, c) = ``state.scale_shift()``.
-
-    The running moments stay fixed, so output is independent of batch
-    composition.
-    """
-    axis, col = _layout(grouped)
-    a, c = state.scale_shift()
-    mean, invstd = state.running_mean.copy(), 1.0 / np.sqrt(state.running_var + state.epsilon)
-
-    def forward(h):
-        xf = h.reshape(-1, h.shape[2]) if grouped else h
-        out = xf * a.reshape(col)
-        out += c.reshape(col)
-        return out.reshape(h.shape), xf
-
-    def backward(g, xf):
-        gf = g.reshape(xf.shape)
-        xhat = (xf - mean.reshape(col)) * invstd.reshape(col)
-        dx = (gf * a.reshape(col)).reshape(g.shape)
-        return dx, np.add.reduce(gf * xhat, axis), np.add.reduce(gf, axis)
-
-    return forward, backward
-
-
-def batchnorm_forward(tape, x: Tensor, state: BatchNormState, training: bool) -> Tensor:
-    """Batch-norm of dense (B, F) or grouped (k, m, B) activations, per feature or slot.
+def batchnorm_forward(tape, x: Tensor, state: BatchNormState) -> Tensor:
+    """Training-mode batch-norm of dense (B, F) or grouped (k, m, B) activations, per feature or slot.
 
     A grouped input's gamma, beta and running moments are (k*m,) vectors in
     group-major order.
     """
-    if x.data.ndim == 2:
-        n, features = x.shape
-    elif x.data.ndim == 3:
-        n, features = x.shape[2], x.shape[0] * x.shape[1]
-    else:
+    if x.data.ndim not in (2, 3):
         raise ShapeError(f"batchnorm expects (B, F) or (k, m, B), got {x.shape}")
+    features = x.shape[1] if x.data.ndim == 2 else x.shape[0] * x.shape[1]
     if state.gamma.size != features:
         raise ShapeError(f"batchnorm: {state.gamma.size} features for input {x.shape}")
-    if training and n < 2:
-        raise DomainError("batchnorm in training mode needs a batch of at least 2")
-    pair = (batchnorm_pair if training else batchnorm_eval_pair)(state, x.data.ndim == 3)
-    return T.node(tape, pair, x, state.gamma, state.beta)
+    return T.node(tape, batchnorm_pair(state, x.data.ndim == 3), x, state.gamma, state.beta)
 
 
 def dropout_pair(rate: float, rng: np.random.Generator):
@@ -383,15 +329,6 @@ def dropout_pair(rate: float, rng: np.random.Generator):
         return (g * mask,)
 
     return forward, backward
-
-
-def dropout_forward(tape, x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; eval mode and rate 0 are exact identities."""
-    if not 0.0 <= rate < 1.0:
-        raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    return T.node(tape, dropout_pair(rate, rng), x)
 
 
 # source rows per block when transposing a large array

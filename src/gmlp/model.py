@@ -22,7 +22,6 @@ import math
 import mmap
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -336,53 +335,36 @@ class Model:
     ) -> Tensor:
         """Run the block list on a (B, d) batch and return (B, C) logits.
 
-        With a tape, or in training mode, every block runs through its
-        ``layers`` function, which runs the block's kernel and records it on
-        the tape as one node if one is given. ``fit`` trains on the same
-        kernels without a tape, compiled once by ``_train_steps``. Eval mode
-        without a tape (prediction) takes a tape-free path
-        instead: the blocks become plain numpy steps, built at each call from
-        the current parameters, running moments, routing logits and
-        temperature, and run on row chunks sized so that a chunk's widest
-        activation stays in cache (``_chunk_rows``). Hard routing gathers the
-        argmax features of each chunk, relaxed routing multiplies each chunk
-        by the tempered softmax of psi, and dropout is the identity. Each
-        ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run is folded into one
-        affine step with the batch-norm scale a and shift c taken into its
-        weights and bias, then ``max(h, c)`` in place; this holds only when
-        every a >= 0, so a block with a negative scale, like a batch-norm
-        that no affine step and ReLU precede, runs as the affine step, ReLU
-        and a*h + c. The chunks' activations live in one pair of buffers
-        that the model keeps across calls, so one model's eval path must not
-        run in two threads at once. Both paths give the same logits up to
-        rounding.
+        Training mode runs the blocks' training kernels (``_train_pairs``:
+        relaxed routing, batch moments, dropout masks drawn from ``rng``)
+        and records each as one node on ``tape`` if one is given; ``fit``
+        compiles the same list without a tape. Eval mode (prediction) takes
+        no tape and runs only the eval executor: the blocks become plain
+        numpy steps (``_eval_steps``), built at each call from the current
+        parameters, running moments, routing logits and temperature, and run
+        on cache-sized row chunks in one pair of buffers that the model keeps
+        across calls, so one model's eval path must not run in two threads
+        at once. Hard routing gathers the argmax features of each chunk,
+        relaxed routing multiplies each chunk by the tempered softmax of psi,
+        dropout is the identity, and each ``GFC|FC, ReLU, BNorm`` run with no
+        negative batch-norm scale is folded into one affine step and
+        ``max(h, c)`` (see the comment block below the class). A tape in
+        eval mode, and a ``mode`` other than ``"relaxed"`` in training mode,
+        raise ``ConfigError``.
         """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
-        if tape is None and not training:
+        if not training:
+            if tape is not None:
+                raise ConfigError("eval mode takes no tape: prediction runs the eval executor")
             return T._raw(self._eval_forward(x.data, mode))
+        if mode != "relaxed":
+            raise ConfigError(f"training mode routes relaxed only, got mode {mode!r}")
+        size = self.routing.psi.size if self.routing is not None else 0
+        pairs = self._train_pairs((np.empty(size), np.empty(size)), rng, x.requires_grad)
         h = x
-        if self.routing is not None:
-            h = L.group_select_forward(tape, x, self.routing, mode=mode)
-        for tag, payload in self._ops:
-            if tag == "gfc":
-                h = L.group_fc_forward(tape, h, *payload)
-            elif tag == "relu":
-                h = T.relu(tape, h)
-            elif tag == "batchnorm":
-                h = L.batchnorm_forward(tape, h, payload, training)
-            elif tag == "pool":
-                pk, br, w = payload
-                h = L.group_pool_forward(tape, h, pk, br, w)
-            elif tag == "dropout":
-                if training and rng is None:
-                    raise ConfigError("dropout in training mode needs an rng")
-                h = L.dropout_forward(tape, h, payload, training, rng)
-            elif tag == "concat":
-                h = L.concat_groups(tape, h)
-            elif tag == "dense":
-                w, b = payload
-                h = L.dense_forward(tape, h, w, b)
+        for forward, backward, params in pairs:
+            h = T.node(tape, (forward, backward), h, *params)
         return h
 
     def _eval_steps(self, mode: str) -> list:
@@ -392,10 +374,10 @@ class Model:
         not hold it. A step that ``moves`` writes its result into ``spare``;
         any other step works in place, in the buffer of ``h``, or returns a
         view of it. Grouped activations keep the (k, m, rows) layout of the
-        tape path. Dropout is the identity in eval mode and is dropped, and
-        each ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run whose batch-norm
-        scale is nowhere negative is folded into two steps (see the comment
-        block below the class).
+        training kernels. Dropout is the identity in eval mode and is
+        dropped, and each ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run
+        whose batch-norm scale is nowhere negative is folded into two steps
+        (see the comment block below the class).
         """
         steps = []
         r = self.routing
@@ -472,57 +454,49 @@ class Model:
             out[start : start + rows] = h
         return out
 
-    def _train_steps(self, grad: np.ndarray, add: bool, add_psi: bool, scratch, rng) -> list:
-        """The blocks' kernels as training-mode steps ``(forward, backward, puts)``, in block order.
+    def _train_pairs(self, scratch, rng, input_grad: bool) -> list:
+        """The blocks' training kernels as ``(forward, backward, params)``, in block order.
 
-        ``forward`` and ``backward`` are the ``layers`` pair of the block,
-        the one its layer function records on a tape: Group-Select is
-        relaxed, batch-norm folds the batch moments into the running moments
-        in its forward step, and dropout draws its mask from ``rng`` in
-        block order. ``backward`` returns the gradient of the block's input,
-        None where nothing reads it (the rows of the batch), and then of
-        each parameter; ``puts`` holds one function per parameter that
-        writes its gradient into its slot of ``grad``, a flat vector laid
-        out like ``_flat``: added to what the slot holds if ``add``
-        (``add_psi`` for the routing logits), written over it otherwise.
-        Group-Select keeps its routing weights and psi's gradient term in
-        ``scratch``, two flat buffers of psi's size.
+        ``forward`` and ``backward`` are the block's ``layers`` pair, and
+        ``params`` the tensors whose gradients ``backward`` returns after the
+        input's. Group-Select is relaxed and keeps its routing weights and
+        psi's gradient term in ``scratch``, two flat buffers of psi's size;
+        batch-norm folds the batch moments into the running moments in its
+        forward; dropout draws its masks from ``rng``, in block order. A
+        first Group-Select or FC computes its input's gradient only if
+        ``input_grad``.
         """
-        slots = {id(t): _view(grad[o:], *t.shape) for (_, t), o in zip(self._params, self._offsets)}
-
-        def puts(*tensors, adding=add):
-            return [slots[id(t)].__iadd__ if adding else partial(np.copyto, slots[id(t)]) for t in tensors]
-
-        steps = []
+        pairs = []
         r = self.routing
         if r is not None:
-            steps.append((*L.select_pair(r, scratch, False), puts(r.psi, adding=add_psi)))
+            pairs.append((*L.select_pair(r, scratch, input_grad), [r.psi]))
         grouped = r is not None
         for tag, payload in self._ops:
             if tag == "gfc":
                 w, b = payload
-                steps.append((*L.group_fc_pair(w.data, b.data), puts(w, b)))
+                pairs.append((*L.group_fc_pair(w.data, b.data), [w, b]))
             elif tag == "dense":
                 w, b = payload
-                # the first step of a dense net reads the batch, which needs no gradient
-                steps.append((*L.dense_pair(w.data, b.data, bool(steps)), puts(w, b)))
+                pairs.append((*L.dense_pair(w.data, b.data, input_grad or bool(pairs)), [w, b]))
             elif tag == "relu":
-                steps.append((*T.RELU_PAIR, []))
+                pairs.append((*T.RELU_PAIR, []))
             elif tag == "batchnorm":
-                steps.append((*L.batchnorm_pair(payload, grouped), puts(payload.gamma, payload.beta)))
+                pairs.append((*L.batchnorm_pair(payload, grouped), [payload.gamma, payload.beta]))
             elif tag == "pool":
                 kind, branching, w = payload
                 if kind == "linear":
-                    steps.append((*L.linear_pool_pair(branching, w.data), puts(w)))
+                    pairs.append((*L.linear_pool_pair(branching, w.data), [w]))
                 else:
-                    steps.append((*L.reduce_pool_pair(kind, branching), []))
+                    pairs.append((*L.reduce_pool_pair(kind, branching), []))
             elif tag == "dropout":
+                if rng is None:
+                    raise ConfigError("dropout in training mode needs an rng")
                 if payload > 0.0:
-                    steps.append((*L.dropout_pair(payload, rng), []))
+                    pairs.append((*L.dropout_pair(payload, rng), []))
             elif tag == "concat":
                 grouped = False
-                steps.append((*L.CONCAT_PAIR, []))
-        return steps
+                pairs.append((*L.CONCAT_PAIR, []))
+        return pairs
 
 
 # ---------------------------------------------------------------------------

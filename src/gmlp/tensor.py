@@ -5,10 +5,13 @@ functions: ``forward(x)`` returns the block's output and what its backward
 reads, and ``backward(g, saved)`` returns the gradient of each of its
 inputs, the block's input first (None where nothing reads it) and then its
 parameters. :func:`node` runs a pair on ``Tensor`` values and records it as
-one tape node; the compiled training step runs the same pairs without a
-tape. The block kernels live in ``layers``, next to their layers, but for
-ReLU (``RELU_PAIR``), whose op is ``relu`` here. The loss terms are kernels
-too, shared the same way: ``cross_entropy_logits`` runs
+one tape node. A model's pairs are listed once, by ``Model._train_pairs``:
+``Model.forward`` records them in training mode, and the compiled training
+step runs them without a tape. ``fit`` builds no tape and prediction runs
+the eval executor, so the tape serves the gradient checks. The block
+kernels live in ``layers``, next to their layers, but for ReLU
+(``RELU_PAIR``), whose op is ``relu`` here. The loss terms are kernels too,
+shared the same way: ``cross_entropy_logits`` runs
 ``cross_entropy_value`` and ``cross_entropy_grad``, ``neg_entropy_rows``
 runs ``neg_entropy_value`` and ``neg_entropy_grad``, and ``sum_squares``
 runs ``squares_sum``. The remaining ops (``add``, ``mul``, ``scale``,

@@ -10,16 +10,16 @@ p*log(p) as p*(z - log S) from the max-shifted logits z and their
 exponential row sums S, without a mask; its value, and its gradient, are 0
 where p underflows to 0.
 
-``fit`` trains through a compiled step, :class:`TrainStep`: the model's plan
-turned once into the blocks' kernels (``Model._train_steps``), then the
-loss terms' kernels, with every gradient written into one flat vector that
-mirrors the model's flat parameter vector, and one Adam pass over that
-vector. No tape is built. The tape path (``Model.forward`` with a tape,
-``loss_terms`` and ``Tape.backward``) records the same kernels as one node
-each, the entropy as one ``neg_entropy_rows`` node and the L2 penalty as
-one ``sum_squares`` node over the whole parameter list, so both paths give
-the same bits and the gradient checks of the tape path check the
-arithmetic that ``fit`` runs.
+``fit`` trains through a compiled step, :class:`TrainStep`: the model's
+training kernels (``Model._train_pairs``, the list ``Model.forward`` records
+on a tape in training mode), then the loss terms' kernels, with every
+gradient written into one flat vector that mirrors the model's flat
+parameter vector, and one Adam pass over that vector. No tape is built. The
+tape path (``Model.forward`` with a tape, ``loss_terms`` and
+``Tape.backward``) records the same kernels as one node each, the entropy
+as one ``neg_entropy_rows`` node and the L2 penalty as one ``sum_squares``
+node over the whole parameter list, so both paths give the same bits and
+the gradient checks of the tape path check the arithmetic that ``fit`` runs.
 
 Two schedules run per epoch: the softmax temperature decays geometrically
 from ``tau_start`` to ``tau_end`` across the configured epoch budget, and the
@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -295,21 +296,23 @@ def routing_sparsity(model: Model, threshold: float = 0.99) -> float:
 class TrainStep:
     """One training step of a model under a config, compiled once from its plan.
 
-    ``loss(x, y)`` runs the blocks' kernels forward (``Model._train_steps``)
+    ``loss(x, y)`` runs the blocks' kernels forward (``Model._train_pairs``)
     and the loss terms' kernels (``tensor.cross_entropy_value``,
     ``neg_entropy_value`` and ``squares_sum``), and returns the objective
     and its cross-entropy and entropy terms as floats; ``backward()`` then
     writes the objective's gradient into ``parameters.grad``, one flat
     vector laid out like the model's flat parameter vector
     ``parameters.data``; ``rng`` draws the dropout masks, in block order.
-    The tape path records the same kernels, and sums each parameter's
-    gradient in the same order, so both give the same bits: its L2 term,
-    then its entropy term (psi only), then its block's term, summed in
-    place here. The entropy and the routing weights use psi-sized buffers
-    that live as long as the step, in maps of their own
-    (``gmlp.model._flat_buffer``); the entropy's exponent shares its buffer
-    with Group-Select's gradient term, which is formed only after the
-    entropy's gradient has been added.
+    ``Model.forward`` records the same kernels on a tape in training mode,
+    and the tape sums each parameter's gradient in the same order, so both
+    give the same bits: its L2 term, then its entropy term (psi only), then
+    its block's term. So a block adds its gradient into the parameter's
+    slot when an L2 term (for psi, an L2 or entropy term) was written there
+    first, and writes over the slot otherwise. The entropy and the routing
+    weights use psi-sized buffers that live as long as the step, in maps of
+    their own (``gmlp.model._flat_buffer``); the entropy's exponent shares
+    its buffer with Group-Select's gradient term, which is formed only after
+    the entropy's gradient has been added.
 
     The model holds no reference to the step, so once the step is dropped
     its buffers are unmapped. Like the eval path, a step is not re-entrant.
@@ -321,18 +324,32 @@ class TrainStep:
         self.parameters = T._raw(model._flat)
         self.parameters.grad = grad = _flat_buffer(model._flat.size)
         self._flats = [t.data.reshape(-1) for _, t in model.parameters()]
-        psi = model.routing.psi.data if model.routing is not None else None
-        self.lambda_ = cfg.lambda_ if psi is not None else 0.0
+        routing = model.routing
+        self.lambda_ = cfg.lambda_ if routing is not None else 0.0
         scratch = (None, None)
-        if psi is not None:
+        if routing is not None:
+            psi = routing.psi.data
             scratch = (_flat_buffer(psi.size), _flat_buffer(psi.size))
         if self.lambda_ > 0.0:
             self._psi = psi
             self._gpsi = grad[: psi.size].reshape(psi.shape)  # psi is the first parameter
             self._z = scratch[1].reshape(psi.shape)
             self._e = _flat_buffer(psi.size).reshape(psi.shape)
-        add = self.alpha > 0.0
-        self._steps = model._train_steps(grad, add, add or self.lambda_ > 0.0, scratch, rng)
+        slots = {
+            id(t): grad[o : o + t.size].reshape(t.shape)
+            for (_, t), o in zip(model.parameters(), model._offsets)
+        }
+
+        def put(t):
+            slot = slots[id(t)]
+            if self.alpha > 0.0 or (self.lambda_ > 0.0 and t is routing.psi):
+                return slot.__iadd__
+            return partial(np.copyto, slot)
+
+        self._steps = [
+            (forward, backward, [put(t) for t in params])
+            for forward, backward, params in model._train_pairs(scratch, rng, False)
+        ]
         self._saved = self._ce = self._ent = None
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -53,6 +53,21 @@ def _with_param(manifest, **fields):
     return manifest
 
 
+def _norm_stats(**bad):
+    """Edit: norm stats for the columns f0..f5 that ``save_csv`` names, with ``bad`` in f0's entry."""
+    stats = {f"f{j}": {"mu": 0.5, "sigma": 2.0} for j in range(6)}
+    stats["f0"].update(bad)
+    return _with("metadata", {"norm_stats": stats})
+
+
+# written as the tokens NaN and Infinity, or past float64's range
+NON_FINITE_NORM_STATS = {
+    "norm_stats_mu_nan": _norm_stats(mu=float("nan")),
+    "norm_stats_sigma_infinite": _norm_stats(sigma=float("inf")),
+    "norm_stats_mu_minus_infinite": _norm_stats(mu=float("-inf")),
+    "norm_stats_sigma_huge_int": _norm_stats(sigma=10**400),
+}
+
 MALFORMED = {
     "missing_arch": _without("arch"),
     "missing_d": _without("d"),
@@ -72,6 +87,7 @@ MALFORMED = {
     "param_offset_past_blob": lambda mf: _with_param(mf, offset=mf["blob_bytes"]),
     "param_offset_negative": lambda mf: _with_param(mf, offset=-4),
     "param_shape_not_the_archs": lambda mf: _with_param(mf, shape=mf["params"][0]["shape"] + [1]),
+    **NON_FINITE_NORM_STATS,
 }
 
 
@@ -174,7 +190,8 @@ class TestMalformed:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "case", ["final_tau_infinite", "final_tau_huge_int", *sorted(CORRUPT_BLOBS)]
+        "case",
+        ["final_tau_infinite", "final_tau_huge_int", *sorted(CORRUPT_BLOBS), *sorted(NON_FINITE_NORM_STATS)],
     )
     def test_eval_exits_with_code_2(self, tmp_path, case, capsys):
         _, path = _saved(tmp_path)
@@ -183,6 +200,14 @@ class TestMalformed:
         save_csv(Dataset(np.zeros((3, 6)), np.array([0, 1, 0]), 2), data)
         assert cli.main(["eval", str(path), "--data", str(data)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_finite_norm_stats_load(self, tmp_path):
+        # the same edit with finite values: the eval cases above fail on the bad entry alone
+        _, path = _saved(tmp_path)
+        _rewrite_manifest(path, _norm_stats())
+        data = tmp_path / "rows.csv"
+        save_csv(Dataset(np.zeros((3, 6)), np.array([0, 1, 0]), 2), data)
+        assert cli.main(["eval", str(path), "--data", str(data)]) == 0
 
     def test_truncated_file(self, tmp_path):
         _, path = _saved(tmp_path)

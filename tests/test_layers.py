@@ -48,23 +48,17 @@ def routing_from_assignment(assignment, d, scale=1e6, temperature=1.0, k=None, m
 
 
 class TestGroupSelect:
-    def test_hard_gather(self):
-        r = routing_from_assignment([2, 0], d=3, k=1, m=2)
-        x = Tensor([[1.0, 2.0, 3.0]])
-        out = L.group_select_forward(None, x, r, mode="hard")
-        npt.assert_array_equal(out.data, batch_last([[[3.0, 1.0]]]))
-
-    def test_relaxed_saturated_matches_hard(self):
+    def test_relaxed_saturated_reads_the_argmax_feature(self):
         rng = np.random.default_rng(0)
         r = routing_from_assignment([2, 0, 1, 1], d=3, k=2, m=2)
         x = Tensor(rng.normal(size=(5, 3)))
-        relaxed = L.group_select_forward(None, x, r, mode="relaxed")
-        hard = L.group_select_forward(None, x, r, mode="hard")
-        npt.assert_allclose(relaxed.data, hard.data, atol=1e-9)
+        relaxed = L.group_select_forward(None, x, r)
+        hard = batch_last(x.data[:, [2, 0, 1, 1]].reshape(5, 2, 2))
+        npt.assert_allclose(relaxed.data, hard, atol=1e-9)
 
     def test_relaxed_uniform_mixes_to_mean(self):
         r = RoutingParams(Tensor(np.zeros((2, 3))), 1.0, 1, 2, 3)
-        out = L.group_select_forward(None, Tensor([[3.0, 6.0, 9.0]]), r, mode="relaxed")
+        out = L.group_select_forward(None, Tensor([[3.0, 6.0, 9.0]]), r)
         npt.assert_allclose(out.data, batch_last([[[6.0, 6.0]]]))
 
     def test_dimension_mismatch(self):
@@ -79,11 +73,11 @@ class TestGroupSelect:
         psi[np.arange(6), psi.argmax(axis=1)] += 3.0
         x = Tensor(rng.normal(size=(4, 5)))
         r = RoutingParams(Tensor(psi), 1.0, 3, 2, 5)
-        hard = L.group_select_forward(None, x, r, mode="hard").data
+        hard = batch_last(x.data[:, psi.argmax(axis=1)].reshape(4, 3, 2))
         gaps = []
         for tau in (1.0, 0.1, 0.01, 0.001):
             r.temperature = tau
-            relaxed = L.group_select_forward(None, x, r, mode="relaxed").data
+            relaxed = L.group_select_forward(None, x, r).data
             gaps.append(np.abs(relaxed - hard).max())
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-6
@@ -121,16 +115,6 @@ class TestGroupSelect:
             lambda tp: projected(tp, L.group_select_forward(tp, x, r), proj), [r.psi, x]
         )
 
-    def test_hard_accumulates_gradient_over_duplicate_features(self):
-        rng = np.random.default_rng(3)
-        r = routing_from_assignment([2, 0, 2, 4], d=5, k=2, m=2)
-        x = t(rng.normal(size=(4, 5)), rg=True)
-        proj = t(rng.normal(size=(2, 2, 4)))
-        check_tape_gradients(
-            lambda tp: projected(tp, L.group_select_forward(tp, x, r, mode="hard"), proj), [x]
-        )
-        npt.assert_array_equal(x.grad[:, [1, 3]], 0.0)  # features no slot reads
-
     def test_nonpositive_temperature(self):
         r = RoutingParams(t(np.zeros((2, 3))), 1.0, 1, 2, 3)
         r.temperature = 0.0
@@ -143,12 +127,6 @@ class TestGroupSelect:
         x = t(rng.normal(size=(5, 3)))
         dx, dpsi = node_grads(lambda tp: L.group_select_forward(tp, x, r))
         assert dpsi.shape == r.psi.shape and dx is None
-
-    def test_hard_select_of_a_batch_records_nothing(self):
-        r = routing_from_assignment([2, 0], d=3)
-        tape = T.Tape()
-        L.group_select_forward(tape, t(np.arange(6.0).reshape(2, 3)), r, mode="hard")
-        assert len(tape) == 0
 
 
 class TestGroupFc:
@@ -301,7 +279,7 @@ class TestGroupPool:
 class TestBatchNorm:
     def test_two_point_standardization(self):
         st = BatchNormState.create(1)
-        out = L.batchnorm_forward(None, Tensor([[1.0], [3.0]]), st, training=True)
+        out = L.batchnorm_forward(None, Tensor([[1.0], [3.0]]), st)
         npt.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-3)
 
     def test_zero_gamma_gives_beta(self):
@@ -309,32 +287,22 @@ class TestBatchNorm:
         st.gamma.data[:] = 0.0
         st.beta.data[:] = 2.5
         rng = np.random.default_rng(5)
-        out = L.batchnorm_forward(None, Tensor(rng.normal(size=(4, 3))), st, training=True)
+        out = L.batchnorm_forward(None, Tensor(rng.normal(size=(4, 3))), st)
         npt.assert_allclose(out.data, np.full((4, 3), 2.5))
-
-    def test_eval_ignores_batch_composition(self):
-        st = BatchNormState.create(2)
-        rng = np.random.default_rng(6)
-        L.batchnorm_forward(None, Tensor(rng.normal(size=(16, 2))), st, training=True)
-        a = rng.normal(size=(4, 2))
-        out_alone = L.batchnorm_forward(None, Tensor(a[:1]), st, training=False).data
-        out_batched = L.batchnorm_forward(None, Tensor(a), st, training=False).data
-        npt.assert_array_equal(out_alone[0], out_batched[0])
 
     def test_training_needs_two_rows(self):
         st = BatchNormState.create(2)
-        with pytest.raises(Exception):
-            L.batchnorm_forward(None, Tensor(np.zeros((1, 2))), st, training=True)
+        with pytest.raises(DomainError):
+            L.batchnorm_forward(None, Tensor(np.zeros((1, 2))), st)
 
     def test_running_moments_update(self):
         st = BatchNormState.create(1)
         x = Tensor(np.array([[0.0], [4.0]]))
-        L.batchnorm_forward(None, x, st, training=True)
+        L.batchnorm_forward(None, x, st)
         npt.assert_allclose(st.running_mean, [0.2])  # 0.9*0 + 0.1*2
         npt.assert_allclose(st.running_var, [1.3])  # 0.9*1 + 0.1*4
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_gradient_against_finite_differences(self, training):
+    def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(11)
         x = t(rng.normal(size=(6, 3)), rg=True)
         gamma = t(rng.uniform(0.5, 1.5, size=3), rg=True)
@@ -343,12 +311,11 @@ class TestBatchNorm:
 
         def build(tp):
             st = BatchNormState(gamma, beta, np.zeros(3), np.ones(3))  # fresh moments at each call
-            return projected(tp, L.batchnorm_forward(tp, x, st, training), proj)
+            return projected(tp, L.batchnorm_forward(tp, x, st), proj)
 
         check_tape_gradients(build, [x, gamma, beta], tol=2e-5)
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_grouped_gradient_and_values(self, training):
+    def test_grouped_gradient_and_values(self):
         # a (k, m, B) input normalizes each slot as a (B, k*m) input does each column
         rng = np.random.default_rng(12)
         xb = rng.normal(size=(6, 2, 2))
@@ -360,7 +327,7 @@ class TestBatchNorm:
 
         def bn(tp, inp):
             st = BatchNormState(gamma, beta, mean.copy(), var.copy())
-            return L.batchnorm_forward(tp, inp, st, training)
+            return L.batchnorm_forward(tp, inp, st)
 
         check_tape_gradients(lambda tp: projected(tp, bn(tp, x), proj), [x, gamma, beta], tol=2e-5)
         flat = bn(None, t(xb.reshape(6, 4))).data
@@ -369,21 +336,21 @@ class TestBatchNorm:
         )
 
 
+def dropout(tape, x, rate, rng):
+    """The dropout kernel recorded as one node, as ``Model.forward`` records it in training mode."""
+    return T.node(tape, L.dropout_pair(rate, rng), x)
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = L.dropout_forward(None, x, 0.0, True, np.random.default_rng(0))
+        out = dropout(None, x, 0.0, np.random.default_rng(0))
         npt.assert_array_equal(out.data, x.data)
-
-    def test_eval_identity(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = L.dropout_forward(None, x, 0.9, False, np.random.default_rng(0))
-        assert out is x
 
     def test_kept_fraction_monte_carlo(self):
         rng = np.random.default_rng(7)
         x = Tensor(np.ones(100_000))
-        out = L.dropout_forward(None, x, 0.3, True, rng)
+        out = dropout(None, x, 0.3, rng)
         kept = np.count_nonzero(out.data) / x.size
         assert abs(kept - 0.700) < 0.01
         # survivors carry the inverse scale
@@ -396,7 +363,7 @@ class TestDropout:
 
         def build(tp):
             # the same mask at every evaluation
-            out = L.dropout_forward(tp, x, 0.4, True, np.random.default_rng(3))
+            out = dropout(tp, x, 0.4, np.random.default_rng(3))
             return projected(tp, out, proj)
 
         check_tape_gradients(build, [x])

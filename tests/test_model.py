@@ -6,7 +6,7 @@ import pytest
 
 from gmlp import layers as L
 from gmlp import tensor as T
-from gmlp.errors import ConfigError, ShapeError
+from gmlp.errors import ConfigError, DomainError, ShapeError
 from gmlp.model import (
     ArchSpec,
     Model,
@@ -250,13 +250,16 @@ class TestForward:
             model.forward(Tensor(np.zeros((2, 5))))
 
     def test_receptive_field_bound_by_depth(self):
-        # hard routing, three group layers with pools between: a neuron at
-        # depth l reaches at most 2^(l-1)*m input features
+        # one feature per slot, three group layers with pools between: a
+        # neuron at depth l reaches at most 2^(l-1)*m input features. At
+        # tau 0.01 the saturated routing's other weights, exp(-5000), are
+        # exact zeros, so the relaxed routing reads the argmax alone.
         d, k, m = 24, 8, 2
         rng = np.random.default_rng(9)
         psi = np.zeros((k * m, d))
         psi[np.arange(k * m), rng.integers(0, d, size=k * m)] = 50.0
-        routing = L.RoutingParams(Tensor(psi), 1.0, k, m, d)
+        routing = L.RoutingParams(Tensor(psi), 0.01, k, m, d)
+        assert np.count_nonzero(T.routing_weights(psi, 0.01)) == k * m
 
         def group_stage(tape, h, k_cur):
             w = Tensor(rng.normal(size=(k_cur, m, m)), requires_grad=True)
@@ -266,7 +269,7 @@ class TestForward:
         for layer, max_features in [(1, m), (2, 2 * m), (3, 4 * m)]:
             x = Tensor(rng.normal(size=(1, d)), requires_grad=True)
             tape = T.Tape()
-            h = L.group_select_forward(tape, x, routing, mode="hard")
+            h = L.group_select_forward(tape, x, routing)
             k_cur = k
             for _ in range(layer - 1):
                 h = group_stage(tape, h, k_cur)
@@ -277,6 +280,41 @@ class TestForward:
             tape.backward(neuron)
             reached = int(np.count_nonzero(x.grad[0]))
             assert reached <= max_features
+
+
+class TestModes:
+    """Training mode runs the tape kernels with relaxed routing, eval mode only the executor."""
+
+    def test_one_row_batch_norm_in_training_raises(self):
+        model = Model(parse_arch("FC-4, ReLU, BNorm, FC-3", d=2))
+        with pytest.raises(DomainError):
+            model.forward(Tensor(np.ones((1, 2))), training=True)
+
+    def test_dropout_in_training_needs_an_rng(self):
+        model = Model(parse_arch("GSel-2-2, GFC, Dropout-0.5, Concat, FC-2", d=3))
+        with pytest.raises(ConfigError):
+            model.forward(Tensor(np.ones((4, 3))), training=True)
+
+    def test_hard_routing_in_training_raises(self):
+        model = Model(parse_arch(SYNTH_ARCH, d=6))
+        with pytest.raises(ConfigError):
+            model.forward(Tensor(np.ones((4, 6))), training=True, tape=T.Tape(), mode="hard")
+
+    def test_tape_in_eval_mode_raises(self):
+        model = Model(parse_arch(SYNTH_ARCH, d=6))
+        with pytest.raises(ConfigError):
+            model.forward(Tensor(np.ones((4, 6))), training=False, tape=T.Tape())
+
+    def test_eval_batch_norm_ignores_batch_composition(self):
+        model = Model(parse_arch("FC-4, ReLU, BNorm, FC-3", d=2, seed=6))
+        rng = np.random.default_rng(6)
+        model.forward(Tensor(rng.normal(size=(16, 2))), training=True)  # moves the running moments
+        assert not np.array_equal(model._bn_states[0][1].running_mean, np.zeros(4))
+        a = rng.normal(size=(4, 2))
+        b = np.vstack([a[:1], rng.normal(size=(3, 2))])
+        row = model.forward(Tensor(a)).data[0]
+        npt.assert_array_equal(model.forward(Tensor(b)).data[0], row)
+        npt.assert_allclose(model.forward(Tensor(a[:1])).data[0], row, rtol=1e-12, atol=1e-15)
 
 
 def _unit_like(shape, index):

@@ -1,17 +1,20 @@
 """Whole-network checks that do not depend on the layout of grouped activations.
 
-``TestObjectiveGradient`` compares the tape gradient of the full training
-objective (cross-entropy, routing entropy and L2) through ``Model.forward``
-with central finite differences of the same objective. ``TestForwardReference``
-compares eval-mode logits with a plain-numpy forward pass that keeps grouped
-activations as (batch, group, slot) arrays and shares no code with the
-package. ``TestEvalExecutor`` compares the tape-free eval path of
-``Model.forward`` with the tape path and checks ``predictions``.
-``TestTrainStep`` holds the compiled training step that ``fit`` runs to the
-tape path bit for bit, and to central finite differences. The two paths run
-the same block and loss kernels, so the bit checks guard the order in which
-the compiled step sums each parameter's gradient terms, and the
-recording of each kernel on the tape.
+``Model.forward`` has one walk per mode: training mode records the blocks'
+training kernels (``Model._train_pairs``) on a tape, and eval mode runs the
+eval executor alone. ``TestObjectiveGradient`` compares the tape gradient
+of the full training objective (cross-entropy, routing entropy and L2)
+with central finite differences of the same objective.
+``TestForwardReference`` and ``TestEvalExecutor`` compare the eval
+executor's logits with a plain-numpy forward pass (``_reference_logits``)
+that keeps grouped activations as (batch, group, slot) arrays and shares no
+code with the package; ``TestEvalExecutor`` also checks its folds, chunks
+and buffers, and ``predictions``. ``TestTrainStep`` holds the compiled
+training step that ``fit`` runs to the tape path bit for bit, and to
+central finite differences. Both are built from the same ``_train_pairs``
+list, so the bit checks guard the order in which the compiled step sums
+each parameter's gradient terms, and the recording of each kernel on the
+tape.
 """
 
 import numpy as np
@@ -50,8 +53,7 @@ ARCHS = [
 ]
 
 
-# eval-mode dropout is the identity; training mode would need an rng, which
-# the gradient check does not pass
+# eval-mode dropout is the identity, as in _reference_logits
 DROPOUT_ARCH = "GSel-8-2, GFC, ReLU, Dropout-0.5, BNorm, GPool-max, GFC, Concat, Dropout-0.3, FC-3"
 # a 1,024-wide dense net: its eval chunks are the shortest the executor uses
 WIDE_MLP = "FC-1024, ReLU, BNorm, FC-3"
@@ -168,11 +170,6 @@ def _perturb(model, rng):
             arr += rng.normal(scale=0.3, size=arr.shape)
 
 
-def _tape_logits(model, x, mode):
-    """Eval-mode logits through the layer kernels, as recorded on a tape."""
-    return model.forward(Tensor(x), training=False, tape=T.Tape(), mode=mode).data
-
-
 def _step_names(model, mode):
     """The factory or function name of each eval step, e.g. ``_floor_step``."""
     return [step.__qualname__.split(".")[0] for step, _ in model._eval_steps(mode)]
@@ -181,13 +178,13 @@ def _step_names(model, mode):
 class TestEvalExecutor:
     @pytest.mark.parametrize("arch", ARCHS + [DROPOUT_ARCH, WIDE_MLP, BN_FIRST_MLP])
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
-    def test_logits_match_tape_path(self, arch, mode):
+    def test_logits_match_reference(self, arch, mode):
         rng = np.random.default_rng(47)
         model = _net(arch, seed=4)
         _perturb(model, rng)
         x = rng.normal(size=(300, D))
         got = model.forward(Tensor(x), training=False, mode=mode).data
-        npt.assert_allclose(got, _tape_logits(model, x, mode), rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(got, _reference_logits(model, x, mode), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
     def test_negative_and_zero_batchnorm_scale(self, mode):
@@ -202,7 +199,7 @@ class TestEvalExecutor:
         assert _step_names(model, mode).count("_floor_step") == 1
         x = rng.normal(size=(300, D))
         got = model.forward(Tensor(x), training=False, mode=mode).data
-        npt.assert_allclose(got, _tape_logits(model, x, mode), rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(got, _reference_logits(model, x, mode), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize(
         "arch, folds",
@@ -223,7 +220,7 @@ class TestEvalExecutor:
         model.set_temperature(0.2)
         after = model.forward(Tensor(x)).data
         assert not np.allclose(after, before)
-        npt.assert_allclose(after, _tape_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(after, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
 
     def test_subnormal_routing_weights(self):
         model = _net(ARCHS[0], seed=11)
@@ -237,7 +234,7 @@ class TestEvalExecutor:
         assert 0.0 < s[:, 1].max() < np.finfo(np.float64).tiny
         x = np.random.default_rng(63).normal(size=(30, D))
         got = model.forward(Tensor(x), mode="relaxed").data
-        npt.assert_allclose(got, _tape_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(got, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("arch, chunk", [(ARCHS[0], MAX_CHUNK_ROWS), (WIDE_MLP, 128)])
     @pytest.mark.parametrize("hard", [True, False])
@@ -247,9 +244,7 @@ class TestEvalExecutor:
         _perturb(model, rng)
         x = rng.normal(size=(3 * chunk + 37, D))
         mode = "hard" if hard else "relaxed"
-        want = np.concatenate(
-            [_tape_logits(model, x[s : s + chunk], mode).argmax(axis=1) for s in range(0, len(x), chunk)]
-        )
+        want = _reference_logits(model, x, mode).argmax(axis=1)
         npt.assert_array_equal(predictions(model, x, hard=hard), want)
 
     def test_input_rows_are_not_written(self):
@@ -259,7 +254,7 @@ class TestEvalExecutor:
         kept = x.copy()
         logits = model.forward(Tensor(x)).data
         npt.assert_array_equal(x, kept)
-        npt.assert_allclose(logits, _tape_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+        npt.assert_allclose(logits, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("arch, chunk", [(ARCHS[0], MAX_CHUNK_ROWS), (WIDE_MLP, 128)])
     def test_buffers_reused_across_calls(self, arch, chunk):
@@ -288,7 +283,7 @@ class TestEvalExecutor:
         models = [_net(ARCHS[0], seed=15), _net(WIDE_MLP, seed=16)]
         for model in models:
             _perturb(model, rng)
-        want = [_tape_logits(model, x, "hard") for model in models]
+        want = [_reference_logits(model, x, "hard") for model in models]
         for _ in range(2):
             for model, w in zip(models, want):
                 npt.assert_allclose(model.forward(Tensor(x), mode="hard").data, w, rtol=1e-10, atol=1e-12)
