@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset
-from .errors import DataError
+from .errors import DataError, ShapeError
 from .layers import RoutingParams, hard_assignment
 from .model import Model
 
@@ -106,13 +106,13 @@ def correlation_analysis(
         raise DataError("correlation analysis needs a group-connected model")
     if ds.n < 2:
         raise DataError("need at least two samples to correlate")
-    from .layers import group_select_forward
-    from .tensor import Tensor
-
-    z = group_select_forward(None, Tensor(ds.X), model.routing).data
-    k, m, n = z.shape
-    take = min(k * m, n_features_cap)
-    flat = z.reshape(k * m, n)[:take].T
+    routing = model.routing
+    if ds.X.shape[1] != routing.d:
+        raise ShapeError(f"input {ds.X.shape} does not match d={routing.d}")
+    z = T.routing_weights(routing.psi.data, routing.temperature) @ ds.X.T
+    m, n = routing.m, ds.n
+    take = min(z.shape[0], n_features_cap)
+    flat = z[:take].T
 
     centered = flat - flat.mean(axis=0)
     std = flat.std(axis=0)

@@ -11,9 +11,9 @@ loaded model, and the ``routing_table`` key of older files is ignored.
 Weights are down-converted to float32 on save and promoted back to float64
 on load, so a reloaded model reproduces eval-mode outputs to float32
 rounding (about 1e-7 relative) rather than bit-exactly.
-A file whose arrays hold a NaN or an infinity, or whose final temperature
-or normalization statistics are not finite, is rejected on load like any
-other corrupt file.
+A file whose arrays hold a NaN or an infinity, whose final temperature or
+normalization statistics are not finite, or whose normalization sigma is
+negative, is rejected on load like any other corrupt file.
 
 Nothing non-deterministic (timestamps, hostnames) is written: identical
 models under identical metadata serialize to identical bytes.
@@ -98,14 +98,15 @@ def _list_of(obj: dict, key: str, kind, where: str) -> list:
     return values
 
 
-def _finite(obj: dict, key: str, where: str) -> None:
-    """_field for a number that must also be finite; an int past float64's range is not."""
+def _finite(obj: dict, key: str, where: str) -> float:
+    """_field for a number that must also be finite, returned as a float; an int past float64's range is not finite."""
     try:
         value = float(_field(obj, key, (int, float), where))
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
         raise CheckpointError(f"{where}: {key!r} is {value}, not finite")
+    return value
 
 
 def _read_container(path) -> tuple[dict, bytes]:
@@ -113,7 +114,8 @@ def _read_container(path) -> tuple[dict, bytes]:
 
     Every way a file can be malformed (truncation, bad JSON, a manifest that
     is not an object, a missing or mistyped field, a final temperature or
-    normalization statistic that is not finite) raises CheckpointError.
+    normalization statistic that is not finite, a negative normalization
+    sigma) raises CheckpointError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_LEN.size)
@@ -151,7 +153,9 @@ def _read_container(path) -> tuple[dict, bytes]:
                 at = f"{where} norm_stats[{name!r}]"
                 entry = _field(stats, name, dict, at)
                 _finite(entry, "mu", at)
-                _finite(entry, "sigma", at)
+                # a population std: 0 for a constant column, never negative
+                if _finite(entry, "sigma", at) < 0.0:
+                    raise CheckpointError(f"{at}: 'sigma' is negative")
     for i, entry in enumerate(_field(manifest, "params", list, where)):
         at = f"{where} params[{i}]"
         if not isinstance(entry, dict):

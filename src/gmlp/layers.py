@@ -11,15 +11,16 @@ memory. Group-Select turns (B, d) into (k, m, B); Concat turns (k, m, B)
 back into (B, k*m) for the dense tail.
 
 Each block's training forward and backward is written once, as a kernel:
-a ``*_pair`` factory returns ``(forward, backward)`` as ``tensor`` describes
-(ReLU's is ``tensor.RELU_PAIR``). ``Model._train_pairs`` lists the pairs of
-a model's blocks, which ``Model.forward`` records on a tape and the
-compiled training step runs without one. Prediction does not use these
-kernels: the eval executor in ``model`` runs its own chunked steps.
-The layer functions (``*_forward(tape, ...)``, ``concat_groups``) check
-their operands and record one pair as one tape node; they are thin
-recorders kept for the tests and for the benchmark's tracer, which times
-layers by these names.
+a ``*_pair`` factory, or the constant ``RELU_PAIR`` and ``CONCAT_PAIR``,
+gives ``(forward, backward)`` as ``tensor`` describes. ``Model._train_pairs``
+lists the pairs of a model's blocks, which ``Model.forward`` records on a
+tape and the compiled training step runs without one; the training
+objective that follows them is one kernel of ``training``. Prediction does
+not use these kernels: the eval executor in ``model`` runs its own chunked
+steps. The layer functions (``*_forward(tape, ...)``, ``concat_groups``)
+check their operands and record one pair as one tape node; no code of the
+package calls them, and they are kept for the tests and for the
+benchmark's tracer, which times layers by these names.
 Parameters are captured as arrays, views of the model's flat vector that
 the optimizer updates in place. Sums call ``np.add.reduce``, the reduction
 behind ``ndarray.sum``, without its Python wrapper.
@@ -329,6 +330,18 @@ def dropout_pair(rate: float, rng: np.random.Generator):
         return (g * mask,)
 
     return forward, backward
+
+
+def _relu_forward(h):
+    return np.maximum(h, 0.0), h
+
+
+def _relu_backward(g, h):
+    return (g * (h > 0.0),)
+
+
+# ReLU, max(h, 0); its subgradient at 0 is 0
+RELU_PAIR = (_relu_forward, _relu_backward)
 
 
 # source rows per block when transposing a large array

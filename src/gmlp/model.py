@@ -479,7 +479,7 @@ class Model:
                 w, b = payload
                 pairs.append((*L.dense_pair(w.data, b.data, input_grad or bool(pairs)), [w, b]))
             elif tag == "relu":
-                pairs.append((*T.RELU_PAIR, []))
+                pairs.append((*L.RELU_PAIR, []))
             elif tag == "batchnorm":
                 pairs.append((*L.batchnorm_pair(payload, grouped), [payload.gamma, payload.beta]))
             elif tag == "pool":

@@ -5,40 +5,37 @@ functions: ``forward(x)`` returns the block's output and what its backward
 reads, and ``backward(g, saved)`` returns the gradient of each of its
 inputs, the block's input first (None where nothing reads it) and then its
 parameters. :func:`node` runs a pair on ``Tensor`` values and records it as
-one tape node. A model's pairs are listed once, by ``Model._train_pairs``:
-``Model.forward`` records them in training mode, and the compiled training
-step runs them without a tape. ``fit`` builds no tape and prediction runs
-the eval executor, so the tape serves the gradient checks. The block
-kernels live in ``layers``, next to their layers, but for ReLU
-(``RELU_PAIR``), whose op is ``relu`` here. The loss terms are kernels too,
-shared the same way: ``cross_entropy_logits`` runs
-``cross_entropy_value`` and ``cross_entropy_grad``, ``neg_entropy_rows``
-runs ``neg_entropy_value`` and ``neg_entropy_grad``, and ``sum_squares``
-runs ``squares_sum``. The remaining ops (``add``, ``mul``, ``scale``,
-``tsum``) combine the loss terms and write the tests' projections.
+one tape node; it is the tape's only op. A model's pairs are listed once,
+by ``Model._train_pairs``: ``Model.forward`` records them in training mode,
+and the compiled training step runs them without a tape. The block kernels
+live in ``layers``, next to their layers. The training objective is one
+kernel too, written once in ``training``: ``loss_terms`` records it as one
+node, and the compiled step calls it directly. What it is built from lives
+here: the row softmax of the routing logits (``routing_weights``), the
+cross-entropy and the entropy values with their gradients, and the L2 sum
+(``squares_sum``). ``fit`` builds no tape and prediction runs the eval
+executor, so the tape serves the gradient checks.
 
 Design constraints, in order of priority:
 
 * correctness checkable by central finite differences (everything float64),
-* low per-op Python overhead: one node per block or loss term, so the
-  L2 penalty over a whole parameter list is one ``sum_squares`` node,
+* low per-op Python overhead: one node per block, and one for the whole
+  objective,
 * few passes over the (k*m, d) routing logits, the largest array of a
   training step whatever the batch size: ``routing_weights`` and the
   entropy kernels compute in place in arrays of that size, their
-  gradients included,
-* no broadcasting: ``add`` and ``mul`` take operands of equal shape.
+  gradients included.
 
 Grouped activations are (k, m, B) arrays: group, slot within the group, then
 the batch, last, so a group's rows for the whole batch are one contiguous
 block. Ungrouped activations (the network input and the dense tail) are
 (B, F).
 
-Storage is always a C-contiguous float64 ``numpy`` array. Ops are free
-functions taking the recording :class:`Tape` as first argument; passing
-``tape=None`` runs the forward computation without recording. Finite-ness
-of externally supplied values is validated in the public ``Tensor``
-constructor; interior ops raise :class:`DomainError` only where a domain
-violation can actually occur.
+Storage is always a C-contiguous float64 ``numpy`` array. :func:`node` takes
+the recording :class:`Tape` as first argument; passing ``tape=None`` runs
+the forward computation without recording. Finite-ness of externally
+supplied values is validated in the public ``Tensor`` constructor; kernels
+raise :class:`DomainError` only where a domain violation can actually occur.
 
 A tape is single-use: build it, run forwards, call :meth:`Tape.backward`
 once, throw it away. Gradients accumulate into ``Tensor.grad`` and are never
@@ -54,18 +51,7 @@ import numpy as np
 
 from .errors import DomainError, GraphError, ShapeError
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "add",
-    "mul",
-    "scale",
-    "relu",
-    "tsum",
-    "sum_squares",
-    "neg_entropy_rows",
-    "cross_entropy_logits",
-]
+__all__ = ["Tensor", "Tape"]
 
 
 class Tensor:
@@ -117,7 +103,7 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of primitive ops; execution order is topological order.
+    """Ordered record of kernel nodes; execution order is topological order.
 
     One backward traversal visits each node exactly once, in reverse. A tape
     may be backpropagated only once.
@@ -157,118 +143,24 @@ class Tape:
                 t.grad = g if t.grad is None else t.grad + g
 
 
-def _result(tape, data, inputs, backward) -> Tensor:
-    out = _raw(data)
-    if tape is not None and any(t.requires_grad for t in inputs):
-        tape._record(out, inputs, backward)
-    return out
-
-
 def node(tape, pair, x: Tensor, *params: Tensor) -> Tensor:
     """Run a kernel ``pair`` on x and record it as one node over x and ``params``.
 
     The node's inputs are x, then the parameters, the order in which the
-    pair's backward returns their gradients.
+    pair's backward returns their gradients. Nothing is recorded without a
+    tape or when no input requires a gradient.
     """
     forward, backward = pair
-    out, saved = forward(x.data)
-    return _result(tape, out, (x, *params), lambda g: backward(g, saved))
+    data, saved = forward(x.data)
+    out = _raw(data)
+    inputs = (x, *params)
+    if tape is not None and any(t.requires_grad for t in inputs):
+        tape._record(out, inputs, lambda g: backward(g, saved))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops (shapes equal)
-
-
-def _check_same_shape(a, b, opname):
-    if b.shape != a.shape:
-        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
-
-
-def add(tape, a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-
-    def backward(g):
-        return g, g
-
-    return _result(tape, a.data + b.data, (a, b), backward)
-
-
-def mul(tape, a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return g * bd, g * ad
-
-    return _result(tape, ad * bd, (a, b), backward)
-
-
-def scale(tape, a: Tensor, c: float) -> Tensor:
-    """Multiply by a non-differentiable python constant."""
-    c = float(c)
-
-    def backward(g):
-        return (g * c,)
-
-    return _result(tape, a.data * c, (a,), backward)
-
-
-def _relu_forward(h):
-    return np.maximum(h, 0.0), h
-
-
-def _relu_backward(g, h):
-    return (g * (h > 0.0),)
-
-
-RELU_PAIR = (_relu_forward, _relu_backward)
-
-
-def relu(tape, a: Tensor) -> Tensor:
-    """max(x, 0) as one ``RELU_PAIR`` node; subgradient at 0 is 0."""
-    return node(tape, RELU_PAIR, a)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def tsum(tape, a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    ash = a.shape
-
-    def backward(g):
-        return (np.broadcast_to(g, ash).copy(),)
-
-    return _result(tape, np.asarray(a.data.sum()), (a,), backward)
-
-
-def squares_sum(flats) -> float:
-    """The sum of ``np.dot(a, a)`` over the flat arrays, in order."""
-    value = 0.0
-    for flat in flats:
-        value += np.dot(flat, flat)
-    return value
-
-
-def sum_squares(tape, *tensors: Tensor) -> Tensor:
-    """The sum of every entry squared over all the tensors, as one scalar node.
-
-    The L2 penalty over a whole parameter list: ``squares_sum`` of the
-    tensors' flat views, in argument order. The gradient of each tensor is
-    2*g*a.
-    """
-    datas = [a.data for a in tensors]
-
-    def backward(g):
-        return tuple(2.0 * g * ad for ad in datas)
-
-    value = squares_sum([ad.reshape(-1) for ad in datas])
-    return _result(tape, np.asarray(value, dtype=np.float64), tensors, backward)
-
-
-# ---------------------------------------------------------------------------
-# routing and the loss terms
+# routing and the objective's terms
 
 
 def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -316,14 +208,6 @@ def neg_entropy_grad(g, saved) -> np.ndarray:
     return z
 
 
-def neg_entropy_rows(tape, a: Tensor) -> Tensor:
-    """``neg_entropy_value`` of a 2-D tensor as one scalar node."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"neg_entropy_rows expects 2-D, got {a.shape}")
-    value, saved = neg_entropy_value(a.data)
-    return _result(tape, np.asarray(value), (a,), lambda g: (neg_entropy_grad(g, saved),))
-
-
 def cross_entropy_value(logits: np.ndarray, y: np.ndarray):
     """Mean cross-entropy between the row softmax of (n, c) logits and n integer labels.
 
@@ -350,7 +234,9 @@ def cross_entropy_grad(g, saved) -> np.ndarray:
     return p
 
 
-def cross_entropy_logits(tape, logits: Tensor, targets) -> Tensor:
-    """``cross_entropy_value`` of logits against integer class targets, as one scalar node."""
-    value, saved = cross_entropy_value(logits.data, np.asarray(targets))
-    return _result(tape, np.asarray(value), (logits,), lambda g: (cross_entropy_grad(g, saved),))
+def squares_sum(flats) -> float:
+    """The sum of ``np.dot(a, a)`` over the flat arrays, in order."""
+    value = 0.0
+    for flat in flats:
+        value += np.dot(flat, flat)
+    return value

@@ -10,16 +10,19 @@ p*log(p) as p*(z - log S) from the max-shifted logits z and their
 exponential row sums S, without a mask; its value, and its gradient, are 0
 where p underflows to 0.
 
-``fit`` trains through a compiled step, :class:`TrainStep`: the model's
-training kernels (``Model._train_pairs``, the list ``Model.forward`` records
-on a tape in training mode), then the loss terms' kernels, with every
-gradient written into one flat vector that mirrors the model's flat
-parameter vector, and one Adam pass over that vector. No tape is built. The
-tape path (``Model.forward`` with a tape, ``loss_terms`` and
-``Tape.backward``) records the same kernels as one node each, the entropy
-as one ``neg_entropy_rows`` node and the L2 penalty as one ``sum_squares``
-node over the whole parameter list, so both paths give the same bits and
-the gradient checks of the tape path check the arithmetic that ``fit`` runs.
+The objective is written once, as a kernel: ``objective`` gives its value
+and what its gradient reads, and ``objective_grad`` the gradient's pieces
+(the logits', psi's entropy term's, and the factor that turns each
+parameter into its L2 gradient). ``fit`` trains through a compiled step,
+:class:`TrainStep`: the model's training kernels (``Model._train_pairs``,
+the list ``Model.forward`` records on a tape in training mode), then the
+objective, with every gradient written into one flat vector that mirrors
+the model's flat parameter vector, and one Adam pass over that vector. No
+tape is built. The tape path (``Model.forward`` with a tape,
+``loss_terms`` and ``Tape.backward``) records the same kernels, each block
+as one node and the objective as one more, so both paths give the same
+bits and the gradient checks of the tape path check the arithmetic that
+``fit`` runs.
 
 Two schedules run per epoch: the softmax temperature decays geometrically
 from ``tau_start`` to ``tau_end`` across the configured epoch budget, and the
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -95,16 +98,50 @@ class TrainConfig:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
 
 
-def entropy_term(tape, psi: Tensor) -> Tensor:
-    """Routing entropy: -(1/d) * sum over rows and columns of p*log(p).
+def entropy_term(psi: np.ndarray, z=None, e=None):
+    """Routing entropy -(1/d) * sum over rows and columns of p*log(p), and what its gradient reads.
 
     p is the row softmax of psi at temperature 1, whatever temperature the
     forward pass is using. The outer factor averages over the d feature
     columns, not over the k*m rows, so the value ranges in
-    [0, (km/d)*log d].
+    [0, (km/d)*log d]. ``z`` and ``e`` are ``tensor.neg_entropy_value``'s
+    buffers of psi's shape, or None to have it make them.
     """
-    d = psi.shape[1]
-    return T.scale(tape, T.neg_entropy_rows(tape, psi), -1.0 / d)
+    value, saved = T.neg_entropy_value(psi, z, e)
+    return value * (-1.0 / psi.shape[1]), saved
+
+
+def objective(logits, y, psi, flats, lambda_: float, alpha: float, z=None, e=None):
+    """The training objective of one batch: CE + lambda_ * entropy + alpha * L2.
+
+    CE is the mean cross-entropy of the (B, C) logits against the labels y,
+    the entropy is ``entropy_term(psi, z, e)`` and L2 is ``squares_sum`` of
+    the flat parameter arrays ``flats``; a term whose weight is 0 is not
+    evaluated, and its operand may be None. Returns the objective, the CE,
+    the entropy term (0.0 at ``lambda_`` 0) and what ``objective_grad``
+    reads.
+    """
+    ce, ce_saved = T.cross_entropy_value(logits, y)
+    total, ent, ent_saved, ent_weight = ce, 0.0, None, 0.0
+    if lambda_ > 0.0:
+        ent, ent_saved = entropy_term(psi, z, e)
+        ent_weight = lambda_ * (-1.0 / psi.shape[1])
+        total = total + ent * lambda_
+    if alpha > 0.0:
+        total = total + T.squares_sum(flats) * alpha
+    return total, ce, ent, (ce_saved, ent_saved, ent_weight, alpha)
+
+
+def objective_grad(g, saved):
+    """g times the gradient of ``objective``, in its pieces.
+
+    Returns the logits' gradient; psi's gradient from the entropy term,
+    written into the entropy's z buffer (None at lambda 0); and the factor
+    2*g*alpha that turns each parameter into the gradient of its L2 term.
+    """
+    ce_saved, ent_saved, ent_weight, alpha = saved
+    dpsi = None if ent_saved is None else T.neg_entropy_grad(g * ent_weight, ent_saved)
+    return T.cross_entropy_grad(g, ce_saved), dpsi, 2.0 * g * alpha
 
 
 def loss_terms(
@@ -115,101 +152,87 @@ def loss_terms(
     params: list[tuple[str, Tensor]],
     cfg: TrainConfig,
 ):
-    """Total objective plus its cross-entropy and entropy components.
+    """The objective as one tape node, plus its cross-entropy and entropy terms.
 
-    With lambda and alpha both zero the total is exactly the cross-entropy.
-    The L2 sum is one ``sum_squares`` node over every tensor in ``params``
-    (the routing logits included: they only ever appear through a softmax,
-    so nothing else bounds their magnitude).
+    Returns (total, ce, ent) as tensors, ent None when the entropy term is
+    off (lambda 0, or no psi). Only total is recorded: one ``objective``
+    node over the logits, then psi (entropy on) and every tensor in
+    ``params`` (alpha > 0; the routing logits included: they only ever
+    appear through a softmax, so nothing else bounds their magnitude). With
+    lambda and alpha both zero the total is exactly the cross-entropy.
     """
-    ce = T.cross_entropy_logits(tape, logits, targets)
-    total = ce
-    ent = None
-    if psi is not None and cfg.lambda_ > 0.0:
-        ent = entropy_term(tape, psi)
-        total = T.add(tape, total, T.scale(tape, ent, cfg.lambda_))
-    if cfg.alpha > 0.0 and params:
-        l2 = T.sum_squares(tape, *(p for _, p in params))
-        total = T.add(tape, total, T.scale(tape, l2, cfg.alpha))
-    return total, ce, ent
+    lambda_ = cfg.lambda_ if psi is not None else 0.0
+    alpha = cfg.alpha if params else 0.0
+    l2_params = [p for _, p in params] if alpha > 0.0 else []
+    total, ce, ent, saved = objective(
+        logits.data, np.asarray(targets), psi.data if lambda_ > 0.0 else None,
+        [p.data.reshape(-1) for p in l2_params], lambda_, alpha,
+    )
+
+    def backward(g, saved):
+        dlogits, dpsi, l2 = objective_grad(g, saved)
+        return dlogits, *([] if dpsi is None else [dpsi]), *(l2 * p.data for p in l2_params)
+
+    # the pair's forward hands over the value computed above
+    inputs = ([psi] if lambda_ > 0.0 else []) + l2_params
+    out = T.node(tape, (lambda _: (np.asarray(total), saved), backward), logits, *inputs)
+    return out, T._raw(np.asarray(ce)), T._raw(np.asarray(ent)) if lambda_ > 0.0 else None
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per named parameter."""
+    """First and second moment estimates of one flat parameter vector."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def create(cls, params: list[tuple[str, Tensor]]) -> "AdamState":
-        state = cls()
-        for name, p in params:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
+    def create(cls, size: int) -> "AdamState":
+        return cls(np.zeros(size), np.zeros(size))
 
 
-def adam_step(params: list[tuple[str, Tensor]], state: AdamState, lr: float) -> None:
-    """One bias-corrected update, in place; parameters without grads are left alone.
+def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected update of the flat vector w by its gradient g, in place.
 
-    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps), evaluated in that operation
-    order. A parameter of more than ``ADAM_TILE`` entries is updated in
-    consecutive contiguous slices of ``ADAM_TILE`` entries of its flat view,
-    each slice running the whole update before the next starts, so that the
-    slice's gradient, moments, parameter and the two scratch arrays stay in
-    cache; the two scratch arrays hold one slice and are made per call, not
-    kept between steps. A parameter of at most one slice is updated as whole
-    arrays, with temporaries of its own size: a slicing loop costs more than
-    it saves on small arrays. The slices change no value: every operation
-    is elementwise.
+    w -= lr * (m/bc1) / (sqrt(v/bc2) + eps), evaluated in that operation
+    order, in consecutive contiguous slices of ``ADAM_TILE`` entries, each
+    slice running the whole update before the next starts, so that the
+    slice's gradient, moments, parameters and the two scratch arrays stay in
+    cache. The scratch arrays hold one slice and are made per call, not kept
+    between steps. The slices change no value: every operation is
+    elementwise.
     """
+    if g.shape != w.shape or state.m.shape != w.shape or w.ndim != 1:
+        raise ConfigError(f"gradient {g.shape}, moments {state.m.shape} and parameters "
+                          f"{w.shape} must be one flat vector")
     state.step += 1
     beta1, beta2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
-
-    def update(g, m, v, w, a, b):
-        # a and b are scratch of g's shape, or None to have numpy make them
-        a = np.multiply(g, 1.0 - beta1, out=a)
+    n = w.size
+    scratch_a, scratch_b = np.empty(min(ADAM_TILE, n)), np.empty(min(ADAM_TILE, n))
+    for lo in range(0, n, ADAM_TILE):
+        hi = min(lo + ADAM_TILE, n)
+        gs, m, v, ws = g[lo:hi], state.m[lo:hi], state.v[lo:hi], w[lo:hi]
+        a, b = scratch_a[: hi - lo], scratch_b[: hi - lo]
+        np.multiply(gs, 1.0 - beta1, out=a)
         m *= beta1
         m += a
-        np.square(g, out=a)
+        np.square(gs, out=a)
         a *= 1.0 - beta2
         v *= beta2
         v += a
         np.divide(v, bc2, out=a)
         np.sqrt(a, out=a)
         a += eps
-        b = np.divide(m, bc1, out=b)
+        np.divide(m, bc1, out=b)
         b *= lr
         b /= a
-        w -= b
-
-    scratch = None
-    for name, p in params:
-        g = p.grad
-        if g is None:
-            continue
-        w = p.data
-        if g.shape != w.shape:
-            raise ConfigError(f"gradient shape {g.shape} != parameter {w.shape} ({name})")
-        m = state.m[name]
-        v = state.v[name]
-        if w.size <= ADAM_TILE:
-            update(g, m, v, w, None, None)
-            continue
-        if scratch is None:
-            scratch = np.empty(ADAM_TILE), np.empty(ADAM_TILE)
-        g, m, v, w = g.reshape(-1), m.reshape(-1), v.reshape(-1), w.reshape(-1)
-        for lo in range(0, w.size, ADAM_TILE):
-            hi = min(lo + ADAM_TILE, w.size)
-            a, b = scratch[0][: hi - lo], scratch[1][: hi - lo]
-            update(g[lo:hi], m[lo:hi], v[lo:hi], w[lo:hi], a, b)
+        ws -= b
 
 
 def temperature_at(epoch: int, cfg: TrainConfig) -> float:
@@ -297,22 +320,21 @@ class TrainStep:
     """One training step of a model under a config, compiled once from its plan.
 
     ``loss(x, y)`` runs the blocks' kernels forward (``Model._train_pairs``)
-    and the loss terms' kernels (``tensor.cross_entropy_value``,
-    ``neg_entropy_value`` and ``squares_sum``), and returns the objective
-    and its cross-entropy and entropy terms as floats; ``backward()`` then
-    writes the objective's gradient into ``parameters.grad``, one flat
-    vector laid out like the model's flat parameter vector
-    ``parameters.data``; ``rng`` draws the dropout masks, in block order.
-    ``Model.forward`` records the same kernels on a tape in training mode,
-    and the tape sums each parameter's gradient in the same order, so both
-    give the same bits: its L2 term, then its entropy term (psi only), then
-    its block's term. So a block adds its gradient into the parameter's
-    slot when an L2 term (for psi, an L2 or entropy term) was written there
-    first, and writes over the slot otherwise. The entropy and the routing
-    weights use psi-sized buffers that live as long as the step, in maps of
-    their own (``gmlp.model._flat_buffer``); the entropy's exponent shares
-    its buffer with Group-Select's gradient term, which is formed only after
-    the entropy's gradient has been added.
+    and then ``objective``, and returns the objective and its cross-entropy
+    and entropy terms as floats; ``backward()`` then writes the objective's
+    gradient into ``grad``, one flat vector laid out like the model's flat
+    parameter vector; ``rng`` draws the dropout masks, in block order.
+    ``Model.forward`` and ``loss_terms`` record the same kernels on a tape,
+    one node per block and one for the objective, and the tape sums each
+    parameter's gradient terms in an order that gives the same bits: its L2
+    and entropy terms (psi only), a sum of two that does not depend on the
+    order, then its block's term. So a block adds its gradient into the
+    parameter's slot when an L2 term (for psi, an L2 or entropy term) was
+    written there first, and writes over the slot otherwise. The entropy
+    and the routing weights use psi-sized buffers that live as long as the
+    step, in maps of their own (``gmlp.model._flat_buffer``); the entropy's
+    exponent shares its buffer with Group-Select's gradient term, which is
+    formed only after the entropy's gradient has been added.
 
     The model holds no reference to the step, so once the step is dropped
     its buffers are unmapped. Like the eval path, a step is not re-entrant.
@@ -321,12 +343,13 @@ class TrainStep:
     def __init__(self, model: Model, cfg: TrainConfig, rng: np.random.Generator):
         self.d = model.spec.d
         self.alpha = cfg.alpha
-        self.parameters = T._raw(model._flat)
-        self.parameters.grad = grad = _flat_buffer(model._flat.size)
+        self._flat = model._flat
+        self.grad = grad = _flat_buffer(model._flat.size)
         self._flats = [t.data.reshape(-1) for _, t in model.parameters()]
         routing = model.routing
         self.lambda_ = cfg.lambda_ if routing is not None else 0.0
         scratch = (None, None)
+        self._psi = self._z = self._e = None
         if routing is not None:
             psi = routing.psi.data
             scratch = (_flat_buffer(psi.size), _flat_buffer(psi.size))
@@ -350,7 +373,7 @@ class TrainStep:
             (forward, backward, [put(t) for t in params])
             for forward, backward, params in model._train_pairs(scratch, rng, False)
         ]
-        self._saved = self._ce = self._ent = None
+        self._saved = self._objective = None
 
     def loss(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         """(objective, cross-entropy, entropy term) of one batch; the entropy term is 0.0 at lambda 0.
@@ -365,35 +388,27 @@ class TrainStep:
         for forward, _, _ in self._steps:
             h, s = forward(h)
             saved.append(s)
-        ce, self._ce = T.cross_entropy_value(h, np.asarray(y))
-        total = ce
-        ent = 0.0
-        if self.lambda_ > 0.0:
-            value, self._ent = T.neg_entropy_value(self._psi, self._z, self._e)
-            ent = value * (-1.0 / self.d)
-            total = total + ent * self.lambda_
-        if self.alpha > 0.0:
-            total = total + T.squares_sum(self._flats) * self.alpha
+        total, ce, ent, self._objective = objective(
+            h, np.asarray(y), self._psi, self._flats, self.lambda_, self.alpha, self._z, self._e
+        )
         self._saved = saved
         return float(total), float(ce), float(ent)
 
     def backward(self) -> None:
-        """The gradient of the last ``loss`` into ``parameters.grad``."""
-        grad = self.parameters.grad
+        """The gradient of the last ``loss`` into ``grad``."""
+        g, dpsi, l2 = objective_grad(1.0, self._objective)
         if self.alpha > 0.0:
-            np.multiply(self.parameters.data, 2.0 * self.alpha, out=grad)
-        if self.lambda_ > 0.0:
-            dz = T.neg_entropy_grad(self.lambda_ * (-1.0 / self.d), self._ent)
+            np.multiply(self._flat, l2, out=self.grad)
+        if dpsi is not None:
             if self.alpha > 0.0:
-                self._gpsi += dz
+                self._gpsi += dpsi
             else:
-                np.copyto(self._gpsi, dz)
-        g = T.cross_entropy_grad(1.0, self._ce)
+                np.copyto(self._gpsi, dpsi)
         for (_, backward, puts), saved in zip(reversed(self._steps), reversed(self._saved)):
             g, *param_grads = backward(g, saved)
             for put, param_grad in zip(puts, param_grads):
                 put(param_grad)
-        self._saved = self._ce = self._ent = None
+        self._saved = self._objective = None
 
 
 def fit(
@@ -408,13 +423,13 @@ def fit(
 
     Each batch runs one compiled step (:class:`TrainStep`, built once per
     call from the model's plan) and builds no tape: the blocks' kernels run
-    as plain numpy steps, the loss terms and their gradients follow, and the
+    as plain numpy steps, ``objective`` and its gradient follow, and the
     gradient lands in one flat vector laid out like the model's flat
     parameter vector. Adam then runs once per step over that whole vector,
-    as one parameter, in ``adam_step``'s tiles. The fitted bits are those
-    of a loop over the tape path (``Model.forward`` with a tape,
-    ``loss_terms``, ``Tape.backward`` and a per-tensor ``adam_step``),
-    which records the same kernels.
+    in ``adam_step``'s tiles. The fitted bits are those of a loop over the
+    tape path (``Model.forward`` with a tape, ``loss_terms`` and
+    ``Tape.backward``, the tensors' gradients gathered into one flat vector
+    for ``adam_step``), which records the same kernels.
 
     ``val`` drives the plateau schedule and best-checkpoint tracking; ``test``
     is only ever measured for the learning curve. The step and its gradient
@@ -427,8 +442,7 @@ def fit(
     """
     cfg.validate()
     step = TrainStep(model, cfg, np.random.default_rng((cfg.seed, 7919)))
-    params = [("parameters", step.parameters)]
-    adam = AdamState.create(params)
+    adam = AdamState.create(model._flat.size)
     val_history: list[float] = []
     records: list[EpochRecord] = []
     best_val = -math.inf
@@ -455,7 +469,7 @@ def fit(
                     f"exceeds {DIVERGENCE_FACTOR:g} x the first batch loss ({first_loss:.4g})",
                 )
             step.backward()
-            adam_step(params, adam, lr)
+            adam_step(model._flat, step.grad, adam, lr)
             loss_sum += value
             ce_sum += ce
             ent_sum += ent

@@ -3,12 +3,24 @@
 The oracle re-evaluates a scalar-valued closure under elementwise
 perturbations of the raw parameter arrays; it never touches the autodiff
 path it is checking. ``check_tape_gradients`` compares a tape's gradients
-with it.
+with it, and ``projected`` turns any output into a scalar loss for it.
 """
 
 import numpy as np
 
 from gmlp import tensor as T
+
+
+def projected(tape, out, w):
+    """sum(out * w) for a fixed array w of out's shape, as one tape node: a scalar loss whose gradient in out is w."""
+
+    def forward(h):
+        return np.asarray((h * w).sum()), None
+
+    def backward(g, _):
+        return (g * w,)
+
+    return T.node(tape, (forward, backward), out)
 
 
 def finite_difference(f, arrays, eps=1e-5):

@@ -88,6 +88,8 @@ MALFORMED = {
     "param_offset_negative": lambda mf: _with_param(mf, offset=-4),
     "param_shape_not_the_archs": lambda mf: _with_param(mf, shape=mf["params"][0]["shape"] + [1]),
     **NON_FINITE_NORM_STATS,
+    # a population std is never negative; a negative one flips the column's sign
+    "norm_stats_sigma_negative": _norm_stats(sigma=-2.0),
 }
 
 
@@ -191,7 +193,13 @@ class TestMalformed:
 
     @pytest.mark.parametrize(
         "case",
-        ["final_tau_infinite", "final_tau_huge_int", *sorted(CORRUPT_BLOBS), *sorted(NON_FINITE_NORM_STATS)],
+        [
+            "final_tau_infinite",
+            "final_tau_huge_int",
+            "norm_stats_sigma_negative",
+            *sorted(CORRUPT_BLOBS),
+            *sorted(NON_FINITE_NORM_STATS),
+        ],
     )
     def test_eval_exits_with_code_2(self, tmp_path, case, capsys):
         _, path = _saved(tmp_path)
@@ -201,10 +209,12 @@ class TestMalformed:
         assert cli.main(["eval", str(path), "--data", str(data)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_finite_norm_stats_load(self, tmp_path):
-        # the same edit with finite values: the eval cases above fail on the bad entry alone
+    @pytest.mark.parametrize("sigma", [2.0, 0.0])
+    def test_finite_norm_stats_load(self, tmp_path, sigma):
+        # the same edit with valid values: the eval cases above fail on the bad
+        # entry alone; a sigma of 0, a constant column's, is valid
         _, path = _saved(tmp_path)
-        _rewrite_manifest(path, _norm_stats())
+        _rewrite_manifest(path, _norm_stats(sigma=sigma))
         data = tmp_path / "rows.csv"
         save_csv(Dataset(np.zeros((3, 6)), np.array([0, 1, 0]), 2), data)
         assert cli.main(["eval", str(path), "--data", str(data)]) == 0

@@ -7,7 +7,7 @@ from gmlp import tensor as T
 from gmlp.errors import ConfigError, DomainError, ShapeError
 from gmlp.layers import BatchNormState, RoutingParams
 from gmlp.tensor import Tensor
-from gradcheck import check_tape_gradients
+from gradcheck import check_tape_gradients, projected
 
 
 def batch_last(a):
@@ -17,11 +17,6 @@ def batch_last(a):
 
 def t(data, rg=False):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg)
-
-
-def projected(tape, out, proj):
-    """The scalar sum(out * proj): a loss whose gradient in out is proj."""
-    return T.tsum(tape, T.mul(tape, out, proj))
 
 
 def node_grads(build):
@@ -110,7 +105,7 @@ class TestGroupSelect:
         r = RoutingParams(t(psi, rg=True), tau, 2, 2, 5)
         x = t(rng.normal(size=(3, 5)), rg=True)
         assert T.routing_weights(psi, tau)[0, 1] == 0.0
-        proj = t(rng.normal(size=(2, 2, 3)))
+        proj = rng.normal(size=(2, 2, 3))
         check_tape_gradients(
             lambda tp: projected(tp, L.group_select_forward(tp, x, r), proj), [r.psi, x]
         )
@@ -168,7 +163,7 @@ class TestGroupFc:
         out = L.group_fc_forward(tape, z, w, b)
         mask = np.zeros((5, 2, 3))
         mask[:, 1, :] = rng.normal(size=(5, 3))
-        tape.backward(T.tsum(tape, T.mul(tape, out, Tensor(batch_last(mask)))))
+        tape.backward(projected(tape, out, batch_last(mask)))
         npt.assert_array_equal(w.grad[0], np.zeros((3, 3)))
         npt.assert_array_equal(b.grad[0], np.zeros(3))
         npt.assert_array_equal(z.grad[0], np.zeros((3, 5)))
@@ -180,7 +175,7 @@ class TestGroupFc:
         z = t(batch_last(rng.normal(size=(3, 4, 2))), rg=True)
         w = t(rng.normal(size=(4, 2, 2)), rg=True)
         b = t(rng.normal(size=(4, 2)), rg=True)
-        proj = t(batch_last(rng.normal(size=(3, 4, 2))))
+        proj = batch_last(rng.normal(size=(3, 4, 2)))
         check_tape_gradients(
             lambda tp: projected(tp, L.group_fc_forward(tp, z, w, b), proj), [z, w, b]
         )
@@ -240,7 +235,7 @@ class TestGroupPool:
         z = t(batch_last(rng.normal(size=(3, 8, 2))), rg=True)
         w = t(rng.normal(size=(8 // branching, 2, branching * 2)), rg=True)
         params = w if kind == "linear" else None
-        proj = t(rng.normal(size=(8 // branching, 2, 3)))
+        proj = rng.normal(size=(8 // branching, 2, 3))
 
         def build(tp):
             return projected(tp, L.group_pool_forward(tp, z, kind, branching, params), proj)
@@ -263,7 +258,7 @@ class TestGroupPool:
         # groups 0 and 2 tie in every slot; group 1 beats group 3 in slot 0 only
         z = t(batch_last([[[1.0, 2.0], [5.0, 0.0], [1.0, 2.0], [4.0, 0.0]]]), rg=True)
         tape = T.Tape()
-        tape.backward(T.tsum(tape, L.group_pool_forward(tape, z, "max")))
+        tape.backward(projected(tape, L.group_pool_forward(tape, z, "max"), np.ones((2, 2, 1))))
         npt.assert_array_equal(
             z.grad, batch_last([[[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]])
         )
@@ -307,7 +302,7 @@ class TestBatchNorm:
         x = t(rng.normal(size=(6, 3)), rg=True)
         gamma = t(rng.uniform(0.5, 1.5, size=3), rg=True)
         beta = t(rng.normal(size=3), rg=True)
-        proj = t(rng.normal(size=(6, 3)))
+        proj = rng.normal(size=(6, 3))
 
         def build(tp):
             st = BatchNormState(gamma, beta, np.zeros(3), np.ones(3))  # fresh moments at each call
@@ -322,7 +317,7 @@ class TestBatchNorm:
         x = t(batch_last(xb), rg=True)
         gamma = t(rng.uniform(0.5, 1.5, size=4), rg=True)
         beta = t(rng.normal(size=4), rg=True)
-        proj = t(batch_last(rng.normal(size=(6, 2, 2))))
+        proj = batch_last(rng.normal(size=(6, 2, 2)))
         mean, var = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
 
         def bn(tp, inp):
@@ -359,7 +354,7 @@ class TestDropout:
     def test_gradient_with_a_fixed_rng(self):
         rng = np.random.default_rng(14)
         x = t(rng.normal(size=(5, 4)), rg=True)
-        proj = t(rng.normal(size=(5, 4)))
+        proj = rng.normal(size=(5, 4))
 
         def build(tp):
             # the same mask at every evaluation
@@ -395,7 +390,7 @@ class TestConcat:
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(9)
         z = t(batch_last(rng.normal(size=(3, 2, 2))), rg=True)
-        proj = t(rng.normal(size=(3, 4)))
+        proj = rng.normal(size=(3, 4))
         check_tape_gradients(lambda tp: projected(tp, L.concat_groups(tp, z), proj), [z], tol=1e-6)
 
 
@@ -425,7 +420,7 @@ class TestDense:
         w = t(rng.normal(size=(4, 2)), rg=True)
         b = t(rng.normal(size=2), rg=True)
         check_tape_gradients(
-            lambda tp: T.tsum(tp, L.dense_forward(tp, x, w, b)), [x, w, b], tol=1e-6
+            lambda tp: projected(tp, L.dense_forward(tp, x, w, b), np.ones((3, 2))), [x, w, b], tol=1e-6
         )
 
     def test_batch_input_gets_no_gradient(self):
@@ -436,5 +431,5 @@ class TestDense:
         assert dx is None
         npt.assert_allclose(dw, x.data.T @ np.ones((4, 2)), rtol=1e-14)
         tape = T.Tape()
-        tape.backward(T.tsum(tape, L.dense_forward(tape, x, w, b)))
+        tape.backward(projected(tape, L.dense_forward(tape, x, w, b), np.ones((4, 2))))
         assert x.grad is None and w.grad is not None

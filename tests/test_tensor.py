@@ -6,25 +6,23 @@ from hypothesis import strategies as st
 
 from gmlp import layers as L
 from gmlp import tensor as T
-from gmlp.errors import DomainError, GraphError, ShapeError
-from gradcheck import check_tape_gradients
+from gmlp.errors import DomainError, GraphError
+from gmlp.training import TrainConfig, loss_terms
+from gradcheck import check_tape_gradients, projected
 
 
 def t(data, rg=False):
     return T.Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg)
 
 
+def weights(alpha=0.0):
+    """The objective's weights: cross-entropy, plus the L2 term when ``alpha`` > 0."""
+    return TrainConfig(lambda_=0.0, alpha=alpha)
+
+
 class TestForward:
     def test_relu(self):
-        npt.assert_array_equal(T.relu(None, t([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
-
-    @pytest.mark.parametrize("op", [T.add, T.mul])
-    def test_shapes_must_match(self, op):
-        a = t(np.zeros((2, 3)))
-        assert op(None, a, t(np.ones((2, 3)))).shape == (2, 3)
-        for shape in [(3,), (1,), (1, 3), (2, 1)]:
-            with pytest.raises(ShapeError):
-                op(None, a, t(np.ones(shape)))
+        npt.assert_array_equal(T.node(None, L.RELU_PAIR, t([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
     def test_nonfinite_rejected_at_construction(self):
         with pytest.raises(DomainError):
@@ -95,32 +93,37 @@ class TestRoutingWeights:
         npt.assert_array_equal(flushed[~subnormal], s[~subnormal])
 
 
+# a node that reads its input twice, as its input and as a parameter: value x.x
+TWICE_PAIR = (lambda h: (np.asarray(np.dot(h, h)), h), lambda g, h: (g * h, g * h))
+
+
 class TestBackwardBasics:
-    def test_sum_gradient(self):
+    def test_projection_gradient(self):
         w = t([1.0, 5.0, -2.0], rg=True)
         tape = T.Tape()
-        tape.backward(T.tsum(tape, w))
-        npt.assert_array_equal(w.grad, [1.0, 1.0, 1.0])
+        tape.backward(projected(tape, w, np.array([1.0, 1.0, 2.5])))
+        npt.assert_array_equal(w.grad, [1.0, 1.0, 2.5])
 
-    def test_sum_of_squares_gradient(self):
-        w = t([1.0, 2.0], rg=True)
+    def test_chain_through_two_nodes(self):
+        w = t([1.0, -2.0], rg=True)
         tape = T.Tape()
-        loss = T.tsum(tape, T.mul(tape, w, w))
+        loss = projected(tape, T.node(tape, L.RELU_PAIR, w), np.array([3.0, 4.0]))
         tape.backward(loss)
-        npt.assert_allclose(w.grad, [2.0, 4.0])
+        npt.assert_array_equal(w.grad, [3.0, 0.0])
 
-    def test_product_rule(self):
-        x, y = t([2.0], rg=True), t([3.0], rg=True)
+    def test_each_input_of_a_node_gets_its_gradient(self):
+        x, w, b = t([[2.0]], rg=True), t([[3.0]], rg=True), t([0.5], rg=True)
         tape = T.Tape()
-        loss = T.tsum(tape, T.mul(tape, x, y))
+        loss = projected(tape, L.dense_forward(tape, x, w, b), np.array([[1.0]]))
         tape.backward(loss)
-        npt.assert_array_equal(x.grad, [3.0])
-        npt.assert_array_equal(y.grad, [2.0])
+        npt.assert_array_equal(x.grad, [[3.0]])
+        npt.assert_array_equal(w.grad, [[2.0]])
+        npt.assert_array_equal(b.grad, [1.0])
 
     def test_repeated_backward_is_error(self):
         w = t([1.0], rg=True)
         tape = T.Tape()
-        loss = T.tsum(tape, w)
+        loss = projected(tape, w, np.ones(1))
         tape.backward(loss)
         with pytest.raises(GraphError):
             tape.backward(loss)
@@ -128,62 +131,68 @@ class TestBackwardBasics:
     def test_non_scalar_loss_is_error(self):
         w = t([1.0, 2.0], rg=True)
         tape = T.Tape()
-        out = T.mul(tape, w, w)
+        out = T.node(tape, L.RELU_PAIR, w)
         with pytest.raises(GraphError):
             tape.backward(out)
 
     def test_detached_loss_is_error(self):
         w = t([1.0], rg=True)
         tape = T.Tape()
-        loss = T.tsum(None, w)  # computed off-tape
+        loss = projected(None, w, np.ones(1))  # computed off-tape
         with pytest.raises(GraphError):
             tape.backward(loss)
 
     def test_shared_input_accumulates(self):
-        # d/dx sum(x*x + x) = 2x + 1
+        # d/dx x.x = 2x, half from each of the node's two reads of x
         x = t([3.0, -1.0], rg=True)
         tape = T.Tape()
-        loss = T.tsum(tape, T.add(tape, T.mul(tape, x, x), x))
-        tape.backward(loss)
-        npt.assert_allclose(x.grad, [7.0, -1.0])
+        tape.backward(T.node(tape, TWICE_PAIR, x, x))
+        npt.assert_array_equal(x.grad, [6.0, -2.0])
 
 
 class TestGradientsAgainstFiniteDifferences:
     @pytest.mark.parametrize("seed", range(24))
-    def test_primitive_mix(self, seed):
-        # >= 20 random instances across the primitive vocabulary
+    def test_kernel_mix(self, seed):
+        # >= 20 random instances of a block chain and the objective: a is
+        # read by the dense node and by the L2 term
         rng = np.random.default_rng(seed)
         a = t(rng.normal(size=(4, 5)), rg=True)
-        b = t(rng.normal(size=(4, 5)), rg=True)
         w = t(rng.normal(size=(5, 3)), rg=True)
         r = t(rng.normal(size=(3,)), rg=True)
+        y = rng.integers(0, 3, size=4)
 
         def build(tp):
-            h = T.add(tp, T.mul(tp, a, a), T.mul(tp, a, b))
-            h = T.relu(tp, L.dense_forward(tp, h, w, r))
-            mean = T.scale(tp, T.tsum(tp, h), 1.0 / h.size)
-            return T.add(tp, mean, T.scale(tp, T.sum_squares(tp, h), 0.1))
+            h = T.node(tp, L.RELU_PAIR, L.dense_forward(tp, a, w, r))
+            return loss_terms(tp, h, y, None, [("a", a), ("w", w)], weights(alpha=0.1))[0]
 
-        check_tape_gradients(build, [a, b, w, r], tol=1e-5)
+        check_tape_gradients(build, [a, w, r], tol=1e-5)
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(17)
         logits = t(rng.normal(size=(5, 3)), rg=True)
         y = np.array([0, 2, 1, 2, 0])
-        check_tape_gradients(lambda tp: T.cross_entropy_logits(tp, logits, y), [logits])
+        check_tape_gradients(lambda tp: loss_terms(tp, logits, y, None, [], weights())[0], [logits])
 
     def test_cross_entropy_under_a_scale(self):
         # an upstream gradient other than 1 reaches the kernel
         rng = np.random.default_rng(18)
         logits = t(rng.normal(size=(4, 3)), rg=True)
         y = np.array([2, 0, 1, 1])
-        check_tape_gradients(lambda tp: T.scale(tp, T.cross_entropy_logits(tp, logits, y), 2.5), [logits])
+
+        def build(tp):
+            return projected(tp, loss_terms(tp, logits, y, None, [], weights())[0], np.asarray(2.5))
+
+        check_tape_gradients(build, [logits])
 
     def test_sum_squares(self):
         rng = np.random.default_rng(19)
         a = t(rng.normal(size=(3, 3)), rg=True)
-        assert T.sum_squares(None, a).item() == pytest.approx(np.square(a.data).sum(), rel=1e-14)
-        check_tape_gradients(lambda tp: T.sum_squares(tp, a), [a], tol=1e-6)
+        assert T.squares_sum([a.data.reshape(-1)]) == pytest.approx(np.square(a.data).sum(), rel=1e-14)
+        logits = t(np.zeros((1, 2)))
+        check_tape_gradients(
+            lambda tp: loss_terms(tp, logits, np.array([0]), None, [("a", a)], weights(1.0))[0],
+            [a], tol=1e-6,
+        )
 
     def test_sum_squares_over_several_tensors(self):
         rng = np.random.default_rng(23)
@@ -191,8 +200,13 @@ class TestGradientsAgainstFiniteDifferences:
         expected = 0.0
         for a in ts:
             expected += np.dot(a.data.reshape(-1), a.data.reshape(-1))
-        assert T.sum_squares(None, *ts).item() == expected
-        check_tape_gradients(lambda tp: T.sum_squares(tp, *ts), ts, tol=1e-6)
+        assert T.squares_sum([a.data.reshape(-1) for a in ts]) == expected
+        logits = t(np.zeros((1, 2)))
+        params = [(str(i), a) for i, a in enumerate(ts)]
+        check_tape_gradients(
+            lambda tp: loss_terms(tp, logits, np.array([0]), None, params, weights(1.0))[0],
+            ts, tol=1e-6,
+        )
 
 
 def masked_neg_entropy(a):
@@ -206,7 +220,7 @@ def masked_neg_entropy(a):
     return plogp.sum(), plogp - p * plogp.sum(axis=1, keepdims=True)
 
 
-class TestNegEntropyRows:
+class TestNegEntropyValue:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_masked_formula(self, seed):
         rng = np.random.default_rng(seed)
@@ -216,21 +230,18 @@ class TestNegEntropyRows:
         a[2] = [50.0, -1e3, -1e3, -1e3, -1e3, -1e3, -1e3]  # saturated: value 0
         a[3] = 0.0  # uniform
         value, grad = masked_neg_entropy(a)
-        at = t(a, rg=True)
-        tape = T.Tape()
-        out = T.neg_entropy_rows(tape, at)
-        tape.backward(out)
-        assert out.item() == pytest.approx(value, rel=1e-12)
-        npt.assert_allclose(at.grad, grad, rtol=1e-10, atol=1e-15)
-        assert np.all(at.grad[2] == 0.0)
+        got, saved = T.neg_entropy_value(a)
+        got_grad = T.neg_entropy_grad(1.0, saved)
+        assert got == pytest.approx(value, rel=1e-12)
+        npt.assert_allclose(got_grad, grad, rtol=1e-10, atol=1e-15)
+        assert np.all(got_grad[2] == 0.0)
 
 
 class TestCrossEntropyValues:
     def test_uniform_logits_two_classes(self):
-        logits = t(np.zeros((4, 2)))
-        loss = T.cross_entropy_logits(None, logits, np.array([0, 1, 0, 1]))
-        npt.assert_allclose(loss.item(), np.log(2.0), rtol=1e-12)
+        loss, _ = T.cross_entropy_value(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+        npt.assert_allclose(loss, np.log(2.0), rtol=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(DomainError):
-            T.cross_entropy_logits(None, t(np.zeros((1, 2))), np.array([2]))
+            T.cross_entropy_value(np.zeros((1, 2)), np.array([2]))

@@ -36,46 +36,54 @@ def cfg(**kw):
 
 class TestEntropyTerm:
     def test_uniform_single_row(self):
-        psi = Tensor(np.zeros((1, 4)), requires_grad=True)
-        assert entropy_term(None, psi).item() == pytest.approx(np.log(4) / 4, rel=1e-12)
+        psi = np.zeros((1, 4))
+        assert entropy_term(psi)[0] == pytest.approx(np.log(4) / 4, rel=1e-12)
 
     def test_saturated_rows_vanish(self):
-        psi = Tensor(np.eye(3) * 1e3)
-        assert entropy_term(None, psi).item() == pytest.approx(0.0, abs=1e-6)
+        psi = np.eye(3) * 1e3
+        assert entropy_term(psi)[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_single_peaked_row_value(self):
         # independent evaluation of the row [10, 0, 0, 0]
         row = np.array([10.0, 0.0, 0.0, 0.0])
         p = np.exp(row) / np.exp(row).sum()
         expected = -(p * np.log(p)).sum() / 4
-        psi = Tensor(row.reshape(1, 4))
-        assert entropy_term(None, psi).item() == pytest.approx(expected, rel=1e-12)
-        assert entropy_term(None, psi).item() == pytest.approx(0.0014980 / 4, abs=1e-8)
+        psi = row.reshape(1, 4)
+        assert entropy_term(psi)[0] == pytest.approx(expected, rel=1e-12)
+        assert entropy_term(psi)[0] == pytest.approx(0.0014980 / 4, abs=1e-8)
 
     def test_monotone_decrease_as_one_logit_grows(self):
         values = []
         for v in np.linspace(0.0, 20.0, 21):
-            psi = Tensor(np.array([[v, 0.0, 0.0, 0.0]]))
-            values.append(entropy_term(None, psi).item())
+            psi = np.array([[v, 0.0, 0.0, 0.0]])
+            values.append(entropy_term(psi)[0])
         assert all(a > b for a, b in zip(values, values[1:]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 10), st.integers(2, 12), st.integers(0, 2**31 - 1))
     def test_bounds(self, rows, d, seed):
         rng = np.random.default_rng(seed)
-        psi = Tensor(rng.normal(scale=2.0, size=(rows, d)))
-        h = entropy_term(None, psi).item()
+        psi = rng.normal(scale=2.0, size=(rows, d))
+        h = entropy_term(psi)[0]
         assert 0.0 <= h <= (rows / d) * np.log(d) + 1e-12
 
     def test_gradient_against_finite_differences(self):
+        # psi's gradient in the objective is its entropy term's alone
         rng = np.random.default_rng(21)
         psi = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         tape = T.Tape()
-        tape.backward(entropy_term(tape, psi))
-        (numeric,) = finite_difference(
-            lambda: entropy_term(None, psi).item(), [psi.data]
-        )
+        logits, y = Tensor(np.zeros((1, 2))), np.array([0])
+        tape.backward(loss_terms(tape, logits, y, psi, [], cfg(lambda_=1.0))[0])
+        (numeric,) = finite_difference(lambda: entropy_term(psi.data)[0], [psi.data])
         assert max_rel_err(psi.grad, numeric) < 1e-5
+
+    def test_writes_into_the_given_buffers(self):
+        rng = np.random.default_rng(22)
+        psi = rng.normal(size=(3, 4))
+        z, e = np.empty((3, 4)), np.empty((3, 4))
+        value, saved = entropy_term(psi, z, e)
+        assert value == entropy_term(psi)[0]
+        assert saved[0] is z and saved[1] is e
 
 
 class TestLoss:
@@ -113,16 +121,32 @@ class TestLoss:
         assert total.item() == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n_params", [1, 3, 7])
-    def test_l2_is_one_sum_squares_node(self, n_params):
+    def test_objective_is_one_node(self, n_params):
         rng = np.random.default_rng(3)
         logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        params = [(f"p{i}", Tensor(rng.normal(size=(i + 1, 2)), requires_grad=True))
-                  for i in range(n_params)]
+        psi = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        params = [("psi", psi)] + [
+            (f"p{i}", Tensor(rng.normal(size=(i + 1, 2)), requires_grad=True))
+            for i in range(n_params)
+        ]
         tape = T.Tape()
-        loss_terms(tape, logits, np.array([0, 2, 1, 1, 0]), None, params, cfg(alpha=0.01))
-        l2_nodes = [n for n in tape.nodes if n.backward.__qualname__.startswith("sum_squares.")]
-        assert len(l2_nodes) == 1
-        assert l2_nodes[0].inputs == tuple(p for _, p in params)
+        total, _, _ = loss_terms(tape, logits, np.array([0, 2, 1, 1, 0]), psi, params,
+                                 cfg(lambda_=0.5, alpha=0.01))
+        assert len(tape) == 1
+        assert tape.nodes[0].out is total
+        assert tape.nodes[0].inputs == (logits, psi, *(p for _, p in params))
+
+    def test_objective_node_inputs_follow_the_weights(self):
+        rng = np.random.default_rng(4)
+        logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        psi = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        params = [("psi", psi)]
+        y = np.array([0, 2, 1, 1, 0])
+        for lam, alpha, inputs in [(0.0, 0.0, (logits,)), (0.5, 0.0, (logits, psi)),
+                                   (0.0, 0.01, (logits, psi))]:
+            tape = T.Tape()
+            loss_terms(tape, logits, y, psi, params, cfg(lambda_=lam, alpha=alpha))
+            assert tape.nodes[0].inputs == inputs
 
     def test_label_out_of_range(self):
         with pytest.raises(Exception):
@@ -152,64 +176,48 @@ class TestLoss:
 
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([0.37])
-        state = AdamState.create([("p", p)])
-        adam_step([("p", p)], state, lr=0.001)
-        assert abs(1.0 - p.data[0]) == pytest.approx(0.001, rel=1e-4)
+        w = np.array([1.0])
+        state = AdamState.create(1)
+        adam_step(w, np.array([0.37]), state, lr=0.001)
+        assert abs(1.0 - w[0]) == pytest.approx(0.001, rel=1e-4)
 
     def test_zero_gradient_leaves_parameters(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        p.grad = np.zeros(2)
-        state = AdamState.create([("p", p)])
-        adam_step([("p", p)], state, lr=0.1)
-        npt.assert_array_equal(p.data, [1.0, -2.0])
-
-    def test_missing_gradient_skipped(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        state = AdamState.create([("p", p)])
-        adam_step([("p", p)], state, lr=0.1)
-        npt.assert_array_equal(p.data, [1.0])
+        w = np.array([1.0, -2.0])
+        state = AdamState.create(2)
+        adam_step(w, np.zeros(2), state, lr=0.1)
+        npt.assert_array_equal(w, [1.0, -2.0])
 
     def test_shape_mismatch(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.zeros(2)
-        state = AdamState.create([("p", p)])
+        state = AdamState.create(1)
         with pytest.raises(ConfigError):
-            adam_step([("p", p)], state, lr=0.1)
+            adam_step(np.array([1.0]), np.zeros(2), state, lr=0.1)
 
-    def test_bit_identical_to_plain_expression(self):
+    @pytest.mark.parametrize("size", [3, 2 * ADAM_TILE + 37])
+    def test_bit_identical_to_plain_expression(self, size):
+        # one short slice, or several with the last one short
         rng = np.random.default_rng(5)
-        params = [("a", Tensor(rng.normal(size=(7, 5)), requires_grad=True)),
-                  ("b", Tensor(rng.normal(size=3), requires_grad=True)),
-                  # several slices, the last one short
-                  ("c", Tensor(rng.normal(size=(1, 2 * ADAM_TILE + 37)), requires_grad=True))]
-        state = AdamState.create(params)
-        ref = {name: [p.data.copy(), np.zeros(p.shape), np.zeros(p.shape)] for name, p in params}
+        w = rng.normal(size=size)
+        state = AdamState.create(size)
+        ref_w, m, v = w.copy(), np.zeros(size), np.zeros(size)
         b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
         for step in range(1, 6):
-            for name, p in params:
-                p.grad = rng.normal(scale=10.0 ** (step - 3), size=p.shape)
-                w, m, v = ref[name]
-                g = p.grad
-                m *= b1
-                m += (1.0 - b1) * g
-                v *= b2
-                v += (1.0 - b2) * np.square(g)
-                w -= lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
-            adam_step(params, state, lr)
-            for name, p in params:
-                w, m, v = ref[name]
-                assert np.array_equal(p.data, w) and np.array_equal(state.m[name], m)
-                assert np.array_equal(state.v[name], v)
+            g = rng.normal(scale=10.0 ** (step - 3), size=size)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            ref_w -= lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+            adam_step(w, g, state, lr)
+            assert np.array_equal(w, ref_w) and np.array_equal(state.m, m)
+            assert np.array_equal(state.v, v)
 
     def test_scratch_is_one_slice(self):
-        p = Tensor(np.ones((1 << 10, 1 << 10)), requires_grad=True)
-        p.grad = np.full(p.shape, 0.5)
-        state = AdamState.create([("p", p)])
+        w = np.ones(1 << 20)
+        g = np.full(w.shape, 0.5)
+        state = AdamState.create(w.size)
         tracemalloc.start()
         try:
-            adam_step([("p", p)], state, lr=0.01)
+            adam_step(w, g, state, lr=0.01)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,9 +1,10 @@
 """Whole-network checks that do not depend on the layout of grouped activations.
 
 ``Model.forward`` has one walk per mode: training mode records the blocks'
-training kernels (``Model._train_pairs``) on a tape, and eval mode runs the
-eval executor alone. ``TestObjectiveGradient`` compares the tape gradient
-of the full training objective (cross-entropy, routing entropy and L2)
+training kernels (``Model._train_pairs``) on a tape, one node per block,
+and ``loss_terms`` records the objective (cross-entropy, routing entropy
+and L2) as one more node; eval mode runs the eval executor alone.
+``TestObjectiveGradient`` compares the tape gradient of the full objective
 with central finite differences of the same objective.
 ``TestForwardReference`` and ``TestEvalExecutor`` compare the eval
 executor's logits with a plain-numpy forward pass (``_reference_logits``)
@@ -11,10 +12,11 @@ that keeps grouped activations as (batch, group, slot) arrays and shares no
 code with the package; ``TestEvalExecutor`` also checks its folds, chunks
 and buffers, and ``predictions``. ``TestTrainStep`` holds the compiled
 training step that ``fit`` runs to the tape path bit for bit, and to
-central finite differences. Both are built from the same ``_train_pairs``
-list, so the bit checks guard the order in which the compiled step sums
-each parameter's gradient terms, and the recording of each kernel on the
-tape.
+central finite differences. Both run the same block kernels and the same
+``objective`` and ``objective_grad``, so the bit checks guard the order in
+which the compiled step sums each parameter's gradient terms, and the
+recording of each kernel on the tape. ``fit`` itself is held to a tape loop
+that gathers the tape's gradients into one flat vector for Adam.
 """
 
 import numpy as np
@@ -370,7 +372,7 @@ class TestTrainStep:
             step = TrainStep(compiled, cfg, np.random.default_rng(5))
             assert step.loss(x, y) == want
             step.backward()
-            npt.assert_array_equal(_bits(step.parameters.grad), _bits(want_grad))
+            npt.assert_array_equal(_bits(step.grad), _bits(want_grad))
             for got, kept in zip(_moments(compiled), _moments(taped)):
                 npt.assert_array_equal(_bits(got), _bits(kept))
 
@@ -390,7 +392,7 @@ class TestTrainStep:
 
         objective()
         step.backward()
-        analytic = step.parameters.grad.copy()
+        analytic = step.grad.copy()
         pick = np.random.default_rng(6)
         for (name, p), offset in zip(model.parameters(), model._offsets):
             # at most 24 coordinates of each tensor: the wide net has 11k
@@ -421,15 +423,13 @@ class TestTrainStep:
 
 
 def _tape_fit(model, train, cfg):
-    """``fit``'s training loop through the tape, per-tensor Adam and all; the mean loss of each epoch.
+    """``fit``'s training loop through the tape, the gradients gathered into one flat vector for Adam; the mean loss of each epoch.
 
     The plateau rule needs ``cfg.epochs`` completed epochs to act, so the
     learning rate stays ``lr0`` and no validation accuracy is needed.
     """
     assert cfg.plateau_patience >= cfg.epochs
-    params = model.parameters()
-    psi = model.routing.psi if model.routing is not None else None
-    adam = AdamState.create(params)
+    adam = AdamState.create(model._flat.size)
     dropout_rng = np.random.default_rng((cfg.seed, 7919))
     losses = []
     for epoch in range(cfg.epochs):
@@ -437,16 +437,9 @@ def _tape_fit(model, train, cfg):
         model.set_temperature(tau)
         total_sum, n = 0.0, 0
         for xb, yb in batches(train, cfg.batch_size, cfg.seed, epoch):
-            for _, p in params:
-                p.grad = None
-            tape = T.Tape()
-            logits = model.forward(Tensor(xb), training=True, tape=tape, rng=dropout_rng)
-            total, _, _ = loss_terms(tape, logits, yb, psi, params, cfg)
-            tape.backward(total)
-            adam_step(params, adam, lr)
-            total_sum += total.item()
+            (total, _, _), grad = _tape_step(model, xb, yb, cfg, dropout_rng)
+            adam_step(model._flat, grad, adam, lr)
+            total_sum += total
             n += 1
         losses.append(total_sum / n)
-    for _, p in params:
-        p.grad = None
     return losses
