@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,28 +42,6 @@ def _train_key(name: str) -> str:
 
 # config key -> (TrainConfig field, the type of its default, which casts the value)
 _TRAIN_KEYS = {_train_key(f.name): (f.name, type(f.default)) for f in fields(TrainConfig)}
-
-_RUN_KEYS = {
-    "arch": str,
-    "data": str,
-    "train_csv": str,
-    "test_csv": str,
-    "label_column": str,
-    "has_header": bool,
-    "test_fraction": float,
-    "branching": int,
-    "out_dir": str,
-    "synth_n": int,
-    "synth_seed": int,
-    "synth_root_prob": str,
-    "synth_xor_fidelity": float,
-    "synth_target_rule": str,
-    "halfnoise_n": int,
-    "halfnoise_signal": int,
-    "halfnoise_noise": int,
-    "halfnoise_classes": int,
-    "halfnoise_seed": int,
-}
 
 
 @dataclass
@@ -119,6 +98,11 @@ class RunConfig:
         for f in fields(self.train):
             out[_train_key(f.name)] = getattr(self.train, f.name)
         return out
+
+
+# config key -> the type of the RunConfig field of that name, which casts the
+# value; the nested TrainConfig's fields take the keys above
+_RUN_KEYS = {name: cast for name, cast in get_type_hints(RunConfig).items() if name != "train"}
 
 
 def _float_list(text: str, key: str) -> list[float]:

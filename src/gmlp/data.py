@@ -31,7 +31,6 @@ class Dataset:
     y: np.ndarray  # (N,) int64
     n_classes: int
     feature_names: list[str] | None = None
-    split_tag: str = "train"
 
     def __post_init__(self):
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -44,6 +43,8 @@ class Dataset:
             raise DataError("features hold non-finite values")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
             raise DataError(f"labels outside [0, {self.n_classes})")
+        if self.feature_names is not None and len(self.feature_names) != self.X.shape[1]:
+            raise DataError(f"{len(self.feature_names)} feature names for {self.X.shape[1]} columns")
 
     @property
     def n(self) -> int:
@@ -53,14 +54,8 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def take(self, idx: np.ndarray, split_tag: str | None = None) -> "Dataset":
-        return Dataset(
-            self.X[idx],
-            self.y[idx],
-            self.n_classes,
-            self.feature_names,
-            split_tag or self.split_tag,
-        )
+    def take(self, idx: np.ndarray) -> "Dataset":
+        return Dataset(self.X[idx], self.y[idx], self.n_classes, self.feature_names)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +90,8 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         label_idx = int(label_column)
 
     width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise DataError(f"{path}: header has {len(header)} fields, rows have {width}")
     if not -width <= label_idx < width:
         raise DataError(f"label column index {label_idx} out of range for {width} columns")
     label_idx %= width
@@ -161,7 +158,7 @@ def standardize(ds: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Dataset:
     safe = np.where(sigma == 0.0, 1.0, sigma)
     xn = (ds.X - mu) / safe
     xn[:, sigma == 0.0] = 0.0
-    return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.split_tag)
+    return Dataset(xn, ds.y, ds.n_classes, ds.feature_names)
 
 
 def save_norm_stats(stats: dict, path) -> None:
@@ -222,7 +219,7 @@ def split(ds: Dataset, test_fraction: float = 0.2, seed: int = 0):
     train_idx = np.concatenate([idx[n:] for idx, n in per_class])
     rng.shuffle(test_idx)
     rng.shuffle(train_idx)
-    return ds.take(train_idx, "train"), ds.take(test_idx, "test")
+    return ds.take(train_idx), ds.take(test_idx)
 
 
 def batches(ds: Dataset, batch_size: int, seed: int, epoch: int, drop_last: bool = True):
@@ -275,10 +272,6 @@ class SynthBayesNet:
         for arr in (self.root_prob, self.target_rule, np.array([self.xor_fidelity])):
             if np.any(arr < 0.0) or np.any(arr > 1.0):
                 raise DataError("probabilities must lie in [0, 1]")
-
-    @property
-    def n_roots(self) -> int:
-        return 6
 
 
 def synth_generate(net: SynthBayesNet, n_samples: int, seed: int = 0, return_hidden: bool = False):

@@ -15,10 +15,14 @@ a ``*_pair`` factory, or the constant ``RELU_PAIR`` and ``CONCAT_PAIR``,
 gives ``(forward, backward)`` as ``tensor`` describes. ``Model._train_pairs``
 lists the pairs of a model's blocks, which ``Model.forward`` records on a
 tape and the compiled training step runs without one; the training
-objective that follows them is one kernel of ``training``. Prediction does
-not use these kernels: the eval executor in ``model`` runs its own chunked
-steps. The layer functions (``*_forward(tape, ...)``, ``concat_groups``)
-check their operands and record one pair as one tape node; no code of the
+objective that follows them is one kernel of ``training``. The forwards of
+Group-FC, FC and Group-Pool take an optional flat buffer and write their
+output into its contiguous prefix (``prefix``); without one, numpy
+allocates. Training passes none, and the eval executor in ``model`` runs
+these forwards on its chunk buffers, next to eval-only steps of its own:
+the hard gather, the relaxed mix and the in-place ReLU and batch-norm.
+The layer functions (``*_forward(tape, ...)``, ``concat_groups``) check
+their operands and record one pair as one tape node; no code of the
 package calls them, and they are kept for the tests and for the
 benchmark's tracer, which times layers by these names.
 Parameters are captured as arrays, views of the model's flat vector that
@@ -28,6 +32,7 @@ behind ``ndarray.sum``, without its Python wrapper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,11 +146,16 @@ def group_select_forward(tape, x: Tensor, routing: RoutingParams) -> Tensor:
     return T.node(tape, select_pair(routing, scratch, x.requires_grad), x, routing.psi)
 
 
+def prefix(buf: np.ndarray | None, *shape: int) -> np.ndarray | None:
+    """The contiguous prefix of flat buffer ``buf``, shaped; None without a buffer, so numpy allocates."""
+    return None if buf is None else buf[: math.prod(shape)].reshape(shape)
+
+
 def group_fc_pair(w: np.ndarray, b: np.ndarray):
     """Group-FC: out[i] = w[i] @ z[i] + b[i][:, None], one batched matmul over the groups."""
 
-    def forward(z):
-        out = np.matmul(w, z)
+    def forward(z, buf=None):
+        out = np.matmul(w, z, out=prefix(buf, *w.shape[:2], z.shape[2]))
         out += b[:, :, None]
         return out, z
 
@@ -184,10 +194,11 @@ def reduce_pool_pair(kind: str, branching: int):
     Max sends each output's gradient to the lowest stratum that attains it,
     found only when the backward pass runs.
     """
+    reduce = np.max if kind == "max" else np.mean
 
-    def forward(z):
+    def forward(z, buf=None):
         zs = strata(z, branching)
-        out = zs.max(axis=0) if kind == "max" else zs.mean(axis=0)
+        out = reduce(zs, axis=0, out=prefix(buf, *zs.shape[1:]))
         return out, (zs, out)
 
     def backward(g, saved):
@@ -210,11 +221,11 @@ def reduce_pool_pair(kind: str, branching: int):
 def linear_pool_pair(branching: int, w: np.ndarray):
     """Linear Group-Pool: each set's b*m stacked slots times its private (q x b*m) map, no bias."""
 
-    def forward(z):
+    def forward(z, buf=None):
         zs = strata(z, branching)
         b, kb, m, n = zs.shape
         cat = np.ascontiguousarray(zs.transpose(1, 0, 2, 3)).reshape(kb, b * m, n)
-        return np.matmul(w, cat), cat
+        return np.matmul(w, cat, out=prefix(buf, kb, w.shape[1], n)), cat
 
     def backward(g, cat):
         gw = np.matmul(g, cat.transpose(0, 2, 1))
@@ -385,8 +396,8 @@ def concat_groups(tape, z: Tensor) -> Tensor:
 def dense_pair(w: np.ndarray, b: np.ndarray, input_grad: bool):
     """FC: h (B, p) @ w (p, q) + b (q,); h's gradient is computed only if ``input_grad``."""
 
-    def forward(h):
-        out = h @ w
+    def forward(h, buf=None):
+        out = np.matmul(h, w, out=prefix(buf, h.shape[0], w.shape[1]))
         out += b
         return out, h
 

@@ -196,6 +196,8 @@ def plan(spec: ArchSpec) -> list[Block]:
                 raise ConfigError("dense output before concat")
             saw_output = spec.kind == "gmlp" or i == last_fc
             (out,) = args
+            if out < 1:
+                raise ConfigError(f"block {i}: FC width must be >= 1, got {out}")
             block.params += [("dense.w", (width, out), (width, out)), ("dense.b", (out,), 0.0)]
             width = out
         elif tag == "batchnorm":
@@ -271,7 +273,7 @@ class Model:
         # it raised the benchmark's peak RSS on mlp-784 by 10 MB.
         self._flat = np.zeros(sum(sizes))
         for (name, shape, init), offset in zip(named, self._offsets):
-            slot = _view(self._flat[offset:], *shape)
+            slot = L.prefix(self._flat[offset:], *shape)
             if isinstance(init, tuple):
                 _xavier(rng, *init, slot)
             else:
@@ -344,13 +346,14 @@ class Model:
         parameters, running moments, routing logits and temperature, and run
         on cache-sized row chunks in one pair of buffers that the model keeps
         across calls, so one model's eval path must not run in two threads
-        at once. Hard routing gathers the argmax features of each chunk,
-        relaxed routing multiplies each chunk by the tempered softmax of psi,
-        dropout is the identity, and each ``GFC|FC, ReLU, BNorm`` run with no
-        negative batch-norm scale is folded into one affine step and
-        ``max(h, c)`` (see the comment block below the class). A tape in
-        eval mode, and a ``mode`` other than ``"relaxed"`` in training mode,
-        raise ``ConfigError``.
+        at once. Group-FC, FC and Group-Pool run the forwards of their
+        training kernels, writing into those buffers. Hard routing gathers
+        the argmax features of each chunk, relaxed routing multiplies each
+        chunk by the tempered softmax of psi, dropout is the identity, and
+        each ``GFC|FC, ReLU, BNorm`` run with no negative batch-norm scale is
+        folded into one affine step and ``max(h, c)`` (see the comment block
+        below the class). A tape in eval mode, and a ``mode`` other than
+        ``"relaxed"`` in training mode, raise ``ConfigError``.
         """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
@@ -373,8 +376,12 @@ class Model:
         ``step(h, spare)`` gets the activation and the flat buffer that does
         not hold it. A step that ``moves`` writes its result into ``spare``;
         any other step works in place, in the buffer of ``h``, or returns a
-        view of it. Grouped activations keep the (k, m, rows) layout of the
-        training kernels. Dropout is the identity in eval mode and is
+        view of it. Group-FC, FC and Group-Pool steps are the forwards of the
+        ``layers`` kernels that training runs (``_forward_step``), so grouped
+        activations keep the (k, m, rows) layout of training. The other
+        steps are eval-only: the hard gather and the relaxed mix, ReLU,
+        batch-norm and the folds' floors in place, Concat as a view, and a
+        copy of the input rows. Dropout is the identity in eval mode and is
         dropped, and each ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run
         whose batch-norm scale is nowhere negative is folded into two steps
         (see the comment block below the class).
@@ -406,13 +413,13 @@ class Model:
                 if fold is not None:
                     a, c = (v.reshape(-1, m) for v in fold)
                     w, b, floor = a[:, :, None] * w, a * b + c, c[:, :, None]
-                steps.append((_group_affine_step(w, b[:, :, None]), True))
+                steps.append((_forward_step(L.group_fc_pair(w, b)), True))
             elif tag == "dense":
                 w, b = (t.data for t in payload)
                 if fold is not None:
                     a, c = fold
                     w, b, floor = w * a, a * b + c, c
-                steps.append((_dense_step(w, b), True))
+                steps.append((_forward_step(L.dense_pair(w, b, False)), True))
             elif tag == "relu":
                 steps.append((_relu_step, False))
             elif tag == "batchnorm":
@@ -422,10 +429,8 @@ class Model:
                 steps.append((_scale_shift_step(a, c), False))
             elif tag == "pool":
                 kind, branching, w = payload
-                if kind == "linear":
-                    steps.append((_linear_pool_step(branching, w.data), False))
-                else:
-                    steps.append((_reduce_pool_step(kind, branching), True))
+                pair = L.linear_pool_pair(branching, w.data) if kind == "linear" else L.reduce_pool_pair(kind, branching)
+                steps.append((_forward_step(pair), True))
             elif tag == "concat":
                 grouped = False
                 steps.append((_concat_step, False))
@@ -512,12 +517,15 @@ class Model:
 # keeps from call to call (``Model._eval_buffers``, made by ``_flat_buffer``),
 # each one full chunk of the widest activation. A step that needs a new
 # array writes into the buffer that does not hold its input, as a view of
-# its contiguous prefix (a tail chunk uses a shorter prefix), and the two
-# swap roles. A fresh array per step and chunk would cost page faults
-# whenever the allocator has handed the last one back to the system, and
-# its speed would depend on the allocator's history. Because the buffers
-# belong to the model, one model's eval path is not re-entrant: two threads
-# must not predict with the same model at once.
+# its contiguous prefix (``layers.prefix``; a tail chunk uses a shorter
+# prefix), and the two swap roles. A fresh array per step and chunk would
+# cost page faults whenever the allocator has handed the last one back to
+# the system, and its speed would depend on the allocator's history. The
+# Group-FC, FC and Group-Pool steps are the training kernels' forwards,
+# given that buffer; only a linear Group-Pool still allocates, for the
+# side-by-side strata of each chunk. Because the buffers belong to the
+# model, one model's eval path is not re-entrant: two threads must not
+# predict with the same model at once.
 #
 # Batch-norm fold: eval batch-norm is a*h + c, with (a, c) from
 # ``BatchNormState.scale_shift``, and for a >= 0, a*relu(y) + c equals
@@ -550,13 +558,8 @@ def _flat_buffer(size: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
 
 
-def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """The contiguous prefix of a flat buffer, shaped."""
-    return buf[: math.prod(shape)].reshape(shape)
-
-
 def _copy_step(x, spare):
-    out = _view(spare, *x.shape)
+    out = L.prefix(spare, *x.shape)
     out[...] = x
     return out
 
@@ -565,7 +568,7 @@ def _gather_step(idx: np.ndarray, k: int, m: int):
     """Hard Group-Select: slot i reads feature idx[i] of every row."""
 
     def step(x, spare):
-        out = _view(spare, idx.size, x.shape[0])
+        out = L.prefix(spare, idx.size, x.shape[0])
         # idx comes from an argmax, so in range; "clip" spares numpy's buffered copy
         return np.take(x.T, idx, axis=0, out=out, mode="clip").reshape(k, m, -1)
 
@@ -576,27 +579,17 @@ def _mix_step(s: np.ndarray, k: int, m: int):
     """Relaxed Group-Select: S @ x.T for the routing softmax S."""
 
     def step(x, spare):
-        return np.matmul(s, x.T, out=_view(spare, s.shape[0], x.shape[0])).reshape(k, m, -1)
+        return np.matmul(s, x.T, out=L.prefix(spare, s.shape[0], x.shape[0])).reshape(k, m, -1)
 
     return step
 
 
-def _group_affine_step(w: np.ndarray, b: np.ndarray):
-    """Group-FC: one batched matmul over the groups, then the bias in place."""
+def _forward_step(pair):
+    """A ``layers`` kernel's forward as an eval step: its output, written into ``spare``."""
+    forward = pair[0]
 
     def step(h, spare):
-        out = np.matmul(w, h, out=_view(spare, w.shape[0], w.shape[1], h.shape[2]))
-        out += b
-        return out
-
-    return step
-
-
-def _dense_step(w: np.ndarray, b: np.ndarray):
-    def step(h, spare):
-        out = np.matmul(h, w, out=_view(spare, h.shape[0], w.shape[1]))
-        out += b
-        return out
+        return forward(h, spare)[0]
 
     return step
 
@@ -628,34 +621,6 @@ def _scale_shift_step(a: np.ndarray, c: np.ndarray):
 def _concat_step(h, spare):
     """(k, m, rows) -> (rows, k*m), as a transposed view."""
     return h.reshape(-1, h.shape[2]).T
-
-
-def _reduce_pool_step(kind: str, branching: int):
-    """Max or mean Group-Pool on a (k, m, rows) chunk."""
-    reduce = np.max if kind == "max" else np.mean
-
-    def step(h, spare):
-        strata = L.strata(h, branching)
-        return reduce(strata, axis=0, out=_view(spare, *strata.shape[1:]))
-
-    return step
-
-
-def _linear_pool_step(branching: int, w: np.ndarray):
-    """Linear Group-Pool: the strata side by side per output group, then one batched matmul.
-
-    The side-by-side copy goes into ``spare``; the product then goes back
-    into the buffer of ``h``, whose values the copy has already read.
-    """
-
-    def step(h, spare):
-        strata = L.strata(h, branching)
-        kb, m, n = strata.shape[1:]
-        cat = _view(spare, kb, branching * m, n)
-        np.copyto(cat.reshape(kb, branching, m, n), strata.transpose(1, 0, 2, 3))
-        return np.matmul(w, cat, out=_view(h.reshape(-1), *w.shape[:2], n))
-
-    return step
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,17 @@ class TestEval:
         assert cli.main([*argv, "--no-header", "--label-column", "6"]) == 1
         assert "'f0'" in capsys.readouterr().err
 
+    def test_header_narrower_than_rows_exits_1(self, tmp_path, capsys):
+        # six features and a label in each row, under a header that names one feature
+        rows = tmp_path / "rows.csv"
+        save_csv(synth_generate(SynthBayesNet(), 400, seed=3), rows)
+        rows.write_text("A,label\n" + rows.read_text().split("\n", 1)[1])
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("data = synth", f"data = csv\ntrain_csv = {rows}"))
+        assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+        assert "rows.csv: header has 2 fields, rows have 7" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "norm_stats.json").exists()
+
     def test_wrong_width_exits_1(self, trained, tmp_path, capsys):
         ckpt, _ = trained
         narrow = tmp_path / "narrow.csv"
@@ -231,6 +242,7 @@ class TestComplexity:
             ["GSel-4-2, GFC, Concat, FC-2", "-d", "six"],
             ["FC-4, GFC, FC-2", "-d", "3"],  # a Group-FC in a dense net
             ["FC-4, ReLU, BNorm, FC-3, ReLU", "-d", "5"],  # a block after the output FC
+            ["FC-0, ReLU, FC-2", "-d", "5"],  # a hidden layer of width 0
         ],
     )
     def test_bad_arch_or_argument_exits_1(self, argv, capsys):

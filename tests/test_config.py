@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from gmlp import cli
-from gmlp.config import load_config, parse_config_text
+from gmlp.config import RunConfig, load_config, parse_config_text
 from gmlp.errors import ConfigError, DataError
 from gmlp.training import TrainConfig
 
@@ -74,6 +74,30 @@ class TestTrainKeys:
         assert getattr(train, field.name) == value
         assert type(getattr(train, field.name)) is type(field.default)
         assert vars(train) == {**vars(TrainConfig()), field.name: value}
+
+
+# valid values of the text keys that the run checks; any other text key takes any text
+RUN_TEXT = {"arch": "FC-3, ReLU, FC-2", "data": "halfnoise"}
+
+
+class TestRunKeys:
+    @pytest.mark.parametrize(
+        "field", [f for f in fields(RunConfig) if f.name != "train"], ids=lambda f: f.name
+    )
+    def test_every_run_config_field_parses_from_its_key(self, field):
+        default = getattr(RunConfig(arch=""), field.name)
+        if isinstance(default, bool):
+            value = not default
+        elif isinstance(default, (int, float)):
+            # a valid value other than the default: one more, or half as much
+            value = default + 1 if isinstance(default, int) else default / 2
+        else:
+            value = RUN_TEXT.get(field.name, "some text")
+        cfg = _parse(f"{field.name} = {value}")
+        assert getattr(cfg, field.name) == value
+        assert type(getattr(cfg, field.name)) is type(default)
+        base = vars(_parse(""))
+        assert vars(cfg) == {**base, field.name: value}
 
 
 class TestNonFiniteTrainValues:

@@ -42,6 +42,14 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(p, label_column="target")
 
+    @pytest.mark.parametrize("header", ["a,label", "a,b,c,label"])
+    def test_header_width_must_match_rows(self, tmp_path, header):
+        p = tmp_path / "d.csv"
+        p.write_text(f"{header}\n1,2,0\n3,4,1\n")
+        fields = header.count(",") + 1
+        with pytest.raises(DataError, match=f"d.csv: header has {fields} fields, rows have 3"):
+            load_csv(p, label_column="label")
+
     def test_malformed_row_reports_line(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,label\n1,2,0\n3,4\n")
@@ -68,6 +76,13 @@ class TestLoadCsv:
         npt.assert_array_equal(back.X, ds.X)
         npt.assert_array_equal(back.y, ds.y)
         assert back.feature_names == ds.feature_names
+
+
+class TestDataset:
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_feature_names_must_match_width(self, names):
+        with pytest.raises(DataError, match=f"{len(names)} feature names for 2 columns"):
+            Dataset(np.zeros((3, 2)), np.zeros(3), 1, names)
 
 
 class TestNormalize:

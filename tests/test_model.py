@@ -60,6 +60,7 @@ class TestParse:
             "GSel-4-2, GFC, Concat, FC-3, ReLU, BNorm",  # blocks after the output
             "FC-4, ReLU, BNorm, FC-3, ReLU",  # a ReLU on a dense net's logits
             "FC-3, Dropout-0.5",
+            "FC-0, ReLU, FC-2",  # a hidden layer of width 0
             "",
         ],
     )

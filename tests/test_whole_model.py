@@ -19,6 +19,8 @@ recording of each kernel on the tape. ``fit`` itself is held to a tape loop
 that gathers the tape's gradients into one flat vector for Adam.
 """
 
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -173,8 +175,22 @@ def _perturb(model, rng):
 
 
 def _step_names(model, mode):
-    """The factory or function name of each eval step, e.g. ``_floor_step``."""
-    return [step.__qualname__.split(".")[0] for step, _ in model._eval_steps(mode)]
+    """The factory or function name of each eval step, e.g. ``_floor_step``.
+
+    A step that runs a ``layers`` kernel's forward is named by the kernel's
+    factory, e.g. ``group_fc_pair``.
+    """
+    names = []
+    for step, _ in model._eval_steps(mode):
+        fn = inspect.getclosurevars(step).nonlocals.get("forward", step)
+        names.append(fn.__qualname__.split(".")[0])
+    return names
+
+
+# nets and their rows per eval chunk: max, mean-4 and linear pooling, and a
+# dense net, so every shared forward writes into buffer prefixes of full and
+# tail chunks
+CHUNKED = [(arch, MAX_CHUNK_ROWS) for arch in (ARCHS[0], ARCHS[3], ARCHS[4])] + [(WIDE_MLP, 128)]
 
 
 class TestEvalExecutor:
@@ -212,6 +228,12 @@ class TestEvalExecutor:
         names = _step_names(model, "hard")
         assert names.count("_floor_step") == folds
         assert names.count("_scale_shift_step") == arch.count("BNorm") - folds
+        # a fold keeps its affine step: one layers forward per GFC, FC and GPool
+        assert names.count("group_fc_pair") == arch.count("GFC")
+        assert names.count("dense_pair") == arch.count("FC-")
+        pools = names.count("reduce_pool_pair") + names.count("linear_pool_pair")
+        assert pools == arch.count("GPool")
+        assert names.count("_relu_step") == arch.count("ReLU") - folds
 
     def test_reads_parameters_at_each_call(self):
         rng = np.random.default_rng(53)
@@ -238,7 +260,7 @@ class TestEvalExecutor:
         got = model.forward(Tensor(x), mode="relaxed").data
         npt.assert_allclose(got, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("arch, chunk", [(ARCHS[0], MAX_CHUNK_ROWS), (WIDE_MLP, 128)])
+    @pytest.mark.parametrize("arch, chunk", CHUNKED)
     @pytest.mark.parametrize("hard", [True, False])
     def test_predictions_over_chunks_and_remainder(self, arch, chunk, hard):
         rng = np.random.default_rng(59)
@@ -258,7 +280,7 @@ class TestEvalExecutor:
         npt.assert_array_equal(x, kept)
         npt.assert_allclose(logits, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("arch, chunk", [(ARCHS[0], MAX_CHUNK_ROWS), (WIDE_MLP, 128)])
+    @pytest.mark.parametrize("arch, chunk", CHUNKED)
     def test_buffers_reused_across_calls(self, arch, chunk):
         rng = np.random.default_rng(73)
         xs = [rng.normal(size=(n, D)) for n in (3 * chunk + 37, 5, 0)]
