@@ -159,6 +159,7 @@ def cmd_train(args) -> int:
         "best_val_accuracy": result.best_val_accuracy,
         "final_val_accuracy": result.records[-1].val_accuracy if result.records else None,
         "final_test_accuracy": accuracy(model, test_n),
+        "final_test_accuracy_hard": accuracy(model, test_n, hard=True),
         "final_tau": result.final_tau,
         "final_sparsity": sparsity_report(model.routing) if model.routing else None,
     }

@@ -15,12 +15,15 @@ a ``*_pair`` factory, or the constant ``RELU_PAIR`` and ``CONCAT_PAIR``,
 gives ``(forward, backward)`` as ``tensor`` describes. ``Model._train_pairs``
 lists the pairs of a model's blocks, which ``Model.forward`` records on a
 tape and the compiled training step runs without one; the training
-objective that follows them is one kernel of ``training``. The forwards of
-Group-FC, FC and Group-Pool take an optional flat buffer and write their
-output into its contiguous prefix (``prefix``); without one, numpy
-allocates. Training passes none, and the eval executor in ``model`` runs
-these forwards on its chunk buffers, next to eval-only steps of its own:
-the hard gather, the relaxed mix and the in-place ReLU and batch-norm.
+objective that follows them is one kernel of ``training``. Group-Select
+has two kernels: the relaxed ``select_pair``, differentiable in the routing
+logits, and the hard ``gather_pair``, which training runs once the routing
+is committed (its hard phase). The forwards of the hard gather, Group-FC,
+FC and Group-Pool take an optional flat buffer and write their output into
+its contiguous prefix (``prefix``); without one, numpy allocates. Training
+passes none, and the eval executor in ``model`` runs these forwards on its
+chunk buffers, next to eval-only steps of its own: the relaxed mix and the
+in-place ReLU and batch-norm.
 The layer functions (``*_forward(tape, ...)``, ``concat_groups``) check
 their operands and record one pair as one tape node; no code of the
 package calls them, and they are kept for the tests and for the
@@ -134,11 +137,30 @@ def select_pair(routing: RoutingParams, scratch, input_grad: bool):
     return forward, backward
 
 
+def gather_pair(idx: np.ndarray, k: int, m: int):
+    """Hard Group-Select, (B, d) -> (k, m, B): x.T[idx], slot i reading feature idx[i] of every row.
+
+    The routing is committed, so the backward computes no gradient, to psi
+    or to x. The training step of the hard phase and the eval executor run
+    this forward; with a flat buffer it writes into the buffer's prefix.
+    """
+
+    def forward(x, buf=None):
+        # idx comes from an argmax, so in range; "clip" spares numpy's buffered copy
+        out = np.take(x.T, idx, axis=0, out=prefix(buf, idx.size, x.shape[0]), mode="clip")
+        return out.reshape(k, m, -1), None
+
+    def backward(g, saved):
+        return (None,)
+
+    return forward, backward
+
+
 def group_select_forward(tape, x: Tensor, routing: RoutingParams) -> Tensor:
     """Relaxed Group-Select of (B, d) inputs into (k, m, B) feature groups, as one node.
 
     Mixes features through the tempered row softmax of psi; differentiable
-    in psi. Hard routing runs only in the eval executor.
+    in psi. ``Model.forward`` runs hard routing through ``gather_pair``.
     """
     if x.data.ndim != 2 or x.shape[1] != routing.d:
         raise ShapeError(f"input {x.shape} does not match d={routing.d}")

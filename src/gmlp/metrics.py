@@ -18,6 +18,7 @@ METRIC_COLUMNS = [
     "ce_loss",
     "entropy_term",
     "val_accuracy",
+    "val_accuracy_hard",
     "test_accuracy",
     "lr",
     "tau",

@@ -338,22 +338,24 @@ class Model:
         """Run the block list on a (B, d) batch and return (B, C) logits.
 
         Training mode runs the blocks' training kernels (``_train_pairs``:
-        relaxed routing, batch moments, dropout masks drawn from ``rng``)
-        and records each as one node on ``tape`` if one is given; ``fit``
+        relaxed routing, or in ``"hard"`` mode the gather of the committed
+        routing, batch moments, dropout masks drawn from ``rng``) and
+        records each as one node on ``tape`` if one is given; ``fit``
         compiles the same list without a tape. Eval mode (prediction) takes
         no tape and runs only the eval executor: the blocks become plain
         numpy steps (``_eval_steps``), built at each call from the current
         parameters, running moments, routing logits and temperature, and run
         on cache-sized row chunks in one pair of buffers that the model keeps
         across calls, so one model's eval path must not run in two threads
-        at once. Group-FC, FC and Group-Pool run the forwards of their
-        training kernels, writing into those buffers. Hard routing gathers
-        the argmax features of each chunk, relaxed routing multiplies each
-        chunk by the tempered softmax of psi, dropout is the identity, and
-        each ``GFC|FC, ReLU, BNorm`` run with no negative batch-norm scale is
+        at once. The hard gather, Group-FC, FC and Group-Pool run the
+        forwards of their training kernels, writing into those buffers. Hard
+        routing gathers the argmax features of each chunk, relaxed routing
+        multiplies each chunk by the tempered softmax of psi (or gathers,
+        where that softmax is one-hot), dropout is the identity, and each
+        ``GFC|FC, ReLU, BNorm`` run with no negative batch-norm scale is
         folded into one affine step and ``max(h, c)`` (see the comment block
         below the class). A tape in eval mode, and a ``mode`` other than
-        ``"relaxed"`` in training mode, raise ``ConfigError``.
+        ``"relaxed"`` or ``"hard"``, raise ``ConfigError``.
         """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
@@ -361,10 +363,12 @@ class Model:
             if tape is not None:
                 raise ConfigError("eval mode takes no tape: prediction runs the eval executor")
             return T._raw(self._eval_forward(x.data, mode))
-        if mode != "relaxed":
-            raise ConfigError(f"training mode routes relaxed only, got mode {mode!r}")
-        size = self.routing.psi.size if self.routing is not None else 0
-        pairs = self._train_pairs((np.empty(size), np.empty(size)), rng, x.requires_grad)
+        if mode not in ("relaxed", "hard"):
+            raise ConfigError(f"unknown group-select mode {mode!r}")
+        size = self.routing.psi.size if self.routing is not None and mode == "relaxed" else 0
+        pairs = self._train_pairs(
+            (np.empty(size), np.empty(size)), rng, x.requires_grad, hard=mode == "hard"
+        )
         h = x
         for forward, backward, params in pairs:
             h = T.node(tape, (forward, backward), h, *params)
@@ -376,24 +380,34 @@ class Model:
         ``step(h, spare)`` gets the activation and the flat buffer that does
         not hold it. A step that ``moves`` writes its result into ``spare``;
         any other step works in place, in the buffer of ``h``, or returns a
-        view of it. Group-FC, FC and Group-Pool steps are the forwards of the
-        ``layers`` kernels that training runs (``_forward_step``), so grouped
-        activations keep the (k, m, rows) layout of training. The other
-        steps are eval-only: the hard gather and the relaxed mix, ReLU,
-        batch-norm and the folds' floors in place, Concat as a view, and a
-        copy of the input rows. Dropout is the identity in eval mode and is
-        dropped, and each ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run
-        whose batch-norm scale is nowhere negative is folded into two steps
-        (see the comment block below the class).
+        view of it. Hard Group-Select, Group-FC, FC and Group-Pool steps are
+        the forwards of the ``layers`` kernels that training runs
+        (``_forward_step``), so grouped activations keep the (k, m, rows)
+        layout of training. Relaxed routing whose softmax is one-hot, as
+        after ``fit``'s hard phase, runs the hard gather of its argmax, which
+        gives the bits of the product up to the sign of zero (a chosen -0.0
+        stays -0.0, where the product sums it to +0.0). The other steps are
+        eval-only:
+        the relaxed mix, ReLU, batch-norm and the folds' floors in place,
+        Concat as a view, and a copy of the input rows. Dropout is the
+        identity in eval mode and is dropped, and each ``GFC, ReLU, BNorm``
+        or ``FC, ReLU, BNorm`` run whose batch-norm scale is nowhere
+        negative is folded into two steps (see the comment block below the
+        class).
         """
         steps = []
         r = self.routing
         if r is not None:
             k, m = r.k, r.m
             if mode == "hard":
-                steps.append((_gather_step(L.hard_assignment(r), k, m), True))
+                steps.append((_forward_step(L.gather_pair(L.hard_assignment(r), k, m)), True))
             elif mode == "relaxed":
-                steps.append((_mix_step(T.routing_weights(r.psi.data, r.temperature), k, m), True))
+                s = T.routing_weights(r.psi.data, r.temperature)
+                # one nonzero per row: the flush leaves the row sum, so the weight, exactly 1.0
+                if np.count_nonzero(s) == k * m:
+                    steps.append((_forward_step(L.gather_pair(s.argmax(1), k, m)), True))
+                else:
+                    steps.append((_mix_step(s, k, m), True))
             else:
                 raise ConfigError(f"unknown group-select mode {mode!r}")
         elif self._ops[0][0] != "dense":
@@ -459,21 +473,24 @@ class Model:
             out[start : start + rows] = h
         return out
 
-    def _train_pairs(self, scratch, rng, input_grad: bool) -> list:
+    def _train_pairs(self, scratch, rng, input_grad: bool, hard: bool = False) -> list:
         """The blocks' training kernels as ``(forward, backward, params)``, in block order.
 
         ``forward`` and ``backward`` are the block's ``layers`` pair, and
         ``params`` the tensors whose gradients ``backward`` returns after the
         input's. Group-Select is relaxed and keeps its routing weights and
         psi's gradient term in ``scratch``, two flat buffers of psi's size;
-        batch-norm folds the batch moments into the running moments in its
-        forward; dropout draws its masks from ``rng``, in block order. A
-        first Group-Select or FC computes its input's gradient only if
-        ``input_grad``.
+        if ``hard``, it is the gather of psi's argmax, which trains nothing
+        and reads no ``scratch``. Batch-norm folds the batch moments into
+        the running moments in its forward; dropout draws its masks from
+        ``rng``, in block order. A first Group-Select or FC computes its
+        input's gradient only if ``input_grad``.
         """
         pairs = []
         r = self.routing
-        if r is not None:
+        if r is not None and hard:
+            pairs.append((*L.gather_pair(L.hard_assignment(r), r.k, r.m), []))
+        elif r is not None:
             pairs.append((*L.select_pair(r, scratch, input_grad), [r.psi]))
         grouped = r is not None
         for tag, payload in self._ops:
@@ -521,9 +538,9 @@ class Model:
 # prefix), and the two swap roles. A fresh array per step and chunk would
 # cost page faults whenever the allocator has handed the last one back to
 # the system, and its speed would depend on the allocator's history. The
-# Group-FC, FC and Group-Pool steps are the training kernels' forwards,
-# given that buffer; only a linear Group-Pool still allocates, for the
-# side-by-side strata of each chunk. Because the buffers belong to the
+# hard gather, Group-FC, FC and Group-Pool steps are the training kernels'
+# forwards, given that buffer; only a linear Group-Pool still allocates, for
+# the side-by-side strata of each chunk. Because the buffers belong to the
 # model, one model's eval path is not re-entrant: two threads must not
 # predict with the same model at once.
 #
@@ -562,17 +579,6 @@ def _copy_step(x, spare):
     out = L.prefix(spare, *x.shape)
     out[...] = x
     return out
-
-
-def _gather_step(idx: np.ndarray, k: int, m: int):
-    """Hard Group-Select: slot i reads feature idx[i] of every row."""
-
-    def step(x, spare):
-        out = L.prefix(spare, idx.size, x.shape[0])
-        # idx comes from an argmax, so in range; "clip" spares numpy's buffered copy
-        return np.take(x.T, idx, axis=0, out=out, mode="clip").reshape(k, m, -1)
-
-    return step
 
 
 def _mix_step(s: np.ndarray, k: int, m: int):

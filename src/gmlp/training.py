@@ -24,12 +24,29 @@ as one node and the objective as one more, so both paths give the same
 bits and the gradient checks of the tape path check the arithmetic that
 ``fit`` runs.
 
+A group-connected net trains in two phases. The relaxed phase routes
+through the tempered softmax of psi. For the last
+``int(HARDEN_FRACTION * epochs)`` epochs (a quarter) the routing is
+committed: ``pin_routing`` raises each routing row's argmax logit by
+``PIN_TEMPERATURES`` (1000) times ``tau_end``, so the softmax at
+``tau_end`` is exactly one-hot, relaxed and hard routing give the same
+bits and a checkpoint keeps its format. The
+hard phase trains the rest of the net on the gather of the committed
+features (``layers.gather_pair``). It trains no psi, so it computes no
+routing weights, no entropy term and no psi gradient, and Adam skips
+psi's entries; its records hold an entropy term of 0 and a sparsity of 1,
+and its validation accuracy is the hard one, which the relaxed one
+equals. A dense net has no routing and trains every epoch alike.
+
 Two schedules run per epoch: the softmax temperature decays geometrically
-from ``tau_start`` to ``tau_end`` across the configured epoch budget, and the
-learning rate divides by ``plateau_factor`` whenever the best validation
-accuracy has not improved for ``plateau_patience`` epochs. The ablations of
-the paper's regularizers need no switch of their own: ``lambda_ = 0`` drops
-the entropy term and ``tau_end = tau_start`` holds the temperature.
+from ``tau_start`` to ``tau_end`` across the relaxed epochs and holds at
+``tau_end`` after them, and the learning rate divides by
+``plateau_factor`` whenever the best relaxed validation accuracy has not
+improved for ``plateau_patience`` epochs. The best epoch, whose state
+``fit`` returns, is chosen by hard-routed validation accuracy, the mode a
+group-connected net is deployed in. The ablations of the paper's
+regularizers need no switch of their own: ``lambda_ = 0`` drops the
+entropy term and ``tau_end = tau_start`` holds the temperature.
 
 Runaway training stops with :class:`TrainingDiverged` under one blow-up
 rule: a batch loss that is non-finite, or that exceeds ``DIVERGENCE_FACTOR``
@@ -43,7 +60,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -52,6 +69,7 @@ from . import tensor as T
 from .analysis import sparsity_report
 from .data import Dataset, batches
 from .errors import ConfigError, ShapeError, TrainingDiverged
+from .layers import RoutingParams, hard_assignment
 from .model import Model, _flat_buffer
 from .tensor import Tensor
 
@@ -60,6 +78,12 @@ DIVERGENCE_FACTOR = 1e6
 # entries per Adam slice: 2^15 float64 is 256 KiB per array, so a slice's
 # gradient, moments, parameter and two scratch arrays fit in a 2 MiB L2 cache
 ADAM_TILE = 1 << 15
+# a pinned routing row's chosen logit leads every other by this many
+# temperatures, so exp underflows to 0 for every other column and the row's
+# softmax at that temperature is exactly one-hot
+PIN_TEMPERATURES = 1000.0
+# share of a group-connected net's epochs, the last, trained on the committed routing
+HARDEN_FRACTION = 0.25
 
 
 @dataclass
@@ -235,11 +259,23 @@ def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None
         ws -= b
 
 
+def relaxed_epochs(epochs: int) -> int:
+    """The epochs before the hard phase: all but the last ``int(HARDEN_FRACTION * epochs)``."""
+    return epochs - int(HARDEN_FRACTION * epochs)
+
+
 def temperature_at(epoch: int, cfg: TrainConfig) -> float:
-    """Geometric interpolation from tau_start (epoch 0) to tau_end (last epoch)."""
-    if cfg.epochs <= 1:
+    """Geometric interpolation from tau_start (epoch 0) to tau_end (last relaxed epoch), then tau_end.
+
+    The relaxed epochs are the first ``relaxed_epochs(epochs)``; a single
+    one runs at tau_start.
+    """
+    relaxed = relaxed_epochs(cfg.epochs)
+    if epoch >= relaxed:
+        return cfg.tau_end
+    if relaxed <= 1:
         return cfg.tau_start
-    frac = epoch / (cfg.epochs - 1)
+    frac = epoch / (relaxed - 1)
     return cfg.tau_start * (cfg.tau_end / cfg.tau_start) ** frac
 
 
@@ -293,6 +329,7 @@ class EpochRecord:
     ce_loss: float
     entropy_term: float
     val_accuracy: float
+    val_accuracy_hard: float
     test_accuracy: float
     lr: float
     tau: float
@@ -302,11 +339,30 @@ class EpochRecord:
 
 @dataclass
 class FitResult:
+    """What ``fit`` returns: the epoch records and the best epoch's state.
+
+    The best epoch is the first with the highest hard-routed validation
+    accuracy, the mode a group-connected net is deployed in (for a dense
+    net, hard and relaxed are the same); ``best_val_accuracy`` is that
+    accuracy and ``best_state`` a copy of ``state_arrays()`` after it.
+    """
+
     records: list[EpochRecord]
     best_val_accuracy: float
     best_epoch: int
     best_state: list[tuple[str, np.ndarray]] | None
     final_tau: float
+
+
+def pin_routing(routing: RoutingParams, tau: float) -> None:
+    """Commit the routing: raise each row's argmax logit by ``PIN_TEMPERATURES * tau``, in place.
+
+    The row's argmax does not change, and the softmax at temperature tau
+    (or below) is then exactly one-hot: every other weight underflows to
+    0, so relaxed and hard routing give the same bits.
+    """
+    psi = routing.psi.data
+    psi[np.arange(psi.shape[0]), hard_assignment(routing)] += PIN_TEMPERATURES * tau
 
 
 def routing_sparsity(model: Model, threshold: float = 0.99) -> float:
@@ -322,8 +378,9 @@ class TrainStep:
     ``loss(x, y)`` runs the blocks' kernels forward (``Model._train_pairs``)
     and then ``objective``, and returns the objective and its cross-entropy
     and entropy terms as floats; ``backward()`` then writes the objective's
-    gradient into ``grad``, one flat vector laid out like the model's flat
-    parameter vector; ``rng`` draws the dropout masks, in block order.
+    gradient into ``grad``, one flat vector laid out like ``flat``, the part
+    of the model's flat parameter vector that the step trains; ``rng`` draws
+    the dropout masks, in block order.
     ``Model.forward`` and ``loss_terms`` record the same kernels on a tape,
     one node per block and one for the objective, and the tape sums each
     parameter's gradient terms in an order that gives the same bits: its L2
@@ -336,31 +393,41 @@ class TrainStep:
     exponent shares its buffer with Group-Select's gradient term, which is
     formed only after the entropy's gradient has been added.
 
+    A ``hard`` step trains on the committed routing (``fit``'s hard phase):
+    Group-Select is the gather of psi's argmax (``layers.gather_pair``),
+    psi is not trained, and the objective drops the entropy term and psi's
+    L2 term. Its ``flat`` and ``grad`` leave out psi, the first parameter,
+    so the step holds no psi-sized array. A step of a dense net is the same
+    in both modes.
+
     The model holds no reference to the step, so once the step is dropped
     its buffers are unmapped. Like the eval path, a step is not re-entrant.
     """
 
-    def __init__(self, model: Model, cfg: TrainConfig, rng: np.random.Generator):
+    def __init__(self, model: Model, cfg: TrainConfig, rng: np.random.Generator, hard: bool = False):
         self.d = model.spec.d
         self.alpha = cfg.alpha
-        self._flat = model._flat
-        self.grad = grad = _flat_buffer(model._flat.size)
-        self._flats = [t.data.reshape(-1) for _, t in model.parameters()]
         routing = model.routing
-        self.lambda_ = cfg.lambda_ if routing is not None else 0.0
+        relaxed = routing is not None and not hard
+        params, offsets, lo = model.parameters(), model._offsets, 0
+        if routing is not None and hard:
+            params, offsets, lo = params[1:], offsets[1:], routing.psi.size  # psi is the first parameter
+        self.flat = model._flat[lo:]
+        self.grad = grad = _flat_buffer(self.flat.size)
+        self._flats = [t.data.reshape(-1) for _, t in params]
+        self.lambda_ = cfg.lambda_ if relaxed else 0.0
         scratch = (None, None)
         self._psi = self._z = self._e = None
-        if routing is not None:
+        if relaxed:
             psi = routing.psi.data
             scratch = (_flat_buffer(psi.size), _flat_buffer(psi.size))
         if self.lambda_ > 0.0:
             self._psi = psi
-            self._gpsi = grad[: psi.size].reshape(psi.shape)  # psi is the first parameter
+            self._gpsi = grad[: psi.size].reshape(psi.shape)
             self._z = scratch[1].reshape(psi.shape)
             self._e = _flat_buffer(psi.size).reshape(psi.shape)
         slots = {
-            id(t): grad[o : o + t.size].reshape(t.shape)
-            for (_, t), o in zip(model.parameters(), model._offsets)
+            id(t): grad[o - lo : o - lo + t.size].reshape(t.shape) for (_, t), o in zip(params, offsets)
         }
 
         def put(t):
@@ -371,7 +438,7 @@ class TrainStep:
 
         self._steps = [
             (forward, backward, [put(t) for t in params])
-            for forward, backward, params in model._train_pairs(scratch, rng, False)
+            for forward, backward, params in model._train_pairs(scratch, rng, False, hard)
         ]
         self._saved = self._objective = None
 
@@ -398,7 +465,7 @@ class TrainStep:
         """The gradient of the last ``loss`` into ``grad``."""
         g, dpsi, l2 = objective_grad(1.0, self._objective)
         if self.alpha > 0.0:
-            np.multiply(self._flat, l2, out=self.grad)
+            np.multiply(self.flat, l2, out=self.grad)
         if dpsi is not None:
             if self.alpha > 0.0:
                 self._gpsi += dpsi
@@ -421,18 +488,35 @@ def fit(
 ) -> FitResult:
     """Full training loop: per-epoch schedules, Adam steps, metric records.
 
-    Each batch runs one compiled step (:class:`TrainStep`, built once per
-    call from the model's plan) and builds no tape: the blocks' kernels run
-    as plain numpy steps, ``objective`` and its gradient follow, and the
-    gradient lands in one flat vector laid out like the model's flat
-    parameter vector. Adam then runs once per step over that whole vector,
-    in ``adam_step``'s tiles. The fitted bits are those of a loop over the
-    tape path (``Model.forward`` with a tape, ``loss_terms`` and
-    ``Tape.backward``, the tensors' gradients gathered into one flat vector
-    for ``adam_step``), which records the same kernels.
+    A group-connected net trains in two phases. The relaxed phase, the
+    first ``relaxed_epochs(cfg.epochs)`` epochs, routes through the
+    tempered softmax of psi, annealed to ``tau_end`` at its last epoch, with
+    the entropy term. Then ``pin_routing`` commits each routing row to its
+    argmax at ``tau_end``, so relaxed and hard routing agree from there on,
+    and the hard phase trains the rest of the net on the gather of the
+    committed routing: psi and its Adam moments stay as they are, the
+    objective has no entropy term and no L2 term for psi, and its records
+    hold an entropy term of 0, tau at ``tau_end`` and a sparsity of 1. Its
+    per-epoch evaluation runs only the hard gather: the relaxed accuracies
+    it records are the hard ones, which give the same labels. A dense net
+    has no routing to commit and runs every epoch as the relaxed phase
+    does.
 
-    ``val`` drives the plateau schedule and best-checkpoint tracking; ``test``
-    is only ever measured for the learning curve. The step and its gradient
+    Each batch runs one compiled step (:class:`TrainStep`, built once per
+    phase from the model's plan; the relaxed step is dropped before the
+    hard one is built) and builds no tape: the blocks' kernels run as plain
+    numpy steps, ``objective`` and its gradient follow, and the gradient
+    lands in one flat vector laid out like the part of the model's flat
+    parameter vector that the phase trains. Adam then runs once per step
+    over that vector, in ``adam_step``'s tiles, continuing the same moments
+    and step count in the hard phase. The fitted bits are those of a loop
+    over the tape path (``Model.forward`` with a tape, in the phase's mode,
+    ``loss_terms`` and ``Tape.backward``, the tensors' gradients gathered
+    into one flat vector for ``adam_step``), which records the same kernels.
+
+    ``val`` drives the plateau schedule (by relaxed accuracy) and
+    best-checkpoint tracking (by hard accuracy, see :class:`FitResult`);
+    ``test`` is only ever measured for the learning curve. The step and its gradient
     vector are dropped on return, so a trained model holds no gradient and
     no step buffer, and no parameter's ``grad`` is set. The same
     inputs fit the same bits at one BLAS thread count; at another, BLAS may
@@ -441,7 +525,10 @@ def fit(
     exceeds ``DIVERGENCE_FACTOR`` times the first batch's loss.
     """
     cfg.validate()
-    step = TrainStep(model, cfg, np.random.default_rng((cfg.seed, 7919)))
+    routing = model.routing
+    relaxed = relaxed_epochs(cfg.epochs) if routing is not None else cfg.epochs
+    rng = np.random.default_rng((cfg.seed, 7919))
+    step = TrainStep(model, cfg, rng)
     adam = AdamState.create(model._flat.size)
     val_history: list[float] = []
     records: list[EpochRecord] = []
@@ -452,6 +539,12 @@ def fit(
     t0 = time.monotonic()
 
     for epoch in range(cfg.epochs):
+        if epoch == relaxed:
+            step = None  # unmaps the relaxed step's psi-sized buffers
+            pin_routing(routing, cfg.tau_end)
+            step = TrainStep(model, cfg, rng, hard=True)
+            # the moments of the parameters after psi, as views, and the same step count
+            adam = replace(adam, m=adam.m[routing.psi.size :], v=adam.v[routing.psi.size :])
         lr, tau = schedule_step(epoch, val_history, cfg)
         model.set_temperature(tau)
         loss_sum = ce_sum = ent_sum = 0.0
@@ -469,7 +562,7 @@ def fit(
                     f"exceeds {DIVERGENCE_FACTOR:g} x the first batch loss ({first_loss:.4g})",
                 )
             step.backward()
-            adam_step(model._flat, step.grad, adam, lr)
+            adam_step(step.flat, step.grad, adam, lr)
             loss_sum += value
             ce_sum += ce
             ent_sum += ent
@@ -479,24 +572,30 @@ def fit(
                 f"batch_size {cfg.batch_size} leaves no full training batch (n={train.n})"
             )
 
-        val_acc = accuracy(model, val)
-        test_acc = accuracy(model, test) if test is not None else math.nan
+        # once pinned, the relaxed softmax is one-hot: relaxed and hard give the same labels
+        committed = epoch >= relaxed
+        val_acc = accuracy(model, val, hard=committed)
+        val_hard = val_acc
+        if routing is not None and not committed:
+            val_hard = accuracy(model, val, hard=True)
+        test_acc = accuracy(model, test, hard=committed) if test is not None else math.nan
         record = EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_batches,
             ce_loss=ce_sum / n_batches,
             entropy_term=ent_sum / n_batches,
             val_accuracy=val_acc,
+            val_accuracy_hard=val_hard,
             test_accuracy=test_acc,
             lr=lr,
             tau=tau,
-            sparsity_fraction=routing_sparsity(model),
+            sparsity_fraction=1.0 if committed else routing_sparsity(model),
             wall_time=time.monotonic() - t0,
         )
         records.append(record)
         val_history.append(val_acc)
-        if val_acc > best_val:
-            best_val = val_acc
+        if val_hard > best_val:
+            best_val = val_hard
             best_epoch = epoch
             best_state = [(name, arr.copy()) for name, arr in model.state_arrays()]
         if on_epoch is not None:

@@ -34,6 +34,19 @@ class TestTrainDeterminism:
             assert first.read_bytes() == second.read_bytes(), name
         assert b"wall_time" not in (runs[0] / "train_report.json").read_bytes()
 
+    def test_report_after_a_hard_phase(self, tmp_path, capsys):
+        # 4 epochs: the last one trains on the committed routing
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("epochs = 3", "epochs = 4"), encoding="utf-8")
+        assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "run" / "train_report.json").read_text(encoding="utf-8"))
+        assert report["final_test_accuracy_hard"] == report["final_test_accuracy"]
+        assert report["final_sparsity"] == 1.0 and report["final_tau"] == 0.01
+        rows = (tmp_path / "run" / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0].split(",")[4:6] == ["val_accuracy", "val_accuracy_hard"]
+        assert float(rows[-1].split(",")[3]) == 0.0  # no entropy term in the hard phase
+
     @pytest.mark.parametrize("key", ["anneal_entropy", "anneal_temperature"])
     def test_removed_switches_exit_1(self, tmp_path, key, capsys):
         # lambda = 0 and tau_end = tau_start do what these switches did

@@ -124,6 +124,25 @@ class TestGroupSelect:
         assert dpsi.shape == r.psi.shape and dx is None
 
 
+class TestGather:
+    def test_reads_the_indexed_features_into_groups(self):
+        x = np.random.default_rng(43).normal(size=(5, 4))
+        idx = np.array([3, 0, 3, 1, 2, 2])
+        out, saved = L.gather_pair(idx, 3, 2)[0](x)
+        npt.assert_array_equal(out, batch_last(x[:, idx].reshape(5, 3, 2)))
+        assert out.flags.c_contiguous and saved is None
+
+    def test_writes_into_a_buffer_prefix(self):
+        x = np.random.default_rng(44).normal(size=(3, 4))
+        buf = np.full(40, np.nan)
+        out, _ = L.gather_pair(np.array([1, 2]), 1, 2)[0](x, buf)
+        assert np.shares_memory(out, buf) and np.isnan(buf[6:]).all()
+        npt.assert_array_equal(out.reshape(2, 3), x[:, [1, 2]].T)
+
+    def test_backward_gives_no_gradient(self):
+        assert L.gather_pair(np.array([0]), 1, 1)[1](np.ones((1, 1, 3)), None) == (None,)
+
+
 class TestGroupFc:
     def _params(self, k, m, rng=None):
         if rng is None:

@@ -285,7 +285,7 @@ class TestForward:
 
 
 class TestModes:
-    """Training mode runs the tape kernels with relaxed routing, eval mode only the executor."""
+    """Training mode runs the tape kernels with relaxed or committed routing, eval mode only the executor."""
 
     def test_one_row_batch_norm_in_training_raises(self):
         model = Model(parse_arch("FC-4, ReLU, BNorm, FC-3", d=2))
@@ -297,10 +297,19 @@ class TestModes:
         with pytest.raises(ConfigError):
             model.forward(Tensor(np.ones((4, 3))), training=True)
 
-    def test_hard_routing_in_training_raises(self):
+    def test_unknown_mode_in_training_raises(self):
         model = Model(parse_arch(SYNTH_ARCH, d=6))
         with pytest.raises(ConfigError):
-            model.forward(Tensor(np.ones((4, 6))), training=True, tape=T.Tape(), mode="hard")
+            model.forward(Tensor(np.ones((4, 6))), training=True, tape=T.Tape(), mode="soft")
+
+    def test_hard_routing_in_training_trains_no_routing(self):
+        model = Model(parse_arch(SYNTH_ARCH, d=6, seed=2))
+        x = Tensor(np.random.default_rng(2).normal(size=(4, 6)), requires_grad=True)
+        tape = T.Tape()
+        logits = model.forward(x, training=True, tape=tape, mode="hard")
+        tape.backward(projected(tape, logits, np.ones((4, 2))))
+        assert model.routing.psi.grad is None and x.grad is None
+        assert all(p.grad is not None for name, p in model.parameters() if name != "gsel.psi")
 
     def test_tape_in_eval_mode_raises(self):
         model = Model(parse_arch(SYNTH_ARCH, d=6))

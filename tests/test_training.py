@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmlp import tensor as T
+from gmlp import training
 from gmlp.data import Dataset, SynthBayesNet, normalize, split, synth_generate
 from gmlp.errors import ConfigError, TrainingDiverged
 from gmlp.model import Model, parse_arch
@@ -22,6 +23,7 @@ from gmlp.training import (
     fit,
     learning_rate_at,
     loss_terms,
+    pin_routing,
     schedule_step,
     temperature_at,
 )
@@ -225,11 +227,27 @@ class TestAdam:
 
 
 class TestSchedules:
-    def test_temperature_endpoints_and_midpoint(self):
+    def test_temperature_endpoints_and_midpoint(self, monkeypatch):
+        # no hard phase: the anneal spans every epoch
+        monkeypatch.setattr(training, "HARDEN_FRACTION", 0.0)
         c = cfg(epochs=301)
         assert temperature_at(0, c) == pytest.approx(1.0)
         assert temperature_at(300, c) == pytest.approx(0.01)
         assert temperature_at(150, c) == pytest.approx(0.1)
+
+    def test_anneal_ends_at_the_last_relaxed_epoch(self):
+        # the last int(0.25 * 401) = 100 epochs are hard
+        c = cfg(epochs=401)
+        assert training.relaxed_epochs(401) == 301
+        assert temperature_at(0, c) == pytest.approx(1.0)
+        assert temperature_at(150, c) == pytest.approx(0.1)
+        assert temperature_at(300, c) == pytest.approx(0.01)
+        assert {temperature_at(e, c) for e in range(300, 401)} == {0.01}
+
+    def test_a_single_relaxed_epoch_runs_at_tau_start(self, monkeypatch):
+        monkeypatch.setattr(training, "HARDEN_FRACTION", 0.5)
+        c = cfg(epochs=2)
+        assert [temperature_at(e, c) for e in range(2)] == [1.0, 0.01]
 
     def test_annealing_disabled(self):
         c = cfg(epochs=100, tau_start=0.5, tau_end=0.5)
@@ -358,6 +376,109 @@ class TestFit:
         model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=6))
         with pytest.raises(ConfigError):
             fit(model, ds, ds, cfg(epochs=1, batch_size=32))
+
+
+class TestHardPhase:
+    ARCH = "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
+
+    def _fit(self, c, keep=None):
+        """A fit of the tiny task; ``keep(model)`` runs after each epoch."""
+        ds = TestFit()._tiny_task(64)
+        model = Model(parse_arch(self.ARCH, d=6, seed=3))
+        result = fit(model, ds, ds, c, on_epoch=keep and (lambda record: keep(model)))
+        return model, result, ds
+
+    def test_psi_and_its_moments_stay_in_hard_epochs(self, monkeypatch):
+        calls = []
+
+        def spy(w, g, state, lr):
+            adam_step(w, g, state, lr)
+            calls.append((w, state, state.m.copy(), state.v.copy()))
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        psis = []
+        c = cfg(epochs=8, lambda_=1.0, alpha=1e-4)  # the last 2 epochs are hard
+        model, result, _ = self._fit(c, lambda model: psis.append(model.routing.psi.data.copy()))
+        n = model.routing.psi.size
+        steps = len(calls) // 8
+        relaxed, hard = calls[: 6 * steps], calls[6 * steps :]
+        assert all(w.size == model._flat.size for w, *_ in relaxed)
+        assert all(np.shares_memory(w, model._flat[n:]) and w.size == model._flat.size - n
+                   for w, *_ in hard)
+        # the hard phase's moments are the tail of the relaxed phase's, and the step count runs on
+        full = relaxed[-1][1]
+        assert all(state.m.base is full.m and state.v.base is full.v for _, state, *_ in hard)
+        assert [state.step for _, state, *_ in calls][-1] == len(calls)
+        npt.assert_array_equal(full.m[:n], relaxed[-1][2][:n])
+        npt.assert_array_equal(full.v[:n], relaxed[-1][3][:n])
+        pinned = Model(parse_arch(self.ARCH, d=6, seed=3)).routing
+        pinned.psi.data[...] = psis[5]
+        pin_routing(pinned, c.tau_end)
+        for psi in psis[6:]:
+            npt.assert_array_equal(psi, pinned.psi.data)
+        assert [r.entropy_term for r in result.records[6:]] == [0.0, 0.0]
+        assert [r.tau for r in result.records[5:]] == [c.tau_end] * 3
+
+    def test_routing_ends_one_hot_and_modes_agree(self):
+        argmax = []
+        c = cfg(epochs=8, lambda_=1.0, alpha=1e-4)
+        model, result, ds = self._fit(c, lambda model: argmax.append(model.routing.psi.data.argmax(1)))
+        s = T.routing_weights(model.routing.psi.data, result.final_tau)
+        assert result.final_tau == c.tau_end
+        npt.assert_array_equal(s, np.eye(6)[argmax[5]])
+        hard = model.forward(Tensor(ds.X), mode="hard").data
+        relaxed = model.forward(Tensor(ds.X), mode="relaxed").data
+        npt.assert_array_equal(hard.view(np.uint64), relaxed.view(np.uint64))
+        assert [r.val_accuracy for r in result.records[6:]] == [
+            r.val_accuracy_hard for r in result.records[6:]
+        ]
+
+    def test_zero_fraction_trains_every_epoch_relaxed(self, monkeypatch):
+        monkeypatch.setattr(training, "HARDEN_FRACTION", 0.0)
+        _, result, _ = self._fit(cfg(epochs=8, lambda_=1.0, alpha=1e-4))
+        assert all(r.entropy_term > 0.0 for r in result.records)
+
+    def test_hard_epochs_evaluate_only_the_hard_gather(self, monkeypatch):
+        calls = []
+
+        def spy(model, ds, hard=False):
+            calls.append(hard)
+            return accuracy(model, ds, hard=hard)
+
+        monkeypatch.setattr(training, "accuracy", spy)
+        monkeypatch.setattr(training, "routing_sparsity", lambda model: calls.append("sparsity") or 0.5)
+        _, result, _ = self._fit(cfg(epochs=4))  # the last epoch is hard
+        assert calls == [False, True, "sparsity"] * 3 + [True]
+        assert [r.sparsity_fraction for r in result.records] == [0.5, 0.5, 0.5, 1.0]
+
+    def test_dense_net_has_no_hard_phase(self, monkeypatch):
+        ds = TestFit()._tiny_task(64)
+        flats = []
+        for fraction in (0.0, 0.5):
+            monkeypatch.setattr(training, "HARDEN_FRACTION", fraction)
+            model = Model(parse_arch("FC-4, ReLU, BNorm, FC-2", d=6, seed=3))
+            result = fit(model, ds, ds, cfg(epochs=4, alpha=1e-4))
+            flats.append(model._flat.copy())
+            assert all(r.val_accuracy_hard == r.val_accuracy for r in result.records)
+        npt.assert_array_equal(flats[0], flats[1])
+
+
+class TestModelSelection:
+    def test_best_state_is_the_best_hard_epoch(self, monkeypatch):
+        # relaxed accuracy peaks at epoch 0, hard accuracy at epoch 2
+        scores = {False: iter([0.9, 0.5, 0.6, 0.4]), True: iter([0.2, 0.3, 0.7, 0.7])}
+        monkeypatch.setattr(training, "accuracy", lambda model, ds, hard=False: next(scores[hard]))
+        states = []
+        ds = TestFit()._tiny_task(64)
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=6, seed=3))
+        monkeypatch.setattr(training, "HARDEN_FRACTION", 0.0)
+        result = fit(model, ds, ds, cfg(epochs=4),
+                     on_epoch=lambda r: states.append([a.copy() for _, a in model.state_arrays()]))
+        assert [r.val_accuracy for r in result.records] == [0.9, 0.5, 0.6, 0.4]
+        assert [r.val_accuracy_hard for r in result.records] == [0.2, 0.3, 0.7, 0.7]
+        assert (result.best_epoch, result.best_val_accuracy) == (2, 0.7)
+        for (_, saved), kept in zip(result.best_state, states[2]):
+            npt.assert_array_equal(saved, kept)
 
 
 def _records_equal_except_wall(a, b):

@@ -12,11 +12,13 @@ that keeps grouped activations as (batch, group, slot) arrays and shares no
 code with the package; ``TestEvalExecutor`` also checks its folds, chunks
 and buffers, and ``predictions``. ``TestTrainStep`` holds the compiled
 training step that ``fit`` runs to the tape path bit for bit, and to
-central finite differences. Both run the same block kernels and the same
-``objective`` and ``objective_grad``, so the bit checks guard the order in
-which the compiled step sums each parameter's gradient terms, and the
-recording of each kernel on the tape. ``fit`` itself is held to a tape loop
-that gathers the tape's gradients into one flat vector for Adam.
+central finite differences, in both of its modes: relaxed, and hard (the
+gather of the committed routing, psi left out). Both paths run the same
+block kernels and the same ``objective`` and ``objective_grad``, so the
+bit checks guard the order in which the compiled step sums each
+parameter's gradient terms, and the recording of each kernel on the tape.
+``fit`` itself, a hard epoch included, is held to a tape loop that
+gathers the tape's gradients into one flat vector for Adam.
 """
 
 import inspect
@@ -25,6 +27,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gmlp import layers as L
+from gmlp import model as M
 from gmlp import tensor as T
 from gmlp.data import Dataset, batches
 from gmlp.errors import DomainError, ShapeError
@@ -37,7 +41,9 @@ from gmlp.training import (
     adam_step,
     fit,
     loss_terms,
+    pin_routing,
     predictions,
+    relaxed_epochs,
     schedule_step,
 )
 from gradcheck import finite_difference, finite_difference_at, max_rel_err
@@ -300,6 +306,50 @@ class TestEvalExecutor:
             npt.assert_array_equal(g, fresh().forward(Tensor(x)).data)
             npt.assert_array_equal(g, k)  # later calls left earlier results alone
 
+    @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[4]])
+    def test_one_hot_relaxed_routing_runs_the_gather(self, arch, monkeypatch):
+        rng = np.random.default_rng(76)
+        model = _net(arch, seed=17)
+        _perturb(model, rng)
+        model.set_temperature(0.01)
+        pin_routing(model.routing, 0.01)
+        # inputs from 1e-100 to 1e100, of either sign
+        x = rng.normal(size=(3 * MAX_CHUNK_ROWS + 37, D)) * 10.0 ** rng.uniform(-100, 100, (1, D))
+        assert _step_names(model, "relaxed")[0] == "gather_pair"
+        gathered = model.forward(Tensor(x), mode="relaxed").data
+        npt.assert_array_equal(_bits(gathered), _bits(model.forward(Tensor(x), mode="hard").data))
+        r = model.routing
+        steps = model._eval_steps("relaxed")
+        mix = M._mix_step(T.routing_weights(r.psi.data, r.temperature), r.k, r.m)
+        monkeypatch.setattr(model, "_eval_steps", lambda mode: [(mix, True)] + steps[1:])
+        npt.assert_array_equal(_bits(model.forward(Tensor(x), mode="relaxed").data), _bits(gathered))
+
+    def test_one_hot_gather_and_product_differ_only_in_the_sign_of_zero(self):
+        model = _net(ARCHS[0], seed=19)
+        model.set_temperature(0.01)
+        pin_routing(model.routing, 0.01)
+        r = model.routing
+        s = T.routing_weights(r.psi.data, r.temperature)
+        idx = s.argmax(1)
+        x = np.random.default_rng(77).normal(size=(40, D))
+        x[:, idx[0]] = -0.0
+        x[:, (idx[0] + 1) % D] = 0.0
+        gathered = L.gather_pair(idx, r.k, r.m)[0](x)[0]
+        mixed = M._mix_step(s, r.k, r.m)(x, np.empty(r.k * r.m * len(x)))
+        npt.assert_array_equal(gathered, mixed)  # -0.0 == 0.0
+        # the gather keeps a chosen -0.0; the product adds it to +0.0 terms
+        npt.assert_array_equal(_bits(gathered) != _bits(mixed), np.signbit(gathered) & (gathered == 0.0))
+        assert np.signbit(gathered).any() and not np.signbit(mixed[gathered == 0.0]).any()
+
+    def test_relaxed_routing_that_is_not_one_hot_mixes(self):
+        model = _net(ARCHS[0], seed=18)
+        model.set_temperature(0.01)
+        pin_routing(model.routing, 0.01)
+        psi = model.routing.psi.data
+        psi[5, (psi[5].argmax() + 1) % D] = psi[5].max()  # a tie: two weights of 1/2
+        assert _step_names(model, "relaxed")[0] == "_mix_step"
+        assert _step_names(model, "hard")[0] == "gather_pair"
+
     def test_two_models_do_not_interfere(self):
         rng = np.random.default_rng(75)
         x = rng.normal(size=(300, D))
@@ -339,6 +389,8 @@ STEP_CASES = [
 # (lambda, alpha): both terms, neither, and each alone, so that each
 # gradient slot is written first by L2, by the entropy and by its block
 STEP_CFGS = [(0.5, 1e-2), (0.0, 0.0), (1.0, 0.0), (0.0, 1e-3)]
+# the nets that route, for the hard step
+ROUTED = ARCHS[:-1] + [DROPOUT_ARCH]
 
 
 def _step_net(arch, tau, seed=21):
@@ -359,19 +411,29 @@ def _batch(model, n=6, seed=22):
     return rng.normal(size=(n, D)), rng.integers(0, model.spec.n_classes, size=n)
 
 
-def _tape_step(model, x, y, cfg, rng):
-    """(loss, ce, entropy term) and the flat gradient, through the tape path."""
+def _tape_step(model, x, y, cfg, rng, hard=False):
+    """(loss, ce, entropy term) and the flat gradient, through the tape path.
+
+    ``hard`` routes through the gather of psi's argmax and leaves psi out of
+    the objective's terms and of the gradient, which then starts at the
+    first parameter after psi.
+    """
     params = model.parameters()
     psi = model.routing.psi if model.routing is not None else None
+    lo = 0
+    if hard and psi is not None:
+        params, psi, lo = params[1:], None, psi.size
     tape = T.Tape()
-    logits = model.forward(Tensor(x), training=True, tape=tape, rng=rng)
+    mode = "hard" if hard else "relaxed"
+    logits = model.forward(Tensor(x), training=True, tape=tape, rng=rng, mode=mode)
     total, ce, ent = loss_terms(tape, logits, y, psi, params, cfg)
     tape.backward(total)
     grad = np.zeros_like(model._flat)
-    for (_, p), offset in zip(params, model._offsets):
+    for (_, p), offset in zip(params, model._offsets[-len(params) :]):
         grad[offset : offset + p.size] = p.grad.reshape(-1)
         p.grad = None
-    return (total.item(), ce.item(), ent.item() if ent is not None else 0.0), grad
+    assert model.parameters()[0][1].grad is None
+    return (total.item(), ce.item(), ent.item() if ent is not None else 0.0), grad[lo:]
 
 
 def _bits(a):
@@ -427,6 +489,50 @@ class TestTrainStep:
             # entries below 1e-3 are compared on the 1e-3 scale
             assert max_rel_err(analytic[offset + idx], numeric, floor=1e-3) < 1e-5, name
 
+    @pytest.mark.parametrize("arch", ROUTED)
+    def test_hard_step_same_bits_as_tape_path(self, arch):
+        x, y = _batch(_net(arch, seed=1))
+        for lam, alpha in STEP_CFGS:
+            cfg = TrainConfig(lambda_=lam, alpha=alpha)
+            taped, compiled = _step_net(arch, 0.01), _step_net(arch, 0.01)
+            want, want_grad = _tape_step(taped, x, y, cfg, np.random.default_rng(5), hard=True)
+            step = TrainStep(compiled, cfg, np.random.default_rng(5), hard=True)
+            assert step.loss(x, y) == want and want[2] == 0.0
+            step.backward()
+            assert step.grad.size == compiled._flat.size - compiled.routing.psi.size
+            assert np.shares_memory(step.flat, compiled._flat[compiled.routing.psi.size :])
+            npt.assert_array_equal(_bits(step.grad), _bits(want_grad))
+            for got, kept in zip(_moments(compiled), _moments(taped)):
+                npt.assert_array_equal(_bits(got), _bits(kept))
+
+    @pytest.mark.parametrize("arch", ROUTED)
+    def test_hard_gradient_matches_finite_differences(self, arch):
+        model = _step_net(arch, 0.01)
+        x, y = _batch(model)
+        rng = np.random.default_rng(5)
+        start = rng.bit_generator.state
+        step = TrainStep(model, TrainConfig(lambda_=0.5, alpha=1e-2), rng, hard=True)
+
+        def objective():
+            rng.bit_generator.state = start  # the same dropout masks at every evaluation
+            return step.loss(x, y)[0]
+
+        value = objective()
+        step.backward()
+        analytic = step.grad.copy()
+        psi = model.routing.psi.data
+        lo = psi.size
+        pick = np.random.default_rng(6)
+        for (name, p), offset in zip(model.parameters()[1:], model._offsets[1:]):
+            idx = np.sort(pick.choice(p.size, size=min(p.size, 24), replace=False))
+            numeric = finite_difference_at(objective, p.data, idx, 1e-5)
+            assert max_rel_err(analytic[offset - lo + idx], numeric, floor=1e-3) < 1e-5, name
+        # psi is out of the objective but for its argmax: a logit that stays
+        # below its row's maximum moves nothing
+        j = (psi[1].argmax() + 1) % D
+        psi[1, j] = (psi[1, j] + psi[1].max()) / 2
+        assert objective() == value
+
     @pytest.mark.parametrize(
         "arch",
         ["GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", ARCHS[5], DROPOUT_ARCH],
@@ -436,9 +542,11 @@ class TestTrainStep:
         rng = np.random.default_rng(24)
         train = Dataset(rng.normal(size=(96, D)), rng.integers(0, model.spec.n_classes, 96),
                         model.spec.n_classes)
-        cfg = TrainConfig(epochs=3, batch_size=16, lr0=1e-2, plateau_patience=3, seed=4)
+        # the last of the 4 epochs is hard
+        cfg = TrainConfig(epochs=4, batch_size=16, lr0=1e-2, plateau_patience=4, seed=4)
         result = fit(model, train, train, cfg)
         losses = _tape_fit(reference, train, cfg)
+        assert relaxed_epochs(cfg.epochs) == 3 and result.records[-1].entropy_term == 0.0
         assert [r.train_loss for r in result.records] == losses
         for (name, got), (_, want) in zip(model.state_arrays(), reference.state_arrays()):
             npt.assert_array_equal(_bits(got), _bits(want), err_msg=name)
@@ -448,19 +556,28 @@ def _tape_fit(model, train, cfg):
     """``fit``'s training loop through the tape, the gradients gathered into one flat vector for Adam; the mean loss of each epoch.
 
     The plateau rule needs ``cfg.epochs`` completed epochs to act, so the
-    learning rate stays ``lr0`` and no validation accuracy is needed.
+    learning rate stays ``lr0`` and no validation accuracy is needed. The
+    epochs after ``relaxed_epochs(cfg.epochs)`` run on the pinned routing, with Adam
+    over the parameters after psi, continuing their moments and the step
+    count.
     """
     assert cfg.plateau_patience >= cfg.epochs
     adam = AdamState.create(model._flat.size)
+    w = model._flat
     dropout_rng = np.random.default_rng((cfg.seed, 7919))
     losses = []
+    hard = False
     for epoch in range(cfg.epochs):
+        if epoch == relaxed_epochs(cfg.epochs):
+            hard, lo = True, model.routing.psi.size
+            pin_routing(model.routing, cfg.tau_end)
+            adam, w = AdamState(adam.m[lo:], adam.v[lo:], adam.step), w[lo:]
         lr, tau = schedule_step(epoch, [], cfg)
         model.set_temperature(tau)
         total_sum, n = 0.0, 0
         for xb, yb in batches(train, cfg.batch_size, cfg.seed, epoch):
-            (total, _, _), grad = _tape_step(model, xb, yb, cfg, dropout_rng)
-            adam_step(model._flat, grad, adam, lr)
+            (total, _, _), grad = _tape_step(model, xb, yb, cfg, dropout_rng, hard)
+            adam_step(w, grad, adam, lr)
             total_sum += total
             n += 1
         losses.append(total_sum / n)
