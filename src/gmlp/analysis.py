@@ -20,6 +20,13 @@ from .errors import DataError, ShapeError
 from .layers import RoutingParams, hard_assignment
 from .model import Model
 
+# a routing row counts as sparse once its softmax puts this much on one feature
+SPARSITY_THRESHOLD = 0.99
+# correlation_analysis reads the first CORRELATION_SLOTS slots and bins their
+# pair correlations into CORRELATION_BINS bins
+CORRELATION_SLOTS = 256
+CORRELATION_BINS = 40
+
 
 @dataclass
 class RoutingTable:
@@ -40,11 +47,11 @@ def discretize_routing(routing: RoutingParams) -> RoutingTable:
     return RoutingTable(hard_assignment(routing), routing.k, routing.m, routing.d)
 
 
-def sparsity_report(routing: RoutingParams, threshold: float = 0.99) -> float:
+def sparsity_report(routing: RoutingParams) -> float:
     """Fraction of routing rows whose softmax, at the current temperature,
-    already concentrates at least ``threshold`` on one feature."""
+    already concentrates at least ``SPARSITY_THRESHOLD`` on one feature."""
     probs = T.routing_weights(routing.psi.data, routing.temperature)
-    return float((probs.max(axis=1) >= threshold).mean())
+    return float((probs.max(axis=1) >= SPARSITY_THRESHOLD).mean())
 
 
 def selection_heatmap(table: RoutingTable) -> np.ndarray:
@@ -92,14 +99,12 @@ class CorrelationReport:
     zero_variance_slots: int
 
 
-def correlation_analysis(
-    model: Model, ds: Dataset, n_features_cap: int = 256, n_bins: int = 40
-) -> CorrelationReport:
+def correlation_analysis(model: Model, ds: Dataset) -> CorrelationReport:
     """Pearson correlations over the group-organizer outputs, split into
-    same-group and cross-group feature pairs.
+    same-group and cross-group feature pairs, in ``CORRELATION_BINS`` bins.
 
     Uses the raw (relaxed, eval-mode) group outputs at the model's current
-    temperature, capped at the first ``n_features_cap`` slots. Slots with
+    temperature, capped at the first ``CORRELATION_SLOTS`` slots. Slots with
     zero variance contribute correlation 0 and are tallied as warnings.
     """
     if model.routing is None:
@@ -111,7 +116,7 @@ def correlation_analysis(
         raise ShapeError(f"input {ds.X.shape} does not match d={routing.d}")
     z = T.routing_weights(routing.psi.data, routing.temperature) @ ds.X.T
     m, n = routing.m, ds.n
-    take = min(z.shape[0], n_features_cap)
+    take = min(z.shape[0], CORRELATION_SLOTS)
     flat = z[:take].T
 
     centered = flat - flat.mean(axis=0)
@@ -128,7 +133,7 @@ def correlation_analysis(
     iu = np.triu_indices(take, k=1)
     same = group_of[iu[0]] == group_of[iu[1]]
     vals = np.clip(corr[iu], -1.0, 1.0)
-    edges = np.linspace(-1.0, 1.0, n_bins + 1)
+    edges = np.linspace(-1.0, 1.0, CORRELATION_BINS + 1)
     intra_hist, _ = np.histogram(vals[same], bins=edges)
     inter_hist, _ = np.histogram(vals[~same], bins=edges)
     return CorrelationReport(corr, intra_hist, inter_hist, edges, int(dead.sum()))

@@ -7,7 +7,10 @@ architecture string, input width, final softmax temperature and training
 metadata (seed, config echo, normalization statistics). It stores nothing
 that the rest of the file determines: the hard routing table is the per-row
 argmax of the stored ``gsel.psi``, so ``gmlp analyze`` derives it from the
-loaded model, and the ``routing_table`` key of older files is ignored.
+loaded model, and the ``routing_table`` key of older files is ignored, as
+is their ``branching`` key: a bare ``GPool-kind`` token merges 2 groups, so
+an older file that set another width for bare tokens no longer matches its
+stored shapes and fails to load.
 Weights are down-converted to float32 on save and promoted back to float64
 on load, so a reloaded model reproduces eval-mode outputs to float32
 rounding (about 1e-7 relative) rather than bit-exactly.
@@ -53,7 +56,6 @@ def save_checkpoint(
         "arch": spec.text,
         "d": spec.d,
         "seed": spec.seed,
-        "branching": spec.branching,
         "final_tau": final_tau,
         "metadata": metadata or {},
         "params": entries,
@@ -66,14 +68,8 @@ def save_checkpoint(
         fh.write(bytes(blob))
 
 
-def save_model(path, model: Model, final_tau: float | None = None, metadata=None):
-    save_checkpoint(
-        path,
-        model.spec,
-        model.state_arrays(),
-        model.temperature if final_tau is None else final_tau,
-        metadata=metadata,
-    )
+def save_model(path, model: Model, metadata=None):
+    save_checkpoint(path, model.spec, model.state_arrays(), model.temperature, metadata=metadata)
 
 
 @dataclass
@@ -142,9 +138,8 @@ def _read_container(path) -> tuple[dict, bytes]:
     _field(manifest, "arch", str, where)
     _field(manifest, "d", int, where)
     _finite(manifest, "final_tau", where)
-    for key in ("seed", "branching"):
-        if key in manifest:
-            _field(manifest, key, int, where)
+    if "seed" in manifest:
+        _field(manifest, "seed", int, where)
     if "metadata" in manifest:
         metadata = _field(manifest, "metadata", dict, where)
         if metadata.get("norm_stats"):
@@ -169,12 +164,7 @@ def _read_container(path) -> tuple[dict, bytes]:
 def load_checkpoint(path) -> LoadedCheckpoint:
     manifest, blob = _read_container(path)
     try:
-        spec = parse_arch(
-            manifest["arch"],
-            d=manifest["d"],
-            seed=manifest.get("seed", 0),
-            branching=manifest.get("branching", 2),
-        )
+        spec = parse_arch(manifest["arch"], d=manifest["d"], seed=manifest.get("seed", 0))
         model = Model(spec)
         model.set_temperature(float(manifest["final_tau"]))
     except ConfigError as exc:

@@ -26,6 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, save_model
 from .config import RunConfig, load_config, resolve_out_dir
 from .data import (
     Dataset,
+    SynthBayesNet,
     halfnoise_generate,
     load_csv,
     normalize,
@@ -82,7 +83,7 @@ def _label_column(label: str) -> str | int:
 def _load_run_data(cfg: RunConfig):
     seed = cfg.train.seed
     if cfg.data == "synth":
-        full = synth_generate(cfg.synth_net(), cfg.synth_n, seed=cfg.synth_seed)
+        full = synth_generate(SynthBayesNet(), cfg.synth_n, seed=cfg.synth_seed)
         train, test = split(full, cfg.test_fraction, seed=cfg.synth_seed)
     elif cfg.data == "halfnoise":
         full = halfnoise_generate(
@@ -116,7 +117,7 @@ def cmd_train(args) -> int:
     (train_n, val_n, test_n), stats = normalize(train, val, test)
     save_norm_stats(stats, os.path.join(out_dir, "norm_stats.json"))
 
-    spec = parse_arch(cfg.arch, d=train_n.d, seed=cfg.train.seed, branching=cfg.branching)
+    spec = parse_arch(cfg.arch, d=train_n.d, seed=cfg.train.seed)
     if spec.n_classes != train_n.n_classes:
         raise ConfigError(
             f"arch outputs {spec.n_classes} classes but data has {train_n.n_classes}"
@@ -205,6 +206,7 @@ def cmd_eval(args) -> int:
         "checkpoint": str(args.checkpoint),
         "n_samples": ds.n,
         "accuracy": float((pred == ds.y).mean()),
+        "hard_routing_accuracy": float((predictions(model, ds.X, hard=True) == ds.y).mean()),
         "per_class_accuracy": {
             str(c): float((pred[ds.y == c] == c).mean())
             for c in range(ds.n_classes)
@@ -212,9 +214,6 @@ def cmd_eval(args) -> int:
         },
         "temperature": model.temperature,
     }
-    if args.hard_routing:
-        hard_pred = predictions(model, ds.X, hard=True)
-        report["hard_routing_accuracy"] = float((hard_pred == ds.y).mean())
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         _write_json(args.out, report)
@@ -226,18 +225,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     out_dir = resolve_out_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    net_kw = {}
-    if args.root_prob:
-        net_kw["root_prob"] = args.root_prob
-    if args.xor_fidelity is not None:
-        net_kw["xor_fidelity"] = args.xor_fidelity
-    if args.target_rule:
-        net_kw["target_rule"] = np.asarray(args.target_rule)
-    from .data import SynthBayesNet
-
-    net = SynthBayesNet(**net_kw)
+    given = {"root_prob": args.root_prob, "xor_fidelity": args.xor_fidelity, "target_rule": args.target_rule}
+    net = SynthBayesNet(**{key: value for key, value in given.items() if value is not None})
     full = synth_generate(net, args.n, seed=args.seed)
     train, test = split(full, args.test_fraction, seed=args.seed)
     save_csv(train, os.path.join(out_dir, "train.csv"))
@@ -306,7 +299,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    spec = parse_arch(args.arch, d=args.input_features, branching=args.branching)
+    spec = parse_arch(args.arch, d=args.input_features)
     report = count_complexity(spec).to_dict()
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
@@ -329,8 +322,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="CSV dataset path")
     p.add_argument("--label-column", default="label")
     p.add_argument("--no-header", action="store_true")
-    p.add_argument("--hard-routing", action="store_true",
-                   help="also report accuracy under discretized routing")
     p.add_argument("--out", default="", help="write the report JSON here too")
     p.set_defaults(func=cmd_eval)
 
@@ -357,7 +348,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("complexity", help="closed-form cost figures for an architecture")
     p.add_argument("arch")
     p.add_argument("--input-features", "-d", type=int, required=True)
-    p.add_argument("--branching", type=int, default=2)
     p.set_defaults(func=cmd_complexity)
 
     return parser

@@ -2,9 +2,38 @@
 
 One option per line, ``key = value``; blank lines and ``#`` comment lines are
 ignored, as is anything after `` #`` on a value line. No nesting, no
-sections. Unknown keys are rejected so typos fail loudly.
+sections. Unknown keys are rejected so typos fail loudly. ``arch`` is
+required; every other key has the default shown::
 
-Example::
+    arch =                  # the architecture string (gmlp.model)
+    data = synth            # synth | csv | halfnoise
+    train_csv =             # data = csv: the training rows
+    test_csv =              # data = csv: the test rows, else test_fraction of train_csv
+    label_column = label    # data = csv: a header name, or a 0-based column index
+    has_header = true       # data = csv
+    test_fraction = 0.2     # the held-out share of generated or unsplit rows
+    out_dir =               # else $GMLP_OUT_DIR, else gmlp-out
+    synth_n = 6400          # data = synth: rows drawn from SynthBayesNet()
+    synth_seed = 0          # data = synth: the draw and the train/test split
+    halfnoise_n = 2000      # data = halfnoise: rows
+    halfnoise_signal = 16   # data = halfnoise: signal columns
+    halfnoise_noise = 16    # data = halfnoise: noise columns
+    halfnoise_classes = 4   # data = halfnoise: classes
+    halfnoise_seed = 0      # data = halfnoise: the draw and the train/test split
+    epochs = 300
+    batch_size = 64
+    lambda = 1.0            # entropy weight
+    alpha = 1e-4            # L2 weight
+    lr0 = 0.001
+    plateau_patience = 10   # epochs without a gain before the lr drops
+    plateau_factor = 5.0    # the lr's divisor at a drop
+    tau_start = 1.0
+    tau_end = 0.01
+    seed = 0                # weights, batches, dropout, the validation and csv test splits
+    val_fraction = 0.1
+
+A synth net other than ``SynthBayesNet()`` is written out by ``gmlp synth``
+and trained with ``data = csv``. Example::
 
     arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax
     data = synth
@@ -21,9 +50,6 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
-import numpy as np
-
-from .data import SynthBayesNet
 from .errors import ConfigError
 from .training import TrainConfig
 
@@ -44,6 +70,13 @@ def _train_key(name: str) -> str:
 _TRAIN_KEYS = {_train_key(f.name): (f.name, type(f.default)) for f in fields(TrainConfig)}
 
 
+# the least valid value of each integer data key
+_LOWEST = {
+    **dict.fromkeys(("synth_n", "halfnoise_n", "halfnoise_classes"), 1),
+    **dict.fromkeys(("synth_seed", "halfnoise_seed", "halfnoise_signal", "halfnoise_noise"), 0),
+}
+
+
 @dataclass
 class RunConfig:
     """Everything one training run needs: architecture, data source, schedule."""
@@ -55,13 +88,9 @@ class RunConfig:
     label_column: str = "label"
     has_header: bool = True
     test_fraction: float = 0.2
-    branching: int = 2
     out_dir: str = ""
     synth_n: int = 6400
     synth_seed: int = 0
-    synth_root_prob: str = ""
-    synth_xor_fidelity: float = 0.99
-    synth_target_rule: str = ""
     halfnoise_n: int = 2000
     halfnoise_signal: int = 16
     halfnoise_noise: int = 16
@@ -78,38 +107,20 @@ class RunConfig:
             raise ConfigError("data = csv requires train_csv")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        for name, low in _LOWEST.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         self.train.validate()
 
-    def synth_net(self) -> SynthBayesNet:
-        kw = {"xor_fidelity": self.synth_xor_fidelity}
-        if self.synth_root_prob:
-            kw["root_prob"] = _float_list(self.synth_root_prob, "synth_root_prob")
-        if self.synth_target_rule:
-            rule = _float_list(self.synth_target_rule, "synth_target_rule")
-            kw["target_rule"] = np.asarray(rule)
-        return SynthBayesNet(**kw)
-
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "train":
-                continue
-            out[f.name] = getattr(self, f.name)
-        for f in fields(self.train):
-            out[_train_key(f.name)] = getattr(self.train, f.name)
-        return out
+        """Every key with its value: the run's fields, then the training config's."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "train"}
+        return out | {_train_key(f.name): getattr(self.train, f.name) for f in fields(self.train)}
 
 
 # config key -> the type of the RunConfig field of that name, which casts the
 # value; the nested TrainConfig's fields take the keys above
 _RUN_KEYS = {name: cast for name, cast in get_type_hints(RunConfig).items() if name != "train"}
-
-
-def _float_list(text: str, key: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated floats, got {text!r}") from exc
 
 
 def _parse_bool(value: str) -> bool:

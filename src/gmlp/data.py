@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,9 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
 
     ``label_column`` is a header name (requires ``has_header``) or a 0-based
     column index. Integer-valued labels are used as class indices directly;
-    anything else is mapped to indices in first-seen order.
+    anything else is mapped to indices in first-seen order. A header that
+    names one feature twice raises ``DataError``: normalization statistics
+    are keyed by name.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -95,6 +98,13 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     if not -width <= label_idx < width:
         raise DataError(f"label column index {label_idx} out of range for {width} columns")
     label_idx %= width
+    if header is not None:
+        names = [h for j, h in enumerate(header) if j != label_idx]
+        repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+        if repeated:
+            raise DataError(f"{path}: feature names {repeated} appear more than once")
+    else:
+        names = [f"f{j}" for j in range(width - 1)]
 
     feats, raw_labels = [], []
     for lineno, row in enumerate(rows, start=2 if has_header else 1):
@@ -117,19 +127,15 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         y = np.array([mapping.setdefault(v, len(mapping)) for v in raw_labels], dtype=np.int64)
         n_classes = len(mapping)
 
-    if header is not None:
-        names = [h for j, h in enumerate(header) if j != label_idx]
-    else:
-        names = [f"f{j}" for j in range(width - 1)]
     return Dataset(np.array(feats), y, n_classes, names)
 
 
-def save_csv(ds: Dataset, path, label_name: str = "label") -> None:
-    """Write the dataset back out, label as the last column, with a header."""
+def save_csv(ds: Dataset, path) -> None:
+    """Write the dataset back out with a header, its last column the ``label``."""
     names = ds.feature_names or [f"f{j}" for j in range(ds.d)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(names) + [label_name])
+        writer.writerow(list(names) + ["label"])
         for row, label in zip(ds.X, ds.y):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
@@ -222,16 +228,15 @@ def split(ds: Dataset, test_fraction: float = 0.2, seed: int = 0):
     return ds.take(train_idx), ds.take(test_idx)
 
 
-def batches(ds: Dataset, batch_size: int, seed: int, epoch: int, drop_last: bool = True):
-    """Iterate (X, y) minibatches after a per-epoch seeded reshuffle.
+def batches(ds: Dataset, batch_size: int, seed: int, epoch: int):
+    """Iterate full (X, y) minibatches after a per-epoch seeded reshuffle.
 
-    Training passes drop a trailing short batch (batch statistics need full
-    batches); evaluation keeps it.
+    A trailing short batch is dropped: batch statistics need full batches.
     """
     if batch_size < 2:
         raise DataError(f"batch size must be >= 2, got {batch_size}")
     perm = np.random.default_rng((seed, epoch)).permutation(ds.n)
-    end = (ds.n // batch_size) * batch_size if drop_last else ds.n
+    end = (ds.n // batch_size) * batch_size
     for start in range(0, end, batch_size):
         sel = perm[start : start + batch_size]
         yield ds.X[sel], ds.y[sel]

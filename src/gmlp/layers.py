@@ -71,6 +71,11 @@ class RoutingParams:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
 
+# the weight of a batch's moments in the running moments, and the term added to the variance
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
+
+
 @dataclass
 class BatchNormState:
     """Trainable scale/shift plus running moments for one normalized width."""
@@ -79,17 +84,6 @@ class BatchNormState:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
-
-    @classmethod
-    def create(cls, num_features: int) -> "BatchNormState":
-        return cls(
-            gamma=Tensor(np.ones(num_features), requires_grad=True),
-            beta=Tensor(np.zeros(num_features), requires_grad=True),
-            running_mean=np.zeros(num_features),
-            running_var=np.ones(num_features),
-        )
 
     def scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode batch-norm as a*x + c: a = gamma/sqrt(var + eps), c = beta - mean*a.
@@ -97,7 +91,7 @@ class BatchNormState:
         Computed from the current parameters and running moments, for the
         eval executor of ``Model.forward``.
         """
-        a = self.gamma.data * (1.0 / np.sqrt(self.running_var + self.epsilon))
+        a = self.gamma.data * (1.0 / np.sqrt(self.running_var + BN_EPSILON))
         return a, self.beta.data - self.running_mean * a
 
 
@@ -298,9 +292,10 @@ def batchnorm_pair(state: BatchNormState, grouped: bool):
     """Training-mode batch-norm of (B, F) rows, or of (k, m, B) groups per slot.
 
     Normalizes by the batch moments (biased variance) and folds them into
-    the running moments in place; a batch of one row raises ``DomainError``.
+    the running moments in place, at weight ``BN_MOMENTUM``; a batch of one
+    row raises ``DomainError``.
     """
-    momentum, eps = state.momentum, state.epsilon
+    momentum, eps = BN_MOMENTUM, BN_EPSILON
     axis, col = _layout(grouped)
     gamma, beta = state.gamma.data, state.beta.data.reshape(col)
 

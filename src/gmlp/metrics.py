@@ -29,32 +29,28 @@ METRIC_COLUMNS = [
 class MetricsWriter:
     """Streams epoch records to ``metrics.csv`` and ``timing.csv``."""
 
-    def __init__(self, metrics_path, timing_path=None):
+    def __init__(self, metrics_path, timing_path):
         self._fh = open(metrics_path, "w", newline="", encoding="utf-8")
+        self._timing_fh = open(timing_path, "w", newline="", encoding="utf-8")
         self._writer = csv.writer(self._fh)
+        self._timing = csv.writer(self._timing_fh)
         self._writer.writerow(METRIC_COLUMNS)
+        self._timing.writerow(["epoch", "wall_time"])
         self._fh.flush()
-        self._timing_fh = None
-        if timing_path is not None:
-            self._timing_fh = open(timing_path, "w", newline="", encoding="utf-8")
-            self._timing = csv.writer(self._timing_fh)
-            self._timing.writerow(["epoch", "wall_time"])
-            self._timing_fh.flush()
+        self._timing_fh.flush()
 
     def write(self, record: EpochRecord) -> None:
         self._writer.writerow(
             [record.epoch]
             + [repr(float(getattr(record, col))) for col in METRIC_COLUMNS[1:]]
         )
+        self._timing.writerow([record.epoch, f"{record.wall_time:.3f}"])
         self._fh.flush()
-        if self._timing_fh is not None:
-            self._timing.writerow([record.epoch, f"{record.wall_time:.3f}"])
-            self._timing_fh.flush()
+        self._timing_fh.flush()
 
     def close(self) -> None:
         self._fh.close()
-        if self._timing_fh is not None:
-            self._timing_fh.close()
+        self._timing_fh.close()
 
     def __enter__(self):
         return self

@@ -2,8 +2,8 @@
 builder, the forward pass, and closed-form complexity accounting.
 
 Architecture strings use the block tokens ``GSel-k-m``, ``GFC``, ``ReLU``,
-``BNorm``, ``GPool-kind`` (optionally ``GPool-kind-b`` for b-way merges),
-``Dropout-rate``, ``Concat``, ``FC-width`` and an optional terminal
+``BNorm``, ``GPool-kind`` (merging groups in pairs; ``GPool-kind-b`` merges
+b), ``Dropout-rate``, ``Concat``, ``FC-width`` and an optional terminal
 ``Softmax``. Example::
 
     GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax
@@ -56,11 +56,10 @@ class ArchSpec:
 _PLAIN_BLOCKS = {"gfc": "gfc", "relu": "relu", "bnorm": "batchnorm", "concat": "concat"}
 
 
-def parse_arch(text: str, d: int, seed: int = 0, branching: int = 2) -> ArchSpec:
+def parse_arch(text: str, d: int, seed: int = 0) -> ArchSpec:
     """Parse an architecture string into an ArchSpec that ``plan`` accepts.
 
-    ``branching`` is the default merge width for ``GPool-kind`` tokens
-    without an explicit count.
+    ``ArchSpec.branching`` is the merge width of the first pool, 2 without one.
     """
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
@@ -88,7 +87,7 @@ def parse_arch(text: str, d: int, seed: int = 0, branching: int = 2) -> ArchSpec
                 pk = parts[1].lower() if len(parts) > 1 else "max"
                 if pk not in POOL_KINDS:
                     raise ConfigError(f"token {pos}: unknown pool kind {pk!r}")
-                b = int(parts[2]) if len(parts) > 2 else branching
+                b = int(parts[2]) if len(parts) > 2 else 2
                 blocks.append(("pool", pk, b))
             elif head == "dropout":
                 if len(parts) != 2:
@@ -120,7 +119,7 @@ def parse_arch(text: str, d: int, seed: int = 0, branching: int = 2) -> ArchSpec
         n_classes=n_classes,
         k=k,
         m=m,
-        branching=branchings[0] if branchings else branching,
+        branching=branchings[0] if branchings else 2,
         blocks=tuple(blocks),
         seed=seed,
         text=text,

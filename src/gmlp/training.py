@@ -84,6 +84,10 @@ ADAM_TILE = 1 << 15
 PIN_TEMPERATURES = 1000.0
 # share of a group-connected net's epochs, the last, trained on the committed routing
 HARDEN_FRACTION = 0.25
+# Adam's moment decay rates and the term added to its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -120,6 +124,10 @@ class TrainConfig:
             )
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if self.plateau_patience < 1:
+            raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def entropy_term(psi: np.ndarray, z=None, e=None):
@@ -205,14 +213,11 @@ def loss_terms(
 
 @dataclass
 class AdamState:
-    """First and second moment estimates of one flat parameter vector."""
+    """First and second moment estimates of one flat parameter vector, and the steps taken."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def create(cls, size: int) -> "AdamState":
@@ -222,19 +227,19 @@ class AdamState:
 def adam_step(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected update of the flat vector w by its gradient g, in place.
 
-    w -= lr * (m/bc1) / (sqrt(v/bc2) + eps), evaluated in that operation
-    order, in consecutive contiguous slices of ``ADAM_TILE`` entries, each
-    slice running the whole update before the next starts, so that the
-    slice's gradient, moments, parameters and the two scratch arrays stay in
-    cache. The scratch arrays hold one slice and are made per call, not kept
-    between steps. The slices change no value: every operation is
-    elementwise.
+    w -= lr * (m/bc1) / (sqrt(v/bc2) + eps), with the betas and eps the
+    ``ADAM_*`` constants, evaluated in that operation order, in consecutive
+    contiguous slices of ``ADAM_TILE`` entries, each slice running the whole
+    update before the next starts, so that the slice's gradient, moments,
+    parameters and the two scratch arrays stay in cache. The scratch arrays
+    hold one slice and are made per call, not kept between steps. The slices
+    change no value: every operation is elementwise.
     """
     if g.shape != w.shape or state.m.shape != w.shape or w.ndim != 1:
         raise ConfigError(f"gradient {g.shape}, moments {state.m.shape} and parameters "
                           f"{w.shape} must be one flat vector")
     state.step += 1
-    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - beta1**state.step
     bc2 = 1.0 - beta2**state.step
     n = w.size
@@ -365,11 +370,11 @@ def pin_routing(routing: RoutingParams, tau: float) -> None:
     psi[np.arange(psi.shape[0]), hard_assignment(routing)] += PIN_TEMPERATURES * tau
 
 
-def routing_sparsity(model: Model, threshold: float = 0.99) -> float:
+def routing_sparsity(model: Model) -> float:
     """``analysis.sparsity_report`` of the model's routing; 1.0 for a dense net."""
     if model.routing is None:
         return 1.0
-    return sparsity_report(model.routing, threshold)
+    return sparsity_report(model.routing)
 
 
 class TrainStep:
@@ -549,7 +554,7 @@ def fit(
         model.set_temperature(tau)
         loss_sum = ce_sum = ent_sum = 0.0
         n_batches = 0
-        for xb, yb in batches(train, cfg.batch_size, cfg.seed, epoch, drop_last=True):
+        for xb, yb in batches(train, cfg.batch_size, cfg.seed, epoch):
             value, ce, ent = step.loss(xb, yb)
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, value)

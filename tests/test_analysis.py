@@ -142,11 +142,12 @@ class TestCorrelation:
         assert report.zero_variance_slots == 1
         assert report.corr[0, 0] == 0.0
 
-    def test_cap_respected(self):
+    def test_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(A, "CORRELATION_SLOTS", 4)
         model = self._model_with_assignment(list(range(6)) + [0, 1], d=6, k=4, m=2)
         rng = np.random.default_rng(8)
         ds = Dataset(rng.normal(size=(60, 6)), rng.integers(0, 2, 60), 2)
-        report = A.correlation_analysis(model, ds, n_features_cap=4)
+        report = A.correlation_analysis(model, ds)
         assert report.corr.shape == (4, 4)
 
     def test_needs_samples(self):

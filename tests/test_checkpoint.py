@@ -175,6 +175,24 @@ class TestRoundTrip:
             loaded.model.routing.psi.data, model.routing.psi.data.astype(np.float32)
         )
 
+    def test_stored_branching_of_older_files_is_ignored(self, tmp_path):
+        # the arch's tokens alone give each pool's width: the key is neither written nor read
+        _, path = _saved(tmp_path)
+        assert "branching" not in load_checkpoint(path).manifest
+        _rewrite_manifest(path, _with("branching", "two"))
+        assert load_checkpoint(path).model.spec.branching == 2
+
+    def test_older_file_with_another_bare_pool_width_fails(self, tmp_path):
+        # earlier versions merged bare GPool tokens at the manifest's branching: this
+        # net merged its 8 groups 4-way, so its stored shapes fit no pairwise merge
+        model = Model(parse_arch("GSel-8-2, GFC, GPool-max-4, GFC, Concat, FC-2", d=6, seed=1))
+        path = tmp_path / "model.ckpt"
+        save_model(path, model)
+        bare = "GSel-8-2, GFC, GPool-max, GFC, Concat, FC-2"
+        _rewrite_manifest(path, lambda mf: {**mf, "arch": bare, "branching": 4})
+        with pytest.raises(CheckpointError, match=r"block2\.gfc\.weights: shape \(2, 2, 2\)"):
+            load_checkpoint(path)
+
 
 class TestMalformed:
     @pytest.mark.parametrize("case", CORRUPT)

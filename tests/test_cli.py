@@ -47,9 +47,21 @@ class TestTrainDeterminism:
         assert rows[0].split(",")[4:6] == ["val_accuracy", "val_accuracy_hard"]
         assert float(rows[-1].split(",")[3]) == 0.0  # no entropy term in the hard phase
 
-    @pytest.mark.parametrize("key", ["anneal_entropy", "anneal_temperature"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "anneal_entropy",
+            "anneal_temperature",
+            "branching",
+            "synth_root_prob",
+            "synth_xor_fidelity",
+            "synth_target_rule",
+        ],
+    )
     def test_removed_switches_exit_1(self, tmp_path, key, capsys):
-        # lambda = 0 and tau_end = tau_start do what these switches did
+        # lambda = 0 and tau_end = tau_start do what the anneal switches did, a
+        # GPool-kind-b token what branching did, and gmlp synth then data = csv
+        # what the synth keys did
         config = tmp_path / "run.cfg"
         config.write_text(f"{CONFIG}{key} = false\n", encoding="utf-8")
         assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
@@ -71,7 +83,7 @@ class TestEval:
     def test_reports_both_accuracies(self, trained, capsys):
         ckpt, data = trained
         capsys.readouterr()
-        assert cli.main(["eval", str(ckpt), "--data", str(data), "--hard-routing"]) == 0
+        assert cli.main(["eval", str(ckpt), "--data", str(data)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["n_samples"] == 300
         for key in ("accuracy", "hard_routing_accuracy"):
@@ -155,10 +167,11 @@ class TestEval:
         assert cli.main(["eval", str(tmp_path / "absent.ckpt"), "--data", str(data)]) == 2
         capsys.readouterr()
 
-    def test_threads_option_is_gone(self, trained, capsys):
+    @pytest.mark.parametrize("option", [["--threads", "2"], ["--hard-routing"]])
+    def test_removed_option_exits_1(self, trained, option, capsys):
         ckpt, data = trained
-        assert cli.main(["eval", str(ckpt), "--data", str(data), "--threads", "2"]) == 1
-        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), "--data", str(data), *option]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -179,6 +192,7 @@ class TestSynth:
             ["--xor-fidelity", "1.5"],
             ["--n", "3"],  # too few rows to split
             ["--n", "many"],
+            ["--seed", "-1"],
         ],
     )
     def test_bad_argument_exits_1(self, tmp_path, argv, capsys):
@@ -256,6 +270,7 @@ class TestComplexity:
             ["FC-4, GFC, FC-2", "-d", "3"],  # a Group-FC in a dense net
             ["FC-4, ReLU, BNorm, FC-3, ReLU", "-d", "5"],  # a block after the output FC
             ["FC-0, ReLU, FC-2", "-d", "5"],  # a hidden layer of width 0
+            ["GSel-4-2, GFC, Concat, FC-2", "-d", "6", "--branching", "4"],  # now a GPool-kind-b token
         ],
     )
     def test_bad_arch_or_argument_exits_1(self, argv, capsys):

@@ -1,11 +1,13 @@
+import itertools
 import math
 from dataclasses import fields
 
 import pytest
 
 from gmlp import cli
-from gmlp.config import RunConfig, load_config, parse_config_text
-from gmlp.errors import ConfigError, DataError
+from gmlp import config as config_module
+from gmlp.config import _RUN_KEYS, _TRAIN_KEYS, RunConfig, load_config, parse_config_text
+from gmlp.errors import ConfigError
 from gmlp.training import TrainConfig
 
 ARCH_LINE = "arch = GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
@@ -121,10 +123,50 @@ class TestNonFiniteTrainValues:
         assert "lambda_ must be finite" in capsys.readouterr().err
 
 
-class TestSynthNet:
-    def test_one_root_probability_is_shared(self):
-        assert _parse("synth_root_prob = 0.3").synth_net().root_prob.tolist() == [0.3] * 6
+class TestOutOfRangeValues:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = -1", "seed must be >= 0, got -1"),
+            ("synth_seed = -3", "synth_seed must be >= 0, got -3"),
+            ("halfnoise_seed = -1", "halfnoise_seed must be >= 0, got -1"),
+            ("synth_n = 0", "synth_n must be >= 1, got 0"),
+            ("halfnoise_n = 0", "halfnoise_n must be >= 1, got 0"),
+            ("halfnoise_classes = 0", "halfnoise_classes must be >= 1, got 0"),
+            ("halfnoise_signal = -1", "halfnoise_signal must be >= 0, got -1"),
+            ("halfnoise_noise = -2", "halfnoise_noise must be >= 0, got -2"),
+            ("plateau_patience = -4", "plateau_patience must be >= 1, got -4"),
+            ("plateau_patience = 0", "plateau_patience must be >= 1, got 0"),
+        ],
+    )
+    def test_rejected_at_parse(self, line, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            _parse(line)
 
-    def test_wrong_count_raises_data_error(self):
-        with pytest.raises(DataError):
-            _parse("synth_root_prob = 0.3, 0.4").synth_net()
+    def test_train_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{ARCH_LINE}\nhalfnoise_noise = -2\n", encoding="utf-8")
+        assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 1
+        assert "halfnoise_noise must be >= 0" in capsys.readouterr().err
+
+
+def _docstring_block(marker: str) -> str:
+    """The indented lines of the config module's docstring that follow the line ending in ``marker``."""
+    lines = config_module.__doc__.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.endswith(marker)) + 2
+    block = itertools.takewhile(lambda line: line.startswith("    "), lines[start:])
+    return "\n".join(line.strip() for line in block)
+
+
+class TestDocstring:
+    def test_lists_every_key_once_with_its_default(self):
+        listing = _docstring_block("every other key has the default shown::")
+        keys = [line.split("=", 1)[0].strip() for line in listing.splitlines()]
+        assert sorted(keys) == sorted(_RUN_KEYS.keys() | _TRAIN_KEYS.keys())
+        # the listing is itself a config: with an arch, it parses to the defaults
+        cfg = parse_config_text(f"{listing}\narch = FC-2")
+        assert cfg.to_dict() == RunConfig(arch="FC-2").to_dict()
+
+    def test_example_parses(self):
+        cfg = parse_config_text(_docstring_block("Example::"))
+        assert cfg.arch.startswith("GSel-4-2") and cfg.out_dir == "runs/synth"

@@ -290,14 +290,19 @@ class TestGroupPool:
         assert np.all(out >= zr[0]) and np.all(out >= zr[1])
 
 
+def fresh_batchnorm(n):
+    """The state of a new batch-norm over n features: gamma 1, beta 0, moments 0 and 1."""
+    return BatchNormState(t(np.ones(n), rg=True), t(np.zeros(n), rg=True), np.zeros(n), np.ones(n))
+
+
 class TestBatchNorm:
     def test_two_point_standardization(self):
-        st = BatchNormState.create(1)
+        st = fresh_batchnorm(1)
         out = L.batchnorm_forward(None, Tensor([[1.0], [3.0]]), st)
         npt.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-3)
 
     def test_zero_gamma_gives_beta(self):
-        st = BatchNormState.create(3)
+        st = fresh_batchnorm(3)
         st.gamma.data[:] = 0.0
         st.beta.data[:] = 2.5
         rng = np.random.default_rng(5)
@@ -305,12 +310,12 @@ class TestBatchNorm:
         npt.assert_allclose(out.data, np.full((4, 3), 2.5))
 
     def test_training_needs_two_rows(self):
-        st = BatchNormState.create(2)
+        st = fresh_batchnorm(2)
         with pytest.raises(DomainError):
             L.batchnorm_forward(None, Tensor(np.zeros((1, 2))), st)
 
     def test_running_moments_update(self):
-        st = BatchNormState.create(1)
+        st = fresh_batchnorm(1)
         x = Tensor(np.array([[0.0], [4.0]]))
         L.batchnorm_forward(None, x, st)
         npt.assert_allclose(st.running_mean, [0.2])  # 0.9*0 + 0.1*2

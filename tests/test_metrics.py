@@ -45,9 +45,3 @@ class TestRoundTrip:
             "epoch,wall_time",
             "0,123.457",
         ]
-
-    def test_without_timing_file(self, tmp_path):
-        with MetricsWriter(tmp_path / "metrics.csv") as writer:
-            writer.write(_record(2))
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
-        assert read_metrics(tmp_path / "metrics.csv")[0]["epoch"] == 2

@@ -14,6 +14,9 @@ from gmlp.errors import ConfigError, TrainingDiverged
 from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
 from gmlp.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ADAM_TILE,
     AdamState,
     TrainConfig,
@@ -201,7 +204,7 @@ class TestAdam:
         w = rng.normal(size=size)
         state = AdamState.create(size)
         ref_w, m, v = w.copy(), np.zeros(size), np.zeros(size)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.01
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 0.01
         for step in range(1, 6):
             g = rng.normal(scale=10.0 ** (step - 3), size=size)
             m *= b1
