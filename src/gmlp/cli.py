@@ -99,6 +99,11 @@ def _load_run_data(cfg: RunConfig):
         train = load_csv(cfg.train_csv, label_column=label, has_header=cfg.has_header)
         if cfg.test_csv:
             test = load_csv(cfg.test_csv, label_column=label, has_header=cfg.has_header)
+            if test.class_names != train.class_names:
+                raise DataError(
+                    f"test_csv labels {test.class_names} differ from "
+                    f"train_csv labels {train.class_names}"
+                )
         else:
             train, test = split(train, cfg.test_fraction, seed=seed)
     if cfg.train.val_fraction > 0:
@@ -111,18 +116,19 @@ def _load_run_data(cfg: RunConfig):
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     out_dir = resolve_out_dir(args.out_dir or cfg.out_dir)
-    os.makedirs(out_dir, exist_ok=True)
 
     train, val, test = _load_run_data(cfg)
     (train_n, val_n, test_n), stats = normalize(train, val, test)
-    save_norm_stats(stats, os.path.join(out_dir, "norm_stats.json"))
-
     spec = parse_arch(cfg.arch, d=train_n.d, seed=cfg.train.seed)
     if spec.n_classes != train_n.n_classes:
         raise ConfigError(
             f"arch outputs {spec.n_classes} classes but data has {train_n.n_classes}"
         )
     model = Model(spec)
+    # written only once the run's inputs have passed every check, so a run
+    # that exits on its config or data leaves no files behind
+    os.makedirs(out_dir, exist_ok=True)
+    save_norm_stats(stats, os.path.join(out_dir, "norm_stats.json"))
     metadata = {
         "config": cfg.to_dict(),
         "norm_stats": stats,

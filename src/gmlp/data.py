@@ -26,12 +26,17 @@ DEFAULT_ROOT_NAMES = ("A", "B", "C", "D", "E", "F")
 
 @dataclass
 class Dataset:
-    """A feature matrix with integer class labels."""
+    """A feature matrix with integer class labels.
+
+    ``class_names`` holds the label of each class index, for a CSV whose
+    labels are not integers; integer labels are their own class indices.
+    """
 
     X: np.ndarray  # (N, d) float64
     y: np.ndarray  # (N,) int64
     n_classes: int
     feature_names: list[str] | None = None
+    class_names: list[str] | None = None
 
     def __post_init__(self):
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -46,6 +51,8 @@ class Dataset:
             raise DataError(f"labels outside [0, {self.n_classes})")
         if self.feature_names is not None and len(self.feature_names) != self.X.shape[1]:
             raise DataError(f"{len(self.feature_names)} feature names for {self.X.shape[1]} columns")
+        if self.class_names is not None and len(self.class_names) != self.n_classes:
+            raise DataError(f"{len(self.class_names)} class names for {self.n_classes} classes")
 
     @property
     def n(self) -> int:
@@ -56,7 +63,9 @@ class Dataset:
         return self.X.shape[1]
 
     def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.X[idx], self.y[idx], self.n_classes, self.feature_names)
+        return Dataset(
+            self.X[idx], self.y[idx], self.n_classes, self.feature_names, self.class_names
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +77,10 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
 
     ``label_column`` is a header name (requires ``has_header``) or a 0-based
     column index. Integer-valued labels are used as class indices directly;
-    anything else is mapped to indices in first-seen order. A header that
-    names one feature twice raises ``DataError``: normalization statistics
-    are keyed by name.
+    anything else is mapped to indices in sorted order, so two files with
+    the same label set map them alike, and kept as the dataset's
+    ``class_names``. A header that names one feature twice raises
+    ``DataError``: normalization statistics are keyed by name.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -116,6 +126,7 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: non-numeric feature: {exc}") from None
 
+    class_names = None
     try:
         ints = [int(v) for v in raw_labels]
         if min(ints) < 0:
@@ -123,11 +134,12 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         y = np.array(ints, dtype=np.int64)
         n_classes = int(y.max()) + 1
     except ValueError:
-        mapping: dict[str, int] = {}
-        y = np.array([mapping.setdefault(v, len(mapping)) for v in raw_labels], dtype=np.int64)
-        n_classes = len(mapping)
+        class_names = sorted(set(raw_labels))
+        index = {v: i for i, v in enumerate(class_names)}
+        y = np.array([index[v] for v in raw_labels], dtype=np.int64)
+        n_classes = len(class_names)
 
-    return Dataset(np.array(feats), y, n_classes, names)
+    return Dataset(np.array(feats), y, n_classes, names, class_names)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -164,7 +176,7 @@ def standardize(ds: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Dataset:
     safe = np.where(sigma == 0.0, 1.0, sigma)
     xn = (ds.X - mu) / safe
     xn[:, sigma == 0.0] = 0.0
-    return Dataset(xn, ds.y, ds.n_classes, ds.feature_names)
+    return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.class_names)
 
 
 def save_norm_stats(stats: dict, path) -> None:

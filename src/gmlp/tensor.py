@@ -24,7 +24,12 @@ Design constraints, in order of priority:
 * few passes over the (k*m, d) routing logits, the largest array of a
   training step whatever the batch size: ``routing_weights`` and the
   entropy kernels compute in place in arrays of that size, their
-  gradients included.
+  gradients included,
+* no ``exp`` for a routing weight that the flush of subnormal weights sets
+  to 0 anyway: numpy's exp runs 10 to 100 times slower where its results
+  are subnormal or underflow, as for all but one entry of each committed
+  row, so ``routing_weights`` skips the shifted logits below
+  ``EXP_NORMAL_MIN``, with the same bits.
 
 Grouped activations are (k, m, B) arrays: group, slot within the group, then
 the batch, last, so a group's rows for the whole batch are one contiguous
@@ -162,6 +167,12 @@ def node(tape, pair, x: Tensor, *params: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # routing and the objective's terms
 
+TINY = np.finfo(np.float64).tiny
+# exp(z) < TINY for every float64 z below this bound: log(TINY) rounds to a
+# float64 2.7e-14 above the exact logarithm, so exp of the next float64 below
+# it lies 388 ulps under TINY, and exp of the bound itself 124 ulps over
+EXP_NORMAL_MIN = float(np.log(TINY))
+
 
 def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None = None) -> np.ndarray:
     """The row softmax of psi at the temperature, with subnormal weights set to 0.
@@ -170,14 +181,30 @@ def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None 
     finite down to very low temperatures. A weight below the smallest normal
     float64 moves a mixed value by less than 2.3e-308 times an input, and
     subnormal operands slow BLAS products many times over.
+
+    With z = psi/tau - rowmax and tiny the smallest normal float64, an
+    entry with z below ``EXP_NORMAL_MIN`` = log(tiny) has exp(z) < tiny,
+    so its weight exp(z)/S, the row sum S being at least 1, is flushed to
+    0. Such entries skip ``exp`` and are set to 0, since numpy's exp runs
+    10 to 100 times slower where its results are subnormal or underflow,
+    as for every entry but the argmax of a row ``pin_routing`` committed.
+    The subnormal terms this leaves out of S sum to less than d*tiny, far
+    below half an ulp of S; the tests compare the weights bit for bit with
+    the plain softmax. One reduction, the minimum of z, keeps the common
+    case, where no entry is that low, on one unmasked ``exp``.
     """
     if not temperature > 0.0:
         raise DomainError(f"softmax temperature must be positive, got {temperature}")
     s = np.divide(psi, temperature, out=out)
     s -= np.maximum.reduce(s, axis=1, keepdims=True)
-    np.exp(s, out=s)
+    if np.minimum.reduce(s, axis=None) < EXP_NORMAL_MIN:
+        keep = s >= EXP_NORMAL_MIN
+        np.exp(s, out=s, where=keep)
+        np.copyto(s, 0.0, where=~keep)
+    else:
+        np.exp(s, out=s)
     s /= np.add.reduce(s, axis=1, keepdims=True)
-    s[s < np.finfo(np.float64).tiny] = 0.0
+    s[s < TINY] = 0.0
     return s
 
 

@@ -68,6 +68,61 @@ class TestTrainDeterminism:
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
+    def test_arch_error_writes_no_files(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        arch = CONFIG.splitlines()[0]
+        config.write_text(CONFIG.replace(arch, "arch = FC-8, ReLU, FC-3"), encoding="utf-8")
+        run = tmp_path / "run"
+        assert cli.main(["train", str(config), "--out-dir", str(run)]) == 1
+        assert "arch outputs 3 classes but data has 2" in capsys.readouterr().err
+        assert not (run / "norm_stats.json").exists()
+
+
+def _yes_no_csv(path, n, seed, first):
+    """n rows of a task whose label is yes where x0 > 0, the first row labelled ``first``."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    X[0, 0] = 1.0 if first == "yes" else -1.0
+    labels = np.where(X[:, 0] > 0, "yes", "no")
+    lines = ["x0,x1,x2,label"] + [f"{a},{b},{c},{lab}" for (a, b, c), lab in zip(X, labels)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestStringLabels:
+    def _config(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "arch = FC-8, ReLU, FC-2\ndata = csv\n"
+            f"train_csv = {tmp_path / 'train.csv'}\ntest_csv = {tmp_path / 'test.csv'}\n"
+            "epochs = 20\nbatch_size = 32\nlr0 = 0.01\nseed = 5\n",
+            encoding="utf-8",
+        )
+        return config
+
+    def test_files_that_list_the_labels_in_another_order_agree(self, tmp_path, capsys):
+        # the training file starts with a no row, the test file with a yes row
+        _yes_no_csv(tmp_path / "train.csv", 400, 1, "no")
+        _yes_no_csv(tmp_path / "test.csv", 200, 2, "yes")
+        run = tmp_path / "run"
+        assert cli.main(["train", str(self._config(tmp_path)), "--out-dir", str(run)]) == 0
+        capsys.readouterr()
+        report = json.loads((run / "train_report.json").read_text(encoding="utf-8"))
+        assert report["final_test_accuracy"] > 0.9
+        argv = ["eval", str(run / "model_final.ckpt"), "--data", str(tmp_path / "test.csv")]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == report["final_test_accuracy"]
+
+    def test_test_file_with_other_labels_exits_1(self, tmp_path, capsys):
+        _yes_no_csv(tmp_path / "train.csv", 400, 1, "no")
+        text = (tmp_path / "train.csv").read_text(encoding="utf-8").replace(",no\n", ",maybe\n")
+        (tmp_path / "test.csv").write_text(text, encoding="utf-8")
+        run = tmp_path / "run"
+        assert cli.main(["train", str(self._config(tmp_path)), "--out-dir", str(run)]) == 1
+        assert "differ from train_csv labels ['no', 'yes']" in capsys.readouterr().err
+        assert not run.exists()
+
+
+
 class TestEval:
     @pytest.fixture(scope="class")
     def trained(self, tmp_path_factory):

@@ -69,12 +69,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-numeric"):
             load_csv(p, label_column="label")
 
-    def test_string_labels_first_seen_order(self, tmp_path):
+    def test_string_labels_sorted_order(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_text("x,label\n1,cat\n2,dog\n3,cat\n")
+        p.write_text("x,label\n1,dog\n2,cat\n3,dog\n4,cat\n5,dog\n6,cat\n")
         ds = load_csv(p, label_column="label")
-        npt.assert_array_equal(ds.y, [0, 1, 0])
-        assert ds.n_classes == 2
+        npt.assert_array_equal(ds.y, [1, 0, 1, 0, 1, 0])
+        assert ds.n_classes == 2 and ds.class_names == ["cat", "dog"]
+        assert split(ds, 0.5, seed=0)[0].class_names == ["cat", "dog"]
+        assert normalize(ds)[0][0].class_names == ["cat", "dog"]
 
     def test_round_trip(self, tmp_path):
         ds = halfnoise_generate(20, 3, 2, 2, seed=1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from gmlp import layers as L
 from gmlp import tensor as T
 from gmlp.errors import DomainError, GraphError
-from gmlp.training import TrainConfig, loss_terms
+from gmlp.training import PIN_TEMPERATURES, TrainConfig, loss_terms
 from gradcheck import check_tape_gradients, projected
 
 
@@ -91,6 +91,83 @@ class TestRoutingWeights:
         assert subnormal[:, 0].all()
         npt.assert_array_equal(flushed[subnormal], 0.0)
         npt.assert_array_equal(flushed[~subnormal], s[~subnormal])
+
+
+def plain_routing_weights(psi, tau):
+    """routing_weights as four lines: exp of every shifted logit, then the flush."""
+    s = np.exp(psi / tau - (psi / tau).max(axis=1, keepdims=True))
+    s /= s.sum(axis=1, keepdims=True)
+    s[s < np.finfo(np.float64).tiny] = 0.0
+    return s
+
+
+def logit_at(z, tau):
+    """A logit whose quotient by tau is exactly z, found among the neighbours of z*tau."""
+    lo = hi = z * tau
+    for _ in range(8):
+        for p in (lo, hi):
+            if p / tau == z:
+                return p
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    raise AssertionError(f"no logit divides by {tau} to {z!r}")
+
+
+def bound_and_neighbours():
+    bound = T.EXP_NORMAL_MIN
+    return [np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)]
+
+
+def shifted_logit_rows(case, tau):
+    """Rows of psi whose shifted logits psi/tau - rowmax fall where ``case`` says."""
+    rng = np.random.default_rng(71)
+    if case == "pinned":
+        psi = rng.normal(size=(40, 30))
+        psi[np.arange(40), psi.argmax(1)] += PIN_TEMPERATURES * tau
+        return psi
+    if case == "spread":  # subnormal weights, exact underflows and normal ones
+        z = rng.uniform(-760.0, -700.0, size=(40, 30))
+        z[:, 0] = 0.0
+        return z * tau
+    if case == "bound":  # at the bound and one ulp either side, alone and with normal weights
+        edge = [logit_at(z, tau) for z in bound_and_neighbours()]
+        return np.array(
+            [[0.0, *edge, -1.0 * tau], [0.0, *edge[::-1], edge[1]], [0.0, *edge[:1] * 3, 0.0]]
+        )
+    if case == "tied":
+        return np.array([[0.0, 0.0, -800.0, -710.0, -3.0], [-5.0, 2.0, -900.0, 2.0, 2.0]]) * tau
+    # rows with no entry below the bound, next to a pinned row
+    return np.array([[0.0, -1.0, -700.0, -708.0, -2.5], [0.0, -1.0, -1100.0, -1000.0, -1000.0]]) * tau
+
+
+class TestRoutingWeightsBits:
+    """routing_weights skips exp below EXP_NORMAL_MIN; the weights must keep every bit."""
+
+    @pytest.mark.parametrize("tau", [1.0, 0.01])
+    @pytest.mark.parametrize("case", ["pinned", "spread", "bound", "tied", "normal"])
+    def test_equals_the_plain_softmax(self, case, tau):
+        psi = shifted_logit_rows(case, tau)
+        z = psi / tau - (psi / tau).max(axis=1, keepdims=True)
+        if case == "bound":
+            assert z[0, 1:4].tolist() == bound_and_neighbours()
+        if case == "normal":
+            assert (z[0] >= T.EXP_NORMAL_MIN).all() and (z[1] < T.EXP_NORMAL_MIN).any()
+        want = plain_routing_weights(psi, tau)
+        for got in (T.routing_weights(psi, tau), T.routing_weights(psi[:1], tau)):
+            assert got.view(np.int64).tolist() == want[: len(got)].view(np.int64).tolist()
+
+    def test_bound_is_where_exp_reaches_the_smallest_normal(self):
+        tiny = np.finfo(np.float64).tiny
+        assert np.exp(T.EXP_NORMAL_MIN) >= tiny
+        with np.errstate(under="ignore"):
+            assert np.exp(np.nextafter(T.EXP_NORMAL_MIN, -np.inf)) < tiny
+
+    def test_committed_routing_computes_no_underflowing_exp(self):
+        # numpy's exp is 10 to 100 times slower where its results underflow,
+        # which is every entry but one of each committed row
+        psi = shifted_logit_rows("pinned", 0.01)
+        with np.errstate(under="raise"):
+            s = T.routing_weights(psi, 0.01)
+        assert (np.count_nonzero(s, axis=1) == 1).all()
 
 
 # a node that reads its input twice, as its input and as a parameter: value x.x
