@@ -4,13 +4,14 @@ raw little-endian float32 parameter blob in one container file.
 The manifest indexes every array a reload needs (parameters plus batch-norm
 running moments) by name, shape, and byte offset, and carries the
 architecture string, input width, final softmax temperature and training
-metadata (seed, config echo, normalization statistics). It stores nothing
-that the rest of the file determines: the hard routing table is the per-row
-argmax of the stored ``gsel.psi``, so ``gmlp analyze`` derives it from the
-loaded model, and the ``routing_table`` key of older files is ignored, as
-is their ``branching`` key: a bare ``GPool-kind`` token merges 2 groups, so
-an older file that set another width for bare tokens no longer matches its
-stored shapes and fails to load.
+metadata (seed, config echo, normalization statistics, and the label of
+each class index when the training CSV's labels were not integers). It
+stores nothing that the rest of the file determines: the hard routing
+table is the per-row argmax of the stored ``gsel.psi``, so ``gmlp analyze``
+derives it from the loaded model, and the ``routing_table`` key of older
+files is ignored, as is their ``branching`` key: a bare ``GPool-kind``
+token merges 2 groups, so an older file that set another width for bare
+tokens no longer matches its stored shapes and fails to load.
 Weights are down-converted to float32 on save and promoted back to float64
 on load, so a reloaded model reproduces eval-mode outputs to float32
 rounding (about 1e-7 relative) rather than bit-exactly.
@@ -151,6 +152,8 @@ def _read_container(path) -> tuple[dict, bytes]:
                 # a population std: 0 for a constant column, never negative
                 if _finite(entry, "sigma", at) < 0.0:
                     raise CheckpointError(f"{at}: 'sigma' is negative")
+        if metadata.get("class_names") is not None:
+            _list_of(metadata, "class_names", str, f"{where} metadata")
     for i, entry in enumerate(_field(manifest, "params", list, where)):
         at = f"{where} params[{i}]"
         if not isinstance(entry, dict):

@@ -135,6 +135,7 @@ def cmd_train(args) -> int:
         "n_train": train_n.n,
         "n_val": val_n.n if cfg.train.val_fraction > 0 else 0,
         "n_test": test_n.n,
+        "class_names": train_n.class_names,
     }
 
     with MetricsWriter(
@@ -183,14 +184,29 @@ def _load_eval_dataset(args, manifest) -> Dataset:
     """The CSV rows, standardized with the training run's norm stats when the checkpoint has them.
 
     The stats are keyed by column name only, so a column whose name has none
-    (say, f0 from ``--no-header`` after a headed training CSV) raises ``DataError``.
+    (say, f0 from ``--no-header`` after a headed training CSV) raises
+    ``DataError``. When the checkpoint holds the training run's class names,
+    labels map to the run's class indices through them, whatever labels
+    this file holds, and a label the run never saw raises ``DataError``.
     """
     label = _label_column(args.label_column)
     ds = load_csv(args.data, label_column=label, has_header=not args.no_header)
     expected_d = manifest["d"]
     if ds.d != expected_d:
         raise DataError(f"dataset has {ds.d} features but the model expects {expected_d}")
-    stats = manifest.get("metadata", {}).get("norm_stats")
+    metadata = manifest.get("metadata", {})
+    run_names = metadata.get("class_names")
+    if run_names is not None:
+        # integer labels of this file, in a run that had others, are labels as text
+        names = ds.class_names if ds.class_names is not None else [str(c) for c in range(ds.n_classes)]
+        unseen = sorted({names[c] for c in np.unique(ds.y)} - set(run_names))
+        if unseen:
+            raise DataError(f"labels {unseen} are not among the training run's {run_names}")
+        index = {name: i for i, name in enumerate(run_names)}
+        # -1 stands for an integer below this file's largest that no row holds
+        lookup = np.array([index.get(name, -1) for name in names], dtype=np.int64)
+        ds = Dataset(ds.X, lookup[ds.y], len(run_names), ds.feature_names, list(run_names))
+    stats = metadata.get("norm_stats")
     if not stats:
         return ds
     names = ds.feature_names  # load_csv always names the columns

@@ -18,8 +18,11 @@ returns logits and the softmax lives inside the cross-entropy loss.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import mmap
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -254,7 +257,7 @@ class Model:
         self._bn_states: list[tuple[str, BatchNormState]] = []
         # values per row of the widest activation: the input, a block's input or the logits
         self._widest = max(spec.d, spec.n_classes, *(block.width for block in blocks))
-        self._eval_buffers = None  # the eval executor's chunk buffer pair, made at first use
+        self._eval_buffers = ()  # the eval executor's chunk buffer pairs, one per worker, made at first use
         rng = np.random.default_rng(spec.seed)
 
         named = [
@@ -344,10 +347,14 @@ class Model:
         no tape and runs only the eval executor: the blocks become plain
         numpy steps (``_eval_steps``), built at each call from the current
         parameters, running moments, routing logits and temperature, and run
-        on cache-sized row chunks in one pair of buffers that the model keeps
-        across calls, so one model's eval path must not run in two threads
-        at once. The hard gather, Group-FC, FC and Group-Pool run the
-        forwards of their training kernels, writing into those buffers. Hard
+        on cache-sized row chunks in flat buffer pairs that the model keeps
+        across calls, one pair per worker. A group-connected net's chunks
+        are shared out among the cores the process may use when each gets
+        at least two (``_eval_forward``); the worker threads live for the
+        call. Because the buffers belong to the model, one model must not
+        predict from two caller threads at once. The hard gather, Group-FC,
+        FC and Group-Pool run the forwards of their training kernels,
+        writing into those buffers. Hard
         routing gathers the argmax features of each chunk, relaxed routing
         multiplies each chunk by the tempered softmax of psi (or gathers,
         where that softmax is one-hot), dropout is the identity, and each
@@ -455,21 +462,39 @@ class Model:
         return steps
 
     def _eval_forward(self, x: np.ndarray, mode: str) -> np.ndarray:
-        """Eval-mode logits of (B, d) rows, computed chunk by chunk without a tape."""
+        """Eval-mode logits of (B, d) rows, computed chunk by chunk without a tape.
+
+        A group-connected net splits the chunks of one call into contiguous
+        runs, one per core the process may use (``_usable_cores``), when each
+        run gets at least two chunks; otherwise one loop runs them all. Each
+        run steps through its chunks in its own buffer pair and writes its
+        own rows of the logits, so the logits are the loop's bits at any
+        worker count. The caller runs the first run and a thread pool that
+        lives for this call runs the others, each thread in a copy of the
+        caller's ``contextvars`` context, so a caller's ``np.errstate``
+        holds in every chunk; an exception raised in any run reaches the
+        caller. Why dense nets and short inputs keep the loop: see the
+        comment block below the class.
+        """
         steps = self._eval_steps(mode)
-        widest = self._widest
-        rows = _chunk_rows(widest)
+        rows = _chunk_rows(self._widest)
         out = np.empty((x.shape[0], self.spec.n_classes))
-        if self._eval_buffers is None:
-            self._eval_buffers = (_flat_buffer(rows * widest), _flat_buffer(rows * widest))
-        for start in range(0, x.shape[0], rows):
-            h = x[start : start + rows]
-            spare, other = self._eval_buffers
-            for step, moves in steps:
-                h = step(h, spare)
-                if moves:
-                    spare, other = other, spare
-            out[start : start + rows] = h
+        starts = range(0, x.shape[0], rows)
+        workers = max(1, min(_usable_cores(), len(starts) // 2)) if self.routing is not None else 1
+        size = rows * self._widest
+        for _ in range(len(self._eval_buffers), workers):
+            self._eval_buffers += ((_flat_buffer(size), _flat_buffer(size)),)
+        if workers == 1:
+            _run_chunks(steps, x, out, rows, starts, self._eval_buffers[0])
+            return out
+        runs = [starts[len(starts) * i // workers : len(starts) * (i + 1) // workers] for i in range(workers)]
+        args = [(steps, x, out, rows, run, buffers) for run, buffers in zip(runs, self._eval_buffers)]
+        with ThreadPoolExecutor(workers - 1) as pool:
+            # each thread runs in a copy of the caller's context, so np.errstate holds there too
+            futures = [pool.submit(contextvars.copy_context().run, _run_chunks, *a) for a in args[1:]]
+            _run_chunks(*args[0])
+            for future in futures:
+                future.result()
         return out
 
     def _train_pairs(self, scratch, rng, input_grad: bool, hard: bool = False) -> list:
@@ -529,19 +554,33 @@ class Model:
 # about 128 rows the matrix products of 1,024-wide layers lose efficiency,
 # and above a few thousand rows even narrow nets spill out of cache.
 #
-# Every chunk's activations live in one pair of flat buffers that the model
-# keeps from call to call (``Model._eval_buffers``, made by ``_flat_buffer``),
-# each one full chunk of the widest activation. A step that needs a new
-# array writes into the buffer that does not hold its input, as a view of
-# its contiguous prefix (``layers.prefix``; a tail chunk uses a shorter
-# prefix), and the two swap roles. A fresh array per step and chunk would
+# Every chunk's activations live in a pair of flat buffers that the model
+# keeps from call to call (``Model._eval_buffers``, one pair per worker, made
+# by ``_flat_buffer``), each one full chunk of the widest activation. A step
+# that needs a new array writes into the buffer that does not hold its input,
+# as a view of its contiguous prefix (``layers.prefix``; a tail chunk uses a
+# shorter prefix), and the two swap roles. A fresh array per step and chunk would
 # cost page faults whenever the allocator has handed the last one back to
 # the system, and its speed would depend on the allocator's history. The
 # hard gather, Group-FC, FC and Group-Pool steps are the training kernels'
 # forwards, given that buffer; only a linear Group-Pool still allocates, for
 # the side-by-side strata of each chunk. Because the buffers belong to the
-# model, one model's eval path is not re-entrant: two threads must not
+# model, one model's eval path is not re-entrant: two caller threads must not
 # predict with the same model at once.
+#
+# Workers: a group-connected net's chunk is a gather, many small per-group
+# products and elementwise passes, none of which BLAS threads, so one loop
+# keeps one core busy. ``_eval_forward`` shares a call's chunks out among the
+# cores the process may use, one buffer pair per worker; on a 2-core machine
+# W2's hard prediction of 4,096 rows went from 116k to 157k rows/s (benchmark
+# medians). Two conditions keep the one loop. A dense net's products are
+# large, and BLAS already runs them on its own threads: splitting the chunks
+# of W2's dense twin made its median call slower (142-153 against 146-174
+# ms). And each worker must get at least two chunks, since a thread pool
+# costs about 0.2 ms a call: splitting the two 2,048-row chunks of a
+# 4,096-row synth-small call took it from 0.37-0.54 to 0.57-0.74 ms. So
+# ``fit``'s scoring of a small validation set, and a process pinned to one
+# core, run the loop.
 #
 # Batch-norm fold: eval batch-norm is a*h + c, with (a, c) from
 # ``BatchNormState.scale_shift``, and for a >= 0, a*relu(y) + c equals
@@ -561,6 +600,26 @@ MAX_CHUNK_ROWS = 2048
 def _chunk_rows(widest: int) -> int:
     """Rows per chunk for a net whose widest activation has ``widest`` values per row."""
     return min(MAX_CHUNK_ROWS, max(MIN_CHUNK_ROWS, CHUNK_FLOATS // widest))
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(steps: list, x: np.ndarray, out: np.ndarray, rows: int, starts, buffers) -> None:
+    """Run ``steps`` on the chunks of ``x`` that begin at ``starts``, in one buffer pair, into ``out``."""
+    for start in starts:
+        h = x[start : start + rows]
+        spare, other = buffers
+        for step, moves in steps:
+            h = step(h, spare)
+            if moves:
+                spare, other = other, spare
+        out[start : start + rows] = h
 
 
 def _flat_buffer(size: int) -> np.ndarray:
@@ -637,6 +696,7 @@ class ComplexityReport:
     predict_ops: int
     train_ops: int
     mlp_predict_ops: int
+    predict_macs_actual: int
     param_count_formula: int
     param_count_actual: int
     density: Fraction
@@ -682,12 +742,21 @@ def _as_int(x: Fraction):
     return int(x) if x.denominator == 1 else float(x)
 
 
+# the tensors a prediction multiplies each row by, once per weight
+_WEIGHT_MATRICES = ("gfc.weights", "dense.w", "pool.weights")
+
+
 def count_complexity(spec: ArchSpec) -> ComplexityReport:
-    """Closed-form cost figures for a spec, next to exact parameter counts.
+    """Closed-form cost figures for a spec, next to exact counts.
 
     The series values are idealized (width halves between consecutive weight
     layers); ``param_count_actual`` counts the routing logits and every
     tensor of ``plan(spec)``, biases and batch-norm included.
+    ``predict_macs_actual`` is the multiply-adds per row of hard-routed
+    prediction: one per weight of each Group-FC, FC and linear Group-Pool in
+    ``plan(spec)``. The hard gather, max and mean pooling, biases, ReLU and
+    batch-norm (which the eval executor folds into the affine step before
+    it, where it can) add none.
     """
     blocks = plan(spec)
     k, m, c, d = spec.k, spec.m, spec.n_classes, spec.d
@@ -702,11 +771,14 @@ def count_complexity(spec: ArchSpec) -> ComplexityReport:
         predict = train = mlp_equiv
         routing = 0
         rfield = [d] * n_layers
-    actual = routing + sum(math.prod(shape) for block in blocks for _, shape, _ in block.params)
+    shapes = [(suffix, shape) for block in blocks for suffix, shape, _ in block.params]
+    actual = routing + sum(math.prod(shape) for _, shape in shapes)
+    macs = sum(math.prod(shape) for suffix, shape in shapes if suffix in _WEIGHT_MATRICES)
     return ComplexityReport(
         predict_ops=_as_int(predict),
         train_ops=_as_int(train),
         mlp_predict_ops=_as_int(mlp_equiv),
+        predict_macs_actual=macs,
         param_count_formula=_as_int(train),
         param_count_actual=actual,
         density=Fraction(1, k) if spec.kind == "gmlp" else Fraction(1, 1),

@@ -84,6 +84,8 @@ MALFORMED = {
     "arch_unparseable": _with("arch", "GSel-4-2, Wiggle, Concat, FC-2"),
     "metadata_not_an_object": _with("metadata", [1, 2]),
     "norm_stats_entry_not_an_object": _with("metadata", {"norm_stats": {"f0": 5}}),
+    "class_names_not_a_list": _with("metadata", {"class_names": "no,yes"}),
+    "class_names_not_strings": _with("metadata", {"class_names": ["no", 1]}),
     "param_offset_past_blob": lambda mf: _with_param(mf, offset=mf["blob_bytes"]),
     "param_offset_negative": lambda mf: _with_param(mf, offset=-4),
     "param_shape_not_the_archs": lambda mf: _with_param(mf, shape=mf["params"][0]["shape"] + [1]),

@@ -121,6 +121,35 @@ class TestStringLabels:
         assert "differ from train_csv labels ['no', 'yes']" in capsys.readouterr().err
         assert not run.exists()
 
+    def test_file_with_one_of_the_labels_is_scored_against_the_runs_classes(self, tmp_path, capsys):
+        _yes_no_csv(tmp_path / "train.csv", 400, 1, "no")
+        _yes_no_csv(tmp_path / "test.csv", 200, 2, "yes")
+        run = tmp_path / "run"
+        assert cli.main(["train", str(self._config(tmp_path)), "--out-dir", str(run)]) == 0
+        header, *lines = (tmp_path / "test.csv").read_text(encoding="utf-8").splitlines()
+        yes_rows = tmp_path / "yes.csv"
+        yes_rows.write_text("\n".join([header] + [l for l in lines if l.endswith(",yes")]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["eval", str(run / "model_final.ckpt"), "--data", str(yes_rows)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # yes is class 1 of the run; the file's own label set would make it class 0
+        assert report["accuracy"] > 0.9
+        assert list(report["per_class_accuracy"]) == ["1"]
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_label_the_run_never_saw_exits_1(self, tmp_path, capsys, command):
+        model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=3, seed=1))
+        ckpt = tmp_path / "model.ckpt"
+        save_model(ckpt, model, metadata={"class_names": ["no", "yes"]})
+        _yes_no_csv(tmp_path / "rows.csv", 50, 3, "yes")
+        text = (tmp_path / "rows.csv").read_text(encoding="utf-8").replace(",no\n", ",maybe\n", 1)
+        (tmp_path / "rows.csv").write_text(text, encoding="utf-8")
+        argv = [command, str(ckpt), "--data", str(tmp_path / "rows.csv")]
+        if command == "analyze":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert "labels ['maybe'] are not among the training run's ['no', 'yes']" in capsys.readouterr().err
+
 
 
 class TestEval:
@@ -314,6 +343,7 @@ class TestComplexity:
         assert cli.main(["complexity", "GSel-4-2, GFC, ReLU, Concat, FC-2", "-d", "6"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (report["predict_ops"], report["param_count_actual"]) == (32, 90)
+        assert report["predict_macs_actual"] == 4 * 2 * 2 + 8 * 2
 
     @pytest.mark.parametrize(
         "argv",

@@ -21,6 +21,12 @@ from gmlp.tensor import Tensor
 from gradcheck import projected
 
 SYNTH_ARCH = "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax"
+# the benchmark's wide GMLP and its dense twin of the same widths
+W2_ARCH = (
+    "GSel-64-16, GFC, ReLU, BNorm, GPool-max, GFC, ReLU, BNorm, GPool-max, "
+    "GFC, ReLU, BNorm, Concat, FC-10"
+)
+W2_MLP_ARCH = "FC-1024, ReLU, BNorm, FC-512, ReLU, BNorm, FC-256, ReLU, BNorm, FC-10"
 
 
 class TestParse:
@@ -341,6 +347,20 @@ class TestComplexity:
         # k*m + k*m^2 + C*k*m/2^(L-1) with k=4, m=2, C=2, L=2
         assert report.predict_ops == 8 + 16 + 8 == 32
         assert report.density == Fraction(1, 4)
+
+    @pytest.mark.parametrize(
+        "text, d, macs",
+        [
+            # 64 * 16 * 16 + 32 * 16 * 16 + 16 * 16 * 16 + 256 * 10
+            (W2_ARCH, 784, 31_232),
+            # 784 * 1024 + 1024 * 512 + 512 * 256 + 256 * 10
+            (W2_MLP_ARCH, 784, 1_460_736),
+            # 8 * 2 * 2 + 4 * (2 * 4) + 4 * 2 * 2 + 8 * 3: 8/2 sets of a 2 x 4 linear pool map
+            ("GSel-8-2, GFC, ReLU, GPool-linear, GFC, Concat, FC-3", 6, 104),
+        ],
+    )
+    def test_exact_prediction_macs(self, text, d, macs):
+        assert count_complexity(parse_arch(text, d=d)).predict_macs_actual == macs
 
     def test_density_large_k(self):
         spec = parse_arch("GSel-1536-16, GFC, ReLU, BNorm, Concat, FC-10", d=3072)

@@ -287,7 +287,9 @@ class TestEvalExecutor:
         npt.assert_allclose(logits, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("arch, chunk", CHUNKED)
-    def test_buffers_reused_across_calls(self, arch, chunk):
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_buffers_reused_across_calls(self, arch, chunk, cores, monkeypatch):
+        monkeypatch.setattr(M, "_usable_cores", lambda: cores)
         rng = np.random.default_rng(73)
         xs = [rng.normal(size=(n, D)) for n in (3 * chunk + 37, 5, 0)]
 
@@ -298,13 +300,78 @@ class TestEvalExecutor:
 
         model = fresh()
         got = [model.forward(Tensor(x)).data for x in xs[:1]]
-        pair = model._eval_buffers
+        pairs = model._eval_buffers
+        # a group-connected net's 4 chunks run in one pair per worker
+        assert len(pairs) == (cores if model.routing is not None else 1)
         got += [model.forward(Tensor(x)).data for x in xs[1:]]
-        assert all(a is b for a, b in zip(model._eval_buffers, pair))
+        assert len(model._eval_buffers) == len(pairs)
+        for pair, kept_pair in zip(model._eval_buffers, pairs):
+            assert all(a is b for a, b in zip(pair, kept_pair))
         kept = [g.copy() for g in got]
         for x, g, k in zip(xs, got, kept):
             npt.assert_array_equal(g, fresh().forward(Tensor(x)).data)
             npt.assert_array_equal(g, k)  # later calls left earlier results alone
+
+    @pytest.mark.parametrize("arch", ARCHS[:-1])
+    @pytest.mark.parametrize("mode", ["hard", "relaxed"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_give_the_loops_bits(self, arch, mode, workers, monkeypatch):
+        monkeypatch.setattr(M, "_usable_cores", lambda: workers)
+        rng = np.random.default_rng(78)
+        chunk = MAX_CHUNK_ROWS
+        for n in (2 * workers * chunk - 1, 2 * workers * chunk, 2 * workers * chunk + 37):
+            model = _net(arch, seed=20)
+            _perturb(model, np.random.default_rng(79))
+            x = rng.normal(size=(n, D))
+            got = model.forward(Tensor(x), mode=mode).data
+            assert len(model._eval_buffers) == workers
+            # one chunk per call runs the one-worker loop
+            want = [model.forward(Tensor(x[s : s + chunk]), mode=mode).data for s in range(0, n, chunk)]
+            npt.assert_array_equal(got.view(np.int64), np.concatenate(want).view(np.int64))
+
+    @pytest.mark.parametrize("arch, n", [(WIDE_MLP, 8 * 128), (ARCHS[0], 2 * MAX_CHUNK_ROWS + 1)])
+    def test_dense_nets_and_short_inputs_run_the_loop(self, arch, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an executor was built")
+
+        monkeypatch.setattr(M, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(M, "ThreadPoolExecutor", refuse)
+        model = _net(arch, seed=22)
+        x = np.random.default_rng(80).normal(size=(n, D))
+        want = _reference_logits(model, x, "relaxed")
+        npt.assert_allclose(model.forward(Tensor(x)).data, want, rtol=1e-10, atol=1e-12)
+        assert len(model._eval_buffers) == 1
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_error_in_a_chunk_reaches_the_caller(self, row, monkeypatch):
+        monkeypatch.setattr(M, "_usable_cores", lambda: 2)
+        model = _net(ARCHS[0], seed=23)
+        x = np.random.default_rng(81).normal(size=(4 * MAX_CHUNK_ROWS, D))
+        x[row, 0] = 1e6  # the caller runs the first chunk, a worker thread the last
+
+        def check(h, spare):
+            if (h == 1e6).any():
+                raise RuntimeError("marked row")
+            return h
+
+        steps = model._eval_steps("hard")
+        monkeypatch.setattr(model, "_eval_steps", lambda mode: [(check, False)] + steps)
+        with pytest.raises(RuntimeError, match="marked row"):
+            model.forward(Tensor(x), mode="hard")
+        assert len(model._eval_buffers) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_callers_errstate_holds_in_every_chunk(self, workers, monkeypatch):
+        monkeypatch.setattr(M, "_usable_cores", lambda: workers)
+        model = _net(ARCHS[0], seed=24)
+        w = next(p for name, p in model.parameters() if name.endswith("gfc.weights"))
+        w.data *= 1e10
+        x = np.random.default_rng(82).normal(size=(2 * workers * MAX_CHUNK_ROWS, D))
+        with np.errstate(over="raise"):
+            model.forward(Tensor(x), mode="hard")  # ordinary rows do not overflow
+        x[-1] *= 1e300  # in the last chunk, which a worker thread runs when there are two or more
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model.forward(Tensor(x), mode="hard")
 
     @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[4]])
     def test_one_hot_relaxed_routing_runs_the_gather(self, arch, monkeypatch):
