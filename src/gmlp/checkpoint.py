@@ -16,8 +16,9 @@ Weights are down-converted to float32 on save and promoted back to float64
 on load, so a reloaded model reproduces eval-mode outputs to float32
 rounding (about 1e-7 relative) rather than bit-exactly.
 A file whose arrays hold a NaN or an infinity, whose final temperature or
-normalization statistics are not finite, or whose normalization sigma is
-negative, is rejected on load like any other corrupt file.
+normalization statistics are not finite, whose normalization sigma is
+negative, or whose class names repeat a name or do not number the net's
+outputs, is rejected on load like any other corrupt file.
 
 Nothing non-deterministic (timestamps, hostnames) is written: identical
 models under identical metadata serialize to identical bytes.
@@ -153,7 +154,9 @@ def _read_container(path) -> tuple[dict, bytes]:
                 if _finite(entry, "sigma", at) < 0.0:
                     raise CheckpointError(f"{at}: 'sigma' is negative")
         if metadata.get("class_names") is not None:
-            _list_of(metadata, "class_names", str, f"{where} metadata")
+            names = _list_of(metadata, "class_names", str, f"{where} metadata")
+            if len(set(names)) != len(names):
+                raise CheckpointError(f"{where} metadata: 'class_names' {names} repeats a name")
     for i, entry in enumerate(_field(manifest, "params", list, where)):
         at = f"{where} params[{i}]"
         if not isinstance(entry, dict):
@@ -172,6 +175,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         model.set_temperature(float(manifest["final_tau"]))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: manifest describes no valid model: {exc}") from exc
+    names = manifest.get("metadata", {}).get("class_names")
+    if names is not None and len(names) != spec.n_classes:
+        raise CheckpointError(f"{path}: {len(names)} class names for a net of {spec.n_classes} classes")
     available = dict(model.state_arrays())
     for entry in manifest["params"]:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]

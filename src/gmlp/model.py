@@ -22,7 +22,6 @@ import contextvars
 import math
 import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -348,19 +347,19 @@ class Model:
         numpy steps (``_eval_steps``), built at each call from the current
         parameters, running moments, routing logits and temperature, and run
         on cache-sized row chunks in flat buffer pairs that the model keeps
-        across calls, one pair per worker. A group-connected net's chunks
-        are shared out among the cores the process may use when each gets
-        at least two (``_eval_forward``); the worker threads live for the
-        call. Because the buffers belong to the model, one model must not
-        predict from two caller threads at once. The hard gather, Group-FC,
-        FC and Group-Pool run the forwards of their training kernels,
-        writing into those buffers. Hard
-        routing gathers the argmax features of each chunk, relaxed routing
-        multiplies each chunk by the tempered softmax of psi (or gathers,
-        where that softmax is one-hot), dropout is the identity, and each
-        ``GFC|FC, ReLU, BNorm`` run with no negative batch-norm scale is
-        folded into one affine step and ``max(h, c)`` (see the comment block
-        below the class). A tape in eval mode, and a ``mode`` other than
+        across calls, one pair per worker. The chunks of a group-connected
+        net whose routing gathers are shared out among up to two of the
+        cores the process may use when each gets at least two
+        (``_eval_forward``); the worker threads live for the call. Because
+        the buffers belong to the model, one model must not predict from two
+        caller threads at once. The hard gather, Group-FC, FC and Group-Pool
+        run the forwards of their training kernels, writing into those
+        buffers. Hard routing gathers the argmax features of each chunk,
+        relaxed routing multiplies each chunk by the tempered softmax of psi
+        (or gathers, where that softmax is one-hot), dropout is the
+        identity, and each ``GFC|FC, ReLU, BNorm`` run with no negative
+        batch-norm scale is folded into one affine step and ``max(h, c)``
+        (see the comment block below the class). A tape in eval mode, and a ``mode`` other than
         ``"relaxed"`` or ``"hard"``, raise ``ConfigError``.
         """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
@@ -464,29 +463,34 @@ class Model:
     def _eval_forward(self, x: np.ndarray, mode: str) -> np.ndarray:
         """Eval-mode logits of (B, d) rows, computed chunk by chunk without a tape.
 
-        A group-connected net splits the chunks of one call into contiguous
-        runs, one per core the process may use (``_usable_cores``), when each
-        run gets at least two chunks; otherwise one loop runs them all. Each
+        A group-connected net whose routing gathers splits the chunks of one
+        call into contiguous runs, one per core the process may use
+        (``_usable_cores``) up to ``MAX_EVAL_WORKERS``, when each run gets at
+        least two chunks; otherwise one loop runs them all. Each
         run steps through its chunks in its own buffer pair and writes its
         own rows of the logits, so the logits are the loop's bits at any
         worker count. The caller runs the first run and a thread pool that
         lives for this call runs the others, each thread in a copy of the
         caller's ``contextvars`` context, so a caller's ``np.errstate``
         holds in every chunk; an exception raised in any run reaches the
-        caller. Why dense nets and short inputs keep the loop: see the
-        comment block below the class.
+        caller. Why dense nets, routing that mixes and short inputs keep the
+        loop, and why two workers at most: see the comment block below the
+        class.
         """
         steps = self._eval_steps(mode)
         rows = _chunk_rows(self._widest)
         out = np.empty((x.shape[0], self.spec.n_classes))
         starts = range(0, x.shape[0], rows)
-        workers = max(1, min(_usable_cores(), len(starts) // 2)) if self.routing is not None else 1
+        threaded = self.routing is None or any(getattr(step, "threaded", False) for step, _ in steps)
+        workers = 1 if threaded else max(1, min(_usable_cores(), MAX_EVAL_WORKERS, len(starts) // 2))
         size = rows * self._widest
         for _ in range(len(self._eval_buffers), workers):
             self._eval_buffers += ((_flat_buffer(size), _flat_buffer(size)),)
         if workers == 1:
             _run_chunks(steps, x, out, rows, starts, self._eval_buffers[0])
             return out
+        from concurrent.futures import ThreadPoolExecutor  # imported here: most processes never split
+
         runs = [starts[len(starts) * i // workers : len(starts) * (i + 1) // workers] for i in range(workers)]
         args = [(steps, x, out, rows, run, buffers) for run, buffers in zip(runs, self._eval_buffers)]
         with ThreadPoolExecutor(workers - 1) as pool:
@@ -568,19 +572,28 @@ class Model:
 # model, one model's eval path is not re-entrant: two caller threads must not
 # predict with the same model at once.
 #
-# Workers: a group-connected net's chunk is a gather, many small per-group
-# products and elementwise passes, none of which BLAS threads, so one loop
-# keeps one core busy. ``_eval_forward`` shares a call's chunks out among the
-# cores the process may use, one buffer pair per worker; on a 2-core machine
-# W2's hard prediction of 4,096 rows went from 116k to 157k rows/s (benchmark
-# medians). Two conditions keep the one loop. A dense net's products are
-# large, and BLAS already runs them on its own threads: splitting the chunks
-# of W2's dense twin made its median call slower (142-153 against 146-174
-# ms). And each worker must get at least two chunks, since a thread pool
-# costs about 0.2 ms a call: splitting the two 2,048-row chunks of a
-# 4,096-row synth-small call took it from 0.37-0.54 to 0.57-0.74 ms. So
-# ``fit``'s scoring of a small validation set, and a process pinned to one
-# core, run the loop.
+# Workers: a group-connected net whose routing gathers (hard routing, or
+# relaxed routing whose softmax is one-hot) runs per chunk a gather, many
+# small per-group products and elementwise passes, none of which BLAS
+# threads, so one loop keeps one core busy. ``_eval_forward`` shares such a
+# call's chunks out among up to MAX_EVAL_WORKERS of the cores the process may
+# use, one buffer pair per worker; on a 2-core machine W2's hard prediction
+# of 4,096 rows went from 116k to 157k rows/s (benchmark medians). Three
+# conditions keep the one loop. A dense net's products are large, and BLAS
+# already runs them on its own threads: splitting the chunks of W2's dense
+# twin made its median call slower (142-153 against 146-174 ms). The same
+# holds for relaxed routing that still mixes, as before ``fit``'s hard phase:
+# its product with psi's softmax (1,024 x 784 by 784 x 128 per W2 chunk) is
+# most of the chunk's work, and splitting a 4,096-row W2 call at tau 0.1 and
+# at tau 1 made it slower (median 131 and 130 against 119 and 121 ms; the
+# step carries ``threaded``). And each worker must get at least two chunks,
+# since a thread pool costs about 0.2 ms a call: splitting the two 2,048-row
+# chunks of a 4,096-row synth-small call took it from 0.37-0.54 to 0.57-0.74
+# ms. So ``fit``'s scoring of a small validation set, and a process pinned
+# to one core, run the loop. Only two workers were measured, on a 2-core
+# machine; the chunks' many small numpy calls hold the GIL between their
+# kernels, so more threads would contend for it, and each would keep a
+# 2 MiB buffer pair on the model. Hence the cap of two.
 #
 # Batch-norm fold: eval batch-norm is a*h + c, with (a, c) from
 # ``BatchNormState.scale_shift``, and for a >= 0, a*relu(y) + c equals
@@ -595,6 +608,7 @@ class Model:
 CHUNK_FLOATS = 2**17
 MIN_CHUNK_ROWS = 128
 MAX_CHUNK_ROWS = 2048
+MAX_EVAL_WORKERS = 2
 
 
 def _chunk_rows(widest: int) -> int:
@@ -645,6 +659,7 @@ def _mix_step(s: np.ndarray, k: int, m: int):
     def step(x, spare):
         return np.matmul(s, x.T, out=L.prefix(spare, s.shape[0], x.shape[0])).reshape(k, m, -1)
 
+    step.threaded = True  # a large product, which BLAS runs on its own threads
     return step
 
 

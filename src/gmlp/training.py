@@ -318,9 +318,10 @@ def predictions(model: Model, X: np.ndarray, hard: bool = False) -> np.ndarray:
     ``Tensor(X)`` checks the input once (float64, finite) and
     ``Model.forward`` its width; the forward pass then runs the tape-free
     eval path, which works through the rows in cache-sized chunks. A
-    group-connected net shares the chunks out among the cores the process
-    may use, at least two chunks per core, in threads that end before this
-    returns; the labels are the same at any core count. One model must not
+    group-connected net whose routing gathers (hard, or relaxed once the
+    softmax is one-hot) shares the chunks out among up to two of the cores
+    the process may use, at least two chunks per core, in threads that end
+    before this returns; the labels are the same at any core count. One model must not
     predict from two threads of the caller at once.
     """
     mode = "hard" if hard else "relaxed"

@@ -86,6 +86,9 @@ MALFORMED = {
     "norm_stats_entry_not_an_object": _with("metadata", {"norm_stats": {"f0": 5}}),
     "class_names_not_a_list": _with("metadata", {"class_names": "no,yes"}),
     "class_names_not_strings": _with("metadata", {"class_names": ["no", 1]}),
+    # the net has 2 outputs: a third name maps labels to a class it never predicts
+    "class_names_one_per_output": _with("metadata", {"class_names": ["maybe", "no", "yes"]}),
+    "class_names_repeated": _with("metadata", {"class_names": ["yes", "yes"]}),
     "param_offset_past_blob": lambda mf: _with_param(mf, offset=mf["blob_bytes"]),
     "param_offset_negative": lambda mf: _with_param(mf, offset=-4),
     "param_shape_not_the_archs": lambda mf: _with_param(mf, shape=mf["params"][0]["shape"] + [1]),

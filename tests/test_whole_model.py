@@ -21,6 +21,7 @@ parameter's gradient terms, and the recording of each kernel on the tape.
 gathers the tape's gradients into one flat vector for Adam.
 """
 
+import concurrent.futures
 import inspect
 
 import numpy as np
@@ -193,6 +194,18 @@ def _step_names(model, mode):
     return names
 
 
+def _workers(monkeypatch, n):
+    """Let prediction run on ``n`` workers: ``n`` usable cores, and a cap no lower."""
+    monkeypatch.setattr(M, "_usable_cores", lambda: n)
+    monkeypatch.setattr(M, "MAX_EVAL_WORKERS", max(n, M.MAX_EVAL_WORKERS))
+
+
+def _commit(model):
+    """Pin the routing, so relaxed routing gathers as after ``fit``'s hard phase."""
+    model.set_temperature(0.01)
+    pin_routing(model.routing, 0.01)
+
+
 # nets and their rows per eval chunk: max, mean-4 and linear pooling, and a
 # dense net, so every shared forward writes into buffer prefixes of full and
 # tail chunks
@@ -288,7 +301,8 @@ class TestEvalExecutor:
 
     @pytest.mark.parametrize("arch, chunk", CHUNKED)
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_buffers_reused_across_calls(self, arch, chunk, cores, monkeypatch):
+    @pytest.mark.parametrize("mode", ["hard", "relaxed"])
+    def test_buffers_reused_across_calls(self, arch, chunk, cores, mode, monkeypatch):
         monkeypatch.setattr(M, "_usable_cores", lambda: cores)
         rng = np.random.default_rng(73)
         xs = [rng.normal(size=(n, D)) for n in (3 * chunk + 37, 5, 0)]
@@ -299,29 +313,31 @@ class TestEvalExecutor:
             return model
 
         model = fresh()
-        got = [model.forward(Tensor(x)).data for x in xs[:1]]
+        got = [model.forward(Tensor(x), mode=mode).data for x in xs[:1]]
         pairs = model._eval_buffers
-        # a group-connected net's 4 chunks run in one pair per worker
-        assert len(pairs) == (cores if model.routing is not None else 1)
-        got += [model.forward(Tensor(x)).data for x in xs[1:]]
+        # a gathering group-connected net's 4 chunks run in one pair per worker;
+        # the relaxed routing here mixes, and runs the loop as a dense net does
+        assert len(pairs) == (cores if model.routing is not None and mode == "hard" else 1)
+        got += [model.forward(Tensor(x), mode=mode).data for x in xs[1:]]
         assert len(model._eval_buffers) == len(pairs)
         for pair, kept_pair in zip(model._eval_buffers, pairs):
             assert all(a is b for a, b in zip(pair, kept_pair))
         kept = [g.copy() for g in got]
         for x, g, k in zip(xs, got, kept):
-            npt.assert_array_equal(g, fresh().forward(Tensor(x)).data)
+            npt.assert_array_equal(g, fresh().forward(Tensor(x), mode=mode).data)
             npt.assert_array_equal(g, k)  # later calls left earlier results alone
 
     @pytest.mark.parametrize("arch", ARCHS[:-1])
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_workers_give_the_loops_bits(self, arch, mode, workers, monkeypatch):
-        monkeypatch.setattr(M, "_usable_cores", lambda: workers)
+        _workers(monkeypatch, workers)
         rng = np.random.default_rng(78)
         chunk = MAX_CHUNK_ROWS
         for n in (2 * workers * chunk - 1, 2 * workers * chunk, 2 * workers * chunk + 37):
             model = _net(arch, seed=20)
             _perturb(model, np.random.default_rng(79))
+            _commit(model)
             x = rng.normal(size=(n, D))
             got = model.forward(Tensor(x), mode=mode).data
             assert len(model._eval_buffers) == workers
@@ -329,18 +345,44 @@ class TestEvalExecutor:
             want = [model.forward(Tensor(x[s : s + chunk]), mode=mode).data for s in range(0, n, chunk)]
             npt.assert_array_equal(got.view(np.int64), np.concatenate(want).view(np.int64))
 
-    @pytest.mark.parametrize("arch, n", [(WIDE_MLP, 8 * 128), (ARCHS[0], 2 * MAX_CHUNK_ROWS + 1)])
-    def test_dense_nets_and_short_inputs_run_the_loop(self, arch, n, monkeypatch):
+    @pytest.mark.parametrize(
+        "arch, n, mode",
+        [
+            (WIDE_MLP, 8 * 128, "relaxed"),
+            (ARCHS[0], 2 * MAX_CHUNK_ROWS + 1, "hard"),
+            (ARCHS[0], 8 * MAX_CHUNK_ROWS, "relaxed"),  # routing that mixes
+        ],
+    )
+    def test_dense_nets_mixing_routing_and_short_inputs_run_the_loop(self, arch, n, mode, monkeypatch):
         def refuse(*args):
             raise AssertionError("an executor was built")
 
-        monkeypatch.setattr(M, "_usable_cores", lambda: 4)
-        monkeypatch.setattr(M, "ThreadPoolExecutor", refuse)
+        _workers(monkeypatch, 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         model = _net(arch, seed=22)
+        if model.routing is not None and mode == "relaxed":
+            assert _step_names(model, mode)[0] == "_mix_step"
         x = np.random.default_rng(80).normal(size=(n, D))
-        want = _reference_logits(model, x, "relaxed")
-        npt.assert_allclose(model.forward(Tensor(x)).data, want, rtol=1e-10, atol=1e-12)
+        want = _reference_logits(model, x, mode)
+        npt.assert_allclose(model.forward(Tensor(x), mode=mode).data, want, rtol=1e-10, atol=1e-12)
         assert len(model._eval_buffers) == 1
+
+    def test_workers_stop_at_the_cap(self, monkeypatch):
+        built = []
+        pool = concurrent.futures.ThreadPoolExecutor
+
+        def counting(n):
+            built.append(n)
+            return pool(n)
+
+        monkeypatch.setattr(M, "_usable_cores", lambda: 64)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting)
+        model = _net(ARCHS[0], seed=25)
+        x = np.random.default_rng(83).normal(size=(16 * MAX_CHUNK_ROWS, D))
+        got = model.forward(Tensor(x), mode="hard").data
+        # the caller and one thread: MAX_EVAL_WORKERS = 2, whatever the core count
+        assert built == [1] and len(model._eval_buffers) == M.MAX_EVAL_WORKERS == 2
+        npt.assert_allclose(got, _reference_logits(model, x, "hard"), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("row", [0, -1])
     def test_error_in_a_chunk_reaches_the_caller(self, row, monkeypatch):
@@ -362,7 +404,7 @@ class TestEvalExecutor:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_callers_errstate_holds_in_every_chunk(self, workers, monkeypatch):
-        monkeypatch.setattr(M, "_usable_cores", lambda: workers)
+        _workers(monkeypatch, workers)
         model = _net(ARCHS[0], seed=24)
         w = next(p for name, p in model.parameters() if name.endswith("gfc.weights"))
         w.data *= 1e10
