@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .data import Dataset
 from .errors import DataError, ShapeError
-from .layers import RoutingParams, hard_assignment
+from .layers import RoutingParams, hard_assignment, routing_weights
 from .model import Model
 
 # a routing row counts as sparse once its softmax puts this much on one feature
@@ -50,7 +49,7 @@ def discretize_routing(routing: RoutingParams) -> RoutingTable:
 def sparsity_report(routing: RoutingParams) -> float:
     """Fraction of routing rows whose softmax, at the current temperature,
     already concentrates at least ``SPARSITY_THRESHOLD`` on one feature."""
-    probs = T.routing_weights(routing.psi.data, routing.temperature)
+    probs = routing_weights(routing.psi.data, routing.temperature)
     return float((probs.max(axis=1) >= SPARSITY_THRESHOLD).mean())
 
 
@@ -114,7 +113,7 @@ def correlation_analysis(model: Model, ds: Dataset) -> CorrelationReport:
     routing = model.routing
     if ds.X.shape[1] != routing.d:
         raise ShapeError(f"input {ds.X.shape} does not match d={routing.d}")
-    z = T.routing_weights(routing.psi.data, routing.temperature) @ ds.X.T
+    z = routing_weights(routing.psi.data, routing.temperature) @ ds.X.T
     m, n = routing.m, ds.n
     take = min(z.shape[0], CORRELATION_SLOTS)
     flat = z[:take].T

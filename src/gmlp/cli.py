@@ -224,13 +224,14 @@ def cmd_eval(args) -> int:
     model = loaded.model
 
     pred = predictions(model, ds.X)
+    names = ds.class_names or [str(c) for c in range(ds.n_classes)]
     report = {
         "checkpoint": str(args.checkpoint),
         "n_samples": ds.n,
         "accuracy": float((pred == ds.y).mean()),
         "hard_routing_accuracy": float((predictions(model, ds.X, hard=True) == ds.y).mean()),
         "per_class_accuracy": {
-            str(c): float((pred[ds.y == c] == c).mean())
+            names[c]: float((pred[ds.y == c] == c).mean())
             for c in range(ds.n_classes)
             if (ds.y == c).any()
         },
@@ -282,6 +283,12 @@ def cmd_analyze(args) -> int:
     model = loaded.model
     if model.routing is None:
         raise ConfigError("analysis needs a group-connected model")
+    # the dataset is checked before the out dir is made, so a failed check writes no files
+    report = None
+    if args.data:
+        report = analysis.correlation_analysis(model, _load_eval_dataset(args, loaded.manifest))
+    else:
+        print("note: no dataset supplied; correlation analysis skipped", file=sys.stderr)
     out_dir = resolve_out_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -299,19 +306,13 @@ def cmd_analyze(args) -> int:
         "slot_to_feature": [int(v) for v in table.slot_to_feature],
         "total_edge_weight": graph.total_weight,
     }
-    _write_json(os.path.join(out_dir, "sparsity.json"), summary)
-
-    if args.data:
-        ds = _load_eval_dataset(args, loaded.manifest)
-        report = analysis.correlation_analysis(model, ds)
+    if report is not None:
         analysis.save_histogram_csv(report, os.path.join(out_dir, "correlation_histograms.csv"))
         np.savetxt(
             os.path.join(out_dir, "correlation_matrix.csv"), report.corr, delimiter=","
         )
         summary["zero_variance_slots"] = report.zero_variance_slots
-        _write_json(os.path.join(out_dir, "sparsity.json"), summary)
-    else:
-        print("note: no dataset supplied; correlation analysis skipped", file=sys.stderr)
+    _write_json(os.path.join(out_dir, "sparsity.json"), summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

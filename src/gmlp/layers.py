@@ -10,9 +10,17 @@ is a batched matrix product and pooling and batch-norm reduce contiguous
 memory. Group-Select turns (B, d) into (k, m, B); Concat turns (k, m, B)
 back into (B, k*m) for the dense tail.
 
+The routing lives here too: ``routing_weights``, the row softmax of psi
+at a temperature that every relaxed path computes (the training step, the
+eval executor and ``analysis``), with its flush of subnormal weights;
+``hard_assignment``, each row's argmax; and ``pin_routing``, which commits
+each row to its argmax, so that ``routing_weights`` is exactly one-hot.
+
 Each block's training forward and backward is written once, as a kernel:
 a ``*_pair`` factory, or the constant ``RELU_PAIR`` and ``CONCAT_PAIR``,
-gives ``(forward, backward)`` as ``tensor`` describes. ``Model._train_pairs``
+gives ``(forward, backward)``: ``forward(x)`` returns the output and what
+the backward reads, and ``backward(g, saved)`` the gradient of the input
+(None where nothing reads it), then of each parameter. ``Model._train_pairs``
 lists the pairs of a model's blocks, which ``Model.forward`` records on a
 tape and the compiled training step runs without one; the training
 objective that follows them is one kernel of ``training``. Group-Select
@@ -71,6 +79,47 @@ class RoutingParams:
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
 
+TINY = np.finfo(np.float64).tiny
+# exp(z) < TINY for every float64 z below this bound: log(TINY) rounds to a
+# float64 2.7e-14 above the exact logarithm, so exp of the next float64 below
+# it lies 388 ulps under TINY, and exp of the bound itself 124 ulps over
+EXP_NORMAL_MIN = float(np.log(TINY))
+
+
+def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The row softmax of psi at the temperature, with subnormal weights set to 0.
+
+    Computed in one array, ``out`` if given, by max-subtraction, so it stays
+    finite down to very low temperatures. A weight below the smallest normal
+    float64 moves a mixed value by less than 2.3e-308 times an input, and
+    subnormal operands slow BLAS products many times over.
+
+    With z = psi/tau - rowmax and tiny the smallest normal float64, an
+    entry with z below ``EXP_NORMAL_MIN`` = log(tiny) has exp(z) < tiny,
+    so its weight exp(z)/S, the row sum S being at least 1, is flushed to
+    0. Such entries skip ``exp`` and are set to 0, since numpy's exp runs
+    10 to 100 times slower where its results are subnormal or underflow,
+    as for every entry but the argmax of a row ``pin_routing`` committed.
+    The subnormal terms this leaves out of S sum to less than d*tiny, far
+    below half an ulp of S; the tests compare the weights bit for bit with
+    the plain softmax. One reduction, the minimum of z, keeps the common
+    case, where no entry is that low, on one unmasked ``exp``.
+    """
+    if not temperature > 0.0:
+        raise DomainError(f"softmax temperature must be positive, got {temperature}")
+    s = np.divide(psi, temperature, out=out)
+    s -= np.maximum.reduce(s, axis=1, keepdims=True)
+    if np.minimum.reduce(s, axis=None) < EXP_NORMAL_MIN:
+        keep = s >= EXP_NORMAL_MIN
+        np.exp(s, out=s, where=keep)
+        np.copyto(s, 0.0, where=~keep)
+    else:
+        np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=1, keepdims=True)
+    s[s < TINY] = 0.0
+    return s
+
+
 # the weight of a batch's moments in the running moments, and the term added to the variance
 BN_MOMENTUM = 0.1
 BN_EPSILON = 1e-5
@@ -100,6 +149,23 @@ def hard_assignment(routing: RoutingParams) -> np.ndarray:
     return routing.psi.data.argmax(axis=1)
 
 
+# a pinned routing row's chosen logit leads every other by this many
+# temperatures, so exp underflows to 0 for every other column and the row's
+# softmax at that temperature is exactly one-hot
+PIN_TEMPERATURES = 1000.0
+
+
+def pin_routing(routing: RoutingParams, tau: float) -> None:
+    """Commit the routing: raise each row's argmax logit by ``PIN_TEMPERATURES * tau``, in place.
+
+    The row's argmax does not change, and the softmax at temperature tau
+    (or below) is then exactly one-hot: every other weight underflows to
+    0, so relaxed and hard routing give the same bits.
+    """
+    psi = routing.psi.data
+    psi[np.arange(psi.shape[0]), hard_assignment(routing)] += PIN_TEMPERATURES * tau
+
+
 def select_pair(routing: RoutingParams, scratch, input_grad: bool):
     """Relaxed Group-Select, (B, d) -> (k, m, B): S @ x.T with S = ``routing_weights(psi, tau)``.
 
@@ -115,7 +181,7 @@ def select_pair(routing: RoutingParams, scratch, input_grad: bool):
 
     def forward(x):
         tau = routing.temperature
-        T.routing_weights(psi, tau, out=s)
+        routing_weights(psi, tau, out=s)
         out = s @ x.T
         return out.reshape(k, m, -1), (x, out, tau)
 

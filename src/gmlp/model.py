@@ -407,7 +407,7 @@ class Model:
             if mode == "hard":
                 steps.append((_forward_step(L.gather_pair(L.hard_assignment(r), k, m)), True))
             elif mode == "relaxed":
-                s = T.routing_weights(r.psi.data, r.temperature)
+                s = L.routing_weights(r.psi.data, r.temperature)
                 # one nonzero per row: the flush leaves the row sum, so the weight, exactly 1.0
                 if np.count_nonzero(s) == k * m:
                     steps.append((_forward_step(L.gather_pair(s.argmax(1), k, m)), True))

@@ -5,42 +5,22 @@ functions: ``forward(x)`` returns the block's output and what its backward
 reads, and ``backward(g, saved)`` returns the gradient of each of its
 inputs, the block's input first (None where nothing reads it) and then its
 parameters. :func:`node` runs a pair on ``Tensor`` values and records it as
-one tape node; it is the tape's only op. A model's pairs are listed once,
-by ``Model._train_pairs``: ``Model.forward`` records them in training mode,
-and the compiled training step runs them without a tape. The block kernels
-live in ``layers``, next to their layers. The training objective is one
-kernel too, written once in ``training``: ``loss_terms`` records it as one
-node, and the compiled step calls it directly. What it is built from lives
-here: the row softmax of the routing logits (``routing_weights``), the
-cross-entropy and the entropy values with their gradients, and the L2 sum
-(``squares_sum``). ``fit`` builds no tape and prediction runs the eval
-executor, so the tape serves the gradient checks.
+one tape node; it is the tape's only op. ``Model.forward`` records the
+pairs of ``Model._train_pairs`` (kernels of ``layers``) in training mode,
+and ``training.loss_terms`` records the objective (a kernel of
+``training``) as one more node. ``fit`` runs the same kernels through its
+compiled step without a tape, and prediction runs the eval executor, so the
+tape serves only the benchmark's gradient check (``gradient_fd``), its
+tracer, and the tests' bit-for-bit reference for the compiled step. It goes
+with ROADMAP item 1, once those move to the compiled step.
 
-Design constraints, in order of priority:
-
-* correctness checkable by central finite differences (everything float64),
-* low per-op Python overhead: one node per block, and one for the whole
-  objective,
-* few passes over the (k*m, d) routing logits, the largest array of a
-  training step whatever the batch size: ``routing_weights`` and the
-  entropy kernels compute in place in arrays of that size, their
-  gradients included,
-* no ``exp`` for a routing weight that the flush of subnormal weights sets
-  to 0 anyway: numpy's exp runs 10 to 100 times slower where its results
-  are subnormal or underflow, as for all but one entry of each committed
-  row, so ``routing_weights`` skips the shifted logits below
-  ``EXP_NORMAL_MIN``, with the same bits.
-
-Grouped activations are (k, m, B) arrays: group, slot within the group, then
-the batch, last, so a group's rows for the whole batch are one contiguous
-block. Ungrouped activations (the network input and the dense tail) are
-(B, F).
-
-Storage is always a C-contiguous float64 ``numpy`` array. :func:`node` takes
-the recording :class:`Tape` as first argument; passing ``tape=None`` runs
-the forward computation without recording. Finite-ness of externally
-supplied values is validated in the public ``Tensor`` constructor; kernels
-raise :class:`DomainError` only where a domain violation can actually occur.
+Everything is float64, so gradients can be checked by central finite
+differences, and a block or the objective is one node, so the per-op
+Python overhead stays low. Storage is always a C-contiguous float64
+``numpy`` array. :func:`node` takes the recording :class:`Tape` as first
+argument; passing ``tape=None`` runs the forward computation without
+recording. Finite-ness of externally supplied values is validated in the
+public ``Tensor`` constructor.
 
 A tape is single-use: build it, run forwards, call :meth:`Tape.backward`
 once, throw it away. Gradients accumulate into ``Tensor.grad`` and are never
@@ -163,107 +143,3 @@ def node(tape, pair, x: Tensor, *params: Tensor) -> Tensor:
         tape._record(out, inputs, lambda g: backward(g, saved))
     return out
 
-
-# ---------------------------------------------------------------------------
-# routing and the objective's terms
-
-TINY = np.finfo(np.float64).tiny
-# exp(z) < TINY for every float64 z below this bound: log(TINY) rounds to a
-# float64 2.7e-14 above the exact logarithm, so exp of the next float64 below
-# it lies 388 ulps under TINY, and exp of the bound itself 124 ulps over
-EXP_NORMAL_MIN = float(np.log(TINY))
-
-
-def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The row softmax of psi at the temperature, with subnormal weights set to 0.
-
-    Computed in one array, ``out`` if given, by max-subtraction, so it stays
-    finite down to very low temperatures. A weight below the smallest normal
-    float64 moves a mixed value by less than 2.3e-308 times an input, and
-    subnormal operands slow BLAS products many times over.
-
-    With z = psi/tau - rowmax and tiny the smallest normal float64, an
-    entry with z below ``EXP_NORMAL_MIN`` = log(tiny) has exp(z) < tiny,
-    so its weight exp(z)/S, the row sum S being at least 1, is flushed to
-    0. Such entries skip ``exp`` and are set to 0, since numpy's exp runs
-    10 to 100 times slower where its results are subnormal or underflow,
-    as for every entry but the argmax of a row ``pin_routing`` committed.
-    The subnormal terms this leaves out of S sum to less than d*tiny, far
-    below half an ulp of S; the tests compare the weights bit for bit with
-    the plain softmax. One reduction, the minimum of z, keeps the common
-    case, where no entry is that low, on one unmasked ``exp``.
-    """
-    if not temperature > 0.0:
-        raise DomainError(f"softmax temperature must be positive, got {temperature}")
-    s = np.divide(psi, temperature, out=out)
-    s -= np.maximum.reduce(s, axis=1, keepdims=True)
-    if np.minimum.reduce(s, axis=None) < EXP_NORMAL_MIN:
-        keep = s >= EXP_NORMAL_MIN
-        np.exp(s, out=s, where=keep)
-        np.copyto(s, 0.0, where=~keep)
-    else:
-        np.exp(s, out=s)
-    s /= np.add.reduce(s, axis=1, keepdims=True)
-    s[s < TINY] = 0.0
-    return s
-
-
-def neg_entropy_value(a: np.ndarray, z=None, e=None):
-    """sum over all entries of p*log(p), with p the row softmax of a at temperature 1.
-
-    With z = a - rowmax, e = exp(z) and S the row sum of e, a row's value
-    is sum(e*z)/S - log(S). Where exp underflows, e = 0, so the term is 0:
-    the 0*log(0) = 0 convention, and fully saturated rows are exact zeros
-    instead of NaNs. z and e are written into the arrays ``z`` and ``e`` of
-    a's shape if given. Returns the value and what ``neg_entropy_grad``
-    reads.
-    """
-    z = np.subtract(a, np.maximum.reduce(a, 1, keepdims=True), out=z)
-    e = np.exp(z, out=e)
-    s = np.add.reduce(e, 1)
-    log_s = np.log(s)
-    rows = np.einsum("ij,ij->i", e, z) / s - log_s
-    return np.add.reduce(rows), (z, e, s, log_s, rows)
-
-
-def neg_entropy_grad(g, saved) -> np.ndarray:
-    """g times the gradient of ``neg_entropy_value``: (e/S)*(z - log(S) - row value), written into z."""
-    z, e, s, log_s, rows = saved
-    z -= (log_s + rows)[:, None]
-    z *= e
-    z *= (g / s)[:, None]
-    return z
-
-
-def cross_entropy_value(logits: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy between the row softmax of (n, c) logits and n integer labels.
-
-    Returns the value and what ``cross_entropy_grad`` reads.
-    """
-    if logits.ndim != 2 or y.ndim != 1 or y.shape[0] != logits.shape[0]:
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {y.shape}")
-    n, c = logits.shape
-    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c):
-        raise DomainError(f"target label out of range [0, {c})")
-    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
-    ez = np.exp(shifted)
-    sez = np.add.reduce(ez, 1, keepdims=True)
-    logp = shifted - np.log(sez)
-    return -(np.add.reduce(logp[np.arange(n), y]) / n), (ez, sez, y)
-
-
-def cross_entropy_grad(g, saved) -> np.ndarray:
-    """g times the gradient of ``cross_entropy_value`` in the logits: (softmax - onehot) * g/n."""
-    ez, sez, y = saved
-    p = ez / sez
-    p[np.arange(len(y)), y] -= 1.0
-    p *= g / len(y)
-    return p
-
-
-def squares_sum(flats) -> float:
-    """The sum of ``np.dot(a, a)`` over the flat arrays, in order."""
-    value = 0.0
-    for flat in flats:
-        value += np.dot(flat, flat)
-    return value

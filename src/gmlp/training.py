@@ -8,12 +8,15 @@ always evaluated at temperature 1, independent of the annealed temperature
 used in the forward pass, and carries a 1/d outer factor. It computes
 p*log(p) as p*(z - log S) from the max-shifted logits z and their
 exponential row sums S, without a mask; its value, and its gradient, are 0
-where p underflows to 0.
+where p underflows to 0. Its arrays are of psi's size, the largest of a
+training step, so its value and gradient are computed in place.
 
-The objective is written once, as a kernel: ``objective`` gives its value
-and what its gradient reads, and ``objective_grad`` the gradient's pieces
-(the logits', psi's entropy term's, and the factor that turns each
-parameter into its L2 gradient). ``fit`` trains through a compiled step,
+The objective is written once, as a kernel, and all its arithmetic is
+here: ``entropy_term`` gives the entropy term's value and what its gradient
+reads, ``objective`` the cross-entropy, the entropy and the L2 sum and
+their weighted total, and ``objective_grad`` the gradient's pieces (the
+logits', psi's entropy term's, and the factor that turns each parameter
+into its L2 gradient). ``fit`` trains through a compiled step,
 :class:`TrainStep`: the model's training kernels (``Model._train_pairs``,
 the list ``Model.forward`` records on a tape in training mode), then the
 objective, with every gradient written into one flat vector that mirrors
@@ -27,8 +30,8 @@ bits and the gradient checks of the tape path check the arithmetic that
 A group-connected net trains in two phases. The relaxed phase routes
 through the tempered softmax of psi. For the last
 ``int(HARDEN_FRACTION * epochs)`` epochs (a quarter) the routing is
-committed: ``pin_routing`` raises each routing row's argmax logit by
-``PIN_TEMPERATURES`` (1000) times ``tau_end``, so the softmax at
+committed: ``layers.pin_routing`` raises each routing row's argmax logit
+by ``PIN_TEMPERATURES`` (1000) times ``tau_end``, so the softmax at
 ``tau_end`` is exactly one-hot, relaxed and hard routing give the same
 bits and a checkpoint keeps its format. The
 hard phase trains the rest of the net on the gather of the committed
@@ -68,8 +71,8 @@ import numpy as np
 from . import tensor as T
 from .analysis import sparsity_report
 from .data import Dataset, batches
-from .errors import ConfigError, ShapeError, TrainingDiverged
-from .layers import RoutingParams, hard_assignment
+from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
+from .layers import pin_routing
 from .model import Model, _flat_buffer
 from .tensor import Tensor
 
@@ -78,10 +81,6 @@ DIVERGENCE_FACTOR = 1e6
 # entries per Adam slice: 2^15 float64 is 256 KiB per array, so a slice's
 # gradient, moments, parameter and two scratch arrays fit in a 2 MiB L2 cache
 ADAM_TILE = 1 << 15
-# a pinned routing row's chosen logit leads every other by this many
-# temperatures, so exp underflows to 0 for every other column and the row's
-# softmax at that temperature is exactly one-hot
-PIN_TEMPERATURES = 1000.0
 # share of a group-connected net's epochs, the last, trained on the committed routing
 HARDEN_FRACTION = 0.25
 # Adam's moment decay rates and the term added to its denominator
@@ -136,44 +135,73 @@ def entropy_term(psi: np.ndarray, z=None, e=None):
     p is the row softmax of psi at temperature 1, whatever temperature the
     forward pass is using. The outer factor averages over the d feature
     columns, not over the k*m rows, so the value ranges in
-    [0, (km/d)*log d]. ``z`` and ``e`` are ``tensor.neg_entropy_value``'s
-    buffers of psi's shape, or None to have it make them.
+    [0, (km/d)*log d]. With z = psi - rowmax, e = exp(z) and S the row sum
+    of e, a row's sum of p*log(p) is sum(e*z)/S - log(S); where exp
+    underflows, e = 0 and so is the term (0*log(0) = 0), and a saturated
+    row is an exact 0, not NaN. z and e are written into ``z`` and ``e``,
+    arrays of psi's shape, if given.
     """
-    value, saved = T.neg_entropy_value(psi, z, e)
-    return value * (-1.0 / psi.shape[1]), saved
+    z = np.subtract(psi, np.maximum.reduce(psi, 1, keepdims=True), out=z)
+    e = np.exp(z, out=e)
+    s = np.add.reduce(e, 1)
+    log_s = np.log(s)
+    rows = np.einsum("ij,ij->i", e, z) / s - log_s
+    weight = -1.0 / psi.shape[1]
+    return np.add.reduce(rows) * weight, (z, e, s, log_s, rows, weight)
 
 
 def objective(logits, y, psi, flats, lambda_: float, alpha: float, z=None, e=None):
     """The training objective of one batch: CE + lambda_ * entropy + alpha * L2.
 
-    CE is the mean cross-entropy of the (B, C) logits against the labels y,
-    the entropy is ``entropy_term(psi, z, e)`` and L2 is ``squares_sum`` of
-    the flat parameter arrays ``flats``; a term whose weight is 0 is not
-    evaluated, and its operand may be None. Returns the objective, the CE,
-    the entropy term (0.0 at ``lambda_`` 0) and what ``objective_grad``
-    reads.
+    CE is the mean cross-entropy of the row softmax of the (B, C) logits
+    against the integer labels y, the entropy is ``entropy_term(psi, z, e)``
+    and L2 is the sum of ``np.dot(a, a)`` over the flat parameter arrays
+    ``flats``, in order; a term whose weight is 0 is not evaluated, and its
+    operand may be None. Returns the objective, the CE, the entropy term
+    (0.0 at ``lambda_`` 0) and what ``objective_grad`` reads.
     """
-    ce, ce_saved = T.cross_entropy_value(logits, y)
-    total, ent, ent_saved, ent_weight = ce, 0.0, None, 0.0
+    if logits.ndim != 2 or y.ndim != 1 or y.shape[0] != logits.shape[0]:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {y.shape}")
+    n, c = logits.shape
+    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c):
+        raise DomainError(f"target label out of range [0, {c})")
+    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
+    ez = np.exp(shifted)
+    sez = np.add.reduce(ez, 1, keepdims=True)
+    logp = shifted - np.log(sez)
+    ce = -(np.add.reduce(logp[np.arange(n), y]) / n)
+    total, ent, ent_saved = ce, 0.0, None
     if lambda_ > 0.0:
         ent, ent_saved = entropy_term(psi, z, e)
-        ent_weight = lambda_ * (-1.0 / psi.shape[1])
         total = total + ent * lambda_
     if alpha > 0.0:
-        total = total + T.squares_sum(flats) * alpha
-    return total, ce, ent, (ce_saved, ent_saved, ent_weight, alpha)
+        l2 = 0.0
+        for flat in flats:
+            l2 += np.dot(flat, flat)
+        total = total + l2 * alpha
+    return total, ce, ent, (ez, sez, y, ent_saved, lambda_, alpha)
 
 
 def objective_grad(g, saved):
     """g times the gradient of ``objective``, in its pieces.
 
-    Returns the logits' gradient; psi's gradient from the entropy term,
-    written into the entropy's z buffer (None at lambda 0); and the factor
-    2*g*alpha that turns each parameter into the gradient of its L2 term.
+    Returns the logits' gradient, (softmax - onehot) * g/B; psi's gradient
+    from the entropy term, (e/S)*(z - log(S) - row value) times g, lambda_
+    and -1/d, written into the entropy's z buffer (None at lambda 0); and
+    the factor 2*g*alpha that turns each parameter into the gradient of its
+    L2 term.
     """
-    ce_saved, ent_saved, ent_weight, alpha = saved
-    dpsi = None if ent_saved is None else T.neg_entropy_grad(g * ent_weight, ent_saved)
-    return T.cross_entropy_grad(g, ce_saved), dpsi, 2.0 * g * alpha
+    ez, sez, y, ent_saved, lambda_, alpha = saved
+    dpsi = None
+    if ent_saved is not None:
+        dpsi, e, s, log_s, rows, weight = ent_saved
+        dpsi -= (log_s + rows)[:, None]
+        dpsi *= e
+        dpsi *= (g * (lambda_ * weight) / s)[:, None]
+    p = ez / sez
+    p[np.arange(len(y)), y] -= 1.0
+    p *= g / len(y)
+    return p, dpsi, 2.0 * g * alpha
 
 
 def loss_terms(
@@ -362,17 +390,6 @@ class FitResult:
     best_epoch: int
     best_state: list[tuple[str, np.ndarray]] | None
     final_tau: float
-
-
-def pin_routing(routing: RoutingParams, tau: float) -> None:
-    """Commit the routing: raise each row's argmax logit by ``PIN_TEMPERATURES * tau``, in place.
-
-    The row's argmax does not change, and the softmax at temperature tau
-    (or below) is then exactly one-hot: every other weight underflows to
-    0, so relaxed and hard routing give the same bits.
-    """
-    psi = routing.psi.data
-    psi[np.arange(psi.shape[0]), hard_assignment(routing)] += PIN_TEMPERATURES * tau
 
 
 def routing_sparsity(model: Model) -> float:

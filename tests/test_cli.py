@@ -134,7 +134,7 @@ class TestStringLabels:
         report = json.loads(capsys.readouterr().out)
         # yes is class 1 of the run; the file's own label set would make it class 0
         assert report["accuracy"] > 0.9
-        assert list(report["per_class_accuracy"]) == ["1"]
+        assert list(report["per_class_accuracy"]) == ["yes"]
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_label_the_run_never_saw_exits_1(self, tmp_path, capsys, command):
@@ -149,6 +149,7 @@ class TestStringLabels:
             argv += ["--out-dir", str(tmp_path / "out")]
         assert cli.main(argv) == 1
         assert "labels ['maybe'] are not among the training run's ['no', 'yes']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 
@@ -320,6 +321,15 @@ class TestAnalyze:
         psi = load_checkpoint(ckpt).model.routing.psi.data
         assert summary["slot_to_feature"][0] == 0
         assert summary["slot_to_feature"] == psi.argmax(axis=1).tolist()
+
+    def test_data_of_the_wrong_width_writes_no_files(self, tmp_path, capsys):
+        path = self._checkpoint(tmp_path, "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2")
+        _yes_no_csv(tmp_path / "rows.csv", 50, 3, "yes")  # 3 features, the model reads 6
+        out = tmp_path / "out"
+        argv = ["analyze", str(path), "--data", str(tmp_path / "rows.csv"), "--out-dir", str(out)]
+        assert cli.main(argv) == 1
+        assert "dataset has 3 features but the model expects 6" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dense_checkpoint_exits_1(self, tmp_path, capsys):
         path = self._checkpoint(tmp_path, "FC-4, ReLU, FC-2")

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmlp import layers as L
 from gmlp import tensor as T
@@ -29,6 +31,141 @@ def node_grads(build):
 
 # exp(-715) ~ 1e-311 is subnormal: below float64's smallest normal, about exp(-708.4)
 SUBNORMAL_GAP = 715.0
+
+
+def softmax(a, tau):
+    """The row softmax of a at temperature tau, without the flush of subnormal weights."""
+    e = np.exp((a - a.max(axis=1, keepdims=True)) / tau)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestRoutingWeights:
+    def test_uniform(self):
+        out = L.routing_weights(np.zeros((1, 3)), 1.0)
+        npt.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], rtol=0, atol=1e-15)
+
+    def test_dominant_logit_low_temperature(self):
+        out = L.routing_weights(np.array([[0.0, 0.0, 10.0]]), 0.01)
+        npt.assert_allclose(out, [[0.0, 0.0, 1.0]], atol=1e-9)
+
+    def test_two_logit_value(self):
+        # exp(1)/(exp(1)+exp(2)) and its complement
+        out = L.routing_weights(np.array([[1.0, 2.0]]), 1.0)
+        npt.assert_allclose(out, [[0.26894, 0.73106]], atol=1e-5)
+
+    def test_nonpositive_temperature(self):
+        with pytest.raises(DomainError):
+            L.routing_weights(np.array([[1.0, 2.0]]), 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 9),
+        st.floats(0.01, 4.0),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_rows_sum_to_one_and_positive(self, r, c, tau, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(scale=3.0, size=(r, c))
+        s = L.routing_weights(a, tau)
+        npt.assert_allclose(s.sum(axis=1), np.ones(r), rtol=0, atol=1e-12)
+        # exp underflows to 0.0 once the scaled gap to the row max passes
+        # about 745, and weights below the smallest normal are set to 0;
+        # positivity is owed only where exp(-gap) / c stays a normal float64
+        gap = (a.max(axis=1, keepdims=True) - a) / tau
+        representable = gap < -np.log(np.finfo(np.float64).tiny) - np.log(c)
+        assert np.all(s[representable] > 0.0)
+        assert np.all(s >= 0.0)
+
+    def test_flush_only_subnormals(self):
+        rng = np.random.default_rng(33)
+        psi = rng.normal(size=(5, 6))
+        psi[:, 0] = -SUBNORMAL_GAP
+        psi[:, 1] = 0.0
+        psi[4, 2] = -800.0  # exp underflows to an exact 0
+        s = softmax(psi, 1.0)
+        flushed = L.routing_weights(psi, 1.0)
+        subnormal = (s > 0.0) & (s < np.finfo(np.float64).tiny)
+        assert subnormal[:, 0].all()
+        npt.assert_array_equal(flushed[subnormal], 0.0)
+        npt.assert_array_equal(flushed[~subnormal], s[~subnormal])
+
+
+def plain_routing_weights(psi, tau):
+    """routing_weights as four lines: exp of every shifted logit, then the flush."""
+    s = np.exp(psi / tau - (psi / tau).max(axis=1, keepdims=True))
+    s /= s.sum(axis=1, keepdims=True)
+    s[s < np.finfo(np.float64).tiny] = 0.0
+    return s
+
+
+def logit_at(z, tau):
+    """A logit whose quotient by tau is exactly z, found among the neighbours of z*tau."""
+    lo = hi = z * tau
+    for _ in range(8):
+        for p in (lo, hi):
+            if p / tau == z:
+                return p
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    raise AssertionError(f"no logit divides by {tau} to {z!r}")
+
+
+def bound_and_neighbours():
+    bound = L.EXP_NORMAL_MIN
+    return [np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)]
+
+
+def shifted_logit_rows(case, tau):
+    """Rows of psi whose shifted logits psi/tau - rowmax fall where ``case`` says."""
+    rng = np.random.default_rng(71)
+    if case == "pinned":
+        psi = rng.normal(size=(40, 30))
+        psi[np.arange(40), psi.argmax(1)] += L.PIN_TEMPERATURES * tau
+        return psi
+    if case == "spread":  # subnormal weights, exact underflows and normal ones
+        z = rng.uniform(-760.0, -700.0, size=(40, 30))
+        z[:, 0] = 0.0
+        return z * tau
+    if case == "bound":  # at the bound and one ulp either side, alone and with normal weights
+        edge = [logit_at(z, tau) for z in bound_and_neighbours()]
+        return np.array(
+            [[0.0, *edge, -1.0 * tau], [0.0, *edge[::-1], edge[1]], [0.0, *edge[:1] * 3, 0.0]]
+        )
+    if case == "tied":
+        return np.array([[0.0, 0.0, -800.0, -710.0, -3.0], [-5.0, 2.0, -900.0, 2.0, 2.0]]) * tau
+    # rows with no entry below the bound, next to a pinned row
+    return np.array([[0.0, -1.0, -700.0, -708.0, -2.5], [0.0, -1.0, -1100.0, -1000.0, -1000.0]]) * tau
+
+
+class TestRoutingWeightsBits:
+    """routing_weights skips exp below EXP_NORMAL_MIN; the weights must keep every bit."""
+
+    @pytest.mark.parametrize("tau", [1.0, 0.01])
+    @pytest.mark.parametrize("case", ["pinned", "spread", "bound", "tied", "normal"])
+    def test_equals_the_plain_softmax(self, case, tau):
+        psi = shifted_logit_rows(case, tau)
+        z = psi / tau - (psi / tau).max(axis=1, keepdims=True)
+        if case == "bound":
+            assert z[0, 1:4].tolist() == bound_and_neighbours()
+        if case == "normal":
+            assert (z[0] >= L.EXP_NORMAL_MIN).all() and (z[1] < L.EXP_NORMAL_MIN).any()
+        want = plain_routing_weights(psi, tau)
+        for got in (L.routing_weights(psi, tau), L.routing_weights(psi[:1], tau)):
+            assert got.view(np.int64).tolist() == want[: len(got)].view(np.int64).tolist()
+
+    def test_bound_is_where_exp_reaches_the_smallest_normal(self):
+        tiny = np.finfo(np.float64).tiny
+        assert np.exp(L.EXP_NORMAL_MIN) >= tiny
+        with np.errstate(under="ignore"):
+            assert np.exp(np.nextafter(L.EXP_NORMAL_MIN, -np.inf)) < tiny
+
+    def test_committed_routing_computes_no_underflowing_exp(self):
+        # numpy's exp is 10 to 100 times slower where its results underflow,
+        # which is every entry but one of each committed row
+        psi = shifted_logit_rows("pinned", 0.01)
+        with np.errstate(under="raise"):
+            s = L.routing_weights(psi, 0.01)
+        assert (np.count_nonzero(s, axis=1) == 1).all()
 
 
 def routing_from_assignment(assignment, d, scale=1e6, temperature=1.0, k=None, m=None):
@@ -104,7 +241,7 @@ class TestGroupSelect:
         psi[0] = [0.0, -SUBNORMAL_GAP * tau, 0.5, 0.2, -1.0]
         r = RoutingParams(t(psi, rg=True), tau, 2, 2, 5)
         x = t(rng.normal(size=(3, 5)), rg=True)
-        assert T.routing_weights(psi, tau)[0, 1] == 0.0
+        assert L.routing_weights(psi, tau)[0, 1] == 0.0
         proj = rng.normal(size=(2, 2, 3))
         check_tape_gradients(
             lambda tp: projected(tp, L.group_select_forward(tp, x, r), proj), [r.psi, x]

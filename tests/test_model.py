@@ -267,7 +267,7 @@ class TestForward:
         psi = np.zeros((k * m, d))
         psi[np.arange(k * m), rng.integers(0, d, size=k * m)] = 50.0
         routing = L.RoutingParams(Tensor(psi), 0.01, k, m, d)
-        assert np.count_nonzero(T.routing_weights(psi, 0.01)) == k * m
+        assert np.count_nonzero(L.routing_weights(psi, 0.01)) == k * m
 
         def group_stage(tape, h, k_cur):
             w = Tensor(rng.normal(size=(k_cur, m, m)), requires_grad=True)

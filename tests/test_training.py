@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gmlp import tensor as T
 from gmlp import training
 from gmlp.data import Dataset, SynthBayesNet, normalize, split, synth_generate
-from gmlp.errors import ConfigError, TrainingDiverged
+from gmlp.errors import ConfigError, DomainError, TrainingDiverged
 from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
 from gmlp.training import (
@@ -26,11 +26,13 @@ from gmlp.training import (
     fit,
     learning_rate_at,
     loss_terms,
-    pin_routing,
+    objective,
+    objective_grad,
     schedule_step,
     temperature_at,
 )
-from gradcheck import finite_difference, max_rel_err
+from gmlp.layers import pin_routing, routing_weights
+from gradcheck import check_tape_gradients, finite_difference, max_rel_err
 
 
 def cfg(**kw):
@@ -39,7 +41,40 @@ def cfg(**kw):
     return TrainConfig(**base)
 
 
+# exp(-715) ~ 1e-311 is subnormal: below float64's smallest normal, about exp(-708.4)
+SUBNORMAL_GAP = 715.0
+
+
+def masked_neg_entropy(a):
+    """The masked p*log(p) formula: value and gradient (for an upstream 1)."""
+    z = a - a.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    plogp = np.zeros_like(p)
+    pos = p > 0.0
+    plogp[pos] = p[pos] * np.log(p[pos])
+    return plogp.sum(), plogp - p * plogp.sum(axis=1, keepdims=True)
+
+
 class TestEntropyTerm:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_masked_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(scale=3.0, size=(6, 7))
+        a[0] = [0.0, -1e3, -2e3, 5.0, -1e4, 0.0, 1.0]  # exact zeros after exp
+        a[1] = [0.0, -SUBNORMAL_GAP, -740.0, -700.0, -30.0, -1e3, -0.5]  # subnormals
+        a[2] = [50.0, -1e3, -1e3, -1e3, -1e3, -1e3, -1e3]  # saturated: value 0
+        a[3] = 0.0  # uniform
+        value, grad = masked_neg_entropy(a)
+        # the term and psi's gradient at lambda 1 carry the outer factor -1/d, undone here
+        d = a.shape[1]
+        got = entropy_term(a)[0] * -d
+        *_, saved = objective(np.zeros((1, 2)), np.array([0]), a, None, 1.0, 0.0)
+        got_grad = objective_grad(1.0, saved)[1] * -d
+        assert got == pytest.approx(value, rel=1e-12)
+        npt.assert_allclose(got_grad, grad, rtol=1e-10, atol=1e-15)
+        assert np.all(got_grad[2] == 0.0)
+
     def test_uniform_single_row(self):
         psi = np.zeros((1, 4))
         assert entropy_term(psi)[0] == pytest.approx(np.log(4) / 4, rel=1e-12)
@@ -89,6 +124,48 @@ class TestEntropyTerm:
         value, saved = entropy_term(psi, z, e)
         assert value == entropy_term(psi)[0]
         assert saved[0] is z and saved[1] is e
+
+
+def l2_sum(arrays):
+    """The objective's L2 sum of the arrays, at alpha 1 on one saturated row, whose CE is exactly 0."""
+    flats = [a.reshape(-1) for a in arrays]
+    total, ce, _, _ = objective(np.array([[0.0, -1e3]]), np.array([0]), None, flats, 0.0, 1.0)
+    assert ce == 0.0
+    return total
+
+
+class TestObjective:
+    def test_cross_entropy_of_uniform_logits(self):
+        _, ce, _, _ = objective(np.zeros((4, 2)), np.array([0, 1, 0, 1]), None, [], 0.0, 0.0)
+        npt.assert_allclose(ce, np.log(2.0), rtol=1e-12)
+
+    def test_label_out_of_range(self):
+        with pytest.raises(DomainError):
+            objective(np.zeros((1, 2)), np.array([2]), None, [], 0.0, 0.0)
+
+    def test_sum_squares(self):
+        rng = np.random.default_rng(19)
+        a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        assert l2_sum([a.data]) == pytest.approx(np.square(a.data).sum(), rel=1e-14)
+        logits = Tensor(np.zeros((1, 2)))
+        check_tape_gradients(
+            lambda tp: loss_terms(tp, logits, np.array([0]), None, [("a", a)], cfg(alpha=1.0))[0],
+            [a], tol=1e-6,
+        )
+
+    def test_sum_squares_over_several_tensors(self):
+        rng = np.random.default_rng(23)
+        ts = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in [(3, 4), (5,), (2, 3, 2)]]
+        expected = 0.0
+        for a in ts:
+            expected += np.dot(a.data.reshape(-1), a.data.reshape(-1))
+        assert l2_sum([a.data for a in ts]) == expected
+        logits = Tensor(np.zeros((1, 2)))
+        params = [(str(i), a) for i, a in enumerate(ts)]
+        check_tape_gradients(
+            lambda tp: loss_terms(tp, logits, np.array([0]), None, params, cfg(alpha=1.0))[0],
+            ts, tol=1e-6,
+        )
 
 
 class TestLoss:
@@ -426,7 +503,7 @@ class TestHardPhase:
         argmax = []
         c = cfg(epochs=8, lambda_=1.0, alpha=1e-4)
         model, result, ds = self._fit(c, lambda model: argmax.append(model.routing.psi.data.argmax(1)))
-        s = T.routing_weights(model.routing.psi.data, result.final_tau)
+        s = routing_weights(model.routing.psi.data, result.final_tau)
         assert result.final_tau == c.tau_end
         npt.assert_array_equal(s, np.eye(6)[argmax[5]])
         hard = model.forward(Tensor(ds.X), mode="hard").data

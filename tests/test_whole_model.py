@@ -33,6 +33,7 @@ from gmlp import model as M
 from gmlp import tensor as T
 from gmlp.data import Dataset, batches
 from gmlp.errors import DomainError, ShapeError
+from gmlp.layers import pin_routing
 from gmlp.model import MAX_CHUNK_ROWS, Model, parse_arch
 from gmlp.tensor import Tensor
 from gmlp.training import (
@@ -42,7 +43,6 @@ from gmlp.training import (
     adam_step,
     fit,
     loss_terms,
-    pin_routing,
     predictions,
     relaxed_epochs,
     schedule_step,
@@ -429,7 +429,7 @@ class TestEvalExecutor:
         npt.assert_array_equal(_bits(gathered), _bits(model.forward(Tensor(x), mode="hard").data))
         r = model.routing
         steps = model._eval_steps("relaxed")
-        mix = M._mix_step(T.routing_weights(r.psi.data, r.temperature), r.k, r.m)
+        mix = M._mix_step(L.routing_weights(r.psi.data, r.temperature), r.k, r.m)
         monkeypatch.setattr(model, "_eval_steps", lambda mode: [(mix, True)] + steps[1:])
         npt.assert_array_equal(_bits(model.forward(Tensor(x), mode="relaxed").data), _bits(gathered))
 
@@ -438,7 +438,7 @@ class TestEvalExecutor:
         model.set_temperature(0.01)
         pin_routing(model.routing, 0.01)
         r = model.routing
-        s = T.routing_weights(r.psi.data, r.temperature)
+        s = L.routing_weights(r.psi.data, r.temperature)
         idx = s.argmax(1)
         x = np.random.default_rng(77).normal(size=(40, D))
         x[:, idx[0]] = -0.0
