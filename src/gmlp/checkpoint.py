@@ -11,7 +11,9 @@ table is the per-row argmax of the stored ``gsel.psi``, so ``gmlp analyze``
 derives it from the loaded model, and the ``routing_table`` key of older
 files is ignored, as is their ``branching`` key: a bare ``GPool-kind``
 token merges 2 groups, so an older file that set another width for bare
-tokens no longer matches its stored shapes and fails to load.
+tokens no longer matches its stored shapes and fails to load. An older
+file whose architecture holds a block the grammar no longer has, such as
+the random masking block of earlier versions, fails to load too.
 Weights are down-converted to float32 on save and promoted back to float64
 on load, so a reloaded model reproduces eval-mode outputs to float32
 rounding (about 1e-7 relative) rather than bit-exactly.

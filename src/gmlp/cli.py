@@ -106,8 +106,8 @@ def _load_run_data(cfg: RunConfig):
                 )
         else:
             train, test = split(train, cfg.test_fraction, seed=seed)
-    if cfg.train.val_fraction > 0:
-        train, val = split(train, cfg.train.val_fraction, seed=seed)
+    if cfg.val_fraction > 0:
+        train, val = split(train, cfg.val_fraction, seed=seed)
     else:
         val = train
     return train, val, test
@@ -133,7 +133,7 @@ def cmd_train(args) -> int:
         "config": cfg.to_dict(),
         "norm_stats": stats,
         "n_train": train_n.n,
-        "n_val": val_n.n if cfg.train.val_fraction > 0 else 0,
+        "n_val": val_n.n if cfg.val_fraction > 0 else 0,
         "n_test": test_n.n,
         "class_names": train_n.class_names,
     }
@@ -284,9 +284,10 @@ def cmd_analyze(args) -> int:
     if model.routing is None:
         raise ConfigError("analysis needs a group-connected model")
     # the dataset is checked before the out dir is made, so a failed check writes no files
-    report = None
+    ds = report = None
     if args.data:
-        report = analysis.correlation_analysis(model, _load_eval_dataset(args, loaded.manifest))
+        ds = _load_eval_dataset(args, loaded.manifest)
+        report = analysis.correlation_analysis(model, ds)
     else:
         print("note: no dataset supplied; correlation analysis skipped", file=sys.stderr)
     out_dir = resolve_out_dir(args.out_dir)
@@ -294,7 +295,8 @@ def cmd_analyze(args) -> int:
 
     table = discretize_routing(model.routing)
     counts = analysis.selection_heatmap(table)
-    analysis.save_heatmap_csv(counts, os.path.join(out_dir, "selection_heatmap.csv"))
+    names = ds.feature_names if ds is not None else None  # f{j} without a dataset
+    analysis.save_heatmap_csv(counts, os.path.join(out_dir, "selection_heatmap.csv"), names)
     graph = analysis.group_graph(table)
     analysis.save_edge_list(graph, os.path.join(out_dir, "group_graph.txt"))
     summary = {

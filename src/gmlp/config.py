@@ -12,6 +12,7 @@ required; every other key has the default shown::
     label_column = label    # data = csv: a header name, or a 0-based column index
     has_header = true       # data = csv
     test_fraction = 0.2     # the held-out share of generated or unsplit rows
+    val_fraction = 0.1      # the share of the training rows held out for validation
     out_dir =               # else $GMLP_OUT_DIR, else gmlp-out
     synth_n = 6400          # data = synth: rows drawn from SynthBayesNet()
     synth_seed = 0          # data = synth: the draw and the train/test split
@@ -29,8 +30,7 @@ required; every other key has the default shown::
     plateau_factor = 5.0    # the lr's divisor at a drop
     tau_start = 1.0
     tau_end = 0.01
-    seed = 0                # weights, batches, dropout, the validation and csv test splits
-    val_fraction = 0.1
+    seed = 0                # weights, batches, the validation and csv test splits
 
 A synth net other than ``SynthBayesNet()`` is written out by ``gmlp synth``
 and trained with ``data = csv``. Example::
@@ -88,6 +88,7 @@ class RunConfig:
     label_column: str = "label"
     has_header: bool = True
     test_fraction: float = 0.2
+    val_fraction: float = 0.1
     out_dir: str = ""
     synth_n: int = 6400
     synth_seed: int = 0
@@ -107,6 +108,8 @@ class RunConfig:
             raise ConfigError("data = csv requires train_csv")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if not 0 <= self.val_fraction < 1:
+            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         for name, low in _LOWEST.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")

@@ -1,5 +1,5 @@
 """The network's layer vocabulary: Group-Select, Group-FC, Group-Pool, plus
-the supporting Dense / BatchNorm / Dropout / ReLU / Concat blocks.
+the supporting Dense / BatchNorm / ReLU / Concat blocks.
 
 Shapes follow one convention throughout: a batch of inputs is (B, d), grouped
 activations are (k, m, B) with k the current group count, m the group size
@@ -411,19 +411,6 @@ def batchnorm_forward(tape, x: Tensor, state: BatchNormState) -> Tensor:
     if state.gamma.size != features:
         raise ShapeError(f"batchnorm: {state.gamma.size} features for input {x.shape}")
     return T.node(tape, batchnorm_pair(state, x.data.ndim == 3), x, state.gamma, state.beta)
-
-
-def dropout_pair(rate: float, rng: np.random.Generator):
-    """Inverted dropout at a positive rate: zero with probability ``rate``, survivors times 1/(1-rate)."""
-
-    def forward(h):
-        mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
-        return h * mask, mask
-
-    def backward(g, mask):
-        return (g * mask,)
-
-    return forward, backward
 
 
 def _relu_forward(h):

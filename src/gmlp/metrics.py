@@ -9,21 +9,12 @@ leaving a parseable file after an interrupted run.
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 
 from .training import EpochRecord
 
-METRIC_COLUMNS = [
-    "epoch",
-    "train_loss",
-    "ce_loss",
-    "entropy_term",
-    "val_accuracy",
-    "val_accuracy_hard",
-    "test_accuracy",
-    "lr",
-    "tau",
-    "sparsity_fraction",
-]
+# EpochRecord's fields in order, without the wall-clock time that timing.csv holds
+METRIC_COLUMNS = [f.name for f in fields(EpochRecord) if f.name != "wall_time"]
 
 
 class MetricsWriter:

@@ -3,8 +3,7 @@ builder, the forward pass, and closed-form complexity accounting.
 
 Architecture strings use the block tokens ``GSel-k-m``, ``GFC``, ``ReLU``,
 ``BNorm``, ``GPool-kind`` (merging groups in pairs; ``GPool-kind-b`` merges
-b), ``Dropout-rate``, ``Concat``, ``FC-width`` and an optional terminal
-``Softmax``. Example::
+b), ``Concat``, ``FC-width`` and an optional terminal ``Softmax``. Example::
 
     GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax
 
@@ -91,13 +90,6 @@ def parse_arch(text: str, d: int, seed: int = 0) -> ArchSpec:
                     raise ConfigError(f"token {pos}: unknown pool kind {pk!r}")
                 b = int(parts[2]) if len(parts) > 2 else 2
                 blocks.append(("pool", pk, b))
-            elif head == "dropout":
-                if len(parts) != 2:
-                    raise ConfigError(f"token {pos}: expected Dropout-rate, got {tok!r}")
-                rate = float(parts[1])
-                if not 0.0 <= rate < 1.0:
-                    raise ConfigError(f"token {pos}: dropout rate must be in [0, 1)")
-                blocks.append(("dropout", rate))
             elif head == "fc":
                 if len(parts) != 2:
                     raise ConfigError(f"token {pos}: expected FC-width, got {tok!r}")
@@ -136,9 +128,9 @@ class Block:
 
     ``name`` is the block's checkpoint prefix ``block{i}``; ``tag`` and
     ``args`` are the parsed block (``args`` holds a pool's kind and
-    branching, a dropout rate or a dense width). ``k`` is the number of
-    groups the block reads, 0 in a dense net and after Concat, and ``width``
-    the values per row it reads. ``params`` lists the block's tensors in draw
+    branching, or a dense width). ``k`` is the number of groups the block
+    reads, 0 in a dense net and after Concat, and ``width`` the values per
+    row it reads. ``params`` lists the block's tensors in draw
     order as ``(suffix, shape, init)``: ``init`` is the Xavier
     ``(fan_in, fan_out)`` the tensor is drawn with, or the constant it
     starts at.
@@ -203,7 +195,7 @@ def plan(spec: ArchSpec) -> list[Block]:
             width = out
         elif tag == "batchnorm":
             block.params += [("bn.gamma", (width,), 1.0), ("bn.beta", (width,), 0.0)]
-        elif tag not in ("relu", "dropout"):
+        elif tag != "relu":
             raise ConfigError(f"unknown block {tag!r}")
     if spec.kind == "gmlp":
         if not saw_output:
@@ -294,10 +286,8 @@ class Model:
             elif block.tag == "batchnorm":
                 payload = BatchNormState(*tensors, np.zeros(block.width), np.ones(block.width))
                 self._bn_states.append((f"{block.name}.bn", payload))
-            elif block.tag in ("gfc", "dense"):
-                payload = tuple(tensors)
             else:
-                payload = block.args[0] if block.args else None  # a dropout rate
+                payload = tuple(tensors)  # a GFC's or an FC's (weights, biases); () for ReLU and Concat
             self._ops.append((block.tag, payload))
 
     # -- parameter plumbing -------------------------------------------------
@@ -328,25 +318,17 @@ class Model:
 
     # -- execution ----------------------------------------------------------
 
-    def forward(
-        self,
-        x: Tensor,
-        training: bool = False,
-        tape=None,
-        mode: str = "relaxed",
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def forward(self, x: Tensor, training: bool = False, tape=None, mode: str = "relaxed") -> Tensor:
         """Run the block list on a (B, d) batch and return (B, C) logits.
 
         Training mode runs the blocks' training kernels (``_train_pairs``:
         relaxed routing, or in ``"hard"`` mode the gather of the committed
-        routing, batch moments, dropout masks drawn from ``rng``) and
-        records each as one node on ``tape`` if one is given; ``fit``
-        compiles the same list without a tape. Eval mode (prediction) takes
-        no tape and runs only the eval executor: the blocks become plain
-        numpy steps (``_eval_steps``), built at each call from the current
-        parameters, running moments, routing logits and temperature, and run
-        on cache-sized row chunks in flat buffer pairs that the model keeps
+        routing, and batch moments) and records each as one node on
+        ``tape`` if one is given; ``fit`` compiles the same list without a
+        tape. Eval mode (prediction) takes no tape and runs only the eval
+        executor: the blocks become plain numpy steps (``_eval_steps``),
+        built at each call from the current parameters, running moments,
+        routing logits and temperature, and run on cache-sized row chunks in flat buffer pairs that the model keeps
         across calls, one pair per worker. The chunks of a group-connected
         net whose routing gathers are shared out among up to two of the
         cores the process may use when each gets at least two
@@ -356,10 +338,10 @@ class Model:
         run the forwards of their training kernels, writing into those
         buffers. Hard routing gathers the argmax features of each chunk,
         relaxed routing multiplies each chunk by the tempered softmax of psi
-        (or gathers, where that softmax is one-hot), dropout is the
-        identity, and each ``GFC|FC, ReLU, BNorm`` run with no negative
-        batch-norm scale is folded into one affine step and ``max(h, c)``
-        (see the comment block below the class). A tape in eval mode, and a ``mode`` other than
+        (or gathers, where that softmax is one-hot), and each ``GFC|FC,
+        ReLU, BNorm`` run with no negative batch-norm scale is folded into
+        one affine step and ``max(h, c)`` (see the comment block below the
+        class). A tape in eval mode, and a ``mode`` other than
         ``"relaxed"`` or ``"hard"``, raise ``ConfigError``.
         """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
@@ -371,9 +353,7 @@ class Model:
         if mode not in ("relaxed", "hard"):
             raise ConfigError(f"unknown group-select mode {mode!r}")
         size = self.routing.psi.size if self.routing is not None and mode == "relaxed" else 0
-        pairs = self._train_pairs(
-            (np.empty(size), np.empty(size)), rng, x.requires_grad, hard=mode == "hard"
-        )
+        pairs = self._train_pairs((np.empty(size), np.empty(size)), x.requires_grad, hard=mode == "hard")
         h = x
         for forward, backward, params in pairs:
             h = T.node(tape, (forward, backward), h, *params)
@@ -394,9 +374,8 @@ class Model:
         stays -0.0, where the product sums it to +0.0). The other steps are
         eval-only:
         the relaxed mix, ReLU, batch-norm and the folds' floors in place,
-        Concat as a view, and a copy of the input rows. Dropout is the
-        identity in eval mode and is dropped, and each ``GFC, ReLU, BNorm``
-        or ``FC, ReLU, BNorm`` run whose batch-norm scale is nowhere
+        Concat as a view, and a copy of the input rows. Each ``GFC, ReLU,
+        BNorm`` or ``FC, ReLU, BNorm`` run whose batch-norm scale is nowhere
         negative is folded into two steps (see the comment block below the
         class).
         """
@@ -417,7 +396,7 @@ class Model:
                 raise ConfigError(f"unknown group-select mode {mode!r}")
         elif self._ops[0][0] != "dense":
             steps.append((_copy_step, True))  # the in-place steps below must not write into x
-        ops = [op for op in self._ops if op[0] != "dropout"]
+        ops = self._ops
         grouped = r is not None
         i = 0
         while i < len(ops):
@@ -501,7 +480,7 @@ class Model:
                 future.result()
         return out
 
-    def _train_pairs(self, scratch, rng, input_grad: bool, hard: bool = False) -> list:
+    def _train_pairs(self, scratch, input_grad: bool, hard: bool = False) -> list:
         """The blocks' training kernels as ``(forward, backward, params)``, in block order.
 
         ``forward`` and ``backward`` are the block's ``layers`` pair, and
@@ -510,9 +489,8 @@ class Model:
         psi's gradient term in ``scratch``, two flat buffers of psi's size;
         if ``hard``, it is the gather of psi's argmax, which trains nothing
         and reads no ``scratch``. Batch-norm folds the batch moments into
-        the running moments in its forward; dropout draws its masks from
-        ``rng``, in block order. A first Group-Select or FC computes its
-        input's gradient only if ``input_grad``.
+        the running moments in its forward. A first Group-Select or FC
+        computes its input's gradient only if ``input_grad``.
         """
         pairs = []
         r = self.routing
@@ -538,11 +516,6 @@ class Model:
                     pairs.append((*L.linear_pool_pair(branching, w.data), [w]))
                 else:
                     pairs.append((*L.reduce_pool_pair(kind, branching), []))
-            elif tag == "dropout":
-                if rng is None:
-                    raise ConfigError("dropout in training mode needs an rng")
-                if payload > 0.0:
-                    pairs.append((*L.dropout_pair(payload, rng), []))
             elif tag == "concat":
                 grouped = False
                 pairs.append((*L.CONCAT_PAIR, []))

@@ -101,7 +101,6 @@ class TrainConfig:
     tau_start: float = 1.0
     tau_end: float = 0.01
     seed: int = 0
-    val_fraction: float = 0.1
 
     def validate(self) -> None:
         for name in ("lambda_", "alpha", "lr0", "plateau_factor", "tau_start", "tau_end"):
@@ -121,8 +120,6 @@ class TrainConfig:
             raise ConfigError(
                 f"need 0 < tau_end <= tau_start, got {self.tau_end}, {self.tau_start}"
             )
-        if not 0 <= self.val_fraction < 1:
-            raise ConfigError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if self.plateau_patience < 1:
             raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if self.seed < 0:
@@ -406,8 +403,7 @@ class TrainStep:
     and then ``objective``, and returns the objective and its cross-entropy
     and entropy terms as floats; ``backward()`` then writes the objective's
     gradient into ``grad``, one flat vector laid out like ``flat``, the part
-    of the model's flat parameter vector that the step trains; ``rng`` draws
-    the dropout masks, in block order.
+    of the model's flat parameter vector that the step trains.
     ``Model.forward`` and ``loss_terms`` record the same kernels on a tape,
     one node per block and one for the objective, and the tape sums each
     parameter's gradient terms in an order that gives the same bits: its L2
@@ -431,7 +427,7 @@ class TrainStep:
     its buffers are unmapped. Like the eval path, a step is not re-entrant.
     """
 
-    def __init__(self, model: Model, cfg: TrainConfig, rng: np.random.Generator, hard: bool = False):
+    def __init__(self, model: Model, cfg: TrainConfig, hard: bool = False):
         self.d = model.spec.d
         self.alpha = cfg.alpha
         routing = model.routing
@@ -465,7 +461,7 @@ class TrainStep:
 
         self._steps = [
             (forward, backward, [put(t) for t in params])
-            for forward, backward, params in model._train_pairs(scratch, rng, False, hard)
+            for forward, backward, params in model._train_pairs(scratch, False, hard)
         ]
         self._saved = self._objective = None
 
@@ -545,17 +541,18 @@ def fit(
     best-checkpoint tracking (by hard accuracy, see :class:`FitResult`);
     ``test`` is only ever measured for the learning curve. The step and its gradient
     vector are dropped on return, so a trained model holds no gradient and
-    no step buffer, and no parameter's ``grad`` is set. The same
-    inputs fit the same bits at one BLAS thread count; at another, BLAS may
-    sum a product in another order and a wide net ends bits apart. Raises
+    no step buffer, and no parameter's ``grad`` is set. No step draws
+    random numbers: the batch order, seeded by ``cfg.seed`` and the epoch,
+    is the only random stream. So the same inputs fit the same bits at one
+    BLAS thread count; at another, BLAS may sum a product in another order
+    and a wide net ends bits apart. Raises
     :class:`TrainingDiverged` the moment a batch loss is non-finite or
     exceeds ``DIVERGENCE_FACTOR`` times the first batch's loss.
     """
     cfg.validate()
     routing = model.routing
     relaxed = relaxed_epochs(cfg.epochs) if routing is not None else cfg.epochs
-    rng = np.random.default_rng((cfg.seed, 7919))
-    step = TrainStep(model, cfg, rng)
+    step = TrainStep(model, cfg)
     adam = AdamState.create(model._flat.size)
     val_history: list[float] = []
     records: list[EpochRecord] = []
@@ -569,7 +566,7 @@ def fit(
         if epoch == relaxed:
             step = None  # unmaps the relaxed step's psi-sized buffers
             pin_routing(routing, cfg.tau_end)
-            step = TrainStep(model, cfg, rng, hard=True)
+            step = TrainStep(model, cfg, hard=True)
             # the moments of the parameters after psi, as views, and the same step count
             adam = replace(adam, m=adam.m[routing.psi.size :], v=adam.v[routing.psi.size :])
         lr, tau = schedule_step(epoch, val_history, cfg)

@@ -82,6 +82,9 @@ MALFORMED = {
     "final_tau_infinite": _with("final_tau", float("inf")),  # written as the token Infinity
     "final_tau_huge_int": _with("final_tau", 10**400),  # past float64's range
     "arch_unparseable": _with("arch", "GSel-4-2, Wiggle, Concat, FC-2"),
+    # an older file's net with a Dropout block in place of the ReLU: the stored
+    # names and shapes are the net's, but the grammar has no such block
+    "arch_with_dropout": _with("arch", "GSel-4-2, GFC, Dropout-0.5, BNorm, Concat, FC-2"),
     "metadata_not_an_object": _with("metadata", [1, 2]),
     "norm_stats_entry_not_an_object": _with("metadata", {"norm_stats": {"f0": 5}}),
     "class_names_not_a_list": _with("metadata", {"class_names": "no,yes"}),
@@ -217,6 +220,7 @@ class TestMalformed:
     @pytest.mark.parametrize(
         "case",
         [
+            "arch_with_dropout",
             "final_tau_infinite",
             "final_tau_huge_int",
             "norm_stats_sigma_negative",

@@ -302,6 +302,17 @@ class TestAnalyze:
             p.name for p in out.iterdir()
         }
 
+        def heatmap_names():
+            rows = (out / "selection_heatmap.csv").read_text(encoding="utf-8").splitlines()[1:]
+            return [row.split(",")[1] for row in rows]
+
+        # without a dataset the heatmap names the columns f{j}; with one, as its header does
+        assert heatmap_names() == [f"f{j}" for j in range(6)]
+        data = tmp_path / "rows.csv"
+        save_csv(synth_generate(SynthBayesNet(), 200, seed=11), data)
+        assert cli.main(["analyze", str(path), "--data", str(data), "--out-dir", str(out)]) == 0
+        assert heatmap_names() == list("ABCDEF")
+
     def test_routing_is_the_reloaded_models_argmax(self, tmp_path, monkeypatch, capsys):
         # a psi row whose top two logits tie in float32: the checkpoint's float32
         # copy picks feature 0, the float64 model that was saved feature 1

@@ -492,40 +492,6 @@ class TestBatchNorm:
         )
 
 
-def dropout(tape, x, rate, rng):
-    """The dropout kernel recorded as one node, as ``Model.forward`` records it in training mode."""
-    return T.node(tape, L.dropout_pair(rate, rng), x)
-
-
-class TestDropout:
-    def test_rate_zero_identity(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        out = dropout(None, x, 0.0, np.random.default_rng(0))
-        npt.assert_array_equal(out.data, x.data)
-
-    def test_kept_fraction_monte_carlo(self):
-        rng = np.random.default_rng(7)
-        x = Tensor(np.ones(100_000))
-        out = dropout(None, x, 0.3, rng)
-        kept = np.count_nonzero(out.data) / x.size
-        assert abs(kept - 0.700) < 0.01
-        # survivors carry the inverse scale
-        npt.assert_allclose(out.data[out.data != 0], 1.0 / 0.7)
-
-    def test_gradient_with_a_fixed_rng(self):
-        rng = np.random.default_rng(14)
-        x = t(rng.normal(size=(5, 4)), rg=True)
-        proj = rng.normal(size=(5, 4))
-
-        def build(tp):
-            # the same mask at every evaluation
-            out = dropout(tp, x, 0.4, np.random.default_rng(3))
-            return projected(tp, out, proj)
-
-        check_tape_gradients(build, [x])
-        assert (x.grad == 0.0).any() and (x.grad != 0.0).any()
-
-
 class TestConcat:
     def test_flatten_order(self):
         z = Tensor(batch_last([[[1.0, 2.0], [3.0, 4.0]]]))

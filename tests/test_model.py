@@ -58,7 +58,8 @@ class TestParse:
             "GSel-4-2, GFC, GPool-max-3, Concat, FC-2",  # 4 not divisible by 3
             "GSel-4-2, GFC, Concat, FC-2, Softmax, ReLU",  # token after softmax
             "GSel-4-2, Wiggle, Concat, FC-2",  # unknown token
-            "GSel-4-2, Dropout-1.5, GFC, Concat, FC-2",  # bad rate
+            "GSel-4-2, Dropout-1.5, GFC, Concat, FC-2",  # no Dropout block in the grammar
+            "GSel-4-2, GFC, Dropout-0.5, Concat, FC-2",
             "GSel-4, GFC, Concat, FC-2",  # malformed GSel
             "FC-4, GFC, FC-2",  # group blocks in a dense net
             "FC-4, GPool-max, FC-2",
@@ -184,18 +185,13 @@ class TestBuild:
             ("GSel-8-2, GFC, ReLU, BNorm, GPool-linear, GFC, ReLU, BNorm, Concat, FC-2", 6),
             ("GSel-16-3, GFC, ReLU, BNorm, GPool-mean-4, GFC, Concat, FC-5", 20),
             ("FC-12, ReLU, BNorm, FC-4", 7),
-            # the benchmark's wide-784 and mlp-784 nets, and a net with dropout
+            # the benchmark's wide-784 and mlp-784 nets
             (
                 "GSel-64-16, GFC, ReLU, BNorm, GPool-max, GFC, ReLU, BNorm, GPool-max, "
                 "GFC, ReLU, BNorm, Concat, FC-10",
                 784,
             ),
             ("FC-1024, ReLU, BNorm, FC-512, ReLU, BNorm, FC-256, ReLU, BNorm, FC-10", 784),
-            (
-                "GSel-8-2, GFC, ReLU, Dropout-0.5, BNorm, GPool-max, GFC, Concat, "
-                "Dropout-0.3, FC-3",
-                5,
-            ),
         ]
         for text, d in texts:
             spec = parse_arch(text, d=d)
@@ -297,11 +293,6 @@ class TestModes:
         model = Model(parse_arch("FC-4, ReLU, BNorm, FC-3", d=2))
         with pytest.raises(DomainError):
             model.forward(Tensor(np.ones((1, 2))), training=True)
-
-    def test_dropout_in_training_needs_an_rng(self):
-        model = Model(parse_arch("GSel-2-2, GFC, Dropout-0.5, Concat, FC-2", d=3))
-        with pytest.raises(ConfigError):
-            model.forward(Tensor(np.ones((4, 3))), training=True)
 
     def test_unknown_mode_in_training_raises(self):
         model = Model(parse_arch(SYNTH_ARCH, d=6))

@@ -64,8 +64,6 @@ ARCHS = [
 ]
 
 
-# eval-mode dropout is the identity, as in _reference_logits
-DROPOUT_ARCH = "GSel-8-2, GFC, ReLU, Dropout-0.5, BNorm, GPool-max, GFC, Concat, Dropout-0.3, FC-3"
 # a 1,024-wide dense net: its eval chunks are the shortest the executor uses
 WIDE_MLP = "FC-1024, ReLU, BNorm, FC-3"
 # a batch-norm on the input, which no affine step and ReLU precede
@@ -213,7 +211,7 @@ CHUNKED = [(arch, MAX_CHUNK_ROWS) for arch in (ARCHS[0], ARCHS[3], ARCHS[4])] + 
 
 
 class TestEvalExecutor:
-    @pytest.mark.parametrize("arch", ARCHS + [DROPOUT_ARCH, WIDE_MLP, BN_FIRST_MLP])
+    @pytest.mark.parametrize("arch", ARCHS + [WIDE_MLP, BN_FIRST_MLP])
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
     def test_logits_match_reference(self, arch, mode):
         rng = np.random.default_rng(47)
@@ -240,7 +238,7 @@ class TestEvalExecutor:
 
     @pytest.mark.parametrize(
         "arch, folds",
-        [(ARCHS[0], 2), (ARCHS[4], 2), (DROPOUT_ARCH, 1), (BN_FIRST_MLP, 1), (ARCHS[-1], 2)],
+        [(ARCHS[0], 2), (ARCHS[4], 2), (BN_FIRST_MLP, 1), (ARCHS[-1], 2)],
     )
     def test_affine_relu_batchnorm_runs_are_folded(self, arch, folds):
         model = _net(arch, seed=13)
@@ -492,14 +490,14 @@ class TestEvalExecutor:
 
 TAUS = [1.0, 0.3, 0.01]
 # every architecture once per temperature; the temperature is moot in a dense net
-STEP_CASES = [
-    (arch, tau) for arch in ARCHS[:-1] + [DROPOUT_ARCH] for tau in TAUS
-] + [(ARCHS[-1], 1.0), (WIDE_MLP, 1.0), (BN_FIRST_MLP, 1.0)]
+STEP_CASES = [(arch, tau) for arch in ARCHS[:-1] for tau in TAUS] + [
+    (ARCHS[-1], 1.0), (WIDE_MLP, 1.0), (BN_FIRST_MLP, 1.0)
+]
 # (lambda, alpha): both terms, neither, and each alone, so that each
 # gradient slot is written first by L2, by the entropy and by its block
 STEP_CFGS = [(0.5, 1e-2), (0.0, 0.0), (1.0, 0.0), (0.0, 1e-3)]
 # the nets that route, for the hard step
-ROUTED = ARCHS[:-1] + [DROPOUT_ARCH]
+ROUTED = ARCHS[:-1]
 
 
 def _step_net(arch, tau, seed=21):
@@ -520,7 +518,7 @@ def _batch(model, n=6, seed=22):
     return rng.normal(size=(n, D)), rng.integers(0, model.spec.n_classes, size=n)
 
 
-def _tape_step(model, x, y, cfg, rng, hard=False):
+def _tape_step(model, x, y, cfg, hard=False):
     """(loss, ce, entropy term) and the flat gradient, through the tape path.
 
     ``hard`` routes through the gather of psi's argmax and leaves psi out of
@@ -534,7 +532,7 @@ def _tape_step(model, x, y, cfg, rng, hard=False):
         params, psi, lo = params[1:], None, psi.size
     tape = T.Tape()
     mode = "hard" if hard else "relaxed"
-    logits = model.forward(Tensor(x), training=True, tape=tape, rng=rng, mode=mode)
+    logits = model.forward(Tensor(x), training=True, tape=tape, mode=mode)
     total, ce, ent = loss_terms(tape, logits, y, psi, params, cfg)
     tape.backward(total)
     grad = np.zeros_like(model._flat)
@@ -561,8 +559,8 @@ class TestTrainStep:
         for lam, alpha in STEP_CFGS:
             cfg = TrainConfig(lambda_=lam, alpha=alpha)
             taped, compiled = _step_net(arch, tau), _step_net(arch, tau)
-            want, want_grad = _tape_step(taped, x, y, cfg, np.random.default_rng(5))
-            step = TrainStep(compiled, cfg, np.random.default_rng(5))
+            want, want_grad = _tape_step(taped, x, y, cfg)
+            step = TrainStep(compiled, cfg)
             assert step.loss(x, y) == want
             step.backward()
             npt.assert_array_equal(_bits(step.grad), _bits(want_grad))
@@ -573,14 +571,11 @@ class TestTrainStep:
     def test_gradient_matches_finite_differences(self, arch, tau):
         model = _step_net(arch, tau)
         x, y = _batch(model)
-        rng = np.random.default_rng(5)
-        start = rng.bit_generator.state
         # a small alpha: the subnormal weight's logit of about -720*tau
         # would make the L2 term, and the rounding of each difference, large
-        step = TrainStep(model, TrainConfig(lambda_=0.5, alpha=1e-6), rng)
+        step = TrainStep(model, TrainConfig(lambda_=0.5, alpha=1e-6))
 
         def objective():
-            rng.bit_generator.state = start  # the same dropout masks at every evaluation
             return step.loss(x, y)[0]
 
         objective()
@@ -604,8 +599,8 @@ class TestTrainStep:
         for lam, alpha in STEP_CFGS:
             cfg = TrainConfig(lambda_=lam, alpha=alpha)
             taped, compiled = _step_net(arch, 0.01), _step_net(arch, 0.01)
-            want, want_grad = _tape_step(taped, x, y, cfg, np.random.default_rng(5), hard=True)
-            step = TrainStep(compiled, cfg, np.random.default_rng(5), hard=True)
+            want, want_grad = _tape_step(taped, x, y, cfg, hard=True)
+            step = TrainStep(compiled, cfg, hard=True)
             assert step.loss(x, y) == want and want[2] == 0.0
             step.backward()
             assert step.grad.size == compiled._flat.size - compiled.routing.psi.size
@@ -618,12 +613,9 @@ class TestTrainStep:
     def test_hard_gradient_matches_finite_differences(self, arch):
         model = _step_net(arch, 0.01)
         x, y = _batch(model)
-        rng = np.random.default_rng(5)
-        start = rng.bit_generator.state
-        step = TrainStep(model, TrainConfig(lambda_=0.5, alpha=1e-2), rng, hard=True)
+        step = TrainStep(model, TrainConfig(lambda_=0.5, alpha=1e-2), hard=True)
 
         def objective():
-            rng.bit_generator.state = start  # the same dropout masks at every evaluation
             return step.loss(x, y)[0]
 
         value = objective()
@@ -642,10 +634,7 @@ class TestTrainStep:
         psi[1, j] = (psi[1, j] + psi[1].max()) / 2
         assert objective() == value
 
-    @pytest.mark.parametrize(
-        "arch",
-        ["GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", ARCHS[5], DROPOUT_ARCH],
-    )
+    @pytest.mark.parametrize("arch", ["GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", ARCHS[5]])
     def test_fit_matches_tape_loop(self, arch):
         model, reference = _net(arch, seed=23), _net(arch, seed=23)
         rng = np.random.default_rng(24)
@@ -673,7 +662,6 @@ def _tape_fit(model, train, cfg):
     assert cfg.plateau_patience >= cfg.epochs
     adam = AdamState.create(model._flat.size)
     w = model._flat
-    dropout_rng = np.random.default_rng((cfg.seed, 7919))
     losses = []
     hard = False
     for epoch in range(cfg.epochs):
@@ -685,7 +673,7 @@ def _tape_fit(model, train, cfg):
         model.set_temperature(tau)
         total_sum, n = 0.0, 0
         for xb, yb in batches(train, cfg.batch_size, cfg.seed, epoch):
-            (total, _, _), grad = _tape_step(model, xb, yb, cfg, dropout_rng, hard)
+            (total, _, _), grad = _tape_step(model, xb, yb, cfg, hard)
             adam_step(w, grad, adam, lr)
             total_sum += total
             n += 1
