@@ -192,6 +192,7 @@ class TestBuild:
                 784,
             ),
             ("FC-1024, ReLU, BNorm, FC-512, ReLU, BNorm, FC-256, ReLU, BNorm, FC-10", 784),
+            ("GSel-8-2, GFC, ReLU, BNorm, GPool-max, GFC, Concat, FC-3", 5),
         ]
         for text, d in texts:
             spec = parse_arch(text, d=d)

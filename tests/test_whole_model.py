@@ -64,6 +64,8 @@ ARCHS = [
 ]
 
 
+# a last Group-FC with no ReLU or batch-norm before Concat: one run to fold
+BARE_GFC_ARCH = "GSel-8-2, GFC, ReLU, BNorm, GPool-max, GFC, Concat, FC-3"
 # a 1,024-wide dense net: its eval chunks are the shortest the executor uses
 WIDE_MLP = "FC-1024, ReLU, BNorm, FC-3"
 # a batch-norm on the input, which no affine step and ReLU precede
@@ -211,7 +213,7 @@ CHUNKED = [(arch, MAX_CHUNK_ROWS) for arch in (ARCHS[0], ARCHS[3], ARCHS[4])] + 
 
 
 class TestEvalExecutor:
-    @pytest.mark.parametrize("arch", ARCHS + [WIDE_MLP, BN_FIRST_MLP])
+    @pytest.mark.parametrize("arch", ARCHS + [BARE_GFC_ARCH, WIDE_MLP, BN_FIRST_MLP])
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
     def test_logits_match_reference(self, arch, mode):
         rng = np.random.default_rng(47)
@@ -238,7 +240,7 @@ class TestEvalExecutor:
 
     @pytest.mark.parametrize(
         "arch, folds",
-        [(ARCHS[0], 2), (ARCHS[4], 2), (BN_FIRST_MLP, 1), (ARCHS[-1], 2)],
+        [(ARCHS[0], 2), (ARCHS[4], 2), (BARE_GFC_ARCH, 1), (BN_FIRST_MLP, 1), (ARCHS[-1], 2)],
     )
     def test_affine_relu_batchnorm_runs_are_folded(self, arch, folds):
         model = _net(arch, seed=13)
@@ -490,14 +492,14 @@ class TestEvalExecutor:
 
 TAUS = [1.0, 0.3, 0.01]
 # every architecture once per temperature; the temperature is moot in a dense net
-STEP_CASES = [(arch, tau) for arch in ARCHS[:-1] for tau in TAUS] + [
+STEP_CASES = [(arch, tau) for arch in ARCHS[:-1] + [BARE_GFC_ARCH] for tau in TAUS] + [
     (ARCHS[-1], 1.0), (WIDE_MLP, 1.0), (BN_FIRST_MLP, 1.0)
 ]
 # (lambda, alpha): both terms, neither, and each alone, so that each
 # gradient slot is written first by L2, by the entropy and by its block
 STEP_CFGS = [(0.5, 1e-2), (0.0, 0.0), (1.0, 0.0), (0.0, 1e-3)]
 # the nets that route, for the hard step
-ROUTED = ARCHS[:-1]
+ROUTED = ARCHS[:-1] + [BARE_GFC_ARCH]
 
 
 def _step_net(arch, tau, seed=21):
@@ -634,7 +636,9 @@ class TestTrainStep:
         psi[1, j] = (psi[1, j] + psi[1].max()) / 2
         assert objective() == value
 
-    @pytest.mark.parametrize("arch", ["GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", ARCHS[5]])
+    @pytest.mark.parametrize(
+        "arch", ["GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", ARCHS[5], BARE_GFC_ARCH]
+    )
     def test_fit_matches_tape_loop(self, arch):
         model, reference = _net(arch, seed=23), _net(arch, seed=23)
         rng = np.random.default_rng(24)
