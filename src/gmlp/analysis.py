@@ -42,13 +42,15 @@ class RoutingTable:
 
 
 def discretize_routing(routing: RoutingParams) -> RoutingTable:
-    """Per-row argmax of the logits; ties break toward the lowest feature index."""
+    """The committed features, else each row's argmax of the logits; ties break toward the lowest index."""
     return RoutingTable(hard_assignment(routing), routing.k, routing.m, routing.d)
 
 
 def sparsity_report(routing: RoutingParams) -> float:
     """Fraction of routing rows whose softmax, at the current temperature,
-    already concentrates at least ``SPARSITY_THRESHOLD`` on one feature."""
+    already concentrates at least ``SPARSITY_THRESHOLD`` on one feature (1.0 if committed)."""
+    if routing.idx is not None:
+        return 1.0
     probs = routing_weights(routing.psi.data, routing.temperature)
     return float((probs.max(axis=1) >= SPARSITY_THRESHOLD).mean())
 
@@ -103,8 +105,9 @@ def correlation_analysis(model: Model, ds: Dataset) -> CorrelationReport:
     same-group and cross-group feature pairs, in ``CORRELATION_BINS`` bins.
 
     Uses the raw (relaxed, eval-mode) group outputs at the model's current
-    temperature, capped at the first ``CORRELATION_SLOTS`` slots. Slots with
-    zero variance contribute correlation 0 and are tallied as warnings.
+    temperature (a committed routing's gather), capped at the first
+    ``CORRELATION_SLOTS`` slots. Slots with zero variance contribute
+    correlation 0 and are tallied as warnings.
     """
     if model.routing is None:
         raise DataError("correlation analysis needs a group-connected model")
@@ -113,7 +116,7 @@ def correlation_analysis(model: Model, ds: Dataset) -> CorrelationReport:
     routing = model.routing
     if ds.X.shape[1] != routing.d:
         raise ShapeError(f"input {ds.X.shape} does not match d={routing.d}")
-    z = routing_weights(routing.psi.data, routing.temperature) @ ds.X.T
+    z = ds.X.T[routing.idx] if routing.idx is not None else routing_weights(routing.psi.data, routing.temperature) @ ds.X.T
     m, n = routing.m, ds.n
     take = min(z.shape[0], CORRELATION_SLOTS)
     flat = z[:take].T

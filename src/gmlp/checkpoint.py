@@ -4,23 +4,24 @@ raw little-endian float32 parameter blob in one container file.
 The manifest indexes every array a reload needs (parameters plus batch-norm
 running moments) by name, shape, and byte offset, and carries the
 architecture string, input width, final softmax temperature and training
-metadata (seed, config echo, normalization statistics, and the label of
-each class index when the training CSV's labels were not integers). It
-stores nothing that the rest of the file determines: the hard routing
-table is the per-row argmax of the stored ``gsel.psi``, so ``gmlp analyze``
-derives it from the loaded model, and the ``routing_table`` key of older
-files is ignored, as is their ``branching`` key: a bare ``GPool-kind``
-token merges 2 groups, so an older file that set another width for bare
-tokens no longer matches its stored shapes and fails to load. An older
-file whose architecture holds a block the grammar no longer has, such as
-the random masking block of earlier versions, fails to load too.
+metadata (seed, config echo, normalization statistics, the feature names
+in input order, and the label of each class index when the training CSV's
+labels were not integers). It stores nothing that the rest of the file
+determines: the routing is the per-row argmax of the stored ``gsel.psi``,
+and loads committed (``RoutingParams.idx``) if its softmax at the final
+temperature is one-hot, as ``pin_routing`` leaves it. The ``routing_table``
+key of older files is ignored, as is their ``branching`` key: a bare
+``GPool-kind`` token merges 2 groups, so an older file that set another
+width for bare tokens no longer matches its stored shapes and fails to
+load. An older file whose architecture holds a block the grammar no longer
+has, such as the random masking block of earlier versions, fails to load too.
 Weights are down-converted to float32 on save and promoted back to float64
 on load, so a reloaded model reproduces eval-mode outputs to float32
 rounding (about 1e-7 relative) rather than bit-exactly.
 A file whose arrays hold a NaN or an infinity, whose final temperature or
 normalization statistics are not finite, whose normalization sigma is
-negative, or whose class names repeat a name or do not number the net's
-outputs, is rejected on load like any other corrupt file.
+negative, or whose class or feature names repeat a name or do not number
+the net's outputs or inputs, is rejected on load like any other corrupt file.
 
 Nothing non-deterministic (timestamps, hostnames) is written: identical
 models under identical metadata serialize to identical bytes.
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
+from .layers import routing_weights
 from .model import ArchSpec, Model, parse_arch
 
 FORMAT_VERSION = 1
@@ -155,10 +157,11 @@ def _read_container(path) -> tuple[dict, bytes]:
                 # a population std: 0 for a constant column, never negative
                 if _finite(entry, "sigma", at) < 0.0:
                     raise CheckpointError(f"{at}: 'sigma' is negative")
-        if metadata.get("class_names") is not None:
-            names = _list_of(metadata, "class_names", str, f"{where} metadata")
-            if len(set(names)) != len(names):
-                raise CheckpointError(f"{where} metadata: 'class_names' {names} repeats a name")
+        for key in ("class_names", "feature_names"):
+            if metadata.get(key) is not None:
+                names = _list_of(metadata, key, str, f"{where} metadata")
+                if len(set(names)) != len(names):
+                    raise CheckpointError(f"{where} metadata: {key!r} {names} repeats a name")
     for i, entry in enumerate(_field(manifest, "params", list, where)):
         at = f"{where} params[{i}]"
         if not isinstance(entry, dict):
@@ -177,9 +180,10 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         model.set_temperature(float(manifest["final_tau"]))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: manifest describes no valid model: {exc}") from exc
-    names = manifest.get("metadata", {}).get("class_names")
-    if names is not None and len(names) != spec.n_classes:
-        raise CheckpointError(f"{path}: {len(names)} class names for a net of {spec.n_classes} classes")
+    metadata = manifest.get("metadata", {})
+    for key, width in (("class_names", spec.n_classes), ("feature_names", spec.d)):
+        if metadata.get(key) is not None and len(metadata[key]) != width:
+            raise CheckpointError(f"{path}: {len(metadata[key])} {key} for a net of width {width}")
     available = dict(model.state_arrays())
     for entry in manifest["params"]:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
@@ -198,4 +202,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         dst[:] = values.reshape(shape).astype(np.float64)
     if available:
         raise CheckpointError(f"checkpoint is missing arrays: {sorted(available)}")
+    r = model.routing
+    if r is not None and np.count_nonzero(routing_weights(r.psi.data, r.temperature)) == r.psi.shape[0]:
+        r.idx = r.psi.data.argmax(axis=1)  # one nonzero weight per row: a committed routing
     return LoadedCheckpoint(model=model, manifest=manifest)

@@ -132,6 +132,7 @@ def cmd_train(args) -> int:
     metadata = {
         "config": cfg.to_dict(),
         "norm_stats": stats,
+        "feature_names": list(stats),  # the net's input order; the file sorts norm_stats' keys
         "n_train": train_n.n,
         "n_val": val_n.n if cfg.val_fraction > 0 else 0,
         "n_test": test_n.n,
@@ -181,13 +182,13 @@ def cmd_train(args) -> int:
 
 
 def _load_eval_dataset(args, manifest) -> Dataset:
-    """The CSV rows, standardized with the training run's norm stats when the checkpoint has them.
+    """The CSV rows in the run's column order, standardized with its norm stats, as far as the checkpoint has them.
 
-    The stats are keyed by column name only, so a column whose name has none
-    (say, f0 from ``--no-header`` after a headed training CSV) raises
-    ``DataError``. When the checkpoint holds the training run's class names,
-    labels map to the run's class indices through them, whatever labels
-    this file holds, and a label the run never saw raises ``DataError``.
+    Columns are matched to the run's feature names and stats by name only,
+    so a column whose name the run does not know (say, f0 from ``--no-header``
+    after a headed training CSV) raises ``DataError``. With the run's class
+    names, labels map to the run's class indices through them, whatever
+    labels this file holds, and a label the run never saw raises ``DataError``.
     """
     label = _label_column(args.label_column)
     ds = load_csv(args.data, label_column=label, has_header=not args.no_header)
@@ -206,15 +207,21 @@ def _load_eval_dataset(args, manifest) -> Dataset:
         # -1 stands for an integer below this file's largest that no row holds
         lookup = np.array([index.get(name, -1) for name in names], dtype=np.int64)
         ds = Dataset(ds.X, lookup[ds.y], len(run_names), ds.feature_names, list(run_names))
+    names = ds.feature_names  # load_csv always names the columns
+    order = metadata.get("feature_names") or names  # the net's input order, if the run stored it
+    unknown = sorted(set(names) - set(order))
+    if unknown:
+        raise DataError(f"columns {unknown} are not among the training run's {order}")
+    column = {name: j for j, name in enumerate(names)}
+    ds = Dataset(ds.X[:, [column[name] for name in order]], ds.y, ds.n_classes, order, ds.class_names)
     stats = metadata.get("norm_stats")
     if not stats:
         return ds
-    names = ds.feature_names  # load_csv always names the columns
-    unknown = [name for name in names if name not in stats]
+    unknown = [name for name in order if name not in stats]
     if unknown:
         raise DataError(f"columns {unknown} have no norm stats in the checkpoint's training run")
-    mu = np.array([stats[name]["mu"] for name in names], dtype=np.float64)
-    sigma = np.array([stats[name]["sigma"] for name in names], dtype=np.float64)
+    mu = np.array([stats[name]["mu"] for name in order], dtype=np.float64)
+    sigma = np.array([stats[name]["sigma"] for name in order], dtype=np.float64)
     return standardize(ds, mu, sigma)
 
 
@@ -295,7 +302,8 @@ def cmd_analyze(args) -> int:
 
     table = discretize_routing(model.routing)
     counts = analysis.selection_heatmap(table)
-    names = ds.feature_names if ds is not None else None  # f{j} without a dataset
+    # the training run's names in the net's input order (a dataset is put in that order); else f{j}
+    names = ds.feature_names if ds is not None else loaded.manifest.get("metadata", {}).get("feature_names")
     analysis.save_heatmap_csv(counts, os.path.join(out_dir, "selection_heatmap.csv"), names)
     graph = analysis.group_graph(table)
     analysis.save_edge_list(graph, os.path.join(out_dir, "group_graph.txt"))

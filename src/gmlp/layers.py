@@ -13,8 +13,7 @@ back into (B, k*m) for the dense tail.
 The routing lives here too: ``routing_weights``, the row softmax of psi
 at a temperature that every relaxed path computes (the training step, the
 eval executor and ``analysis``), with its flush of subnormal weights;
-``hard_assignment``, each row's argmax; and ``pin_routing``, which commits
-each row to its argmax, so that ``routing_weights`` is exactly one-hot.
+``hard_assignment``, the slots' features; and ``pin_routing``, which commits them.
 
 Each block's training forward and backward is written once, as a kernel:
 a ``*_pair`` factory, or the constant ``RELU_PAIR`` and ``CONCAT_PAIR``,
@@ -61,7 +60,10 @@ class RoutingParams:
 
     The binary slot-to-feature assignment is reparameterized by ``psi``: the
     relaxed routing matrix is the row-wise softmax of psi at ``temperature``,
-    and the hard assignment is the per-row argmax.
+    and the hard assignment is the per-row argmax, held in ``idx`` once
+    committed (by ``pin_routing`` or a load whose softmax is one-hot; else
+    None). A committed routing predicts by gathering ``idx`` in both modes at
+    every temperature; nothing may write psi until ``fit`` un-commits it.
     """
 
     psi: Tensor
@@ -69,6 +71,7 @@ class RoutingParams:
     k: int
     m: int
     d: int
+    idx: np.ndarray | None = None
 
     def __post_init__(self):
         if self.psi.shape != (self.k * self.m, self.d):
@@ -145,8 +148,8 @@ class BatchNormState:
 
 
 def hard_assignment(routing: RoutingParams) -> np.ndarray:
-    """Per-row argmax of psi; ties break toward the lowest feature index."""
-    return routing.psi.data.argmax(axis=1)
+    """The committed ``idx``, else each row's argmax of psi; ties break toward the lowest feature index."""
+    return routing.psi.data.argmax(axis=1) if routing.idx is None else routing.idx
 
 
 # a pinned routing row's chosen logit leads every other by this many
@@ -156,14 +159,15 @@ PIN_TEMPERATURES = 1000.0
 
 
 def pin_routing(routing: RoutingParams, tau: float) -> None:
-    """Commit the routing: raise each row's argmax logit by ``PIN_TEMPERATURES * tau``, in place.
+    """Commit the routing to its argmax (``idx``); raise each row's argmax logit by ``PIN_TEMPERATURES * tau``.
 
     The row's argmax does not change, and the softmax at temperature tau
     (or below) is then exactly one-hot: every other weight underflows to
-    0, so relaxed and hard routing give the same bits.
+    0, so a checkpoint of psi at tau loads committed to the same ``idx``.
     """
     psi = routing.psi.data
-    psi[np.arange(psi.shape[0]), hard_assignment(routing)] += PIN_TEMPERATURES * tau
+    routing.idx = psi.argmax(axis=1)
+    psi[np.arange(psi.shape[0]), routing.idx] += PIN_TEMPERATURES * tau
 
 
 def select_pair(routing: RoutingParams, scratch, input_grad: bool):

@@ -322,8 +322,8 @@ class Model:
         """Run the block list on a (B, d) batch and return (B, C) logits.
 
         Training mode runs the blocks' training kernels (``_train_pairs``:
-        relaxed routing, or in ``"hard"`` mode the gather of the committed
-        routing, and batch moments) and records each as one node on
+        relaxed routing through psi, or in ``"hard"`` mode the gather of the
+        committed routing, and batch moments) and records each as one node on
         ``tape`` if one is given; ``fit`` compiles the same list without a
         tape. Eval mode (prediction) takes no tape and runs only the eval
         executor: the blocks become plain numpy steps (``_eval_steps``),
@@ -337,8 +337,8 @@ class Model:
         caller threads at once. The hard gather, Group-FC, FC and Group-Pool
         run the forwards of their training kernels, writing into those
         buffers. Hard routing gathers the argmax features of each chunk,
-        relaxed routing multiplies each chunk by the tempered softmax of psi
-        (or gathers, where that softmax is one-hot), and each ``GFC|FC,
+        as does relaxed routing once committed (``RoutingParams.idx``); else
+        it multiplies each chunk by the tempered softmax of psi. Each ``GFC|FC,
         ReLU, BNorm`` run with no negative batch-norm scale is folded into
         one affine step and ``max(h, c)`` (see the comment block below the
         class). A tape in eval mode, and a ``mode`` other than
@@ -368,12 +368,11 @@ class Model:
         view of it. Hard Group-Select, Group-FC, FC and Group-Pool steps are
         the forwards of the ``layers`` kernels that training runs
         (``_forward_step``), so grouped activations keep the (k, m, rows)
-        layout of training. Relaxed routing whose softmax is one-hot, as
-        after ``fit``'s hard phase, runs the hard gather of its argmax, which
-        gives the bits of the product up to the sign of zero (a chosen -0.0
-        stays -0.0, where the product sums it to +0.0). The other steps are
-        eval-only:
-        the relaxed mix, ReLU, batch-norm and the folds' floors in place,
+        layout of training. A committed routing (``RoutingParams.idx``)
+        gathers ``idx`` in both modes and computes no softmax: the bits of
+        the one-hot product up to the sign of zero (a chosen -0.0 stays
+        -0.0, where the product sums it to +0.0). The other steps are
+        eval-only: the relaxed mix of an uncommitted routing, ReLU, batch-norm and the folds' floors in place,
         Concat as a view, and a copy of the input rows. Each ``GFC, ReLU,
         BNorm`` or ``FC, ReLU, BNorm`` run whose batch-norm scale is nowhere
         negative is folded into two steps (see the comment block below the
@@ -383,17 +382,12 @@ class Model:
         r = self.routing
         if r is not None:
             k, m = r.k, r.m
-            if mode == "hard":
-                steps.append((_forward_step(L.gather_pair(L.hard_assignment(r), k, m)), True))
-            elif mode == "relaxed":
-                s = L.routing_weights(r.psi.data, r.temperature)
-                # one nonzero per row: the flush leaves the row sum, so the weight, exactly 1.0
-                if np.count_nonzero(s) == k * m:
-                    steps.append((_forward_step(L.gather_pair(s.argmax(1), k, m)), True))
-                else:
-                    steps.append((_mix_step(s, k, m), True))
-            else:
+            if mode not in ("relaxed", "hard"):
                 raise ConfigError(f"unknown group-select mode {mode!r}")
+            if mode == "relaxed" and r.idx is None:
+                steps.append((_mix_step(L.routing_weights(r.psi.data, r.temperature), k, m), True))
+            else:
+                steps.append((_forward_step(L.gather_pair(L.hard_assignment(r), k, m)), True))
         elif self._ops[0][0] != "dense":
             steps.append((_copy_step, True))  # the in-place steps below must not write into x
         ops = self._ops
@@ -487,10 +481,10 @@ class Model:
         ``params`` the tensors whose gradients ``backward`` returns after the
         input's. Group-Select is relaxed and keeps its routing weights and
         psi's gradient term in ``scratch``, two flat buffers of psi's size;
-        if ``hard``, it is the gather of psi's argmax, which trains nothing
-        and reads no ``scratch``. Batch-norm folds the batch moments into
-        the running moments in its forward. A first Group-Select or FC
-        computes its input's gradient only if ``input_grad``.
+        if ``hard``, it is the gather of ``layers.hard_assignment``, which
+        trains nothing and reads no ``scratch``. Batch-norm folds the batch
+        moments into the running moments in its forward. A first
+        Group-Select or FC computes its input's gradient only if ``input_grad``.
         """
         pairs = []
         r = self.routing
@@ -546,7 +540,7 @@ class Model:
 # predict with the same model at once.
 #
 # Workers: a group-connected net whose routing gathers (hard routing, or
-# relaxed routing whose softmax is one-hot) runs per chunk a gather, many
+# relaxed routing once committed) runs per chunk a gather, many
 # small per-group products and elementwise passes, none of which BLAS
 # threads, so one loop keeps one core busy. ``_eval_forward`` shares such a
 # call's chunks out among up to MAX_EVAL_WORKERS of the cores the process may
@@ -555,7 +549,7 @@ class Model:
 # conditions keep the one loop. A dense net's products are large, and BLAS
 # already runs them on its own threads: splitting the chunks of W2's dense
 # twin made its median call slower (142-153 against 146-174 ms). The same
-# holds for relaxed routing that still mixes, as before ``fit``'s hard phase:
+# holds for relaxed routing that is not committed, as before ``fit``'s hard phase:
 # its product with psi's softmax (1,024 x 784 by 784 x 128 per W2 chunk) is
 # most of the chunk's work, and splitting a 4,096-row W2 call at tau 0.1 and
 # at tau 1 made it slower (median 131 and 130 against 119 and 121 ms; the

@@ -30,10 +30,11 @@ bits and the gradient checks of the tape path check the arithmetic that
 A group-connected net trains in two phases. The relaxed phase routes
 through the tempered softmax of psi. For the last
 ``int(HARDEN_FRACTION * epochs)`` epochs (a quarter) the routing is
-committed: ``layers.pin_routing`` raises each routing row's argmax logit
-by ``PIN_TEMPERATURES`` (1000) times ``tau_end``, so the softmax at
-``tau_end`` is exactly one-hot, relaxed and hard routing give the same
-bits and a checkpoint keeps its format. The
+committed: ``layers.pin_routing`` stores each row's argmax as the routing's
+``idx``, which relaxed and hard prediction both gather, and raises it by
+``PIN_TEMPERATURES`` (1000) times ``tau_end``, so the softmax at ``tau_end``
+is exactly one-hot and a checkpoint of psi loads committed. ``fit``
+un-commits a committed model before training psi. The
 hard phase trains the rest of the net on the gather of the committed
 features (``layers.gather_pair``). It trains no psi, so it computes no
 routing weights, no entropy term and no psi gradient, and Adam skips
@@ -344,7 +345,7 @@ def predictions(model: Model, X: np.ndarray, hard: bool = False) -> np.ndarray:
     ``Model.forward`` its width; the forward pass then runs the tape-free
     eval path, which works through the rows in cache-sized chunks. A
     group-connected net whose routing gathers (hard, or relaxed once the
-    softmax is one-hot) shares the chunks out among up to two of the cores
+    routing is committed) shares the chunks out among up to two of the cores
     the process may use, at least two chunks per core, in threads that end
     before this returns; the labels are the same at any core count. One model must not
     predict from two threads of the caller at once.
@@ -514,8 +515,9 @@ def fit(
     A group-connected net trains in two phases. The relaxed phase, the
     first ``relaxed_epochs(cfg.epochs)`` epochs, routes through the
     tempered softmax of psi, annealed to ``tau_end`` at its last epoch, with
-    the entropy term. Then ``pin_routing`` commits each routing row to its
-    argmax at ``tau_end``, so relaxed and hard routing agree from there on,
+    the entropy term (a committed routing is un-committed first). Then
+    ``pin_routing`` commits each routing row to its argmax at ``tau_end``,
+    so relaxed and hard prediction gather the same features from there on,
     and the hard phase trains the rest of the net on the gather of the
     committed routing: psi and its Adam moments stay as they are, the
     objective has no entropy term and no L2 term for psi, and its records
@@ -552,6 +554,8 @@ def fit(
     cfg.validate()
     routing = model.routing
     relaxed = relaxed_epochs(cfg.epochs) if routing is not None else cfg.epochs
+    if routing is not None:
+        routing.idx = None  # psi trains again: the routing is uncommitted until the pin
     step = TrainStep(model, cfg)
     adam = AdamState.create(model._flat.size)
     val_history: list[float] = []
@@ -596,7 +600,7 @@ def fit(
                 f"batch_size {cfg.batch_size} leaves no full training batch (n={train.n})"
             )
 
-        # once pinned, the relaxed softmax is one-hot: relaxed and hard give the same labels
+        # once pinned, relaxed prediction gathers idx: relaxed and hard give the same labels
         committed = epoch >= relaxed
         val_acc = accuracy(model, val, hard=committed)
         val_hard = val_acc

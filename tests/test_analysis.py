@@ -41,6 +41,16 @@ class TestSparsity:
     def test_uniform(self):
         assert A.sparsity_report(routing(np.zeros((4, 6)))) == 0.0
 
+    def test_committed_routing_is_sparse_without_a_softmax(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a softmax was computed")
+
+        r = routing(np.zeros((4, 6)))  # uniform, so its softmax would score 0
+        r.idx = np.array([0, 3, 3, 5])
+        monkeypatch.setattr(A, "routing_weights", refuse)
+        assert A.sparsity_report(r) == 1.0
+        assert A.discretize_routing(r).slot_to_feature.tolist() == [0, 3, 3, 5]
+
     def test_monotone_in_temperature(self):
         rng = np.random.default_rng(0)
         psi = rng.normal(size=(10, 6))
@@ -123,6 +133,16 @@ class TestCorrelation:
         ds = Dataset(np.column_stack([base, -base]), np.zeros(200, dtype=int), 1)
         report = A.correlation_analysis(model, ds)
         assert report.corr[0, 1] == pytest.approx(-1.0, abs=1e-9)
+
+    def test_committed_routing_gathers_the_same_outputs(self):
+        model = self._model_with_assignment([1, 1, 0, 2], d=4, k=2, m=2)
+        rng = np.random.default_rng(7)
+        ds = Dataset(rng.normal(size=(200, 4)), rng.integers(0, 2, 200), 2)
+        mixed = A.correlation_analysis(model, ds)
+        model.routing.idx = np.array([1, 1, 0, 2])
+        gathered = A.correlation_analysis(model, ds)
+        npt.assert_allclose(gathered.corr, mixed.corr, rtol=0, atol=1e-12)
+        npt.assert_array_equal(gathered.intra_hist, mixed.intra_hist)
 
     def test_pair_partition_counts(self):
         model = self._model_with_assignment(list(range(6)), d=6, k=3, m=2)

@@ -8,6 +8,7 @@ from gmlp import cli
 from gmlp.checkpoint import _LEN, load_checkpoint, save_model
 from gmlp.data import Dataset, save_csv
 from gmlp.errors import CheckpointError
+from gmlp.layers import pin_routing, routing_weights
 from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
 from gmlp.training import TrainConfig, fit
@@ -92,6 +93,10 @@ MALFORMED = {
     # the net has 2 outputs: a third name maps labels to a class it never predicts
     "class_names_one_per_output": _with("metadata", {"class_names": ["maybe", "no", "yes"]}),
     "class_names_repeated": _with("metadata", {"class_names": ["yes", "yes"]}),
+    "feature_names_not_strings": _with("metadata", {"feature_names": [0, 1, 2, 3, 4, 5]}),
+    # the net reads 6 columns: 5 names cannot order them
+    "feature_names_one_per_input": _with("metadata", {"feature_names": list("ABCDE")}),
+    "feature_names_repeated": _with("metadata", {"feature_names": list("ABCDEA")}),
     "param_offset_past_blob": lambda mf: _with_param(mf, offset=mf["blob_bytes"]),
     "param_offset_negative": lambda mf: _with_param(mf, offset=-4),
     "param_shape_not_the_archs": lambda mf: _with_param(mf, shape=mf["params"][0]["shape"] + [1]),
@@ -200,6 +205,34 @@ class TestRoundTrip:
         _rewrite_manifest(path, lambda mf: {**mf, "arch": bare, "branching": 4})
         with pytest.raises(CheckpointError, match=r"block2\.gfc\.weights: shape \(2, 2, 2\)"):
             load_checkpoint(path)
+
+
+class TestCommittedRouting:
+    def test_pinned_net_loads_committed_and_gathers_the_one_hot_argmax(self, tmp_path):
+        model = Model(parse_arch(ARCH, d=6, seed=1))
+        model.set_temperature(0.01)
+        pin_routing(model.routing, 0.01)
+        path = tmp_path / "model.ckpt"
+        save_model(path, model)
+        loaded = load_checkpoint(path).model
+        r = loaded.routing
+        s = routing_weights(r.psi.data, r.temperature)
+        assert np.count_nonzero(s) == r.k * r.m  # one-hot at the file's final_tau
+        # the features whose gather relaxed prediction ran when it tested the softmax at each call
+        npt.assert_array_equal(r.idx, s.argmax(axis=1))
+        npt.assert_array_equal(r.idx, model.routing.idx)
+        x = Tensor(np.random.default_rng(3).normal(size=(50, 6)))
+        relaxed, hard = (loaded.forward(x, mode=mode).data for mode in ("relaxed", "hard"))
+        assert relaxed.tobytes() == hard.tobytes()
+        r.idx = None  # the product with the one-hot softmax: the same values
+        npt.assert_array_equal(loaded.forward(x, mode="relaxed").data, relaxed)
+
+    def test_file_from_a_relaxed_epoch_loads_uncommitted_and_mixes(self, tmp_path):
+        _, path = _saved(tmp_path)  # an untrained net at temperature 1
+        loaded = load_checkpoint(path).model
+        assert loaded.routing.idx is None
+        x = Tensor(np.random.default_rng(4).normal(size=(50, 6)))
+        assert not np.array_equal(loaded.forward(x, mode="relaxed").data, loaded.forward(x, mode="hard").data)
 
 
 class TestMalformed:

@@ -215,6 +215,31 @@ class TestEval:
         assert acc(test.X) != acc(standardized)
         assert acc(unzeroed) != acc(standardized)
 
+    def test_columns_in_another_order_are_fed_in_the_training_order(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        save_csv(synth_generate(SynthBayesNet(), 400, seed=3), rows)
+        test = synth_generate(SynthBayesNet(), 300, seed=11)
+        save_csv(test, tmp_path / "test.csv")
+        flipped = Dataset(test.X[:, ::-1], test.y, test.n_classes, test.feature_names[::-1])
+        save_csv(flipped, tmp_path / "flipped.csv")  # columns F, E, ..., A
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("data = synth", f"data = csv\ntrain_csv = {rows}"))
+        run = tmp_path / "run"
+        assert cli.main(["train", str(config), "--out-dir", str(run)]) == 0
+        assert load_checkpoint(run / "model_final.ckpt").manifest["metadata"]["feature_names"] == list("ABCDEF")
+        reports = []
+        for name in ("test.csv", "flipped.csv"):
+            capsys.readouterr()
+            assert cli.main(["eval", str(run / "model_final.ckpt"), "--data", str(tmp_path / name)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0] == reports[1] | {"checkpoint": reports[0]["checkpoint"]}
+        # the check can tell: the flipped columns fed in their own order score otherwise
+        model = load_checkpoint(run / "model_final.ckpt").model
+        stats = json.loads((run / "norm_stats.json").read_text(encoding="utf-8"))
+        mu, sigma = (np.array([stats[c][key] for c in "FEDCBA"]) for key in ("mu", "sigma"))
+        misfed = float((predictions(model, (flipped.X - mu) / sigma) == test.y).mean())
+        assert misfed != reports[0]["accuracy"]
+
     def test_columns_without_norm_stats_exit_1(self, tmp_path, capsys):
         # a headed training CSV evaluated without its header: the columns become f0, f1, ...
         rows = tmp_path / "rows.csv"
@@ -306,12 +331,32 @@ class TestAnalyze:
             rows = (out / "selection_heatmap.csv").read_text(encoding="utf-8").splitlines()[1:]
             return [row.split(",")[1] for row in rows]
 
-        # without a dataset the heatmap names the columns f{j}; with one, as its header does
+        # without a dataset or stored names the heatmap names the columns f{j}; with a dataset, as its header does
         assert heatmap_names() == [f"f{j}" for j in range(6)]
         data = tmp_path / "rows.csv"
         save_csv(synth_generate(SynthBayesNet(), 200, seed=11), data)
         assert cli.main(["analyze", str(path), "--data", str(data), "--out-dir", str(out)]) == 0
         assert heatmap_names() == list("ABCDEF")
+
+    def test_heatmap_names_are_the_training_runs(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        ds = synth_generate(SynthBayesNet(), 400, seed=3)
+        save_csv(ds, rows)
+        flipped = tmp_path / "flipped.csv"
+        save_csv(Dataset(ds.X[:, ::-1], ds.y, ds.n_classes, ds.feature_names[::-1]), flipped)
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("data = synth", f"data = csv\ntrain_csv = {rows}"))
+        ckpt = tmp_path / "run" / "model_final.ckpt"
+        assert cli.main(["train", str(config), "--out-dir", str(tmp_path / "run")]) == 0
+        heatmaps = []
+        for data in ([], ["--data", str(rows)], ["--data", str(flipped)]):
+            out = tmp_path / f"out{len(heatmaps)}"
+            assert cli.main(["analyze", str(ckpt), *data, "--out-dir", str(out)]) == 0
+            heatmaps.append((out / "selection_heatmap.csv").read_text(encoding="utf-8"))
+        capsys.readouterr()
+        # the stored names, in the net's input order, whichever order a dataset lists them in
+        assert [row.split(",")[1] for row in heatmaps[0].splitlines()[1:]] == list("ABCDEF")
+        assert heatmaps[0] == heatmaps[1] == heatmaps[2]
 
     def test_routing_is_the_reloaded_models_argmax(self, tmp_path, monkeypatch, capsys):
         # a psi row whose top two logits tie in float32: the checkpoint's float32

@@ -499,6 +499,24 @@ class TestHardPhase:
         assert [r.entropy_term for r in result.records[6:]] == [0.0, 0.0]
         assert [r.tau for r in result.records[5:]] == [c.tau_end] * 3
 
+    def test_fit_uncommits_a_committed_model_and_commits_it_at_the_pin(self):
+        ds = TestFit()._tiny_task(64)
+        c = cfg(epochs=8, lambda_=1.0, alpha=1e-4)  # the last 2 epochs are hard
+        twins = [Model(parse_arch(self.ARCH, d=6, seed=3)) for _ in range(2)]
+        for model in twins:
+            pin_routing(model.routing, 0.5)
+        twins[1].routing.idx = None
+        committed = []
+        results = [
+            fit(twins[0], ds, ds, c, on_epoch=lambda r: committed.append(twins[0].routing.idx is not None)),
+            fit(twins[1], ds, ds, c),
+        ]
+        assert committed == [False] * 6 + [True] * 2
+        npt.assert_array_equal(twins[0].routing.idx, twins[0].routing.psi.data.argmax(axis=1))
+        # committed or not, the same arrays train to the same bits and records
+        assert twins[0]._flat.tobytes() == twins[1]._flat.tobytes()
+        assert all(map(_records_equal_except_wall, results[0].records, results[1].records))
+
     def test_routing_ends_one_hot_and_modes_agree(self):
         argmax = []
         c = cfg(epochs=8, lambda_=1.0, alpha=1e-4)

@@ -433,6 +433,22 @@ class TestEvalExecutor:
         monkeypatch.setattr(model, "_eval_steps", lambda mode: [(mix, True)] + steps[1:])
         npt.assert_array_equal(_bits(model.forward(Tensor(x), mode="relaxed").data), _bits(gathered))
 
+    @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[4]])
+    def test_committed_relaxed_routing_computes_no_softmax(self, arch, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("routing_weights was called")
+
+        rng = np.random.default_rng(78)
+        model = _net(arch, seed=20)
+        _perturb(model, rng)
+        _commit(model)
+        model.set_temperature(1.0)  # committed, it gathers at every temperature
+        x = rng.normal(size=(2 * MAX_CHUNK_ROWS + 5, D))
+        hard = model.forward(Tensor(x), mode="hard").data
+        monkeypatch.setattr(L, "routing_weights", refuse)
+        assert _step_names(model, "relaxed")[0] == "gather_pair"
+        npt.assert_array_equal(_bits(model.forward(Tensor(x), mode="relaxed").data), _bits(hard))
+
     def test_one_hot_gather_and_product_differ_only_in_the_sign_of_zero(self):
         model = _net(ARCHS[0], seed=19)
         model.set_temperature(0.01)
@@ -454,6 +470,7 @@ class TestEvalExecutor:
         model = _net(ARCHS[0], seed=18)
         model.set_temperature(0.01)
         pin_routing(model.routing, 0.01)
+        model.routing.idx = None  # un-committed, as fit does before psi trains again
         psi = model.routing.psi.data
         psi[5, (psi[5].argmax() + 1) % D] = psi[5].max()  # a tie: two weights of 1/2
         assert _step_names(model, "relaxed")[0] == "_mix_step"
