@@ -104,6 +104,11 @@ def _load_run_data(cfg: RunConfig):
                     f"test_csv labels {test.class_names} differ from "
                     f"train_csv labels {train.class_names}"
                 )
+            names = train.feature_names  # test columns are matched to them by name
+            if sorted(test.feature_names) != sorted(names):
+                raise DataError(f"test_csv columns {test.feature_names} are not train_csv's {names}")
+            column = {name: j for j, name in enumerate(test.feature_names)}
+            test = Dataset(test.X[:, [column[name] for name in names]], test.y, test.n_classes, names, test.class_names)
         else:
             train, test = split(train, cfg.test_fraction, seed=seed)
     if cfg.val_fraction > 0:

@@ -13,7 +13,8 @@ back into (B, k*m) for the dense tail.
 The routing lives here too: ``routing_weights``, the row softmax of psi
 at a temperature that every relaxed path computes (the training step, the
 eval executor and ``analysis``), with its flush of subnormal weights;
-``hard_assignment``, the slots' features; and ``pin_routing``, which commits them.
+``hard_assignment``, the slots' features; ``pin_routing``, which commits them;
+and ``write_candidates``, which writes a trained candidate block back into psi.
 
 Each block's training forward and backward is written once, as a kernel:
 a ``*_pair`` factory, or the constant ``RELU_PAIR`` and ``CONCAT_PAIR``,
@@ -170,22 +171,32 @@ def pin_routing(routing: RoutingParams, tau: float) -> None:
     psi[np.arange(psi.shape[0]), routing.idx] += PIN_TEMPERATURES * tau
 
 
-def select_pair(routing: RoutingParams, scratch, input_grad: bool):
+def select_pair(routing: RoutingParams, scratch, input_grad: bool, candidates=None):
     """Relaxed Group-Select, (B, d) -> (k, m, B): S @ x.T with S = ``routing_weights(psi, tau)``.
 
     The temperature tau is read at each forward call. S lives in ``scratch[0]``
     from forward to backward, and psi's gradient, S*(g @ x - rowdot)/tau
     with rowdot = sum_b g_ib out_ib read off the output, is formed in
     ``scratch[1]``: two arrays of psi's size. x's gradient, g.T @ S, is
-    computed only if ``input_grad``.
+    computed only if ``input_grad``. With ``candidates`` = (cols, psi_c),
+    the pair trains psi_c instead, the (k*m, K) logits of columns cols of
+    psi: its softmax is put at cols into S, whose other entries must be 0,
+    and its gradient is the same expression gathered at cols.
     """
     psi = routing.psi.data
     s, gs = (buf.reshape(psi.shape) for buf in scratch)
     k, m = routing.k, routing.m
+    if candidates is not None:
+        cols, psi_c = candidates
+        at = (cols + np.arange(0, psi.size, psi.shape[1])[:, None]).reshape(-1)  # flat indices in S
+        s_c = np.empty(psi_c.shape)
 
     def forward(x):
         tau = routing.temperature
-        routing_weights(psi, tau, out=s)
+        if candidates is None:
+            routing_weights(psi, tau, out=s)
+        else:
+            s.put(at, routing_weights(psi_c, tau, out=s_c))
         out = s @ x.T
         return out.reshape(k, m, -1), (x, out, tau)
 
@@ -193,12 +204,32 @@ def select_pair(routing: RoutingParams, scratch, input_grad: bool):
         x, out, tau = saved
         g = g.reshape(out.shape)
         term = np.matmul(g, x, out=gs)
+        if candidates is not None:
+            term = gs.take(at).reshape(s_c.shape)
         term -= np.einsum("ij,ij->i", g, out)[:, None]
-        term *= s
+        term *= s if candidates is None else s_c
         term /= tau
         return (g.T @ s if input_grad else None), term
 
     return forward, backward
+
+
+def write_candidates(routing: RoutingParams, cols: np.ndarray, psi_c: np.ndarray, tau=None) -> None:
+    """Write psi_c, the logits of psi's columns cols, back into psi, and fill each row's other logits.
+
+    With tau, the fill is the row's max minus ``PIN_TEMPERATURES * tau``:
+    psi's softmax at tau (or below) is then exactly 0 outside cols and
+    psi_c's softmax at cols, and psi's argmax is a candidate. Without tau,
+    for ``pin_routing`` to commit next, it is the row's least candidate
+    logit, so psi's L2 stays of the candidates' scale, and the argmax is a
+    candidate unless all of the row's candidates tie.
+    """
+    psi = routing.psi.data
+    if tau is None:
+        psi[...] = np.minimum.reduce(psi_c, 1, keepdims=True)
+    else:
+        psi[...] = np.maximum.reduce(psi_c, 1, keepdims=True) - PIN_TEMPERATURES * tau
+    np.put_along_axis(psi, cols, psi_c, 1)
 
 
 def gather_pair(idx: np.ndarray, k: int, m: int):

@@ -474,15 +474,17 @@ class Model:
                 future.result()
         return out
 
-    def _train_pairs(self, scratch, input_grad: bool, hard: bool = False) -> list:
+    def _train_pairs(self, scratch, input_grad: bool, hard: bool = False, candidates=None) -> list:
         """The blocks' training kernels as ``(forward, backward, params)``, in block order.
 
         ``forward`` and ``backward`` are the block's ``layers`` pair, and
         ``params`` the tensors whose gradients ``backward`` returns after the
         input's. Group-Select is relaxed and keeps its routing weights and
         psi's gradient term in ``scratch``, two flat buffers of psi's size;
-        if ``hard``, it is the gather of ``layers.hard_assignment``, which
-        trains nothing and reads no ``scratch``. Batch-norm folds the batch
+        with ``candidates`` = (cols, psi_c) it trains the array psi_c
+        (``layers.select_pair``); if ``hard``, it is the gather of
+        ``layers.hard_assignment``, which trains nothing and reads no
+        ``scratch``. Batch-norm folds the batch
         moments into the running moments in its forward. A first
         Group-Select or FC computes its input's gradient only if ``input_grad``.
         """
@@ -491,7 +493,8 @@ class Model:
         if r is not None and hard:
             pairs.append((*L.gather_pair(L.hard_assignment(r), r.k, r.m), []))
         elif r is not None:
-            pairs.append((*L.select_pair(r, scratch, input_grad), [r.psi]))
+            trained = r.psi if candidates is None else candidates[1]
+            pairs.append((*L.select_pair(r, scratch, input_grad, candidates), [trained]))
         grouped = r is not None
         for tag, payload in self._ops:
             if tag == "gfc":

@@ -22,13 +22,21 @@ the list ``Model.forward`` records on a tape in training mode), then the
 objective, with every gradient written into one flat vector that mirrors
 the model's flat parameter vector, and one Adam pass over that vector. No
 tape is built. The tape path (``Model.forward`` with a tape,
-``loss_terms`` and ``Tape.backward``) records the same kernels, each block
-as one node and the objective as one more, so both paths give the same
-bits and the gradient checks of the tape path check the arithmetic that
-``fit`` runs.
+``loss_terms`` and ``Tape.backward``) records the same kernels, one node
+each, so both paths give the same bits.
 
 A group-connected net trains in two phases. The relaxed phase routes
-through the tempered softmax of psi. For the last
+through the tempered softmax of psi. If d exceeds ``ROUTING_CANDIDATES``
+(64), its epochs after the first are narrowed: each routing row trains
+only its top 64 columns as of epoch 0's end, the (k*m, 64) block psi_c,
+and the routing softmax, the entropy term (still over 1/d), psi's L2 term
+and Adam run on psi_c, so ``metrics.csv``'s ``entropy_term`` is the
+candidates' after epoch 0. The model keeps a dense psi, into which each
+narrowed epoch's end writes psi_c, every other entry of a row at its max
+minus ``PIN_TEMPERATURES`` times tau: psi's softmax at tau is psi_c's at the
+candidates and exactly 0 elsewhere (``layers.write_candidates``). Before
+the pin they take the row's least candidate logit instead, so psi's L2
+stays of the candidates' scale, and the pin commits a candidate. For the last
 ``int(HARDEN_FRACTION * epochs)`` epochs (a quarter) the routing is
 committed: ``layers.pin_routing`` stores each row's argmax as the routing's
 ``idx``, which relaxed and hard prediction both gather, and raises it by
@@ -73,7 +81,7 @@ from . import tensor as T
 from .analysis import sparsity_report
 from .data import Dataset, batches
 from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
-from .layers import pin_routing
+from .layers import pin_routing, write_candidates
 from .model import Model, _flat_buffer
 from .tensor import Tensor
 
@@ -84,6 +92,8 @@ DIVERGENCE_FACTOR = 1e6
 ADAM_TILE = 1 << 15
 # share of a group-connected net's epochs, the last, trained on the committed routing
 HARDEN_FRACTION = 0.25
+# psi columns each routing row trains after the first relaxed epoch, if d is wider
+ROUTING_CANDIDATES = 64
 # Adam's moment decay rates and the term added to its denominator
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -127,7 +137,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def entropy_term(psi: np.ndarray, z=None, e=None):
+def entropy_term(psi: np.ndarray, z=None, e=None, d=None):
     """Routing entropy -(1/d) * sum over rows and columns of p*log(p), and what its gradient reads.
 
     p is the row softmax of psi at temperature 1, whatever temperature the
@@ -137,22 +147,23 @@ def entropy_term(psi: np.ndarray, z=None, e=None):
     of e, a row's sum of p*log(p) is sum(e*z)/S - log(S); where exp
     underflows, e = 0 and so is the term (0*log(0) = 0), and a saturated
     row is an exact 0, not NaN. z and e are written into ``z`` and ``e``,
-    arrays of psi's shape, if given.
+    arrays of psi's shape, if given. ``d`` replaces psi's width in the outer
+    factor, for psi's candidate block.
     """
     z = np.subtract(psi, np.maximum.reduce(psi, 1, keepdims=True), out=z)
     e = np.exp(z, out=e)
     s = np.add.reduce(e, 1)
     log_s = np.log(s)
     rows = np.einsum("ij,ij->i", e, z) / s - log_s
-    weight = -1.0 / psi.shape[1]
+    weight = -1.0 / (d or psi.shape[1])
     return np.add.reduce(rows) * weight, (z, e, s, log_s, rows, weight)
 
 
-def objective(logits, y, psi, flats, lambda_: float, alpha: float, z=None, e=None):
+def objective(logits, y, psi, flats, lambda_: float, alpha: float, z=None, e=None, d=None):
     """The training objective of one batch: CE + lambda_ * entropy + alpha * L2.
 
     CE is the mean cross-entropy of the row softmax of the (B, C) logits
-    against the integer labels y, the entropy is ``entropy_term(psi, z, e)``
+    against the integer labels y, the entropy is ``entropy_term(psi, z, e, d)``
     and L2 is the sum of ``np.dot(a, a)`` over the flat parameter arrays
     ``flats``, in order; a term whose weight is 0 is not evaluated, and its
     operand may be None. Returns the objective, the CE, the entropy term
@@ -170,7 +181,7 @@ def objective(logits, y, psi, flats, lambda_: float, alpha: float, z=None, e=Non
     ce = -(np.add.reduce(logp[np.arange(n), y]) / n)
     total, ent, ent_saved = ce, 0.0, None
     if lambda_ > 0.0:
-        ent, ent_saved = entropy_term(psi, z, e)
+        ent, ent_saved = entropy_term(psi, z, e, d)
         total = total + ent * lambda_
     if alpha > 0.0:
         l2 = 0.0
@@ -422,47 +433,59 @@ class TrainStep:
     psi is not trained, and the objective drops the entropy term and psi's
     L2 term. Its ``flat`` and ``grad`` leave out psi, the first parameter,
     so the step holds no psi-sized array. A step of a dense net is the same
-    in both modes.
+    in both modes. A step with ``cols``, each routing row's (k*m, K)
+    candidate columns (``fit``'s narrowed epochs), trains ``psi_c``, a copy
+    of psi at cols, with its gradient in ``grad_c``, and ``flat`` and
+    ``grad`` leave out psi. Group-Select keeps its dense product each way;
+    its S, a fresh map, is 0 outside the candidates.
 
     The model holds no reference to the step, so once the step is dropped
     its buffers are unmapped. Like the eval path, a step is not re-entrant.
     """
 
-    def __init__(self, model: Model, cfg: TrainConfig, hard: bool = False):
+    def __init__(self, model: Model, cfg: TrainConfig, hard: bool = False, cols=None):
         self.d = model.spec.d
         self.alpha = cfg.alpha
         routing = model.routing
         relaxed = routing is not None and not hard
         params, offsets, lo = model.parameters(), model._offsets, 0
-        if routing is not None and hard:
+        if routing is not None and (hard or cols is not None):
             params, offsets, lo = params[1:], offsets[1:], routing.psi.size  # psi is the first parameter
         self.flat = model._flat[lo:]
         self.grad = grad = _flat_buffer(self.flat.size)
         self._flats = [t.data.reshape(-1) for _, t in params]
+        slots = {
+            id(t): grad[o - lo : o - lo + t.size].reshape(t.shape) for (_, t), o in zip(params, offsets)
+        }
+        self.psi_c = self.grad_c = candidates = trained = None
+        if cols is not None:
+            self.psi_c = trained = np.take_along_axis(routing.psi.data, cols, 1)
+            self.grad_c = np.empty(trained.size)
+            slots[id(trained)] = self.grad_c.reshape(trained.shape)
+            self._flats.insert(0, trained.reshape(-1))
+            candidates = (cols, trained)
+        elif relaxed:
+            trained = routing.psi
         self.lambda_ = cfg.lambda_ if relaxed else 0.0
         scratch = (None, None)
         self._psi = self._z = self._e = None
         if relaxed:
-            psi = routing.psi.data
-            scratch = (_flat_buffer(psi.size), _flat_buffer(psi.size))
+            scratch = (_flat_buffer(routing.psi.size), _flat_buffer(routing.psi.size))
         if self.lambda_ > 0.0:
-            self._psi = psi
-            self._gpsi = grad[: psi.size].reshape(psi.shape)
-            self._z = scratch[1].reshape(psi.shape)
+            psi = self._psi = routing.psi.data if cols is None else self.psi_c
+            self._gpsi = slots[id(trained)]
+            self._z = scratch[1][: psi.size].reshape(psi.shape)
             self._e = _flat_buffer(psi.size).reshape(psi.shape)
-        slots = {
-            id(t): grad[o - lo : o - lo + t.size].reshape(t.shape) for (_, t), o in zip(params, offsets)
-        }
 
         def put(t):
             slot = slots[id(t)]
-            if self.alpha > 0.0 or (self.lambda_ > 0.0 and t is routing.psi):
+            if self.alpha > 0.0 or (self.lambda_ > 0.0 and t is trained):
                 return slot.__iadd__
             return partial(np.copyto, slot)
 
         self._steps = [
             (forward, backward, [put(t) for t in params])
-            for forward, backward, params in model._train_pairs(scratch, False, hard)
+            for forward, backward, params in model._train_pairs(scratch, False, hard, candidates)
         ]
         self._saved = self._objective = None
 
@@ -480,7 +503,7 @@ class TrainStep:
             h, s = forward(h)
             saved.append(s)
         total, ce, ent, self._objective = objective(
-            h, np.asarray(y), self._psi, self._flats, self.lambda_, self.alpha, self._z, self._e
+            h, np.asarray(y), self._psi, self._flats, self.lambda_, self.alpha, self._z, self._e, self.d
         )
         self._saved = saved
         return float(total), float(ce), float(ent)
@@ -490,6 +513,8 @@ class TrainStep:
         g, dpsi, l2 = objective_grad(1.0, self._objective)
         if self.alpha > 0.0:
             np.multiply(self.flat, l2, out=self.grad)
+            if self.psi_c is not None:
+                np.multiply(self._flats[0], l2, out=self.grad_c)
         if dpsi is not None:
             if self.alpha > 0.0:
                 self._gpsi += dpsi
@@ -515,11 +540,16 @@ def fit(
     A group-connected net trains in two phases. The relaxed phase, the
     first ``relaxed_epochs(cfg.epochs)`` epochs, routes through the
     tempered softmax of psi, annealed to ``tau_end`` at its last epoch, with
-    the entropy term (a committed routing is un-committed first). Then
+    the entropy term (a committed routing is un-committed first). If d
+    exceeds ``ROUTING_CANDIDATES``, its epochs after the first train each
+    row's top candidates, psi_c, and write them back into psi (module
+    docstring): psi's dense Adam moments are gathered into psi_c's and the
+    others' copied, so no psi-sized Adam array outlives epoch 0. Then
     ``pin_routing`` commits each routing row to its argmax at ``tau_end``,
     so relaxed and hard prediction gather the same features from there on,
     and the hard phase trains the rest of the net on the gather of the
-    committed routing: psi and its Adam moments stay as they are, the
+    committed routing: psi and its Adam moments stay as they are (psi_c and
+    its moments go), the
     objective has no entropy term and no L2 term for psi, and its records
     hold an entropy term of 0, tau at ``tau_end`` and a sparsity of 1. Its
     per-epoch evaluation runs only the hard gather: the relaxed accuracies
@@ -533,11 +563,12 @@ def fit(
     numpy steps, ``objective`` and its gradient follow, and the gradient
     lands in one flat vector laid out like the part of the model's flat
     parameter vector that the phase trains. Adam then runs once per step
-    over that vector, in ``adam_step``'s tiles, continuing the same moments
-    and step count in the hard phase. The fitted bits are those of a loop
-    over the tape path (``Model.forward`` with a tape, in the phase's mode,
-    ``loss_terms`` and ``Tape.backward``, the tensors' gradients gathered
-    into one flat vector for ``adam_step``), which records the same kernels.
+    over that vector (and once over psi_c), in ``adam_step``'s tiles,
+    continuing the same moments and step count. Unless narrowed, the fitted
+    bits are those of a loop over the tape path (``Model.forward`` with a
+    tape, in the phase's mode, ``loss_terms`` and ``Tape.backward``, the
+    tensors' gradients gathered into one flat vector for ``adam_step``),
+    which records the same kernels.
 
     ``val`` drives the plateau schedule (by relaxed accuracy) and
     best-checkpoint tracking (by hard accuracy, see :class:`FitResult`);
@@ -554,10 +585,12 @@ def fit(
     cfg.validate()
     routing = model.routing
     relaxed = relaxed_epochs(cfg.epochs) if routing is not None else cfg.epochs
+    narrow = 1 if routing is not None and routing.d > ROUTING_CANDIDATES else -1
     if routing is not None:
         routing.idx = None  # psi trains again: the routing is uncommitted until the pin
     step = TrainStep(model, cfg)
     adam = AdamState.create(model._flat.size)
+    adam_c = None  # psi_c's moments, in the narrowed epochs
     val_history: list[float] = []
     records: list[EpochRecord] = []
     best_val = -math.inf
@@ -568,11 +601,22 @@ def fit(
 
     for epoch in range(cfg.epochs):
         if epoch == relaxed:
-            step = None  # unmaps the relaxed step's psi-sized buffers
+            if adam_c is not None:
+                write_candidates(routing, cols, step.psi_c)
+            step = adam_c = cols = None  # unmaps the relaxed step's psi-sized buffers, drops psi_c
             pin_routing(routing, cfg.tau_end)
             step = TrainStep(model, cfg, hard=True)
             # the moments of the parameters after psi, as views, and the same step count
-            adam = replace(adam, m=adam.m[routing.psi.size :], v=adam.v[routing.psi.size :])
+            n = adam.m.size - step.flat.size  # 0 once narrowed
+            adam = replace(adam, m=adam.m[n:], v=adam.v[n:])
+        elif epoch == narrow:
+            step = None  # unmaps the dense step's psi-sized buffers
+            psi, n, top = routing.psi.data, routing.psi.size, ROUTING_CANDIDATES
+            cols = np.sort(np.argpartition(psi, -top, axis=1)[:, -top:], axis=1)
+            adam_c = AdamState(*(np.take_along_axis(a[:n].reshape(psi.shape), cols, 1).reshape(-1)
+                                 for a in (adam.m, adam.v)), adam.step)
+            adam = AdamState(adam.m[n:].copy(), adam.v[n:].copy(), adam.step)  # frees psi's moments
+            step = TrainStep(model, cfg, cols=cols)
         lr, tau = schedule_step(epoch, val_history, cfg)
         model.set_temperature(tau)
         loss_sum = ce_sum = ent_sum = 0.0
@@ -591,6 +635,8 @@ def fit(
                 )
             step.backward()
             adam_step(step.flat, step.grad, adam, lr)
+            if adam_c is not None:
+                adam_step(step.psi_c.reshape(-1), step.grad_c, adam_c, lr)
             loss_sum += value
             ce_sum += ce
             ent_sum += ent
@@ -599,6 +645,8 @@ def fit(
             raise ConfigError(
                 f"batch_size {cfg.batch_size} leaves no full training batch (n={train.n})"
             )
+        if adam_c is not None:
+            write_candidates(routing, cols, step.psi_c, tau)
 
         # once pinned, relaxed prediction gathers idx: relaxed and hard give the same labels
         committed = epoch >= relaxed

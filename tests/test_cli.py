@@ -240,6 +240,42 @@ class TestEval:
         misfed = float((predictions(model, (flipped.X - mu) / sigma) == test.y).mean())
         assert misfed != reports[0]["accuracy"]
 
+    def test_train_scores_a_test_csv_with_its_columns_in_another_order_by_name(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        save_csv(synth_generate(SynthBayesNet(), 400, seed=3), rows)
+        test = synth_generate(SynthBayesNet(), 300, seed=11)
+        save_csv(test, tmp_path / "test.csv")
+        flipped = Dataset(test.X[:, ::-1], test.y, test.n_classes, test.feature_names[::-1])
+        save_csv(flipped, tmp_path / "flipped.csv")  # columns F, E, ..., A
+        reports = []
+        for name in ("test.csv", "flipped.csv"):
+            config = tmp_path / f"{name}.cfg"
+            csv = f"data = csv\ntrain_csv = {rows}\ntest_csv = {tmp_path / name}"
+            config.write_text(CONFIG.replace("data = synth", csv))
+            assert cli.main(["train", str(config), "--out-dir", str(tmp_path / name[:-4])]) == 0
+            report = (tmp_path / name[:-4] / "train_report.json").read_text(encoding="utf-8")
+            reports.append(json.loads(report))
+        assert reports[0]["final_test_accuracy"] == reports[1]["final_test_accuracy"]
+        assert reports[0]["final_test_accuracy_hard"] == reports[1]["final_test_accuracy_hard"]
+        # the check can tell: the flipped columns fed in their own order score otherwise
+        model = load_checkpoint(tmp_path / "flipped" / "model_final.ckpt").model
+        stats = json.loads((tmp_path / "flipped" / "norm_stats.json").read_text(encoding="utf-8"))
+        mu, sigma = (np.array([stats[c][key] for c in "FEDCBA"]) for key in ("mu", "sigma"))
+        misfed = float((predictions(model, (flipped.X - mu) / sigma) == test.y).mean())
+        assert misfed != reports[1]["final_test_accuracy"]
+
+    def test_train_with_a_test_csv_column_the_train_csv_lacks_exits_1(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        save_csv(synth_generate(SynthBayesNet(), 400, seed=3), rows)
+        test = synth_generate(SynthBayesNet(), 300, seed=11)
+        save_csv(Dataset(test.X, test.y, test.n_classes, list("ABCDEG")), tmp_path / "test.csv")
+        config = tmp_path / "run.cfg"
+        config.write_text(CONFIG.replace("data = synth", f"data = csv\ntrain_csv = {rows}\ntest_csv = {tmp_path / 'test.csv'}"))
+        run = tmp_path / "run"
+        assert cli.main(["train", str(config), "--out-dir", str(run)]) == 1
+        assert "test_csv columns ['A', 'B', 'C', 'D', 'E', 'G'] are not train_csv's" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_columns_without_norm_stats_exit_1(self, tmp_path, capsys):
         # a headed training CSV evaluated without its header: the columns become f0, f1, ...
         rows = tmp_path / "rows.csv"

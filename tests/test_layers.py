@@ -261,6 +261,55 @@ class TestGroupSelect:
         assert dpsi.shape == r.psi.shape and dx is None
 
 
+def _candidates(seed, rows=6, d=7, k=3):
+    """Random logits psi, k sorted candidate columns per row, and candidate logits of another draw."""
+    rng = np.random.default_rng(seed)
+    cols = np.sort(np.argsort(rng.random((rows, d)), axis=1)[:, :k], axis=1)
+    return rng.normal(size=(rows, d)), cols, rng.normal(size=(rows, k))
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 0.01])
+    def test_write_back_routes_only_through_the_candidates(self, tau):
+        psi, cols, psi_c = _candidates(50)
+        r = RoutingParams(t(psi), tau, 3, 2, 7)
+        L.write_candidates(r, cols, psi_c, tau)
+        npt.assert_array_equal(np.take_along_axis(r.psi.data, cols, 1), psi_c)
+        s = L.routing_weights(r.psi.data, tau)
+        outside = np.ones(s.shape, dtype=bool)
+        np.put_along_axis(outside, cols, False, 1)
+        assert (s[outside] == 0.0).all()
+        npt.assert_allclose(np.take_along_axis(s, cols, 1), L.routing_weights(psi_c, tau), rtol=0, atol=1e-15)
+        L.pin_routing(r, tau)
+        npt.assert_array_equal(r.idx, np.take_along_axis(cols, psi_c.argmax(1)[:, None], 1)[:, 0])
+
+    def test_write_back_for_the_pin_keeps_the_candidates_range(self):
+        psi, cols, psi_c = _candidates(51)
+        r = RoutingParams(t(psi), 0.01, 3, 2, 7)
+        L.write_candidates(r, cols, psi_c)
+        assert (r.psi.data == psi_c.min(1, keepdims=True)).sum() == psi.size - psi_c.size + psi.shape[0]
+        L.pin_routing(r, 0.01)
+        npt.assert_array_equal(r.idx, np.take_along_axis(cols, psi_c.argmax(1)[:, None], 1)[:, 0])
+        npt.assert_array_equal(L.routing_weights(r.psi.data, 0.01), np.eye(7)[r.idx])
+
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 0.05])
+    def test_candidate_pair_is_the_dense_pair_of_the_written_back_psi(self, tau):
+        psi, cols, psi_c = _candidates(52)
+        x = np.random.default_rng(53).normal(size=(4, 7))
+        g = np.random.default_rng(54).normal(size=(3, 2, 4))
+        dense = RoutingParams(t(psi), tau, 3, 2, 7)
+        L.write_candidates(dense, cols, psi_c, tau)
+        narrowed = RoutingParams(T._raw(np.full((6, 7), np.nan)), tau, 3, 2, 7)  # psi itself is not read
+        want_fwd, want_bwd = L.select_pair(dense, (np.empty(42), np.empty(42)), True)
+        got_fwd, got_bwd = L.select_pair(narrowed, (np.zeros(42), np.empty(42)), True, (cols, psi_c))
+        (want, want_saved), (got, got_saved) = want_fwd(x), got_fwd(x)
+        npt.assert_allclose(got, want, rtol=1e-14)
+        (want_dx, want_dpsi), (got_dx, got_dpsi) = want_bwd(g, want_saved), got_bwd(g, got_saved)
+        npt.assert_allclose(got_dx, want_dx, rtol=1e-14)
+        assert got_dpsi.shape == psi_c.shape
+        npt.assert_allclose(got_dpsi, np.take_along_axis(want_dpsi, cols, 1), rtol=1e-12, atol=1e-15)
+
+
 class TestGather:
     def test_reads_the_indexed_features_into_groups(self):
         x = np.random.default_rng(43).normal(size=(5, 4))

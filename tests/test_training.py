@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -31,7 +33,7 @@ from gmlp.training import (
     schedule_step,
     temperature_at,
 )
-from gmlp.layers import pin_routing, routing_weights
+from gmlp.layers import PIN_TEMPERATURES, pin_routing, routing_weights
 from gradcheck import check_tape_gradients, finite_difference, max_rel_err
 
 
@@ -559,6 +561,95 @@ class TestHardPhase:
             flats.append(model._flat.copy())
             assert all(r.val_accuracy_hard == r.val_accuracy for r in result.records)
         npt.assert_array_equal(flats[0], flats[1])
+
+
+class TestCandidatePhase:
+    """A d = 6 net whose routing rows keep 3 candidate columns after epoch 0."""
+
+    ARCH = "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2"
+    K = 3
+
+    def _fit(self, monkeypatch, keep=None, epochs=8):
+        """The last 2 of 8 epochs are hard; epochs 1-5 are narrowed. ``keep(model, record)`` runs after each epoch."""
+        monkeypatch.setattr(training, "ROUTING_CANDIDATES", self.K)
+        ds = TestFit()._tiny_task(64)
+        model = Model(parse_arch(self.ARCH, d=6, seed=3))
+        c = cfg(epochs=epochs, lambda_=1.0, alpha=1e-4)
+        result = fit(model, ds, ds, c, on_epoch=keep and (lambda record: keep(model, record)))
+        return model, result
+
+    def test_narrowed_epochs_route_through_the_same_candidates_and_commit_one(self, monkeypatch):
+        psis, taus = [], []
+        model, result = self._fit(
+            monkeypatch, lambda model, r: (psis.append(model.routing.psi.data.copy()), taus.append(r.tau))
+        )
+        supports = []
+        for psi, tau in zip(psis[1:6], taus[1:6]):
+            # the non-candidates trail each row's maximum by PIN_TEMPERATURES * tau
+            fill = psi.max(1, keepdims=True) - PIN_TEMPERATURES * tau
+            candidate = psi != fill
+            assert (candidate.sum(1) == self.K).all()
+            supports.append(candidate)
+            s = routing_weights(psi, tau)
+            assert (s[~candidate] == 0.0).all()
+            cols = np.nonzero(candidate)[1].reshape(-1, self.K)
+            want = routing_weights(np.take_along_axis(psi, cols, 1), tau)
+            npt.assert_allclose(np.take_along_axis(s, cols, 1), want, rtol=0, atol=1e-15)
+        assert all((support == supports[0]).all() for support in supports)
+        assert supports[0][np.arange(8), model.routing.idx].all()
+        # at the pin the non-candidates took their row's least candidate logit
+        final = model.routing.psi.data
+        low = np.where(supports[0], np.inf, final).min(1)
+        npt.assert_array_equal(np.where(supports[0], low[:, None], final), np.broadcast_to(low[:, None], final.shape))
+        assert np.abs(final[~supports[0]]).max() <= np.abs(psis[5][supports[0]]).max()
+
+    def test_entropy_term_is_the_candidates_after_epoch_0(self, monkeypatch):
+        _, result = self._fit(monkeypatch)
+        # the entropy term of 8 rows over 6 columns is at most (8/6) log 6, over 3 candidates (8/6) log 3
+        ents = [r.entropy_term for r in result.records]
+        assert ents[0] > (8 / 6) * math.log(self.K) and all(0.0 < e <= (8 / 6) * math.log(self.K) for e in ents[1:6])
+        assert ents[6:] == [0.0, 0.0]
+
+    def test_no_psi_sized_adam_array_outlives_the_first_epoch(self, monkeypatch):
+        dense, narrowed, steps = {}, {}, []  # weak references to the moments by id, and to the steps
+        n = 8 * 6  # psi's entries
+
+        def spy(w, g, state, lr):
+            adam_step(w, g, state, lr)
+            for a in (state.m, state.v):
+                if a.size == model_size:
+                    dense[id(a)] = weakref.ref(a)
+                elif a.size == 8 * self.K:
+                    narrowed[id(a)] = weakref.ref(a)
+
+        class Step(training.TrainStep):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                steps.append(weakref.ref(self))
+
+        alive = []
+
+        def keep(model, record):
+            gc.collect()
+            live = [sum(r() is not None for r in refs.values()) for refs in (dense, narrowed)]
+            alive.append((*live, [r() is not None for r in steps]))
+
+        model_size = Model(parse_arch(self.ARCH, d=6, seed=3))._flat.size
+        monkeypatch.setattr(training, "adam_step", spy)
+        monkeypatch.setattr(training, "TrainStep", Step)
+        self._fit(monkeypatch, keep)
+        assert model_size > n
+        # after epoch 0: psi's dense moments and the dense step are gone; after the pin, psi_c's moments and step
+        assert alive[0] == (2, 0, [True])
+        assert alive[1:6] == [(0, 2, [False, True])] * 5
+        assert alive[6:] == [(0, 0, [False, False, True])] * 2
+
+    def test_a_short_fit_ends_on_the_written_back_candidates(self, monkeypatch):
+        # 3 epochs: no hard phase, so fit returns an uncommitted psi from a narrowed epoch
+        model, result = self._fit(monkeypatch, epochs=3)
+        assert model.routing.idx is None
+        s = routing_weights(model.routing.psi.data, result.final_tau)
+        assert ((s > 0.0).sum(1) <= self.K).all()
 
 
 class TestModelSelection:

@@ -31,6 +31,7 @@ import pytest
 from gmlp import layers as L
 from gmlp import model as M
 from gmlp import tensor as T
+from gmlp import training
 from gmlp.data import Dataset, batches
 from gmlp.errors import DomainError, ShapeError
 from gmlp.layers import pin_routing
@@ -653,6 +654,54 @@ class TestTrainStep:
         psi[1, j] = (psi[1, j] + psi[1].max()) / 2
         assert objective() == value
 
+    @pytest.mark.parametrize("arch", ROUTED)
+    def test_narrowed_to_every_column_gives_the_dense_steps_bits(self, arch):
+        x, y = _batch(_net(arch, seed=1))
+        for lam, alpha in STEP_CFGS:
+            cfg = TrainConfig(lambda_=lam, alpha=alpha)
+            dense, narrowed = _step_net(arch, 0.3), _step_net(arch, 0.3)
+            n = dense.routing.psi.size
+            want = TrainStep(dense, cfg)
+            got = TrainStep(narrowed, cfg, cols=np.tile(np.arange(D), (n // D, 1)))
+            assert got.loss(x, y) == want.loss(x, y)
+            got.backward()
+            want.backward()
+            assert np.shares_memory(got.flat, narrowed._flat[n:]) and got.flat.size == want.flat.size - n
+            npt.assert_array_equal(_bits(got.grad_c), _bits(want.grad[:n]))
+            npt.assert_array_equal(_bits(got.grad), _bits(want.grad[n:]))
+            for got_m, want_m in zip(_moments(narrowed), _moments(dense)):
+                npt.assert_array_equal(_bits(got_m), _bits(want_m))
+
+    @pytest.mark.parametrize("arch, tau", [(arch, tau) for arch in ROUTED for tau in TAUS])
+    def test_narrowed_gradient_matches_finite_differences(self, arch, tau):
+        model = _step_net(arch, tau)
+        x, y = _batch(model)
+        psi = model.routing.psi.data
+        # 3 of the 5 columns per row; row 0 keeps its argmax and the column whose weight is subnormal
+        cols = np.sort(np.argsort(np.random.default_rng(7).random(psi.shape), axis=1)[:, :3], axis=1)
+        j = psi[0].argmax()
+        cols[0] = np.sort([j, (j + 1) % D, (j + 2) % D])
+        step = TrainStep(model, TrainConfig(lambda_=0.5, alpha=1e-6), cols=cols)
+        npt.assert_array_equal(step.psi_c, np.take_along_axis(psi, cols, 1))
+        assert L.routing_weights(step.psi_c, tau)[0, list(cols[0]).index((j + 1) % D)] == 0.0
+
+        def objective():
+            return step.loss(x, y)[0]
+
+        value = objective()
+        step.backward()
+        numeric = finite_difference_at(objective, step.psi_c, range(step.psi_c.size), 1e-5 * tau)
+        assert max_rel_err(step.grad_c, numeric, floor=1e-3) < 1e-5
+        analytic, lo = step.grad.copy(), psi.size
+        pick = np.random.default_rng(6)
+        for (name, p), offset in zip(model.parameters()[1:], model._offsets[1:]):
+            idx = np.sort(pick.choice(p.size, size=min(p.size, 24), replace=False))
+            numeric = finite_difference_at(objective, p.data, idx, 1e-5)
+            assert max_rel_err(analytic[offset - lo + idx], numeric, floor=1e-3) < 1e-5, name
+        # the step trains psi_c, a copy: psi itself is not read
+        psi[...] = 0.0
+        assert objective() == value
+
     @pytest.mark.parametrize(
         "arch", ["GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", ARCHS[5], BARE_GFC_ARCH]
     )
@@ -669,6 +718,16 @@ class TestTrainStep:
         assert [r.train_loss for r in result.records] == losses
         for (name, got), (_, want) in zip(model.state_arrays(), reference.state_arrays()):
             npt.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+
+
+    def test_fit_with_every_column_a_candidate_matches_tape_loop(self, monkeypatch):
+        # d = 5 is not above 5 candidates, so fit does not narrow
+        monkeypatch.setattr(training, "ROUTING_CANDIDATES", D)
+        self.test_fit_matches_tape_loop(ARCHS[5])
+        # the check can tell: 4 candidates narrow, and fit leaves the tape loop
+        monkeypatch.setattr(training, "ROUTING_CANDIDATES", D - 1)
+        with pytest.raises(AssertionError):
+            self.test_fit_matches_tape_loop(ARCHS[5])
 
 
 def _tape_fit(model, train, cfg):
