@@ -1,6 +1,7 @@
-"""Post-training introspection of the learned routing: discretization,
-sparsity, selection-frequency heat maps, feature co-membership graphs, and
-correlation structure of the group outputs.
+"""Post-training introspection of the learned routing: sparsity,
+selection-frequency heat maps and feature co-membership graphs of the hard
+assignment (``layers.hard_assignment``), and correlation structure of the
+group outputs.
 
 Everything here is read-only over a frozen model; outputs are plain numpy
 plus small export helpers (CSV for counts and histograms, a
@@ -27,25 +28,6 @@ CORRELATION_SLOTS = 256
 CORRELATION_BINS = 40
 
 
-@dataclass
-class RoutingTable:
-    """Hard slot-to-feature assignment.
-
-    ``slot_to_feature[i*m + j]`` is the input feature feeding slot j of group
-    i.
-    """
-
-    slot_to_feature: np.ndarray  # (k*m,) int
-    k: int
-    m: int
-    d: int
-
-
-def discretize_routing(routing: RoutingParams) -> RoutingTable:
-    """The committed features, else each row's argmax of the logits; ties break toward the lowest index."""
-    return RoutingTable(hard_assignment(routing), routing.k, routing.m, routing.d)
-
-
 def sparsity_report(routing: RoutingParams) -> float:
     """Fraction of routing rows whose softmax, at the current temperature,
     already concentrates at least ``SPARSITY_THRESHOLD`` on one feature (1.0 if committed)."""
@@ -55,9 +37,9 @@ def sparsity_report(routing: RoutingParams) -> float:
     return float((probs.max(axis=1) >= SPARSITY_THRESHOLD).mean())
 
 
-def selection_heatmap(table: RoutingTable) -> np.ndarray:
-    """How often each input feature is selected across all k*m slots."""
-    return np.bincount(table.slot_to_feature, minlength=table.d)
+def selection_heatmap(routing: RoutingParams) -> np.ndarray:
+    """How often each input feature is selected (``hard_assignment``) across all k*m slots."""
+    return np.bincount(hard_assignment(routing), minlength=routing.d)
 
 
 @dataclass
@@ -77,12 +59,13 @@ class GroupGraph:
         return sum(w for _, _, w in self.edges)
 
 
-def group_graph(table: RoutingTable) -> GroupGraph:
-    k, m = table.k, table.m
+def group_graph(routing: RoutingParams) -> GroupGraph:
+    """The co-membership graph of each group's selected features (``hard_assignment``)."""
+    slots, k, m = hard_assignment(routing), routing.k, routing.m
     weights: dict[tuple[int, int], int] = {}
     nodes: set[int] = set()
     for g in range(k):
-        members = sorted(set(table.slot_to_feature[g * m : (g + 1) * m].tolist()))
+        members = sorted(set(slots[g * m : (g + 1) * m].tolist()))
         nodes.update(members)
         for i, a in enumerate(members):
             for b in members[i + 1 :]:

@@ -22,6 +22,8 @@ A file whose arrays hold a NaN or an infinity, whose final temperature or
 normalization statistics are not finite, whose normalization sigma is
 negative, or whose class or feature names repeat a name or do not number
 the net's outputs or inputs, is rejected on load like any other corrupt file.
+So is a blob of fewer float32 values than the manifest's architecture has
+parameters (``count_complexity``), checked before the model allocates any.
 
 Nothing non-deterministic (timestamps, hostnames) is written: identical
 models under identical metadata serialize to identical bytes.
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError
 from .layers import routing_weights
-from .model import ArchSpec, Model, parse_arch
+from .model import ArchSpec, Model, count_complexity, parse_arch
 
 FORMAT_VERSION = 1
 _LEN = struct.Struct("<Q")
@@ -176,6 +178,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     manifest, blob = _read_container(path)
     try:
         spec = parse_arch(manifest["arch"], d=manifest["d"], seed=manifest.get("seed", 0))
+        needed = 4 * count_complexity(spec).param_count_actual  # checked before Model allocates
+        if needed > len(blob):
+            raise CheckpointError(f"{path}: arch at d={spec.d} needs {needed} blob bytes, not {len(blob)}")
         model = Model(spec)
         model.set_temperature(float(manifest["final_tau"]))
     except ConfigError as exc:

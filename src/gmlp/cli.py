@@ -10,6 +10,11 @@ timings are kept out of the deterministic artifacts.
 
 ``GMLP_OUT_DIR`` provides the default output directory when a config or
 command line does not name one.
+
+``train``'s ``test_csv`` and the ``--data`` of ``eval`` and ``analyze`` enter
+a trained run's frame one way (``data.to_run_frame``): columns by name, labels
+by text, and a run trained on integer labels has the classes '0'..'C-1'. A
+column or label the run lacks, or a run column the file lacks, exits 1.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .data import (
     Dataset,
     SynthBayesNet,
     halfnoise_generate,
+    label_names,
     load_csv,
     normalize,
     save_csv,
@@ -36,18 +42,14 @@ from .data import (
     standardize,
     synth_bayes_optimal,
     synth_generate,
+    to_run_frame,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    GmlpError,
-    TrainingDiverged,
-)
+from .errors import ConfigError, DataError, GmlpError, TrainingDiverged
 from .metrics import MetricsWriter
 from .model import Model, count_complexity, parse_arch
 from .training import accuracy, fit, predictions
-from .analysis import discretize_routing, sparsity_report
+from .analysis import sparsity_report
+from .layers import hard_assignment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,16 +101,7 @@ def _load_run_data(cfg: RunConfig):
         train = load_csv(cfg.train_csv, label_column=label, has_header=cfg.has_header)
         if cfg.test_csv:
             test = load_csv(cfg.test_csv, label_column=label, has_header=cfg.has_header)
-            if test.class_names != train.class_names:
-                raise DataError(
-                    f"test_csv labels {test.class_names} differ from "
-                    f"train_csv labels {train.class_names}"
-                )
-            names = train.feature_names  # test columns are matched to them by name
-            if sorted(test.feature_names) != sorted(names):
-                raise DataError(f"test_csv columns {test.feature_names} are not train_csv's {names}")
-            column = {name: j for j, name in enumerate(test.feature_names)}
-            test = Dataset(test.X[:, [column[name] for name in names]], test.y, test.n_classes, names, test.class_names)
+            test = to_run_frame(test, train.feature_names, label_names(train.n_classes, train.class_names))
         else:
             train, test = split(train, cfg.test_fraction, seed=seed)
     if cfg.val_fraction > 0:
@@ -186,39 +179,20 @@ def cmd_train(args) -> int:
 # eval
 
 
-def _load_eval_dataset(args, manifest) -> Dataset:
-    """The CSV rows in the run's column order, standardized with its norm stats, as far as the checkpoint has them.
+def _load_eval_dataset(args, loaded) -> Dataset:
+    """The CSV rows in the run's frame (``data.to_run_frame``), standardized with its norm stats, as far as the checkpoint has them.
 
-    Columns are matched to the run's feature names and stats by name only,
-    so a column whose name the run does not know (say, f0 from ``--no-header``
-    after a headed training CSV) raises ``DataError``. With the run's class
-    names, labels map to the run's class indices through them, whatever
-    labels this file holds, and a label the run never saw raises ``DataError``.
+    A checkpoint without feature names takes the file's columns in its own
+    order; one without class names has integer classes '0'..'C-1'.
     """
     label = _label_column(args.label_column)
     ds = load_csv(args.data, label_column=label, has_header=not args.no_header)
-    expected_d = manifest["d"]
-    if ds.d != expected_d:
-        raise DataError(f"dataset has {ds.d} features but the model expects {expected_d}")
-    metadata = manifest.get("metadata", {})
-    run_names = metadata.get("class_names")
-    if run_names is not None:
-        # integer labels of this file, in a run that had others, are labels as text
-        names = ds.class_names if ds.class_names is not None else [str(c) for c in range(ds.n_classes)]
-        unseen = sorted({names[c] for c in np.unique(ds.y)} - set(run_names))
-        if unseen:
-            raise DataError(f"labels {unseen} are not among the training run's {run_names}")
-        index = {name: i for i, name in enumerate(run_names)}
-        # -1 stands for an integer below this file's largest that no row holds
-        lookup = np.array([index.get(name, -1) for name in names], dtype=np.int64)
-        ds = Dataset(ds.X, lookup[ds.y], len(run_names), ds.feature_names, list(run_names))
-    names = ds.feature_names  # load_csv always names the columns
-    order = metadata.get("feature_names") or names  # the net's input order, if the run stored it
-    unknown = sorted(set(names) - set(order))
-    if unknown:
-        raise DataError(f"columns {unknown} are not among the training run's {order}")
-    column = {name: j for j, name in enumerate(names)}
-    ds = Dataset(ds.X[:, [column[name] for name in order]], ds.y, ds.n_classes, order, ds.class_names)
+    spec = loaded.model.spec
+    if ds.d != spec.d:
+        raise DataError(f"dataset has {ds.d} features but the model expects {spec.d}")
+    metadata = loaded.manifest.get("metadata", {})
+    order = metadata.get("feature_names") or ds.feature_names
+    ds = to_run_frame(ds, order, label_names(spec.n_classes, metadata.get("class_names")))
     stats = metadata.get("norm_stats")
     if not stats:
         return ds
@@ -232,18 +206,17 @@ def _load_eval_dataset(args, manifest) -> Dataset:
 
 def cmd_eval(args) -> int:
     loaded = load_checkpoint(args.checkpoint)
-    ds = _load_eval_dataset(args, loaded.manifest)
+    ds = _load_eval_dataset(args, loaded)
     model = loaded.model
 
     pred = predictions(model, ds.X)
-    names = ds.class_names or [str(c) for c in range(ds.n_classes)]
     report = {
         "checkpoint": str(args.checkpoint),
         "n_samples": ds.n,
         "accuracy": float((pred == ds.y).mean()),
         "hard_routing_accuracy": float((predictions(model, ds.X, hard=True) == ds.y).mean()),
         "per_class_accuracy": {
-            names[c]: float((pred[ds.y == c] == c).mean())
+            ds.class_names[c]: float((pred[ds.y == c] == c).mean())
             for c in range(ds.n_classes)
             if (ds.y == c).any()
         },
@@ -292,33 +265,32 @@ def cmd_synth(args) -> int:
 
 def cmd_analyze(args) -> int:
     loaded = load_checkpoint(args.checkpoint)
-    model = loaded.model
-    if model.routing is None:
+    model, routing = loaded.model, loaded.model.routing
+    if routing is None:
         raise ConfigError("analysis needs a group-connected model")
     # the dataset is checked before the out dir is made, so a failed check writes no files
     ds = report = None
     if args.data:
-        ds = _load_eval_dataset(args, loaded.manifest)
+        ds = _load_eval_dataset(args, loaded)
         report = analysis.correlation_analysis(model, ds)
     else:
         print("note: no dataset supplied; correlation analysis skipped", file=sys.stderr)
     out_dir = resolve_out_dir(args.out_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    table = discretize_routing(model.routing)
-    counts = analysis.selection_heatmap(table)
+    counts = analysis.selection_heatmap(routing)
     # the training run's names in the net's input order (a dataset is put in that order); else f{j}
     names = ds.feature_names if ds is not None else loaded.manifest.get("metadata", {}).get("feature_names")
     analysis.save_heatmap_csv(counts, os.path.join(out_dir, "selection_heatmap.csv"), names)
-    graph = analysis.group_graph(table)
+    graph = analysis.group_graph(routing)
     analysis.save_edge_list(graph, os.path.join(out_dir, "group_graph.txt"))
     summary = {
-        "sparsity_fraction": sparsity_report(model.routing),
+        "sparsity_fraction": sparsity_report(routing),
         "temperature": model.temperature,
-        "k": table.k,
-        "m": table.m,
-        "d": table.d,
-        "slot_to_feature": [int(v) for v in table.slot_to_feature],
+        "k": routing.k,
+        "m": routing.m,
+        "d": routing.d,
+        "slot_to_feature": [int(v) for v in hard_assignment(routing)],
         "total_edge_weight": graph.total_weight,
     }
     if report is not None:
@@ -405,7 +377,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CheckpointError, GmlpError, OSError) as exc:
+    except (GmlpError, OSError) as exc:  # a corrupt checkpoint among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -79,8 +79,9 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
     column index. Integer-valued labels are used as class indices directly;
     anything else is mapped to indices in sorted order, so two files with
     the same label set map them alike, and kept as the dataset's
-    ``class_names``. A header that names one feature twice raises
-    ``DataError``: normalization statistics are keyed by name.
+    ``class_names``; ``to_run_frame`` maps either kind by its text. A header
+    that names one feature twice raises ``DataError``: normalization
+    statistics are keyed by name.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -140,6 +141,37 @@ def load_csv(path, label_column, has_header: bool = True) -> Dataset:
         n_classes = len(class_names)
 
     return Dataset(np.array(feats), y, n_classes, names, class_names)
+
+
+def label_names(n_classes: int, class_names: list[str] | None) -> list[str]:
+    """The text of each class index's label: ``class_names``, or '0'..'C-1' for integer labels."""
+    return list(class_names) if class_names is not None else [str(c) for c in range(n_classes)]
+
+
+def to_run_frame(ds: Dataset, feature_names: list[str], class_names: list[str]) -> Dataset:
+    """``ds`` in a training run's frame: columns reordered by name into ``feature_names``, the
+    run's input order, and labels mapped by text (``label_names``) to their index in ``class_names``.
+
+    A column the run lacks, a run column ``ds`` lacks, or a label some row holds and the run
+    lacks raises ``DataError``. An integer below the file's largest label that no row holds
+    maps to -1, which no row reads.
+    """
+    names = ds.feature_names
+    unknown = sorted(set(names) - set(feature_names))
+    if unknown:
+        raise DataError(f"columns {unknown} are not among the training run's {list(feature_names)}")
+    missing = sorted(set(feature_names) - set(names))
+    if missing:
+        raise DataError(f"the training run's columns {missing} are missing")
+    texts = label_names(ds.n_classes, ds.class_names)
+    unseen = sorted({texts[c] for c in np.unique(ds.y)} - set(class_names))
+    if unseen:
+        raise DataError(f"labels {unseen} are not among the training run's {list(class_names)}")
+    index = {name: i for i, name in enumerate(class_names)}
+    lookup = np.array([index.get(text, -1) for text in texts], dtype=np.int64)
+    column = {name: j for j, name in enumerate(names)}
+    X = ds.X[:, [column[name] for name in feature_names]]
+    return Dataset(X, lookup[ds.y], len(class_names), list(feature_names), list(class_names))
 
 
 def save_csv(ds: Dataset, path) -> None:

@@ -88,7 +88,8 @@ from .tensor import Tensor
 # a batch loss above this multiple of the first batch's loss counts as divergence
 DIVERGENCE_FACTOR = 1e6
 # entries per Adam slice: 2^15 float64 is 256 KiB per array, so a slice's
-# gradient, moments, parameter and two scratch arrays fit in a 2 MiB L2 cache
+# gradient, moments, parameter and two scratch arrays fit in a 2 MiB L2 cache;
+# the routing candidates are picked in row slices of about as many entries
 ADAM_TILE = 1 << 15
 # share of a group-connected net's epochs, the last, trained on the committed routing
 HARDEN_FRACTION = 0.25
@@ -612,7 +613,9 @@ def fit(
         elif epoch == narrow:
             step = None  # unmaps the dense step's psi-sized buffers
             psi, n, top = routing.psi.data, routing.psi.size, ROUTING_CANDIDATES
-            cols = np.sort(np.argpartition(psi, -top, axis=1)[:, -top:], axis=1)
+            rows = max(1, ADAM_TILE // psi.shape[1])  # row slices: no (k*m, d) index array
+            cols = np.concatenate([np.sort(np.argpartition(psi[r : r + rows], -top, axis=1)[:, -top:], axis=1)
+                                   for r in range(0, psi.shape[0], rows)])
             adam_c = AdamState(*(np.take_along_axis(a[:n].reshape(psi.shape), cols, 1).reshape(-1)
                                  for a in (adam.m, adam.v)), adam.step)
             adam = AdamState(adam.m[n:].copy(), adam.v[n:].copy(), adam.step)  # frees psi's moments

@@ -5,7 +5,7 @@ import pytest
 from gmlp import analysis as A
 from gmlp.data import Dataset
 from gmlp.errors import DataError
-from gmlp.layers import RoutingParams
+from gmlp.layers import RoutingParams, hard_assignment
 from gmlp.model import Model, parse_arch
 from gmlp.tensor import Tensor
 
@@ -18,20 +18,24 @@ def routing(psi, temperature=1.0, k=None, m=None):
     return RoutingParams(Tensor(psi), temperature, k, m, d)
 
 
-class TestDiscretize:
+def committed(slots, k, m, d):
+    """A routing committed to ``slots``: slot j of group i reads feature slots[i*m + j]."""
+    r = routing(np.zeros((k * m, d)), k=k, m=m)
+    r.idx = np.asarray(slots)
+    return r
+
+
+class TestHardAssignment:
     def test_argmax_row(self):
-        table = A.discretize_routing(routing([[0.0, 5.0, 1.0]]))
-        assert table.slot_to_feature[0] == 1
+        assert hard_assignment(routing([[0.0, 5.0, 1.0]]))[0] == 1
 
     def test_tie_breaks_low(self):
-        table = A.discretize_routing(routing([[3.0, 3.0]]))
-        assert table.slot_to_feature[0] == 0
+        assert hard_assignment(routing([[3.0, 3.0]]))[0] == 0
 
     def test_slots_do_not_depend_on_temperature(self):
         psi = [[2.0, 0.0, 1.9], [0.0, -1.0, 0.1]]
         for temperature in [0.01, 1.0, 100.0]:
-            table = A.discretize_routing(routing(psi, temperature=temperature))
-            assert table.slot_to_feature.tolist() == [0, 2]
+            assert hard_assignment(routing(psi, temperature=temperature)).tolist() == [0, 2]
 
 
 class TestSparsity:
@@ -49,7 +53,7 @@ class TestSparsity:
         r.idx = np.array([0, 3, 3, 5])
         monkeypatch.setattr(A, "routing_weights", refuse)
         assert A.sparsity_report(r) == 1.0
-        assert A.discretize_routing(r).slot_to_feature.tolist() == [0, 3, 3, 5]
+        assert hard_assignment(r).tolist() == [0, 3, 3, 5]
 
     def test_monotone_in_temperature(self):
         rng = np.random.default_rng(0)
@@ -64,45 +68,40 @@ class TestSparsity:
 
 class TestHeatmap:
     def test_counts(self):
-        table = A.RoutingTable(np.array([3, 3]), 1, 2, 5)
-        counts = A.selection_heatmap(table)
+        counts = A.selection_heatmap(committed([3, 3], 1, 2, 5))
         npt.assert_array_equal(counts, [0, 0, 0, 2, 0])
 
     def test_total_is_km(self):
         rng = np.random.default_rng(1)
         slots = rng.integers(0, 7, size=12)
-        table = A.RoutingTable(slots, 4, 3, 7)
-        assert A.selection_heatmap(table).sum() == 12
+        assert A.selection_heatmap(committed(slots, 4, 3, 7)).sum() == 12
 
     def test_permutation_equivariance(self):
         # relabeling features with a permutation relabels the counts the same way
         rng = np.random.default_rng(2)
         slots = rng.integers(0, 5, size=8)
         perm = rng.permutation(5)
-        counts = A.selection_heatmap(A.RoutingTable(slots, 4, 2, 5))
-        relabeled = A.selection_heatmap(A.RoutingTable(perm[slots], 4, 2, 5))
+        counts = A.selection_heatmap(committed(slots, 4, 2, 5))
+        relabeled = A.selection_heatmap(committed(perm[slots], 4, 2, 5))
         npt.assert_array_equal(relabeled[perm], counts)
 
 
 class TestGroupGraph:
     def test_repeated_pair_accumulates(self):
-        table = A.RoutingTable(np.array([0, 1, 0, 1]), 2, 2, 4)
-        graph = A.group_graph(table)
+        graph = A.group_graph(committed([0, 1, 0, 1], 2, 2, 4))
         assert graph.edges == [(0, 1, 2)]
 
     def test_no_self_edge(self):
-        table = A.RoutingTable(np.array([2, 2]), 1, 2, 4)
-        assert A.group_graph(table).edges == []
+        assert A.group_graph(committed([2, 2], 1, 2, 4)).edges == []
 
     def test_triple_group_complete_subgraph(self):
-        table = A.RoutingTable(np.array([0, 1, 2]), 1, 3, 4)
-        assert A.group_graph(table).edges == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
+        assert A.group_graph(committed([0, 1, 2], 1, 3, 4)).edges == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
 
     def test_total_weight_counts_pairs(self):
         rng = np.random.default_rng(3)
         k, m, d = 5, 3, 8
         slots = rng.integers(0, d, size=k * m)
-        graph = A.group_graph(A.RoutingTable(slots, k, m, d))
+        graph = A.group_graph(committed(slots, k, m, d))
         expected = 0
         for g in range(k):
             uniq = len(set(slots[g * m : (g + 1) * m].tolist()))

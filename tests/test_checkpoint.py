@@ -83,6 +83,8 @@ MALFORMED = {
     "final_tau_infinite": _with("final_tau", float("inf")),  # written as the token Infinity
     "final_tau_huge_int": _with("final_tau", 10**400),  # past float64's range
     "arch_unparseable": _with("arch", "GSel-4-2, Wiggle, Concat, FC-2"),
+    # the routing alone would take 8 * 10**12 float64 values: refused before allocating
+    "d_past_the_blob": _with("d", 10**12),
     # an older file's net with a Dropout block in place of the ReLU: the stored
     # names and shapes are the net's, but the grammar has no such block
     "arch_with_dropout": _with("arch", "GSel-4-2, GFC, Dropout-0.5, BNorm, Concat, FC-2"),
@@ -197,13 +199,14 @@ class TestRoundTrip:
 
     def test_older_file_with_another_bare_pool_width_fails(self, tmp_path):
         # earlier versions merged bare GPool tokens at the manifest's branching: this
-        # net merged its 8 groups 4-way, so its stored shapes fit no pairwise merge
+        # net merged its 8 groups 4-way into 2, so its stored arrays are too few
+        # for a pairwise merge, whose 4 groups have more weights
         model = Model(parse_arch("GSel-8-2, GFC, GPool-max-4, GFC, Concat, FC-2", d=6, seed=1))
         path = tmp_path / "model.ckpt"
         save_model(path, model)
         bare = "GSel-8-2, GFC, GPool-max, GFC, Concat, FC-2"
         _rewrite_manifest(path, lambda mf: {**mf, "arch": bare, "branching": 4})
-        with pytest.raises(CheckpointError, match=r"block2\.gfc\.weights: shape \(2, 2, 2\)"):
+        with pytest.raises(CheckpointError, match=r"arch at d=6 needs 744 blob bytes, not 664"):
             load_checkpoint(path)
 
 
@@ -254,6 +257,7 @@ class TestMalformed:
         "case",
         [
             "arch_with_dropout",
+            "d_past_the_blob",
             "final_tau_infinite",
             "final_tau_huge_int",
             "norm_stats_sigma_negative",

@@ -118,7 +118,7 @@ class TestStringLabels:
         (tmp_path / "test.csv").write_text(text, encoding="utf-8")
         run = tmp_path / "run"
         assert cli.main(["train", str(self._config(tmp_path)), "--out-dir", str(run)]) == 1
-        assert "differ from train_csv labels ['no', 'yes']" in capsys.readouterr().err
+        assert "labels ['maybe'] are not among the training run's ['no', 'yes']" in capsys.readouterr().err
         assert not run.exists()
 
     def test_file_with_one_of_the_labels_is_scored_against_the_runs_classes(self, tmp_path, capsys):
@@ -135,6 +135,52 @@ class TestStringLabels:
         # yes is class 1 of the run; the file's own label set would make it class 0
         assert report["accuracy"] > 0.9
         assert list(report["per_class_accuracy"]) == ["yes"]
+
+    def test_test_file_with_one_class_trains_and_scores_as_eval(self, tmp_path, capsys):
+        # the test file holds only yes, the run's class 1 and the file's own class 0
+        _yes_no_csv(tmp_path / "train.csv", 400, 1, "no")
+        _yes_no_csv(tmp_path / "rows.csv", 200, 2, "yes")
+        header, *lines = (tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines()
+        yes_rows = [header] + [line for line in lines if line.endswith(",yes")]
+        (tmp_path / "test.csv").write_text("\n".join(yes_rows) + "\n", encoding="utf-8")
+        run = tmp_path / "run"
+        assert cli.main(["train", str(self._config(tmp_path)), "--out-dir", str(run)]) == 0
+        capsys.readouterr()
+        report = json.loads((run / "train_report.json").read_text(encoding="utf-8"))
+        assert report["final_test_accuracy"] > 0.9
+        argv = ["eval", str(run / "model_final.ckpt"), "--data", str(tmp_path / "test.csv")]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == report["final_test_accuracy"]
+
+    @pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("text", "labels ['no', 'yes'] are not among the training run's ['0', '1']"),
+            ("past_the_classes", "labels ['2'] are not among the training run's ['0', '1']"),
+        ],
+        ids=["text", "past_the_classes"],
+    )
+    def test_file_outside_an_integer_runs_classes_exits_1(self, tmp_path, capsys, command, case, message):
+        _yes_no_csv(tmp_path / "train.csv", 400, 1, "no")
+        text = (tmp_path / "train.csv").read_text(encoding="utf-8")
+        (tmp_path / "train.csv").write_text(text.replace(",yes\n", ",1\n").replace(",no\n", ",0\n"), encoding="utf-8")
+        _yes_no_csv(tmp_path / "test.csv", 50, 3, "yes")
+        if case == "past_the_classes":
+            text = (tmp_path / "test.csv").read_text(encoding="utf-8")
+            (tmp_path / "test.csv").write_text(text.replace(",yes\n", ",2\n").replace(",no\n", ",0\n"), encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", str(self._config(tmp_path)), "--out-dir", str(out)]
+        else:
+            # the metadata of a run trained on integer labels: no class names
+            model = Model(parse_arch("GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2", d=3, seed=1))
+            save_model(tmp_path / "model.ckpt", model, metadata={"class_names": None, "feature_names": ["x0", "x1", "x2"]})
+            argv = [command, str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "test.csv")]
+            argv += ["--out", str(out)] if command == "eval" else ["--out-dir", str(out)]
+        assert cli.main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "analyze"])
     def test_label_the_run_never_saw_exits_1(self, tmp_path, capsys, command):
@@ -273,7 +319,7 @@ class TestEval:
         config.write_text(CONFIG.replace("data = synth", f"data = csv\ntrain_csv = {rows}\ntest_csv = {tmp_path / 'test.csv'}"))
         run = tmp_path / "run"
         assert cli.main(["train", str(config), "--out-dir", str(run)]) == 1
-        assert "test_csv columns ['A', 'B', 'C', 'D', 'E', 'G'] are not train_csv's" in capsys.readouterr().err
+        assert "columns ['G'] are not among the training run's ['A', 'B', 'C', 'D', 'E', 'F']" in capsys.readouterr().err
         assert not run.exists()
 
     def test_columns_without_norm_stats_exit_1(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from gmlp.data import (
     SynthBayesNet,
     batches,
     halfnoise_generate,
+    label_names,
     load_csv,
     normalize,
     oracle_predict,
@@ -16,6 +17,7 @@ from gmlp.data import (
     split,
     synth_bayes_optimal,
     synth_generate,
+    to_run_frame,
 )
 from gmlp.errors import DataError
 
@@ -85,6 +87,59 @@ class TestLoadCsv:
         npt.assert_array_equal(back.X, ds.X)
         npt.assert_array_equal(back.y, ds.y)
         assert back.feature_names == ds.feature_names
+
+
+class TestRunFrame:
+    def test_columns_are_reordered_by_name(self):
+        ds = Dataset(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.array([0, 1]), 2, ["c", "a", "b"])
+        framed = to_run_frame(ds, ["a", "b", "c"], ["0", "1"])
+        npt.assert_array_equal(framed.X, [[2.0, 3.0, 1.0], [5.0, 6.0, 4.0]])
+        assert framed.feature_names == ["a", "b", "c"]
+
+    def test_text_labels_map_to_the_runs_indices(self):
+        # the file holds only yes, its own class 0; the run has yes as class 2
+        ds = Dataset(np.zeros((2, 1)), np.array([0, 0]), 1, ["x"], ["yes"])
+        framed = to_run_frame(ds, ["x"], ["maybe", "no", "yes"])
+        npt.assert_array_equal(framed.y, [2, 2])
+        assert framed.n_classes == 3 and framed.class_names == ["maybe", "no", "yes"]
+
+    def test_integer_labels_map_by_their_text(self):
+        # integer labels 1 and 0 of a run whose labels sorted as text are ['0', '1', 'x']
+        ds = Dataset(np.zeros((2, 1)), np.array([1, 0]), 2, ["x"])
+        npt.assert_array_equal(to_run_frame(ds, ["x"], ["0", "1", "x"]).y, [1, 0])
+
+    def test_an_integer_no_row_holds_is_no_unseen_label(self):
+        # rows hold 0 and 2; 1, below the largest, is no row's label and not the run's
+        ds = Dataset(np.zeros((2, 1)), np.array([2, 0]), 3, ["x"])
+        framed = to_run_frame(ds, ["x"], ["0", "2"])
+        npt.assert_array_equal(framed.y, [1, 0])
+        assert framed.n_classes == 2
+
+    def test_label_names(self):
+        assert label_names(3, None) == ["0", "1", "2"]
+        assert label_names(2, ["no", "yes"]) == ["no", "yes"]
+
+    @pytest.mark.parametrize(
+        "names, class_names, run_labels, message",
+        [
+            (["a", "z"], None, ["0", "1"], r"columns \['z'\] are not among the training run's \['a', 'b'\]"),
+            (["a"], None, ["0", "1"], r"the training run's columns \['b'\] are missing"),
+            (["a", "b"], None, ["no", "yes"], r"labels \['0', '1'\] are not among the training run's \['no', 'yes'\]"),
+            (["a", "b"], None, ["0"], r"labels \['1'\] are not among the training run's \['0'\]"),
+            (["a", "b"], ["no", "yes"], ["0", "1"], r"labels \['no', 'yes'\] are not among the training run's \['0', '1'\]"),
+        ],
+        ids=[
+            "unknown-column",
+            "missing-column",
+            "integers-for-a-text-run",
+            "integer-past-the-runs-classes",
+            "text-for-an-integer-run",
+        ],
+    )
+    def test_what_the_run_lacks_raises(self, names, class_names, run_labels, message):
+        ds = Dataset(np.zeros((2, len(names))), np.array([0, 1]), 2, names, class_names)
+        with pytest.raises(DataError, match=message):
+            to_run_frame(ds, ["a", "b"], run_labels)
 
 
 class TestDataset:
