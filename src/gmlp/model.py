@@ -13,6 +13,10 @@ dense baseline: it may start with any block but ``GFC``, ``GPool`` and
 ``Concat``, which it may not use at all, and ends at its last ``FC``.
 ``Softmax`` marks the probability boundary only: the forward pass always
 returns logits and the softmax lives inside the cross-entropy loss.
+
+``parse_arch`` reads a string in one pass: each token takes exactly its
+fields, and the pass checks every grammar rule and plans each block as it
+reads its token. ``Model`` and ``count_complexity`` read the planned blocks.
 """
 
 from __future__ import annotations
@@ -33,96 +37,7 @@ from .layers import POOL_KINDS, BatchNormState, RoutingParams
 from .tensor import Tensor
 
 
-@dataclass
-class ArchSpec:
-    """Declarative description of one network."""
-
-    kind: str  # "gmlp" | "mlp"
-    d: int
-    n_classes: int
-    k: int
-    m: int
-    branching: int
-    blocks: tuple
-    seed: int = 0
-    text: str = ""
-
-    @property
-    def n_weight_layers(self) -> int:
-        """Total depth counted in weight layers: GFC blocks plus the output, or all FC blocks."""
-        return sum(1 for b in self.blocks if b[0] in ("gfc", "dense"))
-
-
-# the tokens that take no argument, and their block tags
-_PLAIN_BLOCKS = {"gfc": "gfc", "relu": "relu", "bnorm": "batchnorm", "concat": "concat"}
-
-
-def parse_arch(text: str, d: int, seed: int = 0) -> ArchSpec:
-    """Parse an architecture string into an ArchSpec that ``plan`` accepts.
-
-    ``ArchSpec.branching`` is the merge width of the first pool, 2 without one.
-    """
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise ConfigError("empty architecture string")
-    blocks = []
-    k = m = 0
-    kind = "mlp"
-    softmax_seen = False
-    for pos, tok in enumerate(tokens):
-        parts = tok.split("-")
-        head = parts[0].lower()
-        if softmax_seen:
-            raise ConfigError(f"token {pos}: nothing may follow Softmax")
-        try:
-            if head == "gsel":
-                if pos != 0:
-                    raise ConfigError(f"token {pos}: GSel must come first")
-                if len(parts) != 3:
-                    raise ConfigError(f"token {pos}: expected GSel-k-m, got {tok!r}")
-                kind = "gmlp"
-                k, m = int(parts[1]), int(parts[2])
-            elif head in _PLAIN_BLOCKS:
-                blocks.append((_PLAIN_BLOCKS[head],))
-            elif head == "gpool":
-                pk = parts[1].lower() if len(parts) > 1 else "max"
-                if pk not in POOL_KINDS:
-                    raise ConfigError(f"token {pos}: unknown pool kind {pk!r}")
-                b = int(parts[2]) if len(parts) > 2 else 2
-                blocks.append(("pool", pk, b))
-            elif head == "fc":
-                if len(parts) != 2:
-                    raise ConfigError(f"token {pos}: expected FC-width, got {tok!r}")
-                blocks.append(("dense", int(parts[1])))
-            elif head == "softmax":
-                softmax_seen = True
-            else:
-                raise ConfigError(f"token {pos}: unknown block {tok!r}")
-        except ValueError as exc:
-            raise ConfigError(f"token {pos}: cannot parse {tok!r}: {exc}") from exc
-    dense_widths = [b[1] for b in blocks if b[0] == "dense"]
-    if not dense_widths:
-        raise ConfigError("architecture has no FC output block")
-    n_classes = dense_widths[-1]
-    if kind == "mlp":
-        k, m = 1, dense_widths[0]
-    branchings = [b[2] for b in blocks if b[0] == "pool"]
-    spec = ArchSpec(
-        kind=kind,
-        d=d,
-        n_classes=n_classes,
-        k=k,
-        m=m,
-        branching=branchings[0] if branchings else 2,
-        blocks=tuple(blocks),
-        seed=seed,
-        text=text,
-    )
-    plan(spec)
-    return spec
-
-
-@dataclass
+@dataclass(frozen=True)
 class Block:
     """One block of a planned network.
 
@@ -141,70 +56,130 @@ class Block:
     args: tuple
     k: int
     width: int
-    params: list
+    params: tuple
 
 
-def plan(spec: ArchSpec) -> list[Block]:
-    """Walk the spec's blocks once: check the grammar, and give each block its input shape and tensors.
-
-    Every grammar error raises ``ConfigError``. GFC, GPool and Concat need
-    groups, which a dense net and the blocks after Concat do not have, a
-    group-connected net needs a GFC, and every net ends at its output FC:
-    the first FC of a group-connected net, the last FC of a dense one.
+@dataclass
+class ArchSpec:
+    """Declarative description of one network: ``blocks`` are the ``Block``s
+    after GSel that ``parse_arch`` planned in its one pass, which every model
+    built from the spec reads and none changes.
     """
-    if spec.kind not in ("gmlp", "mlp"):
-        raise ConfigError(f"unknown arch kind {spec.kind!r}")
-    if spec.d < 1 or spec.n_classes < 1:
-        raise ConfigError(f"need d >= 1 and classes >= 1, got d={spec.d}, C={spec.n_classes}")
-    m = spec.m
-    if spec.kind == "gmlp":
-        if spec.k < 1 or m < 1:
-            raise ConfigError(f"need k >= 1 and m >= 1, got k={spec.k}, m={m}")
-        k, width = spec.k, spec.k * m
-    else:
-        k, width = 0, spec.d
-    blocks, saw_output = [], False
-    last_fc = max((i for i, (tag, *_) in enumerate(spec.blocks) if tag == "dense"), default=-1)
-    for i, (tag, *args) in enumerate(spec.blocks):
-        if saw_output:
+
+    kind: str  # "gmlp" | "mlp"
+    d: int
+    n_classes: int
+    k: int
+    m: int
+    branching: int
+    blocks: tuple[Block, ...]
+    seed: int = 0
+    text: str = ""
+
+    @property
+    def n_weight_layers(self) -> int:
+        """Total depth counted in weight layers: GFC blocks plus the output, or all FC blocks."""
+        return sum(1 for b in self.blocks if b.tag in ("gfc", "dense"))
+
+
+# the tokens that take no argument, and their block tags (Softmax plans none)
+_PLAIN_BLOCKS = {"gfc": "gfc", "relu": "relu", "bnorm": "batchnorm", "concat": "concat", "softmax": None}
+
+
+def parse_arch(text: str, d: int, seed: int = 0) -> ArchSpec:
+    """Parse an architecture string in one pass over its tokens: check the grammar and plan each block.
+
+    Every grammar error raises ``ConfigError``. Each token takes exactly its
+    fields. GFC, GPool and Concat need groups, which a dense net and the
+    blocks after Concat do not have, a group-connected net needs a GFC, and
+    every net ends at its output FC: the first FC of a group-connected net,
+    the last FC of a dense one. Each block gets its input groups and width
+    and its tensors (``Block``) as its token is read.
+    ``ArchSpec.branching`` is the merge width of the first pool, 2 without one.
+    """
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ConfigError("empty architecture string")
+    if d < 1:
+        raise ConfigError(f"need d >= 1, got d={d}")
+    kind, k, m = "mlp", 1, 0
+    groups, width = 0, d  # of the next block's input
+    blocks, output, softmax_seen = [], None, False
+    for pos, tok in enumerate(tokens):
+        name, *fields = tok.split("-")
+        head, i = name.lower(), len(blocks)
+        if softmax_seen:
+            raise ConfigError(f"token {pos}: nothing may follow Softmax")
+        try:
+            if head == "gsel":
+                if pos != 0:
+                    raise ConfigError(f"token {pos}: GSel must come first")
+                if len(fields) != 2:
+                    raise ConfigError(f"token {pos}: expected GSel-k-m, got {tok!r}")
+                kind, k, m = "gmlp", int(fields[0]), int(fields[1])
+                if k < 1 or m < 1:
+                    raise ConfigError(f"need k >= 1 and m >= 1, got k={k}, m={m}")
+                groups, width = k, k * m
+                continue
+            if head in _PLAIN_BLOCKS:
+                if fields:
+                    raise ConfigError(f"token {pos}: {name} takes no argument, got {tok!r}")
+                tag, args = _PLAIN_BLOCKS[head], ()
+            elif head == "gpool":
+                if len(fields) > 2:
+                    raise ConfigError(f"token {pos}: expected GPool-kind or GPool-kind-b, got {tok!r}")
+                pk = fields[0].lower() if fields else "max"
+                if pk not in POOL_KINDS:
+                    raise ConfigError(f"token {pos}: unknown pool kind {pk!r}")
+                tag, args = "pool", (pk, int(fields[1]) if len(fields) > 1 else 2)
+            elif head == "fc":
+                if len(fields) != 1:
+                    raise ConfigError(f"token {pos}: expected FC-width, got {tok!r}")
+                tag, args = "dense", (int(fields[0]),)
+            else:
+                raise ConfigError(f"token {pos}: unknown block {tok!r}")
+        except ValueError as exc:
+            raise ConfigError(f"token {pos}: cannot parse {tok!r}: {exc}") from exc
+        if tag is None:
+            softmax_seen = True
+            continue
+        if kind == "gmlp" and output is not None:
             raise ConfigError(f"block {i}: nothing may follow the output FC")
-        if tag in ("gfc", "pool", "concat") and k == 0:
+        if tag in ("gfc", "pool", "concat") and groups == 0:
             raise ConfigError(f"block {i}: {tag} needs groups (none in a dense net or after Concat)")
-        block = Block(f"block{i}", tag, tuple(args), k, width, [])
-        blocks.append(block)
+        block_groups, block_width, params = groups, width, ()
         if tag == "gfc":
-            block.params += [("gfc.weights", (k, m, m), (m, m)), ("gfc.biases", (k, m), 0.0)]
+            params = (("gfc.weights", (groups, m, m), (m, m)), ("gfc.biases", (groups, m), 0.0))
         elif tag == "pool":
-            kind, b = args
-            if b < 2 or k % b != 0:
-                raise ConfigError(f"pool cannot merge {k} groups {b}-way: need b >= 2 dividing {k}")
-            k //= b
-            width = k * m
-            if kind == "linear":
-                block.params.append(("pool.weights", (k, m, b * m), (b * m, m)))
+            pk, b = args
+            if b < 2 or groups % b != 0:
+                raise ConfigError(f"pool cannot merge {groups} groups {b}-way: need b >= 2 dividing {groups}")
+            groups //= b
+            width = groups * m
+            if pk == "linear":
+                params = (("pool.weights", (groups, m, b * m), (b * m, m)),)
         elif tag == "concat":
-            k = 0
+            groups = 0
         elif tag == "dense":
-            if spec.kind == "gmlp" and k != 0:
+            if kind == "gmlp" and groups != 0:
                 raise ConfigError("dense output before concat")
-            saw_output = spec.kind == "gmlp" or i == last_fc
             (out,) = args
             if out < 1:
                 raise ConfigError(f"block {i}: FC width must be >= 1, got {out}")
-            block.params += [("dense.w", (width, out), (width, out)), ("dense.b", (out,), 0.0)]
-            width = out
+            params = (("dense.w", (width, out), (width, out)), ("dense.b", (out,), 0.0))
+            m = m or out  # a dense net's m is its first FC's width
+            output, width = i, out
         elif tag == "batchnorm":
-            block.params += [("bn.gamma", (width,), 1.0), ("bn.beta", (width,), 0.0)]
-        elif tag != "relu":
-            raise ConfigError(f"unknown block {tag!r}")
-    if spec.kind == "gmlp":
-        if not saw_output:
-            raise ConfigError("architecture must end with Concat, FC-C")
-        if not any(block.tag == "gfc" for block in blocks):
-            raise ConfigError("architecture needs at least one GFC block")
-    elif not any(block.tag == "dense" for block in blocks):
-        raise ConfigError("dense baseline needs at least one FC block")
-    return blocks
+            params = (("bn.gamma", (width,), 1.0), ("bn.beta", (width,), 0.0))
+        blocks.append(Block(f"block{i}", tag, args, block_groups, block_width, params))
+    if output is None:
+        raise ConfigError("architecture has no FC output block")
+    if output != len(blocks) - 1:
+        raise ConfigError(f"block {output + 1}: nothing may follow the output FC")
+    if kind == "gmlp" and not any(block.tag == "gfc" for block in blocks):
+        raise ConfigError("architecture needs at least one GFC block")
+    branching = next((block.args[1] for block in blocks if block.tag == "pool"), 2)
+    return ArchSpec(kind, d, width, k, m, branching, tuple(blocks), seed, text)
 
 
 # values per Xavier draw: a tensor is drawn into its slot a slice at a time
@@ -235,27 +210,22 @@ class Model:
     writing into a parameter writes into the vector and the other way round.
     ``_offsets[i]`` is where ``_params[i]`` starts. Initialization is seeded
     Xavier-uniform: the routing logits with (fan_in=d, fan_out=k*m), then
-    each tensor of ``plan(spec)`` in order with the fans or the constant the
-    plan gives it. Same seed, same bits.
+    each tensor of ``spec.blocks`` in order with the fans or the constant
+    that ``parse_arch``'s one pass gave it. Same seed, same bits.
     """
 
     def __init__(self, spec: ArchSpec):
-        blocks = plan(spec)
         self.spec = spec
         self.routing: RoutingParams | None = None
         self._ops = []  # (tag, payload) executed in order by forward()
         self._params: list[tuple[str, Tensor]] = []
         self._bn_states: list[tuple[str, BatchNormState]] = []
         # values per row of the widest activation: the input, a block's input or the logits
-        self._widest = max(spec.d, spec.n_classes, *(block.width for block in blocks))
+        self._widest = max(spec.d, spec.n_classes, *(block.width for block in spec.blocks))
         self._eval_buffers = ()  # the eval executor's chunk buffer pairs, one per worker, made at first use
         rng = np.random.default_rng(spec.seed)
 
-        named = [
-            (f"{block.name}.{suffix}", shape, init)
-            for block in blocks
-            for suffix, shape, init in block.params
-        ]
+        named = [(f"{b.name}.{suffix}", shape, init) for b in spec.blocks for suffix, shape, init in b.params]
         if spec.kind == "gmlp":
             d, k, m = spec.d, spec.k, spec.m
             named.insert(0, ("gsel.psi", (k * m, d), (d, k * m)))
@@ -279,7 +249,7 @@ class Model:
         if spec.kind == "gmlp":
             self.routing = RoutingParams(next(drawn), 1.0, k, m, d)
 
-        for block in blocks:
+        for block in spec.blocks:
             tensors = [next(drawn) for _ in block.params]
             if block.tag == "pool":
                 payload = (*block.args, tensors[0] if tensors else None)
@@ -346,12 +316,12 @@ class Model:
         """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
+        if mode not in ("relaxed", "hard"):
+            raise ConfigError(f"unknown group-select mode {mode!r}")
         if not training:
             if tape is not None:
                 raise ConfigError("eval mode takes no tape: prediction runs the eval executor")
             return T._raw(self._eval_forward(x.data, mode))
-        if mode not in ("relaxed", "hard"):
-            raise ConfigError(f"unknown group-select mode {mode!r}")
         size = self.routing.psi.size if self.routing is not None and mode == "relaxed" else 0
         pairs = self._train_pairs((np.empty(size), np.empty(size)), x.requires_grad, hard=mode == "hard")
         h = x
@@ -382,8 +352,6 @@ class Model:
         r = self.routing
         if r is not None:
             k, m = r.k, r.m
-            if mode not in ("relaxed", "hard"):
-                raise ConfigError(f"unknown group-select mode {mode!r}")
             if mode == "relaxed" and r.idx is None:
                 steps.append((_mix_step(L.routing_weights(r.psi.data, r.temperature), k, m), True))
             else:
@@ -736,14 +704,13 @@ def count_complexity(spec: ArchSpec) -> ComplexityReport:
 
     The series values are idealized (width halves between consecutive weight
     layers); ``param_count_actual`` counts the routing logits and every
-    tensor of ``plan(spec)``, biases and batch-norm included.
-    ``predict_macs_actual`` is the multiply-adds per row of hard-routed
-    prediction: one per weight of each Group-FC, FC and linear Group-Pool in
-    ``plan(spec)``. The hard gather, max and mean pooling, biases, ReLU and
-    batch-norm (which the eval executor folds into the affine step before
-    it, where it can) add none.
+    tensor of ``spec.blocks`` (planned in ``parse_arch``'s one pass), biases
+    and batch-norm included. ``predict_macs_actual`` is the multiply-adds per
+    row of hard-routed prediction: one per weight of each Group-FC, FC and
+    linear Group-Pool in ``spec.blocks``. The hard gather, max and mean
+    pooling, biases, ReLU and batch-norm (which the eval executor folds into
+    the affine step before it, where it can) add none.
     """
-    blocks = plan(spec)
     k, m, c, d = spec.k, spec.m, spec.n_classes, spec.d
     n_layers = spec.n_weight_layers
     mlp_equiv = predict_ops_mlp(k, m, n_layers, c, d)
@@ -756,7 +723,7 @@ def count_complexity(spec: ArchSpec) -> ComplexityReport:
         predict = train = mlp_equiv
         routing = 0
         rfield = [d] * n_layers
-    shapes = [(suffix, shape) for block in blocks for suffix, shape, _ in block.params]
+    shapes = [(suffix, shape) for block in spec.blocks for suffix, shape, _ in block.params]
     actual = routing + sum(math.prod(shape) for _, shape in shapes)
     macs = sum(math.prod(shape) for suffix, shape in shapes if suffix in _WEIGHT_MATRICES)
     return ComplexityReport(

@@ -410,8 +410,9 @@ def routing_sparsity(model: Model) -> float:
 
 
 class TrainStep:
-    """One training step of a model under a config, compiled once from its plan.
+    """One training step of a model under a config, compiled once from its blocks.
 
+    The blocks are the ``ArchSpec.blocks`` of ``parse_arch``'s one pass.
     ``loss(x, y)`` runs the blocks' kernels forward (``Model._train_pairs``)
     and then ``objective``, and returns the objective and its cross-entropy
     and entropy terms as floats; ``backward()`` then writes the objective's
@@ -559,7 +560,7 @@ def fit(
     does.
 
     Each batch runs one compiled step (:class:`TrainStep`, built once per
-    phase from the model's plan; the relaxed step is dropped before the
+    phase from the model's blocks; the relaxed step is dropped before the
     hard one is built) and builds no tape: the blocks' kernels run as plain
     numpy steps, ``objective`` and its gradient follow, and the gradient
     lands in one flat vector laid out like the part of the model's flat
@@ -575,7 +576,8 @@ def fit(
     best-checkpoint tracking (by hard accuracy, see :class:`FitResult`);
     ``test`` is only ever measured for the learning curve. The step and its gradient
     vector are dropped on return, so a trained model holds no gradient and
-    no step buffer, and no parameter's ``grad`` is set. No step draws
+    no step buffer; ``fit`` sets no parameter's ``grad``, since the step
+    writes every gradient into its own flat vector. No step draws
     random numbers: the batch order, seeded by ``cfg.seed`` and the epoch,
     is the only random stream. So the same inputs fit the same bits at one
     BLAS thread count; at another, BLAS may sum a product in another order
@@ -680,8 +682,6 @@ def fit(
         if on_epoch is not None:
             on_epoch(record)
 
-    for _, p in model.parameters():
-        p.grad = None
     return FitResult(
         records=records,
         best_val_accuracy=best_val if records else math.nan,

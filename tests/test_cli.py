@@ -503,6 +503,7 @@ class TestComplexity:
             ["FC-4, GFC, FC-2", "-d", "3"],  # a Group-FC in a dense net
             ["FC-4, ReLU, BNorm, FC-3, ReLU", "-d", "5"],  # a block after the output FC
             ["FC-0, ReLU, FC-2", "-d", "5"],  # a hidden layer of width 0
+            ["GSel-4-2, GFC-32, Concat, FC-2", "-d", "6"],  # GFC takes no width
             ["GSel-4-2, GFC, Concat, FC-2", "-d", "6", "--branching", "4"],  # now a GPool-kind-b token
         ],
     )

@@ -12,7 +12,6 @@ from gmlp.model import (
     Model,
     count_complexity,
     parse_arch,
-    plan,
     predict_ops_gmlp,
     predict_ops_mlp,
     train_ops_gmlp,
@@ -38,7 +37,7 @@ class TestParse:
 
     def test_pool_tokens(self):
         spec = parse_arch("GSel-8-2, GFC, ReLU, BNorm, GPool-mean, GFC, Concat, FC-3", d=10)
-        assert [b for b in spec.blocks if b[0] == "pool"] == [("pool", "mean", 2)]
+        assert [(b.tag, *b.args) for b in spec.blocks if b.tag == "pool"] == [("pool", "mean", 2)]
         assert spec.branching == 2
         spec4 = parse_arch("GSel-8-2, GFC, GPool-max-4, GFC, Concat, FC-3", d=10)
         assert spec4.branching == 4
@@ -69,11 +68,45 @@ class TestParse:
             "FC-3, Dropout-0.5",
             "FC-0, ReLU, FC-2",  # a hidden layer of width 0
             "",
+            "GSel-0-2, GFC, Concat, FC-2",  # no groups
+            "GSel-4-0, GFC, Concat, FC-2",  # empty groups
+            "GSel-a-2, GFC, Concat, FC-2",
+            "GSel-4-2, GFC, GPool-max-1, Concat, FC-2",  # a pool must merge at least two groups
+            "GSel-4-2, GFC, GPool-sum, Concat, FC-2",  # unknown pool kind
+            "GSel-4-2, Concat, FC-2",  # no GFC
+            "ReLU, BNorm",  # a dense net with no FC
+            "FC-x",
+            "FC-4, Softmax, FC-2",  # Softmax before the output
+            # an argument-free token takes no field, and a token no more than its own
+            "GSel-4-2, GFC-32, Concat, FC-2",
+            "GSel-4-2, GFC, ReLU-1, Concat, FC-2",
+            "GSel-4-2, GFC, BNorm-x, Concat, FC-2",
+            "GSel-4-2, GFC, Concat-9, FC-2",
+            "GSel-4-2, GFC, Concat, FC-2, Softmax-3",
+            "GSel-4-2, GFC, GPool-max-2-7, Concat, FC-2",
         ],
     )
     def test_invalid_grammar(self, bad):
         with pytest.raises(ConfigError):
             parse_arch(bad, d=6)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_input_width_must_be_positive(self, d):
+        with pytest.raises(ConfigError):
+            parse_arch(SYNTH_ARCH, d=d)
+
+    @pytest.mark.parametrize(
+        "text, kind, n_blocks",
+        [
+            ("GSel-4-2, GFC, Concat, FC-2, Softmax", "gmlp", 3),
+            ("FC-4, ReLU, FC-2, Softmax", "mlp", 3),
+            ("GSel-4-2, GFC, Concat, BNorm, FC-2", "gmlp", 4),
+        ],
+    )
+    def test_softmax_after_the_output_and_bnorm_after_concat_are_accepted(self, text, kind, n_blocks):
+        spec = parse_arch(text, d=6)
+        assert (spec.kind, spec.n_classes, len(spec.blocks)) == (kind, 2, n_blocks)  # Softmax plans no block
+        assert Model(spec).forward(Tensor(np.zeros((3, 6)))).shape == (3, 2)
 
 
 class TestBuild:
@@ -151,7 +184,7 @@ class TestBuild:
         npt.assert_array_equal(flat, np.concatenate([2.0 * (k.reshape(-1) + 1.0) for k in before]))
 
     def test_plan_gives_each_block_its_input_groups_and_width(self):
-        grouped = plan(parse_arch("GSel-8-2, GFC, GPool-max-4, GFC, Concat, BNorm, FC-3", d=5))
+        grouped = parse_arch("GSel-8-2, GFC, GPool-max-4, GFC, Concat, BNorm, FC-3", d=5).blocks
         assert [(b.name, b.tag, b.k, b.width) for b in grouped] == [
             ("block0", "gfc", 8, 16),
             ("block1", "pool", 8, 16),
@@ -160,7 +193,7 @@ class TestBuild:
             ("block4", "batchnorm", 0, 4),
             ("block5", "dense", 0, 4),
         ]
-        dense = plan(parse_arch("BNorm, FC-4, FC-3", d=5))
+        dense = parse_arch("BNorm, FC-4, FC-3", d=5).blocks
         assert [(b.tag, b.k, b.width) for b in dense] == [
             ("batchnorm", 0, 5),
             ("dense", 0, 5),
@@ -299,6 +332,13 @@ class TestModes:
         model = Model(parse_arch(SYNTH_ARCH, d=6))
         with pytest.raises(ConfigError):
             model.forward(Tensor(np.ones((4, 6))), training=True, tape=T.Tape(), mode="soft")
+
+    @pytest.mark.parametrize("text, d", [(SYNTH_ARCH, 6), ("FC-4, ReLU, FC-2", 3)])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_unknown_mode_raises_for_either_kind_of_net(self, text, d, training):
+        model = Model(parse_arch(text, d=d))
+        with pytest.raises(ConfigError):
+            model.forward(Tensor(np.zeros((2, d))), training=training, mode="bogus")
 
     def test_hard_routing_in_training_trains_no_routing(self):
         model = Model(parse_arch(SYNTH_ARCH, d=6, seed=2))

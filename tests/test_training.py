@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import tracemalloc
@@ -410,6 +411,18 @@ class TestFit:
         after = vars(model)
         assert after.keys() == before.keys()
         assert [k for k in after if after[k] is not before[k]] == ["_eval_buffers"]
+
+    def test_models_of_one_spec_share_no_state(self):
+        ds = self._tiny_task(64)
+        spec = parse_arch("GSel-4-2, GFC, ReLU, BNorm, GPool-linear, GFC, Concat, FC-2", d=6, seed=3)
+        blocks = copy.deepcopy(spec.blocks)
+        trained, other = Model(spec), Model(spec)
+        initial = [arr.copy() for _, arr in other.state_arrays()]
+        fit(trained, ds, ds, cfg(epochs=1))
+        assert spec.blocks == blocks
+        assert not np.array_equal(trained._flat, other._flat)
+        for kept, (name, arr) in zip(initial, other.state_arrays()):
+            npt.assert_array_equal(arr, kept, err_msg=name)
 
     def test_best_state_holds_copies(self):
         ds = self._tiny_task(64)

@@ -123,7 +123,7 @@ def _reference_logits(model, x, mode):
         h = h.reshape(n, spec.k, spec.m)
     for i, block in enumerate(spec.blocks):
         p = f"block{i}"
-        tag = block[0]
+        tag = block.tag
         if tag == "gfc":
             w, b = arrays[f"{p}.gfc.weights"], arrays[f"{p}.gfc.biases"]
             h = np.stack([h[:, g, :] @ w[g].T + b[g] for g in range(w.shape[0])], axis=1)
@@ -135,7 +135,7 @@ def _reference_logits(model, x, mode):
             gamma, beta = arrays[f"{p}.bn.gamma"], arrays[f"{p}.bn.beta"]
             h = ((flat - mean) / np.sqrt(var + BN_EPS) * gamma + beta).reshape(h.shape)
         elif tag == "pool":
-            kind, br = block[1], block[2]
+            kind, br = block.args
             step = h.shape[1] // br  # output group i merges groups i, i + step, ...
             strata = [h[:, t * step : (t + 1) * step, :] for t in range(br)]
             if kind == "max":
