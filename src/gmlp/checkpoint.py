@@ -16,8 +16,10 @@ width for bare tokens no longer matches its stored shapes and fails to
 load. An older file whose architecture holds a block the grammar no longer
 has, such as the random masking block of earlier versions, fails to load too.
 Weights are down-converted to float32 on save and promoted back to float64
-on load, so a reloaded model reproduces eval-mode outputs to float32
-rounding (about 1e-7 relative) rather than bit-exactly.
+on load, where training goes on in float64; prediction computes in float32
+from casts of the float64 weights and folds (``model.EVAL_DTYPE``), so a
+reloaded model reproduces eval-mode outputs to float32 rounding (about 1e-7
+relative per operation) rather than bit-exactly.
 A file whose arrays hold a NaN or an infinity, whose final temperature or
 normalization statistics are not finite, whose normalization sigma is
 negative, or whose class or feature names repeat a name or do not number

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .layers import POOL_KINDS, BatchNormState, RoutingParams
 from .tensor import Tensor
 
@@ -295,24 +295,26 @@ class Model:
         relaxed routing through psi, or in ``"hard"`` mode the gather of the
         committed routing, and batch moments) and records each as one node on
         ``tape`` if one is given; ``fit`` compiles the same list without a
-        tape. Eval mode (prediction) takes no tape and runs only the eval
-        executor: the blocks become plain numpy steps (``_eval_steps``),
-        built at each call from the current parameters, running moments,
-        routing logits and temperature, and run on cache-sized row chunks in flat buffer pairs that the model keeps
-        across calls, one pair per worker. The chunks of a group-connected
-        net whose routing gathers are shared out among up to two of the
-        cores the process may use when each gets at least two
-        (``_eval_forward``); the worker threads live for the call. Because
-        the buffers belong to the model, one model must not predict from two
+        tape, in float64. Eval mode (prediction) takes no tape and runs only
+        the eval executor, in float32 (``EVAL_DTYPE``; a row value beyond its
+        range raises ``DomainError``) into float64 logits: the blocks become
+        plain numpy steps (``_eval_steps``), built at each call from the
+        current parameters, running moments, routing logits and temperature,
+        and run on cache-sized row chunks in flat buffer pairs that the model
+        keeps across calls, one pair per worker. The chunks of a
+        group-connected net whose routing gathers are shared out among up to
+        two of the cores the process may use when each gets at least two
+        (``_eval_forward``); the worker threads live for the call. Because the
+        buffers belong to the model, one model must not predict from two
         caller threads at once. The hard gather, Group-FC, FC and Group-Pool
         run the forwards of their training kernels, writing into those
-        buffers. Hard routing gathers the argmax features of each chunk,
-        as does relaxed routing once committed (``RoutingParams.idx``); else
-        it multiplies each chunk by the tempered softmax of psi. Each ``GFC|FC,
-        ReLU, BNorm`` run with no negative batch-norm scale is folded into
-        one affine step and ``max(h, c)`` (see the comment block below the
-        class). A tape in eval mode, and a ``mode`` other than
-        ``"relaxed"`` or ``"hard"``, raise ``ConfigError``.
+        buffers. Hard routing gathers the argmax features of each chunk, as
+        does relaxed routing once committed (``RoutingParams.idx``); else it
+        multiplies each chunk by the tempered softmax of psi. Each ``GFC|FC,
+        ReLU, BNorm`` run with no negative batch-norm scale is folded into one
+        affine step and ``max(h, c)`` (see the comment block below the class).
+        A tape in eval mode, and a ``mode`` other than ``"relaxed"`` or
+        ``"hard"``, raise ``ConfigError``.
         """
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
@@ -332,8 +334,12 @@ class Model:
     def _eval_steps(self, mode: str) -> list:
         """The blocks as numpy steps ``(step, moves)``, each mapping one chunk's activation to the next.
 
-        ``step(h, spare)`` gets the activation and the flat buffer that does
-        not hold it. A step that ``moves`` writes its result into ``spare``;
+        The first step casts the chunk's float64 rows into an ``EVAL_DTYPE``
+        buffer (``_cast_step``), and every later step computes in that dtype,
+        on casts of the weights, folds, floors, batch-norm ``a, c`` and
+        routing softmax S, computed in float64 at each call (S's weights
+        below the dtype's smallest normal set to 0). ``step(h, spare)`` gets
+        the activation and the flat buffer that does not hold it. A step that ``moves`` writes its result into ``spare``;
         any other step works in place, in the buffer of ``h``, or returns a
         view of it. Hard Group-Select, Group-FC, FC and Group-Pool steps are
         the forwards of the ``layers`` kernels that training runs
@@ -342,22 +348,24 @@ class Model:
         gathers ``idx`` in both modes and computes no softmax: the bits of
         the one-hot product up to the sign of zero (a chosen -0.0 stays
         -0.0, where the product sums it to +0.0). The other steps are
-        eval-only: the relaxed mix of an uncommitted routing, ReLU, batch-norm and the folds' floors in place,
-        Concat as a view, and a copy of the input rows. Each ``GFC, ReLU,
-        BNorm`` or ``FC, ReLU, BNorm`` run whose batch-norm scale is nowhere
-        negative is folded into two steps (see the comment block below the
-        class).
+        eval-only: the cast, the relaxed mix of an uncommitted routing, ReLU,
+        batch-norm and the folds' floors in place, and Concat as a view. Each
+        ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run whose batch-norm scale
+        is nowhere negative is folded into two steps, and a max Group-Pool
+        that follows a folded run runs between them (see the comment block
+        below the class).
         """
-        steps = []
+        dtype = EVAL_DTYPE
+        steps = [(_cast_step, True)]  # also keeps the in-place steps below from writing into x
         r = self.routing
         if r is not None:
             k, m = r.k, r.m
             if mode == "relaxed" and r.idx is None:
-                steps.append((_mix_step(L.routing_weights(r.psi.data, r.temperature), k, m), True))
+                s = L.routing_weights(r.psi.data, r.temperature).astype(dtype, copy=False)
+                s[s < np.finfo(dtype).tiny] = 0.0  # subnormal in dtype: slow in BLAS
+                steps.append((_mix_step(s, k, m), True))
             else:
                 steps.append((_forward_step(L.gather_pair(L.hard_assignment(r), k, m)), True))
-        elif self._ops[0][0] != "dense":
-            steps.append((_copy_step, True))  # the in-place steps below must not write into x
         ops = self._ops
         grouped = r is not None
         i = 0
@@ -373,50 +381,57 @@ class Model:
                 if fold is not None:
                     a, c = (v.reshape(-1, m) for v in fold)
                     w, b, floor = a[:, :, None] * w, a * b + c, c[:, :, None]
-                steps.append((_forward_step(L.group_fc_pair(w, b)), True))
+                steps.append((_forward_step(L.group_fc_pair(w.astype(dtype), b.astype(dtype))), True))
             elif tag == "dense":
                 w, b = (t.data for t in payload)
                 if fold is not None:
                     a, c = fold
                     w, b, floor = w * a, a * b + c, c
-                steps.append((_forward_step(L.dense_pair(w, b, False)), True))
+                steps.append((_forward_step(L.dense_pair(w.astype(dtype), b.astype(dtype), False)), True))
             elif tag == "relu":
                 steps.append((_relu_step, False))
             elif tag == "batchnorm":
                 a, c = payload.scale_shift()
                 if grouped:
                     a, c = a.reshape(-1, m, 1), c.reshape(-1, m, 1)
-                steps.append((_scale_shift_step(a, c), False))
+                steps.append((_scale_shift_step(a.astype(dtype), c.astype(dtype)), False))
             elif tag == "pool":
                 kind, branching, w = payload
-                pair = L.linear_pool_pair(branching, w.data) if kind == "linear" else L.reduce_pool_pair(kind, branching)
+                w = None if w is None else w.data.astype(dtype)
+                pair = L.linear_pool_pair(branching, w) if kind == "linear" else L.reduce_pool_pair(kind, branching)
                 steps.append((_forward_step(pair), True))
             elif tag == "concat":
                 grouped = False
                 steps.append((_concat_step, False))
             if fold is None:
                 i += 1
-            else:
-                steps.append((_floor_step(floor), False))
-                i += 3
+                continue
+            i += 3
+            if i < len(ops) and ops[i][0] == "pool" and ops[i][1][0] == "max":
+                branching = ops[i][1][1]
+                steps.append((_forward_step(L.reduce_pool_pair("max", branching)), True))
+                floor = np.maximum.reduce(L.strata(floor, branching), axis=0)
+                i += 1
+            steps.append((_floor_step(floor.astype(dtype)), False))
         return steps
 
     def _eval_forward(self, x: np.ndarray, mode: str) -> np.ndarray:
-        """Eval-mode logits of (B, d) rows, computed chunk by chunk without a tape.
+        """Eval-mode logits of (B, d) float64 rows, computed chunk by chunk without a tape.
 
-        A group-connected net whose routing gathers splits the chunks of one
-        call into contiguous runs, one per core the process may use
+        The chunks run in buffers of ``EVAL_DTYPE`` (made in the dtype of
+        their first call) and write their logits into a float64 (B, C)
+        array. A group-connected net whose routing gathers splits the chunks
+        of one call into contiguous runs, one per core the process may use
         (``_usable_cores``) up to ``MAX_EVAL_WORKERS``, when each run gets at
-        least two chunks; otherwise one loop runs them all. Each
-        run steps through its chunks in its own buffer pair and writes its
-        own rows of the logits, so the logits are the loop's bits at any
-        worker count. The caller runs the first run and a thread pool that
-        lives for this call runs the others, each thread in a copy of the
-        caller's ``contextvars`` context, so a caller's ``np.errstate``
-        holds in every chunk; an exception raised in any run reaches the
-        caller. Why dense nets, routing that mixes and short inputs keep the
-        loop, and why two workers at most: see the comment block below the
-        class.
+        least two chunks; otherwise one loop runs them all. Each run steps
+        through its chunks in its own buffer pair and writes its own rows of
+        the logits, so the logits are the loop's bits at any worker count.
+        The caller runs the first run and a thread pool that lives for this
+        call runs the others, each thread in a copy of the caller's
+        ``contextvars`` context, so a caller's ``np.errstate`` holds in every
+        chunk; an exception raised in any run reaches the caller. Why dense
+        nets, routing that mixes and short inputs keep the loop, and why two
+        workers at most: see the comment block below the class.
         """
         steps = self._eval_steps(mode)
         rows = _chunk_rows(self._widest)
@@ -426,7 +441,7 @@ class Model:
         workers = 1 if threaded else max(1, min(_usable_cores(), MAX_EVAL_WORKERS, len(starts) // 2))
         size = rows * self._widest
         for _ in range(len(self._eval_buffers), workers):
-            self._eval_buffers += ((_flat_buffer(size), _flat_buffer(size)),)
+            self._eval_buffers += ((_flat_buffer(size, EVAL_DTYPE), _flat_buffer(size, EVAL_DTYPE)),)
         if workers == 1:
             _run_chunks(steps, x, out, rows, starts, self._eval_buffers[0])
             return out
@@ -490,9 +505,9 @@ class Model:
 # ---------------------------------------------------------------------------
 # eval-mode steps
 #
-# A chunk's widest activation holds about CHUNK_FLOATS float64 values (1 MiB),
-# so the chunk's working set stays in the core's caches from one step to the
-# next. The row count is held within [MIN_CHUNK_ROWS, MAX_CHUNK_ROWS]: below
+# A chunk's widest activation holds about CHUNK_FLOATS values of EVAL_DTYPE
+# (512 KiB in float32), so the chunk's working set stays in the core's caches
+# from one step to the next. The row count is held within [MIN_CHUNK_ROWS, MAX_CHUNK_ROWS]: below
 # about 128 rows the matrix products of 1,024-wide layers lose efficiency,
 # and above a few thousand rows even narrow nets spill out of cache.
 #
@@ -531,7 +546,7 @@ class Model:
 # to one core, run the loop. Only two workers were measured, on a 2-core
 # machine; the chunks' many small numpy calls hold the GIL between their
 # kernels, so more threads would contend for it, and each would keep a
-# 2 MiB buffer pair on the model. Hence the cap of two.
+# 1 MiB buffer pair on the model. Hence the cap of two.
 #
 # Batch-norm fold: eval batch-norm is a*h + c, with (a, c) from
 # ``BatchNormState.scale_shift``, and for a >= 0, a*relu(y) + c equals
@@ -541,9 +556,20 @@ class Model:
 # batch-norm passes collapse into one. The fold is computed at each call
 # from the current parameters. A block with any negative scale, and any
 # batch-norm that does not follow an affine step and ReLU, keeps the plain
-# steps: the affine step, ReLU, and a*h + c in place.
+# steps: the affine step, ReLU, and a*h + c in place. A max Group-Pool after a
+# folded Group-FC runs before the floor, which becomes the strata's max of c
+# and runs on the pooled width: max_t max(y_t, c_t) = max(max_t y_t, max_t c_t),
+# up to the sign of zero.
+#
+# Precision: the executor computes in EVAL_DTYPE, float32, on casts of the
+# float64 parameters and folds; training reads none of the casts. The rows'
+# cast is a step of its own, one contiguous pass that raises DomainError under
+# its own np.errstate: a float64 -> float32 np.take in the gather was slower
+# than the float64 gather (9.2-9.8 against 5.4-6.1 ms per 4,096 W2 rows on one
+# core), and the cast and a float32 np.take took 3.5-3.9 ms.
 
 CHUNK_FLOATS = 2**17
+EVAL_DTYPE = np.float32
 MIN_CHUNK_ROWS = 128
 MAX_CHUNK_ROWS = 2048
 MAX_EVAL_WORKERS = 2
@@ -574,20 +600,26 @@ def _run_chunks(steps: list, x: np.ndarray, out: np.ndarray, rows: int, starts, 
         out[start : start + rows] = h
 
 
-def _flat_buffer(size: int) -> np.ndarray:
-    """``size`` float64 values in an anonymous memory map of their own.
+def _flat_buffer(size: int, dtype=np.float64) -> np.ndarray:
+    """``size`` values of ``dtype`` in an anonymous memory map of their own.
 
+    The eval executor's chunk buffers are ``EVAL_DTYPE``, training's float64.
     A long-lived array from the malloc heap keeps the heap from shrinking
     back past it, so the memory of arrays freed below it stays resident: two
     1 MiB ``np.empty`` buffers per model raised the benchmark's peak RSS on
     ``wide-784`` by about 23 MB; in maps of their own they left it unchanged.
     """
-    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+    return np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * size), dtype=dtype)
 
 
-def _copy_step(x, spare):
+def _cast_step(x, spare):
+    """The input rows, cast into ``spare``; a value beyond the range of its dtype raises ``DomainError``."""
     out = L.prefix(spare, *x.shape)
-    out[...] = x
+    try:
+        with np.errstate(over="raise"):  # whatever the caller's error state and warning filters
+            out[...] = x
+    except FloatingPointError:
+        raise DomainError(f"input holds a value beyond the {out.dtype} range") from None
     return out
 
 

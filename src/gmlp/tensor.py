@@ -14,13 +14,15 @@ tape serves only the benchmark's gradient check (``gradient_fd``), its
 tracer, and the tests' bit-for-bit reference for the compiled step. It goes
 with ROADMAP item 1, once those move to the compiled step.
 
-Everything is float64, so gradients can be checked by central finite
-differences, and a block or the objective is one node, so the per-op
-Python overhead stays low. Storage is always a C-contiguous float64
-``numpy`` array. :func:`node` takes the recording :class:`Tape` as first
-argument; passing ``tape=None`` runs the forward computation without
-recording. Finite-ness of externally supplied values is validated in the
-public ``Tensor`` constructor.
+Everything here is float64, so gradients can be checked by central finite
+differences, and a block or the objective is one node, so the per-op Python
+overhead stays low. Storage is always a C-contiguous float64 ``numpy``
+array, as in training. Float64 ends at prediction, whose executor casts the
+rows and weights to float32 (``model.EVAL_DTYPE``) and returns float64
+logits. :func:`node` takes the recording :class:`Tape` as first argument;
+passing ``tape=None`` runs the forward computation without recording.
+Finite-ness of externally supplied values is validated in the public
+``Tensor`` constructor.
 
 A tape is single-use: build it, run forwards, call :meth:`Tape.backward`
 once, throw it away. Gradients accumulate into ``Tensor.grad`` and are never

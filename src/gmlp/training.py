@@ -355,7 +355,10 @@ def predictions(model: Model, X: np.ndarray, hard: bool = False) -> np.ndarray:
 
     ``Tensor(X)`` checks the input once (float64, finite) and
     ``Model.forward`` its width; the forward pass then runs the tape-free
-    eval path, which works through the rows in cache-sized chunks. A
+    eval path, which works through the rows in cache-sized chunks in float32
+    (``model.EVAL_DTYPE``; a value beyond its range raises ``DomainError``),
+    so a row whose top two logits lie within about 1e-5 of the logit scale
+    may get another label than in float64. A
     group-connected net whose routing gathers (hard, or relaxed once the
     routing is committed) shares the chunks out among up to two of the cores
     the process may use, at least two chunks per core, in threads that end

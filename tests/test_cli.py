@@ -221,6 +221,15 @@ class TestEval:
             assert 0.0 <= report[key] <= 1.0, key
         assert set(report["per_class_accuracy"]) <= {"0", "1"}
 
+    def test_value_beyond_float32_exits_2(self, trained, tmp_path, capsys):
+        ckpt, _ = trained
+        ds = synth_generate(SynthBayesNet(), 300, seed=11)
+        ds.X[7, 2] = 1e39  # finite in float64, beyond float32 once standardized
+        save_csv(ds, tmp_path / "rows.csv")
+        capsys.readouterr()
+        assert cli.main(["eval", str(ckpt), "--data", str(tmp_path / "rows.csv")]) == 2
+        assert "float32" in capsys.readouterr().err
+
     def test_accuracy_uses_the_runs_standardization(self, tmp_path, capsys):
         def rows(n, seed, const):
             """Synth rows moved off mean 0 and std 1, plus a column that holds ``const``."""

@@ -17,6 +17,7 @@ from gmlp.model import (
     train_ops_gmlp,
 )
 from gmlp.tensor import Tensor
+from evalcheck import assert_eval_logits
 from gradcheck import projected
 
 SYNTH_ARCH = "GSel-4-2, GFC, ReLU, BNorm, Concat, FC-2, Softmax"
@@ -247,7 +248,7 @@ class TestForward:
         assert logits.shape == (5, 2)
         assert np.all(np.isfinite(logits.data))
 
-    def test_degenerate_single_slot_net_is_dense_on_one_feature(self):
+    def test_degenerate_single_slot_net_is_dense_on_one_feature(self, eval_dtype):
         model = Model(parse_arch("GSel-1-1, GFC, Concat, FC-2", d=4, seed=3))
         # make the single group map the identity
         gfc_w, gfc_b = model._ops[0][1]
@@ -258,9 +259,9 @@ class TestForward:
         j = int(model.routing.psi.data.argmax())
         w, b = model._ops[-1][1]
         expected = x.data[:, [j]] @ w.data + b.data
-        npt.assert_allclose(logits.data, expected)
+        assert_eval_logits(logits.data, expected)
 
-    def test_column_permutation_equivariance(self):
+    def test_column_permutation_equivariance(self, eval_dtype):
         spec = parse_arch(SYNTH_ARCH, d=6, seed=7)
         model = Model(spec)
         rng = np.random.default_rng(8)
@@ -273,7 +274,7 @@ class TestForward:
             p_dst.data[:] = p_src.data
         permuted.routing.psi.data[:] = model.routing.psi.data[:, perm]
         out = permuted.forward(Tensor(x[:, perm]), training=False).data
-        npt.assert_allclose(out, base, rtol=1e-12, atol=1e-14)
+        assert_eval_logits(out, base, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
     def test_temperature_must_be_positive_and_finite(self, tau):
@@ -354,7 +355,7 @@ class TestModes:
         with pytest.raises(ConfigError):
             model.forward(Tensor(np.ones((4, 6))), training=False, tape=T.Tape())
 
-    def test_eval_batch_norm_ignores_batch_composition(self):
+    def test_eval_batch_norm_ignores_batch_composition(self, eval_dtype):
         model = Model(parse_arch("FC-4, ReLU, BNorm, FC-3", d=2, seed=6))
         rng = np.random.default_rng(6)
         model.forward(Tensor(rng.normal(size=(16, 2))), training=True)  # moves the running moments
@@ -363,7 +364,7 @@ class TestModes:
         b = np.vstack([a[:1], rng.normal(size=(3, 2))])
         row = model.forward(Tensor(a)).data[0]
         npt.assert_array_equal(model.forward(Tensor(b)).data[0], row)
-        npt.assert_allclose(model.forward(Tensor(a[:1])).data[0], row, rtol=1e-12, atol=1e-15)
+        assert_eval_logits(model.forward(Tensor(a[:1])).data[0], row, rtol=1e-12, atol=1e-15)
 
 
 def _unit_like(shape, index):

@@ -9,8 +9,9 @@ with central finite differences of the same objective.
 ``TestForwardReference`` and ``TestEvalExecutor`` compare the eval
 executor's logits with a plain-numpy forward pass (``_reference_logits``)
 that keeps grouped activations as (batch, group, slot) arrays and shares no
-code with the package; ``TestEvalExecutor`` also checks its folds, chunks
-and buffers, and ``predictions``. ``TestTrainStep`` holds the compiled
+code with the package, at float64 and at float32 (the ``eval_dtype``
+fixture and ``evalcheck``); ``TestEvalExecutor`` also checks its folds,
+chunks and buffers, and ``predictions``. ``TestTrainStep`` holds the compiled
 training step that ``fit`` runs to the tape path bit for bit, and to
 central finite differences, in both of its modes: relaxed, and hard (the
 gather of the committed routing, psi left out). Both paths run the same
@@ -23,6 +24,7 @@ gathers the tape's gradients into one flat vector for Adam.
 
 import concurrent.futures
 import inspect
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -48,6 +50,7 @@ from gmlp.training import (
     relaxed_epochs,
     schedule_step,
 )
+from evalcheck import assert_eval_logits, float32_limit
 from gradcheck import finite_difference, finite_difference_at, max_rel_err
 
 D = 5
@@ -156,7 +159,7 @@ def _reference_logits(model, x, mode):
 class TestForwardReference:
     @pytest.mark.parametrize("arch", ARCHS)
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
-    def test_logits_match_plain_numpy(self, arch, mode):
+    def test_logits_match_plain_numpy(self, arch, mode, eval_dtype):
         rng = np.random.default_rng(43)
         model = _net(arch, seed=3)
         # move every parameter and moment off its initial value, so biases,
@@ -170,7 +173,7 @@ class TestForwardReference:
         got = model.forward(Tensor(x), training=False, mode=mode).data
         want = _reference_logits(model, x, mode)
         assert got.shape == (9, N_CLASSES)
-        npt.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        assert_eval_logits(got, want, rtol=1e-10, atol=1e-12)
 
 
 def _perturb(model, rng):
@@ -216,16 +219,16 @@ CHUNKED = [(arch, MAX_CHUNK_ROWS) for arch in (ARCHS[0], ARCHS[3], ARCHS[4])] + 
 class TestEvalExecutor:
     @pytest.mark.parametrize("arch", ARCHS + [BARE_GFC_ARCH, WIDE_MLP, BN_FIRST_MLP])
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
-    def test_logits_match_reference(self, arch, mode):
+    def test_logits_match_reference(self, arch, mode, eval_dtype):
         rng = np.random.default_rng(47)
         model = _net(arch, seed=4)
         _perturb(model, rng)
         x = rng.normal(size=(300, D))
         got = model.forward(Tensor(x), training=False, mode=mode).data
-        npt.assert_allclose(got, _reference_logits(model, x, mode), rtol=1e-10, atol=1e-12)
+        assert_eval_logits(got, _reference_logits(model, x, mode), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["hard", "relaxed"])
-    def test_negative_and_zero_batchnorm_scale(self, mode):
+    def test_negative_and_zero_batchnorm_scale(self, mode, eval_dtype):
         rng = np.random.default_rng(71)
         model = _net(ARCHS[0], seed=12)
         _perturb(model, rng)
@@ -237,7 +240,7 @@ class TestEvalExecutor:
         assert _step_names(model, mode).count("_floor_step") == 1
         x = rng.normal(size=(300, D))
         got = model.forward(Tensor(x), training=False, mode=mode).data
-        npt.assert_allclose(got, _reference_logits(model, x, mode), rtol=1e-10, atol=1e-12)
+        assert_eval_logits(got, _reference_logits(model, x, mode), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize(
         "arch, folds",
@@ -254,8 +257,13 @@ class TestEvalExecutor:
         pools = names.count("reduce_pool_pair") + names.count("linear_pool_pair")
         assert pools == arch.count("GPool")
         assert names.count("_relu_step") == arch.count("ReLU") - folds
+        assert names[0] == "_cast_step"
+        # a max pool after a folded run runs before the run's floor
+        for i, name in enumerate(names):
+            if name == "reduce_pool_pair":
+                assert names[i - 1 : i + 2] == ["group_fc_pair", "reduce_pool_pair", "_floor_step"]
 
-    def test_reads_parameters_at_each_call(self):
+    def test_reads_parameters_at_each_call(self, eval_dtype):
         rng = np.random.default_rng(53)
         model = _net(ARCHS[0], seed=5)
         x = rng.normal(size=(20, D))
@@ -264,9 +272,9 @@ class TestEvalExecutor:
         model.set_temperature(0.2)
         after = model.forward(Tensor(x)).data
         assert not np.allclose(after, before)
-        npt.assert_allclose(after, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+        assert_eval_logits(after, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
 
-    def test_subnormal_routing_weights(self):
+    def test_subnormal_routing_weights(self, eval_dtype):
         model = _net(ARCHS[0], seed=11)
         psi = model.routing.psi.data
         psi[:] = 0.0
@@ -278,7 +286,14 @@ class TestEvalExecutor:
         assert 0.0 < s[:, 1].max() < np.finfo(np.float64).tiny
         x = np.random.default_rng(63).normal(size=(30, D))
         got = model.forward(Tensor(x), mode="relaxed").data
-        npt.assert_allclose(got, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+        assert_eval_logits(got, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+        # weight exp(-90): a normal float64 but a float32 subnormal, which the cast S must not hold
+        psi[1::2, 3] = -0.9
+        cast = L.routing_weights(psi, 0.01).astype(eval_dtype)
+        assert eval_dtype == np.float64 or ((cast > 0.0) & (cast < np.finfo(np.float32).tiny)).any()
+        s = inspect.getclosurevars(model._eval_steps("relaxed")[1][0]).nonlocals["s"]
+        assert s.dtype == eval_dtype and not ((s > 0.0) & (s < np.finfo(eval_dtype).tiny)).any()
+        npt.assert_array_equal(s, np.where(cast < np.finfo(eval_dtype).tiny, 0.0, cast))
 
     @pytest.mark.parametrize("arch, chunk", CHUNKED)
     @pytest.mark.parametrize("hard", [True, False])
@@ -291,14 +306,14 @@ class TestEvalExecutor:
         want = _reference_logits(model, x, mode).argmax(axis=1)
         npt.assert_array_equal(predictions(model, x, hard=hard), want)
 
-    def test_input_rows_are_not_written(self):
+    def test_input_rows_are_not_written(self, eval_dtype):
         model = _net("BNorm, ReLU, FC-4, ReLU, BNorm, FC-3", seed=7)
         _perturb(model, np.random.default_rng(61))
         x = np.random.default_rng(62).normal(size=(10, D))
         kept = x.copy()
         logits = model.forward(Tensor(x)).data
         npt.assert_array_equal(x, kept)
-        npt.assert_allclose(logits, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+        assert_eval_logits(logits, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("arch, chunk", CHUNKED)
     @pytest.mark.parametrize("cores", [1, 2])
@@ -354,7 +369,7 @@ class TestEvalExecutor:
             (ARCHS[0], 8 * MAX_CHUNK_ROWS, "relaxed"),  # routing that mixes
         ],
     )
-    def test_dense_nets_mixing_routing_and_short_inputs_run_the_loop(self, arch, n, mode, monkeypatch):
+    def test_dense_nets_mixing_routing_and_short_inputs_run_the_loop(self, arch, n, mode, monkeypatch, eval_dtype):
         def refuse(*args):
             raise AssertionError("an executor was built")
 
@@ -362,13 +377,13 @@ class TestEvalExecutor:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         model = _net(arch, seed=22)
         if model.routing is not None and mode == "relaxed":
-            assert _step_names(model, mode)[0] == "_mix_step"
+            assert _step_names(model, mode)[1] == "_mix_step"
         x = np.random.default_rng(80).normal(size=(n, D))
         want = _reference_logits(model, x, mode)
-        npt.assert_allclose(model.forward(Tensor(x), mode=mode).data, want, rtol=1e-10, atol=1e-12)
+        assert_eval_logits(model.forward(Tensor(x), mode=mode).data, want, rtol=1e-10, atol=1e-12)
         assert len(model._eval_buffers) == 1
 
-    def test_workers_stop_at_the_cap(self, monkeypatch):
+    def test_workers_stop_at_the_cap(self, monkeypatch, eval_dtype):
         built = []
         pool = concurrent.futures.ThreadPoolExecutor
 
@@ -383,7 +398,7 @@ class TestEvalExecutor:
         got = model.forward(Tensor(x), mode="hard").data
         # the caller and one thread: MAX_EVAL_WORKERS = 2, whatever the core count
         assert built == [1] and len(model._eval_buffers) == M.MAX_EVAL_WORKERS == 2
-        npt.assert_allclose(got, _reference_logits(model, x, "hard"), rtol=1e-10, atol=1e-12)
+        assert_eval_logits(got, _reference_logits(model, x, "hard"), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("row", [0, -1])
     def test_error_in_a_chunk_reaches_the_caller(self, row, monkeypatch):
@@ -405,6 +420,8 @@ class TestEvalExecutor:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_callers_errstate_holds_in_every_chunk(self, workers, monkeypatch):
+        # in float64: the 1e300 row below is beyond float32, whose cast raises DomainError
+        monkeypatch.setattr(M, "EVAL_DTYPE", np.float64)
         _workers(monkeypatch, workers)
         model = _net(ARCHS[0], seed=24)
         w = next(p for name, p in model.parameters() if name.endswith("gfc.weights"))
@@ -418,6 +435,7 @@ class TestEvalExecutor:
 
     @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[4]])
     def test_one_hot_relaxed_routing_runs_the_gather(self, arch, monkeypatch):
+        monkeypatch.setattr(M, "EVAL_DTYPE", np.float64)  # for inputs beyond float32's range
         rng = np.random.default_rng(76)
         model = _net(arch, seed=17)
         _perturb(model, rng)
@@ -425,13 +443,13 @@ class TestEvalExecutor:
         pin_routing(model.routing, 0.01)
         # inputs from 1e-100 to 1e100, of either sign
         x = rng.normal(size=(3 * MAX_CHUNK_ROWS + 37, D)) * 10.0 ** rng.uniform(-100, 100, (1, D))
-        assert _step_names(model, "relaxed")[0] == "gather_pair"
+        assert _step_names(model, "relaxed")[1] == "gather_pair"
         gathered = model.forward(Tensor(x), mode="relaxed").data
         npt.assert_array_equal(_bits(gathered), _bits(model.forward(Tensor(x), mode="hard").data))
         r = model.routing
         steps = model._eval_steps("relaxed")
         mix = M._mix_step(L.routing_weights(r.psi.data, r.temperature), r.k, r.m)
-        monkeypatch.setattr(model, "_eval_steps", lambda mode: [(mix, True)] + steps[1:])
+        monkeypatch.setattr(model, "_eval_steps", lambda mode: steps[:1] + [(mix, True)] + steps[2:])
         npt.assert_array_equal(_bits(model.forward(Tensor(x), mode="relaxed").data), _bits(gathered))
 
     @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[4]])
@@ -447,7 +465,7 @@ class TestEvalExecutor:
         x = rng.normal(size=(2 * MAX_CHUNK_ROWS + 5, D))
         hard = model.forward(Tensor(x), mode="hard").data
         monkeypatch.setattr(L, "routing_weights", refuse)
-        assert _step_names(model, "relaxed")[0] == "gather_pair"
+        assert _step_names(model, "relaxed")[1] == "gather_pair"
         npt.assert_array_equal(_bits(model.forward(Tensor(x), mode="relaxed").data), _bits(hard))
 
     def test_one_hot_gather_and_product_differ_only_in_the_sign_of_zero(self):
@@ -474,10 +492,10 @@ class TestEvalExecutor:
         model.routing.idx = None  # un-committed, as fit does before psi trains again
         psi = model.routing.psi.data
         psi[5, (psi[5].argmax() + 1) % D] = psi[5].max()  # a tie: two weights of 1/2
-        assert _step_names(model, "relaxed")[0] == "_mix_step"
-        assert _step_names(model, "hard")[0] == "gather_pair"
+        assert _step_names(model, "relaxed")[1] == "_mix_step"
+        assert _step_names(model, "hard")[1] == "gather_pair"
 
-    def test_two_models_do_not_interfere(self):
+    def test_two_models_do_not_interfere(self, eval_dtype):
         rng = np.random.default_rng(75)
         x = rng.normal(size=(300, D))
         # chunk buffers of 2,048 x 16 and 128 x 1,024 floats
@@ -487,7 +505,7 @@ class TestEvalExecutor:
         want = [_reference_logits(model, x, "hard") for model in models]
         for _ in range(2):
             for model, w in zip(models, want):
-                npt.assert_allclose(model.forward(Tensor(x), mode="hard").data, w, rtol=1e-10, atol=1e-12)
+                assert_eval_logits(model.forward(Tensor(x), mode="hard").data, w, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[-1]])
     def test_no_rows_give_empty_labels(self, arch):
@@ -503,6 +521,50 @@ class TestEvalExecutor:
     def test_wrong_width_raises(self):
         with pytest.raises(ShapeError):
             predictions(_net(ARCHS[0], seed=10), np.zeros((4, D + 1)))
+
+    @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[-1]])
+    @pytest.mark.parametrize("warnings_action", ["error", "ignore", "default"])
+    def test_input_beyond_float32_raises(self, arch, warnings_action, monkeypatch):
+        _workers(monkeypatch, 2)
+        model = _net(arch, seed=26)
+        x = np.random.default_rng(84).normal(size=(4 * MAX_CHUNK_ROWS, D))
+        x[-1, 2] = 1e38  # within float32's range
+        with warnings.catch_warnings():
+            warnings.simplefilter(warnings_action)
+            assert predictions(model, x).shape == (len(x),)
+            x[-1, 2] = 1e39  # finite in float64, beyond float32: in the last chunk, a worker's when there are two
+            with pytest.raises(DomainError, match="float32"):
+                predictions(model, x)
+            with pytest.raises(DomainError, match="float32"):
+                predictions(model, x[-1:])
+
+
+# d and the number of rows of the benchmark's wide-784 workload
+W2_D, W2_ROWS = 784, 4096
+W2_ARCH = (
+    "GSel-64-16, GFC, ReLU, BNorm, GPool-max, GFC, ReLU, BNorm, GPool-max, "
+    "GFC, ReLU, BNorm, Concat, FC-10"
+)
+
+
+@pytest.mark.parametrize("mode", ["hard", "relaxed"])
+def test_w2_scale_float32_logits_and_labels(mode):
+    rng = np.random.default_rng(85)
+    model = Model(parse_arch(W2_ARCH, d=W2_D, seed=27))
+    model.set_temperature(0.3)
+    _perturb(model, rng)
+    x = rng.normal(size=(W2_ROWS, W2_D))
+    got = model.forward(Tensor(x), mode=mode).data
+    want = _reference_logits(model, x, mode)
+    limit = float32_limit(want)
+    assert np.abs(got - want).max() <= limit
+    # where the reference's top two logits are further apart than twice the
+    # bound, float32 must pick the same label
+    top2 = np.sort(want, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 2 * limit
+    assert clear.mean() > 0.99
+    npt.assert_array_equal(got.argmax(1)[clear], want.argmax(1)[clear])
+    assert all(buf.dtype == np.float32 for pair in model._eval_buffers for buf in pair)
 
 
 # ---------------------------------------------------------------------------
