@@ -4,8 +4,9 @@ assignment (``layers.hard_assignment``), and correlation structure of the
 group outputs.
 
 Everything here is read-only over a frozen model; outputs are plain numpy
-plus small export helpers (CSV for counts and histograms, a
-``feature_a,feature_b,weight`` text format for graphs) that round-trip.
+plus small writers that ``gmlp analyze`` calls: CSV for counts and
+histograms, and a ``feature_a,feature_b,weight`` text format for graphs.
+The package reads none of these files back.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def correlation_analysis(model: Model, ds: Dataset) -> CorrelationReport:
 
 
 # ---------------------------------------------------------------------------
-# exports (CSV counts, edge-list text), all round-trip loadable
+# exports (CSV counts, edge-list text)
 
 
 def save_heatmap_csv(counts: np.ndarray, path, feature_names=None) -> None:
@@ -137,33 +138,10 @@ def save_heatmap_csv(counts: np.ndarray, path, feature_names=None) -> None:
             writer.writerow([j, name, int(c)])
 
 
-def load_heatmap_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
-    counts = np.zeros(len(rows), dtype=np.int64)
-    for row in rows:
-        counts[int(row[0])] = int(row[2])
-    return counts
-
-
 def save_edge_list(graph: GroupGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for a, b, w in graph.edges:
             fh.write(f"{a},{b},{w}\n")
-
-
-def load_edge_list(path) -> GroupGraph:
-    edges = []
-    nodes: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, w = line.split(",")
-            edges.append((int(a), int(b), int(w)))
-            nodes.update((int(a), int(b)))
-    return GroupGraph(sorted(nodes), edges)
 
 
 def save_histogram_csv(report: CorrelationReport, path) -> None:
@@ -179,12 +157,3 @@ def save_histogram_csv(report: CorrelationReport, path) -> None:
                     int(report.inter_hist[i]),
                 ]
             )
-
-
-def load_histogram_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
-    intra = np.array([int(r[2]) for r in rows])
-    inter = np.array([int(r[3]) for r in rows])
-    edges = np.array([float(r[0]) for r in rows] + [float(rows[-1][1])])
-    return intra, inter, edges

@@ -37,7 +37,6 @@ from .data import (
     load_csv,
     normalize,
     save_csv,
-    save_norm_stats,
     split,
     standardize,
     synth_bayes_optimal,
@@ -126,7 +125,7 @@ def cmd_train(args) -> int:
     # written only once the run's inputs have passed every check, so a run
     # that exits on its config or data leaves no files behind
     os.makedirs(out_dir, exist_ok=True)
-    save_norm_stats(stats, os.path.join(out_dir, "norm_stats.json"))
+    _write_json(os.path.join(out_dir, "norm_stats.json"), stats)
     metadata = {
         "config": cfg.to_dict(),
         "norm_stats": stats,

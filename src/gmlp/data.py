@@ -13,7 +13,6 @@ training experiments.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -209,11 +208,6 @@ def standardize(ds: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Dataset:
     xn = (ds.X - mu) / safe
     xn[:, sigma == 0.0] = 0.0
     return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.class_names)
-
-
-def save_norm_stats(stats: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
 
 
 def split(ds: Dataset, test_fraction: float = 0.2, seed: int = 0):

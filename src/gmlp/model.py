@@ -182,22 +182,18 @@ def parse_arch(text: str, d: int, seed: int = 0) -> ArchSpec:
     return ArchSpec(kind, d, width, k, m, branching, tuple(blocks), seed, text)
 
 
-# values per Xavier draw: a tensor is drawn into its slot a slice at a time
-DRAW_SLICE = 1 << 15
-
-
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, out: np.ndarray) -> None:
-    """Fill ``out`` with uniform draws from +-sqrt(6 / (fan_in + fan_out)).
+    """Fill ``out`` with uniform draws from +-sqrt(6 / (fan_in + fan_out)), in place.
 
-    Each draw takes one value of the generator's stream, so drawing the flat
-    view ``DRAW_SLICE`` values at a time gives the values of one draw of
-    ``out``'s shape, without a temporary of that size.
+    ``rng.uniform(low, high)`` computes ``low + (high - low) * u`` from the
+    stream's doubles ``u`` in [0, 1), so writing ``u`` into ``out`` and then
+    scaling and shifting it gives the bits of ``rng.uniform(-bound, bound,
+    out.shape)`` without a temporary of ``out``'s size.
     """
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, DRAW_SLICE):
-        part = flat[lo : lo + DRAW_SLICE]
-        part[...] = rng.uniform(-bound, bound, size=part.size)
+    rng.random(out=out.reshape(-1))
+    out *= bound - -bound
+    out += -bound
 
 
 class Model:
@@ -296,8 +292,9 @@ class Model:
         committed routing, and batch moments) and records each as one node on
         ``tape`` if one is given; ``fit`` compiles the same list without a
         tape, in float64. Eval mode (prediction) takes no tape and runs only
-        the eval executor, in float32 (``EVAL_DTYPE``; a row value beyond its
-        range raises ``DomainError``) into float64 logits: the blocks become
+        the eval executor (``_eval_forward``, which checks the width of
+        ``x`` and, chunk by chunk, that its float32 cast is finite), in
+        float32 (``EVAL_DTYPE``) into float64 logits: the blocks become
         plain numpy steps (``_eval_steps``), built at each call from the
         current parameters, running moments, routing logits and temperature,
         and run on cache-sized row chunks in flat buffer pairs that the model
@@ -313,17 +310,18 @@ class Model:
         multiplies each chunk by the tempered softmax of psi. Each ``GFC|FC,
         ReLU, BNorm`` run with no negative batch-norm scale is folded into one
         affine step and ``max(h, c)`` (see the comment block below the class).
-        A tape in eval mode, and a ``mode`` other than ``"relaxed"`` or
+        A batch that is not d wide raises ``ShapeError`` in either mode; a
+        tape in eval mode, and a ``mode`` other than ``"relaxed"`` or
         ``"hard"``, raise ``ConfigError``.
         """
-        if x.data.ndim != 2 or x.shape[1] != self.spec.d:
-            raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
         if mode not in ("relaxed", "hard"):
             raise ConfigError(f"unknown group-select mode {mode!r}")
         if not training:
             if tape is not None:
                 raise ConfigError("eval mode takes no tape: prediction runs the eval executor")
             return T._raw(self._eval_forward(x.data, mode))
+        if x.data.ndim != 2 or x.shape[1] != self.spec.d:
+            raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
         size = self.routing.psi.size if self.routing is not None and mode == "relaxed" else 0
         pairs = self._train_pairs((np.empty(size), np.empty(size)), x.requires_grad, hard=mode == "hard")
         h = x
@@ -335,10 +333,10 @@ class Model:
         """The blocks as numpy steps ``(step, moves)``, each mapping one chunk's activation to the next.
 
         The first step casts the chunk's float64 rows into an ``EVAL_DTYPE``
-        buffer (``_cast_step``), and every later step computes in that dtype,
-        on casts of the weights, folds, floors, batch-norm ``a, c`` and
-        routing softmax S, computed in float64 at each call (S's weights
-        below the dtype's smallest normal set to 0). ``step(h, spare)`` gets
+        buffer and checks the cast finite (``_cast_step``), and every later
+        step computes in that dtype, on casts of the weights, folds, floors,
+        batch-norm ``a, c`` and routing softmax S, computed in float64 at
+        each call (S's weights below the dtype's smallest normal set to 0). ``step(h, spare)`` gets
         the activation and the flat buffer that does not hold it. A step that ``moves`` writes its result into ``spare``;
         any other step works in place, in the buffer of ``h``, or returns a
         view of it. Hard Group-Select, Group-FC, FC and Group-Pool steps are
@@ -418,12 +416,16 @@ class Model:
     def _eval_forward(self, x: np.ndarray, mode: str) -> np.ndarray:
         """Eval-mode logits of (B, d) float64 rows, computed chunk by chunk without a tape.
 
-        The chunks run in buffers of ``EVAL_DTYPE`` (made in the dtype of
-        their first call) and write their logits into a float64 (B, C)
-        array. A group-connected net whose routing gathers splits the chunks
-        of one call into contiguous runs, one per core the process may use
-        (``_usable_cores``) up to ``MAX_EVAL_WORKERS``, when each run gets at
-        least two chunks; otherwise one loop runs them all. Each run steps
+        Rows of another width raise ``ShapeError``; each chunk's first step
+        (``_cast_step``) is the one read of its rows and raises
+        ``DomainError`` unless their cast is finite. The chunks run in
+        buffers of ``EVAL_DTYPE`` (made in the dtype of their first call)
+        and write their logits into a float64 (B, C) array. A
+        group-connected net whose routing gathers (``RoutingParams.idx``, or
+        hard mode) splits the chunks of one call into contiguous runs, one
+        per core the process may use (``_usable_cores``) up to
+        ``MAX_EVAL_WORKERS``, when each run gets at least two chunks;
+        otherwise one loop runs them all. Each run steps
         through its chunks in its own buffer pair and writes its own rows of
         the logits, so the logits are the loop's bits at any worker count.
         The caller runs the first run and a thread pool that lives for this
@@ -433,12 +435,14 @@ class Model:
         nets, routing that mixes and short inputs keep the loop, and why two
         workers at most: see the comment block below the class.
         """
+        if x.ndim != 2 or x.shape[1] != self.spec.d:
+            raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
         steps = self._eval_steps(mode)
         rows = _chunk_rows(self._widest)
         out = np.empty((x.shape[0], self.spec.n_classes))
         starts = range(0, x.shape[0], rows)
-        threaded = self.routing is None or any(getattr(step, "threaded", False) for step, _ in steps)
-        workers = 1 if threaded else max(1, min(_usable_cores(), MAX_EVAL_WORKERS, len(starts) // 2))
+        one_loop = self.routing is None or (mode == "relaxed" and self.routing.idx is None)
+        workers = 1 if one_loop else max(1, min(_usable_cores(), MAX_EVAL_WORKERS, len(starts) // 2))
         size = rows * self._widest
         for _ in range(len(self._eval_buffers), workers):
             self._eval_buffers += ((_flat_buffer(size, EVAL_DTYPE), _flat_buffer(size, EVAL_DTYPE)),)
@@ -531,18 +535,18 @@ class Model:
 # threads, so one loop keeps one core busy. ``_eval_forward`` shares such a
 # call's chunks out among up to MAX_EVAL_WORKERS of the cores the process may
 # use, one buffer pair per worker; on a 2-core machine W2's hard prediction
-# of 4,096 rows went from 116k to 157k rows/s (benchmark medians). Three
+# of 4,096 rows went from 116k to 157k rows/s in float64, and from 271k to
+# 342k in float32 (benchmark medians, 4 alternating pairs). Three
 # conditions keep the one loop. A dense net's products are large, and BLAS
 # already runs them on its own threads: splitting the chunks of W2's dense
 # twin made its median call slower (142-153 against 146-174 ms). The same
 # holds for relaxed routing that is not committed, as before ``fit``'s hard phase:
 # its product with psi's softmax (1,024 x 784 by 784 x 128 per W2 chunk) is
 # most of the chunk's work, and splitting a 4,096-row W2 call at tau 0.1 and
-# at tau 1 made it slower (median 131 and 130 against 119 and 121 ms; the
-# step carries ``threaded``). And each worker must get at least two chunks,
-# since a thread pool costs about 0.2 ms a call: splitting the two 2,048-row
-# chunks of a 4,096-row synth-small call took it from 0.37-0.54 to 0.57-0.74
-# ms. So ``fit``'s scoring of a small validation set, and a process pinned
+# at tau 1 made it slower (median 131 and 130 against 119 and 121 ms). And
+# each worker must get at least two chunks, since a thread pool costs about
+# 0.2 ms a call: splitting the two 2,048-row chunks of a 4,096-row
+# synth-small call took it from 0.37-0.54 to 0.57-0.74 ms. So ``fit``'s scoring of a small validation set, and a process pinned
 # to one core, run the loop. Only two workers were measured, on a 2-core
 # machine; the chunks' many small numpy calls hold the GIL between their
 # kernels, so more threads would contend for it, and each would keep a
@@ -563,10 +567,11 @@ class Model:
 #
 # Precision: the executor computes in EVAL_DTYPE, float32, on casts of the
 # float64 parameters and folds; training reads none of the casts. The rows'
-# cast is a step of its own, one contiguous pass that raises DomainError under
-# its own np.errstate: a float64 -> float32 np.take in the gather was slower
-# than the float64 gather (9.2-9.8 against 5.4-6.1 ms per 4,096 W2 rows on one
-# core), and the cast and a float32 np.take took 3.5-3.9 ms.
+# cast is a step of its own, one contiguous pass: a float64 -> float32 np.take
+# in the gather was slower than the float64 gather (9.2-9.8 against 5.4-6.1 ms
+# per 4,096 W2 rows on one core), and the cast and a float32 np.take took
+# 3.5-3.9 ms. It is the only read of the caller's rows: one finite test of
+# the cast chunk, in cache, rejects NaN, infinities and values beyond float32.
 
 CHUNK_FLOATS = 2**17
 EVAL_DTYPE = np.float32
@@ -613,13 +618,12 @@ def _flat_buffer(size: int, dtype=np.float64) -> np.ndarray:
 
 
 def _cast_step(x, spare):
-    """The input rows, cast into ``spare``; a value beyond the range of its dtype raises ``DomainError``."""
+    """The input rows, cast into ``spare``; NaN, an infinity or a value beyond the dtype raises ``DomainError``."""
     out = L.prefix(spare, *x.shape)
-    try:
-        with np.errstate(over="raise"):  # whatever the caller's error state and warning filters
-            out[...] = x
-    except FloatingPointError:
-        raise DomainError(f"input holds a value beyond the {out.dtype} range") from None
+    with np.errstate(over="ignore"):  # the check below reports it, whatever the caller's error state
+        out[...] = x
+    if not np.isfinite(out).all():
+        raise DomainError(f"input holds NaN, an infinity or a value beyond the {out.dtype} range")
     return out
 
 
@@ -629,7 +633,6 @@ def _mix_step(s: np.ndarray, k: int, m: int):
     def step(x, spare):
         return np.matmul(s, x.T, out=L.prefix(spare, s.shape[0], x.shape[0])).reshape(k, m, -1)
 
-    step.threaded = True  # a large product, which BLAS runs on its own threads
     return step
 
 
@@ -682,7 +685,6 @@ class ComplexityReport:
     train_ops: int
     mlp_predict_ops: int
     predict_macs_actual: int
-    param_count_formula: int
     param_count_actual: int
     density: Fraction
     receptive_field_by_layer: list[int]
@@ -763,7 +765,6 @@ def count_complexity(spec: ArchSpec) -> ComplexityReport:
         train_ops=_as_int(train),
         mlp_predict_ops=_as_int(mlp_equiv),
         predict_macs_actual=macs,
-        param_count_formula=_as_int(train),
         param_count_actual=actual,
         density=Fraction(1, k) if spec.kind == "gmlp" else Fraction(1, 1),
         receptive_field_by_layer=rfield,

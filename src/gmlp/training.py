@@ -353,20 +353,20 @@ def schedule_step(epoch: int, val_accuracy_history, cfg: TrainConfig):
 def predictions(model: Model, X: np.ndarray, hard: bool = False) -> np.ndarray:
     """Eval-mode class labels of the rows of X, under hard or relaxed routing.
 
-    ``Tensor(X)`` checks the input once (float64, finite) and
-    ``Model.forward`` its width; the forward pass then runs the tape-free
-    eval path, which works through the rows in cache-sized chunks in float32
-    (``model.EVAL_DTYPE``; a value beyond its range raises ``DomainError``),
-    so a row whose top two logits lie within about 1e-5 of the logit scale
-    may get another label than in float64. A
+    X, as an array, goes straight to the model's tape-free eval executor
+    (``Model._eval_forward``), which raises ``ShapeError`` unless X is
+    ``d`` wide and reads the rows once, in cache-sized chunks, each cast to
+    float32 (``model.EVAL_DTYPE``) and checked there: NaN, an infinity or a
+    value beyond float32's range raises ``DomainError``. The executor
+    computes in float32, so a row whose top two logits lie within about
+    1e-5 of the logit scale may get another label than in float64. A
     group-connected net whose routing gathers (hard, or relaxed once the
     routing is committed) shares the chunks out among up to two of the cores
     the process may use, at least two chunks per core, in threads that end
-    before this returns; the labels are the same at any core count. One model must not
-    predict from two threads of the caller at once.
+    before this returns; the labels are the same at any core count. One
+    model must not predict from two threads of the caller at once.
     """
-    mode = "hard" if hard else "relaxed"
-    return model.forward(Tensor(X), training=False, mode=mode).data.argmax(axis=1)
+    return model._eval_forward(np.asarray(X), "hard" if hard else "relaxed").argmax(axis=1)
 
 
 def accuracy(model: Model, ds: Dataset, hard: bool = False) -> float:
@@ -497,12 +497,13 @@ class TrainStep:
     def loss(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
         """(objective, cross-entropy, entropy term) of one batch; the entropy term is 0.0 at lambda 0.
 
-        Checks what the tape path checks: the rows are finite and ``d``
-        wide, and every label names a class.
+        Checks that the rows are ``d`` wide and that every label names a
+        class. It does not check the rows finite: ``fit``'s batches are rows
+        of a ``Dataset``, whose constructor has.
         """
-        h = Tensor(x).data
-        if h.ndim != 2 or h.shape[1] != self.d:
-            raise ShapeError(f"input {h.shape} does not match d={self.d}")
+        if x.ndim != 2 or x.shape[1] != self.d:
+            raise ShapeError(f"input {x.shape} does not match d={self.d}")
+        h = x
         saved = []
         for forward, _, _ in self._steps:
             h, s = forward(h)

@@ -177,28 +177,23 @@ class TestCorrelation:
 
 
 class TestExports:
-    def test_heatmap_round_trip(self, tmp_path):
-        counts = np.array([3, 0, 5, 1])
-        A.save_heatmap_csv(counts, tmp_path / "h.csv", feature_names=list("abcd"))
-        npt.assert_array_equal(A.load_heatmap_csv(tmp_path / "h.csv"), counts)
+    def test_heatmap_rows(self, tmp_path):
+        A.save_heatmap_csv(np.array([3, 0, 5, 1]), tmp_path / "h.csv", feature_names=list("abcd"))
+        rows = (tmp_path / "h.csv").read_text(encoding="utf-8").splitlines()
+        assert rows == ["feature,name,count", "0,a,3", "1,b,0", "2,c,5", "3,d,1"]
 
-    def test_edge_list_round_trip(self, tmp_path):
-        graph = A.GroupGraph([0, 1, 4], [(0, 1, 2), (1, 4, 1)])
-        A.save_edge_list(graph, tmp_path / "e.txt")
-        back = A.load_edge_list(tmp_path / "e.txt")
-        assert back.edges == graph.edges
-        assert back.nodes == graph.nodes
+    def test_edge_list_rows(self, tmp_path):
+        A.save_edge_list(A.GroupGraph([0, 1, 4], [(0, 1, 2), (1, 4, 1)]), tmp_path / "e.txt")
+        assert (tmp_path / "e.txt").read_text(encoding="utf-8").splitlines() == ["0,1,2", "1,4,1"]
 
-    def test_histogram_round_trip(self, tmp_path):
+    def test_histogram_rows(self, tmp_path):
         report = A.CorrelationReport(
             corr=np.eye(2),
-            intra_hist=np.arange(40),
-            inter_hist=np.arange(40)[::-1],
-            bin_edges=np.linspace(-1, 1, 41),
+            intra_hist=np.array([0, 1]),
+            inter_hist=np.array([3, 2]),
+            bin_edges=np.linspace(-1, 1, 3),
             zero_variance_slots=0,
         )
         A.save_histogram_csv(report, tmp_path / "hist.csv")
-        intra, inter, edges = A.load_histogram_csv(tmp_path / "hist.csv")
-        npt.assert_array_equal(intra, report.intra_hist)
-        npt.assert_array_equal(inter, report.inter_hist)
-        npt.assert_allclose(edges, report.bin_edges)
+        rows = (tmp_path / "hist.csv").read_text(encoding="utf-8").splitlines()
+        assert rows == ["bin_left,bin_right,intra_count,inter_count", "-1.0,0.0,0,3", "0.0,1.0,1,2"]

@@ -524,19 +524,24 @@ class TestEvalExecutor:
 
     @pytest.mark.parametrize("arch", [ARCHS[0], ARCHS[-1]])
     @pytest.mark.parametrize("warnings_action", ["error", "ignore", "default"])
-    def test_input_beyond_float32_raises(self, arch, warnings_action, monkeypatch):
+    def test_input_beyond_float32_raises(self, arch, warnings_action, eval_dtype, monkeypatch):
         _workers(monkeypatch, 2)
         model = _net(arch, seed=26)
         x = np.random.default_rng(84).normal(size=(4 * MAX_CHUNK_ROWS, D))
         x[-1, 2] = 1e38  # within float32's range
+        # 1e39 is finite in float64, beyond float32
+        bad = [np.nan, np.inf, -np.inf] + ([1e39] if eval_dtype is np.float32 else [])
         with warnings.catch_warnings():
             warnings.simplefilter(warnings_action)
             assert predictions(model, x).shape == (len(x),)
-            x[-1, 2] = 1e39  # finite in float64, beyond float32: in the last chunk, a worker's when there are two
-            with pytest.raises(DomainError, match="float32"):
-                predictions(model, x)
-            with pytest.raises(DomainError, match="float32"):
-                predictions(model, x[-1:])
+            for value in bad:
+                x[-1, 2] = value  # in the last chunk, a worker's when there are two (hard routing)
+                for hard in (False, True):
+                    with pytest.raises(DomainError, match=np.dtype(eval_dtype).name):
+                        predictions(model, x, hard=hard)
+                    with pytest.raises(DomainError, match=np.dtype(eval_dtype).name):
+                        predictions(model, x[-1:], hard=hard)
+        assert len(model._eval_buffers) == (1 if model.routing is None else 2)
 
 
 # d and the number of rows of the benchmark's wide-784 workload
