@@ -205,7 +205,8 @@ def normalize(train: Dataset, *others: Dataset):
 def standardize(ds: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Dataset:
     """``ds`` with column j mapped to (x - mu[j]) / sigma[j], or to all zeros where sigma[j] is 0."""
     safe = np.where(sigma == 0.0, 1.0, sigma)
-    xn = (ds.X - mu) / safe
+    xn = ds.X - mu
+    xn /= safe  # in place: no second full-size array
     xn[:, sigma == 0.0] = 0.0
     return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.class_names)
 

@@ -509,11 +509,24 @@ class Model:
 # ---------------------------------------------------------------------------
 # eval-mode steps
 #
-# A chunk's widest activation holds about CHUNK_FLOATS values of EVAL_DTYPE
-# (512 KiB in float32), so the chunk's working set stays in the core's caches
-# from one step to the next. The row count is held within [MIN_CHUNK_ROWS, MAX_CHUNK_ROWS]: below
-# about 128 rows the matrix products of 1,024-wide layers lose efficiency,
-# and above a few thousand rows even narrow nets spill out of cache.
+# A chunk's widest activation holds about CHUNK_BYTES (1 MiB) of EVAL_DTYPE,
+# so the chunk's buffer pair, 2 MiB, stays in a core's L2 cache (2 MiB on the
+# 2-core Xeon the figures here come from) from one step to the next: 256 rows
+# of a 1,024-wide net in float32, 128 in float64. The budget is in bytes, not
+# values, so float32 chunks are twice as long as float64 ones. Each chunk pays
+# a fixed cost for its steps' numpy calls, 45-70 us for a trained W2 (1-row
+# chunks, one core), and the two workers' calls take turns at the GIL between
+# kernels. On one worker, 4,096-row W2 calls took as long with 128-row
+# (512 KiB) chunks as with 256-row ones (median 20.5 against 20.4 ms); on two,
+# 256-row chunks were faster in 46 of 60 alternating calls (13.4 against
+# 14.9 ms), and with the two-operand pool (``layers.reduce_pool_pair``) they
+# took the benchmark's W2 hard prediction from 280k to 339k rows/s (medians of
+# 10 pairs). 512-row chunks, a 4 MiB pair that spills out of L2, were slower
+# in 53 of 60 alternating calls on one worker and on two (median 22.6 against
+# 21.2 and 26.5 against 21.4 ms). The row count is held within
+# [MIN_CHUNK_ROWS, MAX_CHUNK_ROWS]: below about 128 rows the matrix products
+# of 1,024-wide layers lose efficiency, and above a few thousand rows even
+# narrow nets spill out of cache.
 #
 # Every chunk's activations live in a pair of flat buffers that the model
 # keeps from call to call (``Model._eval_buffers``, one pair per worker, made
@@ -541,7 +554,7 @@ class Model:
 # already runs them on its own threads: splitting the chunks of W2's dense
 # twin made its median call slower (142-153 against 146-174 ms). The same
 # holds for relaxed routing that is not committed, as before ``fit``'s hard phase:
-# its product with psi's softmax (1,024 x 784 by 784 x 128 per W2 chunk) is
+# its product with psi's softmax (1,024 x 784 by 784 x 256 per float32 W2 chunk) is
 # most of the chunk's work, and splitting a 4,096-row W2 call at tau 0.1 and
 # at tau 1 made it slower (median 131 and 130 against 119 and 121 ms). And
 # each worker must get at least two chunks, since a thread pool costs about
@@ -550,7 +563,7 @@ class Model:
 # to one core, run the loop. Only two workers were measured, on a 2-core
 # machine; the chunks' many small numpy calls hold the GIL between their
 # kernels, so more threads would contend for it, and each would keep a
-# 1 MiB buffer pair on the model. Hence the cap of two.
+# 2 MiB buffer pair on the model. Hence the cap of two.
 #
 # Batch-norm fold: eval batch-norm is a*h + c, with (a, c) from
 # ``BatchNormState.scale_shift``, and for a >= 0, a*relu(y) + c equals
@@ -573,7 +586,7 @@ class Model:
 # 3.5-3.9 ms. It is the only read of the caller's rows: one finite test of
 # the cast chunk, in cache, rejects NaN, infinities and values beyond float32.
 
-CHUNK_FLOATS = 2**17
+CHUNK_BYTES = 2**20
 EVAL_DTYPE = np.float32
 MIN_CHUNK_ROWS = 128
 MAX_CHUNK_ROWS = 2048
@@ -581,8 +594,14 @@ MAX_EVAL_WORKERS = 2
 
 
 def _chunk_rows(widest: int) -> int:
-    """Rows per chunk for a net whose widest activation has ``widest`` values per row."""
-    return min(MAX_CHUNK_ROWS, max(MIN_CHUNK_ROWS, CHUNK_FLOATS // widest))
+    """Rows per chunk for a net whose widest activation has ``widest`` values per row.
+
+    As many rows as fit ``CHUNK_BYTES`` of ``EVAL_DTYPE`` at that width, held
+    within [MIN_CHUNK_ROWS, MAX_CHUNK_ROWS]: 256 rows for a 1,024-wide net in
+    float32 and 128 in float64.
+    """
+    per_row = np.dtype(EVAL_DTYPE).itemsize * widest
+    return min(MAX_CHUNK_ROWS, max(MIN_CHUNK_ROWS, CHUNK_BYTES // per_row))
 
 
 def _usable_cores() -> int:

@@ -171,6 +171,22 @@ class TestNormalize:
         npt.assert_allclose(nte.X, (test.X - mu) / sig)
         assert abs(nte.X.mean()) > 0.5  # clearly not self-normalized
 
+    def test_bits_of_the_formula_and_input_left_alone(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(5.0, 2.0, (40, 4))
+        X[:, 2] = 7.0  # sigma 0
+        kept = X.copy()
+        ds = Dataset(X, np.zeros(40, dtype=int), 1)
+        (norm,), _ = normalize(ds)
+        mu, sigma = kept.mean(axis=0), kept.std(axis=0)
+        keep = sigma != 0.0
+        assert keep.tolist() == [True, True, False, True]
+        want = (kept[:, keep] - mu[keep]) / sigma[keep]
+        npt.assert_array_equal(norm.X[:, keep].view(np.int64), want.view(np.int64))
+        npt.assert_array_equal(norm.X[:, 2].view(np.int64), 0)  # +0.0
+        assert ds.X is X  # normalize was given the caller's array, and did not write it
+        npt.assert_array_equal(X.view(np.int64), kept.view(np.int64))
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 60), st.integers(1, 5), st.integers(0, 2**31 - 1))
     def test_train_moments(self, n, d, seed):

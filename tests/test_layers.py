@@ -433,6 +433,21 @@ class TestGroupPool:
         with pytest.raises(ConfigError):
             L.group_pool_forward(None, Tensor(batch_last(np.zeros((1, 2, 2)))), "median")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("branching", [2, 3, 4])
+    @pytest.mark.parametrize("kind, reduce", [("max", np.max), ("mean", np.mean)])
+    def test_forward_has_the_bits_of_the_stacked_reduction(self, kind, reduce, branching, dtype):
+        z = np.random.default_rng(14).normal(size=(4 * branching, 16, 37)).astype(dtype)
+        # strata 0 and 1 of output (0, 0, :3): -0.0 and +0.0 tied either way, and -0.0 in both
+        z[0, 0, :3] = [-0.0, 0.0, -0.0]
+        z[4, 0, :3] = [0.0, -0.0, -0.0]
+        z[-1, 3, 5] = np.nan  # in the last stratum
+        z[1, 2, 7] = np.nan  # in the first
+        got = L.reduce_pool_pair(kind, branching)[0](z)[0]
+        want = reduce(L.strata(z, branching), axis=0)
+        assert got.dtype == dtype and np.isnan(got).sum() == 2
+        npt.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
     @pytest.mark.parametrize("kind", ["max", "mean", "linear"])
     @pytest.mark.parametrize("branching", [2, 4])
     def test_gradient_against_finite_differences(self, kind, branching):

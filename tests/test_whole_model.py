@@ -212,8 +212,9 @@ def _commit(model):
 
 # nets and their rows per eval chunk: max, mean-4 and linear pooling, and a
 # dense net, so every shared forward writes into buffer prefixes of full and
-# tail chunks
-CHUNKED = [(arch, MAX_CHUNK_ROWS) for arch in (ARCHS[0], ARCHS[3], ARCHS[4])] + [(WIDE_MLP, 128)]
+# tail chunks; the dense net's chunks are as long as its 1,024-wide layer
+# allows at the default EVAL_DTYPE
+CHUNKED = [(arch, MAX_CHUNK_ROWS) for arch in (ARCHS[0], ARCHS[3], ARCHS[4])] + [(WIDE_MLP, M._chunk_rows(1024))]
 
 
 class TestEvalExecutor:
@@ -498,7 +499,7 @@ class TestEvalExecutor:
     def test_two_models_do_not_interfere(self, eval_dtype):
         rng = np.random.default_rng(75)
         x = rng.normal(size=(300, D))
-        # chunk buffers of 2,048 x 16 and 128 x 1,024 floats
+        # chunk buffers of 2,048 x 16 values, and of 1 MiB at 1,024 values a row
         models = [_net(ARCHS[0], seed=15), _net(WIDE_MLP, seed=16)]
         for model in models:
             _perturb(model, rng)
@@ -570,6 +571,36 @@ def test_w2_scale_float32_logits_and_labels(mode):
     assert clear.mean() > 0.99
     npt.assert_array_equal(got.argmax(1)[clear], want.argmax(1)[clear])
     assert all(buf.dtype == np.float32 for pair in model._eval_buffers for buf in pair)
+
+
+# the W2 net at both budgets; the 1,024-wide dense net at the halved one
+# only: OpenBLAS (0.3.31, 2-core Xeon) sums its 1,024 x 3 product in another
+# order from about 328 rows on (M*N*K above 10**6), so its bits move with
+# 512-row chunks, as a dense net's may wherever BLAS changes kernels
+@pytest.mark.parametrize("arch, d, scales", [(W2_ARCH, W2_D, (0.5, 2.0)), (WIDE_MLP, D, (0.5,))])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_budget_leaves_the_logits_bits(arch, d, scales, workers, monkeypatch):
+    def net():  # a fresh model: its buffers are sized by the budget of its first call
+        model = Model(parse_arch(arch, d=d, seed=28))
+        if model.routing is not None:
+            model.set_temperature(0.3)
+        _perturb(model, np.random.default_rng(86))
+        return model
+
+    _workers(monkeypatch, workers)
+    model = net()
+    rows = M._chunk_rows(model._widest)
+    # chunks of the doubled budget: two per worker, and a tail
+    x = np.random.default_rng(87).normal(size=(8 * rows + 37, d))
+    modes = ("hard", "relaxed")
+    want = [_bits(model.forward(Tensor(x), mode=mode).data) for mode in modes]
+    budget = M.CHUNK_BYTES
+    for scale in scales:
+        monkeypatch.setattr(M, "CHUNK_BYTES", int(budget * scale))
+        model = net()
+        assert M._chunk_rows(model._widest) == int(rows * scale)
+        for mode, w in zip(modes, want):
+            npt.assert_array_equal(_bits(model.forward(Tensor(x), mode=mode).data), w)
 
 
 # ---------------------------------------------------------------------------
