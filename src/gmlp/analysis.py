@@ -90,8 +90,8 @@ def correlation_analysis(model: Model, ds: Dataset) -> CorrelationReport:
 
     Uses the raw (relaxed, eval-mode) group outputs at the model's current
     temperature (a committed routing's gather), capped at the first
-    ``CORRELATION_SLOTS`` slots. Slots with zero variance contribute
-    correlation 0 and are tallied as warnings.
+    ``CORRELATION_SLOTS`` slots, in float64 whatever the rows' dtype. Slots
+    with zero variance contribute correlation 0 and are tallied as warnings.
     """
     if model.routing is None:
         raise DataError("correlation analysis needs a group-connected model")
@@ -103,7 +103,7 @@ def correlation_analysis(model: Model, ds: Dataset) -> CorrelationReport:
     z = ds.X.T[routing.idx] if routing.idx is not None else routing_weights(routing.psi.data, routing.temperature) @ ds.X.T
     m, n = routing.m, ds.n
     take = min(z.shape[0], CORRELATION_SLOTS)
-    flat = z[:take].T
+    flat = z[:take].T.astype(np.float64, copy=False)
 
     centered = flat - flat.mean(axis=0)
     std = flat.std(axis=0)

@@ -20,10 +20,11 @@ on load, where training goes on in float64; prediction computes in float32
 from casts of the float64 weights and folds (``model.EVAL_DTYPE``), so a
 reloaded model reproduces eval-mode outputs to float32 rounding (about 1e-7
 relative per operation) rather than bit-exactly.
-A file whose arrays hold a NaN or an infinity, whose final temperature or
-normalization statistics are not finite, whose normalization sigma is
-negative, or whose class or feature names repeat a name or do not number
-the net's outputs or inputs, is rejected on load like any other corrupt file.
+A file whose arrays hold a NaN or an infinity, whose batch-norm running
+variance or normalization sigma is negative, whose final temperature or
+normalization statistics are not finite, or whose class or feature names
+repeat a name or do not number the net's outputs or inputs, is rejected on
+load like any other corrupt file.
 So is a blob of fewer float32 values than the manifest's architecture has
 parameters (``count_complexity``), checked before the model allocates any.
 
@@ -115,23 +116,23 @@ def _finite(obj: dict, key: str, where: str) -> float:
     return value
 
 
-def _read_container(path) -> tuple[dict, bytes]:
+def _read_container(path) -> tuple[dict, memoryview]:
     """Parse a checkpoint file into its manifest and blob, checking the manifest's structure.
 
-    Every way a file can be malformed (truncation, bad JSON, a manifest that
-    is not an object, a missing or mistyped field, a final temperature or
-    normalization statistic that is not finite, a negative normalization
-    sigma) raises CheckpointError.
+    Every way a file can be malformed (truncation, a manifest length past the
+    file, bad JSON, a manifest that is not an object, a missing or mistyped
+    field, a final temperature or normalization statistic that is not
+    finite, a negative normalization sigma) raises CheckpointError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_LEN.size)
         if len(head) != _LEN.size:
             raise CheckpointError(f"{path}: truncated header")
         (n,) = _LEN.unpack(head)
-        payload = fh.read(n)
-        if len(payload) != n:
-            raise CheckpointError(f"{path}: truncated manifest")
-        blob = fh.read()
+        rest = fh.read()  # not fh.read(n), which would allocate a length past the file
+    if len(rest) < n:
+        raise CheckpointError(f"{path}: truncated manifest (length {n})")
+    payload, blob = rest[:n], memoryview(rest)[n:]
     try:
         manifest = json.loads(payload.decode("utf-8"))
     except ValueError as exc:  # bad UTF-8, bad JSON, or an integer past the digit limit
@@ -206,6 +207,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(values).all():
             raise CheckpointError(f"{name}: holds non-finite values")
+        if name.endswith(".running_var") and (values < 0.0).any():  # eval batch-norm takes its square root
+            raise CheckpointError(f"{name}: holds a negative variance")
         dst[:] = values.reshape(shape).astype(np.float64)
     if available:
         raise CheckpointError(f"checkpoint is missing arrays: {sorted(available)}")

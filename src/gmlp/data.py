@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainError
 
 DEFAULT_ROOT_NAMES = ("A", "B", "C", "D", "E", "F")
 
@@ -29,22 +29,28 @@ class Dataset:
 
     ``class_names`` holds the label of each class index, for a CSV whose
     labels are not integers; integer labels are their own class indices.
+    ``X`` is float32, the dtype prediction computes in (``model.EVAL_DTYPE``);
+    a finite value beyond its range raises ``DomainError``.
     """
 
-    X: np.ndarray  # (N, d) float64
+    X: np.ndarray  # (N, d) float32
     y: np.ndarray  # (N,) int64
     n_classes: int
     feature_names: list[str] | None = None
     class_names: list[str] | None = None
 
     def __post_init__(self):
-        self.X = np.ascontiguousarray(self.X, dtype=np.float64)
+        given = self.X
+        with np.errstate(over="ignore"):  # reported below, whatever the caller's error state
+            self.X = np.ascontiguousarray(given, dtype=np.float32)
         self.y = np.ascontiguousarray(self.y, dtype=np.int64)
         if self.X.ndim != 2 or self.X.shape[0] == 0:
             raise DataError(f"need a non-empty (N, d) matrix, got {self.X.shape}")
         if self.y.shape != (self.X.shape[0],):
             raise DataError(f"labels {self.y.shape} do not match {self.X.shape[0]} rows")
         if not np.all(np.isfinite(self.X)):
+            if np.all(np.isfinite(given)):
+                raise DomainError("features hold a value beyond the float32 range")
             raise DataError("features hold non-finite values")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= self.n_classes):
             raise DataError(f"labels outside [0, {self.n_classes})")
@@ -190,20 +196,21 @@ def save_csv(ds: Dataset, path) -> None:
 def normalize(train: Dataset, *others: Dataset):
     """Standardize every feature to mean 0, std 1 using train-split statistics.
 
-    The same (mu, sigma) computed on ``train`` is applied to every other
-    split. Sigma uses the population convention (divide by N); constant
-    columns map to all zeros. Returns the normalized datasets in input order
-    plus a ``{feature_name: {"mu": .., "sigma": ..}}`` stats mapping.
+    The same (mu, sigma), float64 moments of ``train``'s rows, is applied to
+    every other split. Sigma uses the population convention (divide by N);
+    constant columns map to all zeros. Returns the normalized datasets in
+    input order plus a ``{feature_name: {"mu": .., "sigma": ..}}`` stats mapping.
     """
-    mu = train.X.mean(axis=0)
-    sigma = train.X.std(axis=0)
+    mu = train.X.mean(axis=0, dtype=np.float64)
+    sigma = train.X.std(axis=0, dtype=np.float64)
     names = train.feature_names or [f"f{j}" for j in range(train.d)]
     stats = {name: {"mu": float(m), "sigma": float(s)} for name, m, s in zip(names, mu, sigma)}
     return [standardize(ds, mu, sigma) for ds in (train, *others)], stats
 
 
 def standardize(ds: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Dataset:
-    """``ds`` with column j mapped to (x - mu[j]) / sigma[j], or to all zeros where sigma[j] is 0."""
+    """``ds`` with column j mapped to (x - mu[j]) / sigma[j], or to zeros where sigma[j] is 0:
+    in float64 for float64 ``mu`` and ``sigma``, rounded once to float32."""
     safe = np.where(sigma == 0.0, 1.0, sigma)
     xn = ds.X - mu
     xn /= safe  # in place: no second full-size array
@@ -374,13 +381,6 @@ def synth_bayes_optimal(net: SynthBayesNet) -> SynthOracle:
     optimal = float(np.sum(config_prob * posterior.max(axis=1)))
     marginal = float(np.sum(config_prob * p_one))
     return SynthOracle(posterior, config_prob, optimal, marginal)
-
-
-def oracle_predict(oracle: SynthOracle, X: np.ndarray) -> np.ndarray:
-    """Bayes-optimal labels for root feature rows (values 0/1)."""
-    bits = X.astype(np.int64)
-    idx = (bits << np.arange(6)).sum(axis=1)
-    return oracle.posterior[idx].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

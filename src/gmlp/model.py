@@ -293,7 +293,7 @@ class Model:
         ``tape`` if one is given; ``fit`` compiles the same list without a
         tape, in float64. Eval mode (prediction) takes no tape and runs only
         the eval executor (``_eval_forward``, which checks the width of
-        ``x`` and, chunk by chunk, that its float32 cast is finite), in
+        ``x`` and, chunk by chunk, that its rows are finite in float32), in
         float32 (``EVAL_DTYPE``) into float64 logits: the blocks become
         plain numpy steps (``_eval_steps``), built at each call from the
         current parameters, running moments, routing logits and temperature,
@@ -332,9 +332,9 @@ class Model:
     def _eval_steps(self, mode: str) -> list:
         """The blocks as numpy steps ``(step, moves)``, each mapping one chunk's activation to the next.
 
-        The first step casts the chunk's float64 rows into an ``EVAL_DTYPE``
-        buffer and checks the cast finite (``_cast_step``), and every later
-        step computes in that dtype, on casts of the weights, folds, floors,
+        The first step (``_cast_step``) checks the chunk's rows finite in
+        ``EVAL_DTYPE``, copied into a buffer if of another dtype or if the
+        next step works in place, and every later step computes in that dtype, on casts of the weights, folds, floors,
         batch-norm ``a, c`` and routing softmax S, computed in float64 at
         each call (S's weights below the dtype's smallest normal set to 0). ``step(h, spare)`` gets
         the activation and the flat buffer that does not hold it. A step that ``moves`` writes its result into ``spare``;
@@ -346,7 +346,7 @@ class Model:
         gathers ``idx`` in both modes and computes no softmax: the bits of
         the one-hot product up to the sign of zero (a chosen -0.0 stays
         -0.0, where the product sums it to +0.0). The other steps are
-        eval-only: the cast, the relaxed mix of an uncommitted routing, ReLU,
+        eval-only: the first step, the relaxed mix of an uncommitted routing, ReLU,
         batch-norm and the folds' floors in place, and Concat as a view. Each
         ``GFC, ReLU, BNorm`` or ``FC, ReLU, BNorm`` run whose batch-norm scale
         is nowhere negative is folded into two steps, and a max Group-Pool
@@ -354,7 +354,7 @@ class Model:
         below the class).
         """
         dtype = EVAL_DTYPE
-        steps = [(_cast_step, True)]  # also keeps the in-place steps below from writing into x
+        steps = []
         r = self.routing
         if r is not None:
             k, m = r.k, r.m
@@ -411,14 +411,15 @@ class Model:
                 floor = np.maximum.reduce(L.strata(floor, branching), axis=0)
                 i += 1
             steps.append((_floor_step(floor.astype(dtype)), False))
-        return steps
+        return [(_cast_step(not steps[0][1]), True)] + steps
 
     def _eval_forward(self, x: np.ndarray, mode: str) -> np.ndarray:
-        """Eval-mode logits of (B, d) float64 rows, computed chunk by chunk without a tape.
+        """Eval-mode logits of (B, d) rows, computed chunk by chunk without a tape.
 
         Rows of another width raise ``ShapeError``; each chunk's first step
-        (``_cast_step``) is the one read of its rows and raises
-        ``DomainError`` unless their cast is finite. The chunks run in
+        (``_cast_step``) reads its rows, float32 ones in place and others
+        through a cast, and raises ``DomainError`` unless they are finite in
+        ``EVAL_DTYPE``. No step writes the caller's rows. The chunks run in
         buffers of ``EVAL_DTYPE`` (made in the dtype of their first call)
         and write their logits into a float64 (B, C) array. A
         group-connected net whose routing gathers (``RoutingParams.idx``, or
@@ -579,12 +580,12 @@ class Model:
 # up to the sign of zero.
 #
 # Precision: the executor computes in EVAL_DTYPE, float32, on casts of the
-# float64 parameters and folds; training reads none of the casts. The rows'
-# cast is a step of its own, one contiguous pass: a float64 -> float32 np.take
-# in the gather was slower than the float64 gather (9.2-9.8 against 5.4-6.1 ms
-# per 4,096 W2 rows on one core), and the cast and a float32 np.take took
-# 3.5-3.9 ms. It is the only read of the caller's rows: one finite test of
-# the cast chunk, in cache, rejects NaN, infinities and values beyond float32.
+# float64 parameters and folds; training reads none of the casts. A Dataset's
+# rows are float32, so the first step only tests a chunk of them finite and
+# hands the gather or first FC a view of them: the cast of float64 rows had
+# been W2's costliest step, about 30% of a 4,096-row call. Other rows, and rows
+# whose next step works in place, are cast into a buffer in one pass (cheaper
+# than a float64 -> float32 np.take in the gather, 3.5-3.9 against 9.2-9.8 ms).
 
 CHUNK_BYTES = 2**20
 EVAL_DTYPE = np.float32
@@ -636,14 +637,20 @@ def _flat_buffer(size: int, dtype=np.float64) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * size), dtype=dtype)
 
 
-def _cast_step(x, spare):
-    """The input rows, cast into ``spare``; NaN, an infinity or a value beyond the dtype raises ``DomainError``."""
-    out = L.prefix(spare, *x.shape)
-    with np.errstate(over="ignore"):  # the check below reports it, whatever the caller's error state
-        out[...] = x
-    if not np.isfinite(out).all():
-        raise DomainError(f"input holds NaN, an infinity or a value beyond the {out.dtype} range")
-    return out
+def _cast_step(copy: bool):
+    """The rows, cast into ``spare`` if ``copy`` or of another dtype; non-finite ones raise ``DomainError``."""
+
+    def step(x, spare):
+        out = x
+        if copy or x.dtype != spare.dtype:
+            out = L.prefix(spare, *x.shape)
+            with np.errstate(over="ignore"):  # reported below, whatever the caller's error state
+                out[...] = x
+        if not np.isfinite(out).all():
+            raise DomainError(f"input holds NaN, an infinity or a value beyond the {spare.dtype} range")
+        return out
+
+    return step
 
 
 def _mix_step(s: np.ndarray, k: int, m: int):

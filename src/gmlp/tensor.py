@@ -17,9 +17,9 @@ with ROADMAP item 1, once those move to the compiled step.
 Everything here is float64, so gradients can be checked by central finite
 differences, and a block or the objective is one node, so the per-op Python
 overhead stays low. Storage is always a C-contiguous float64 ``numpy``
-array, as in training. Float64 ends at prediction, whose executor casts the
-rows and weights to float32 (``model.EVAL_DTYPE``) and returns float64
-logits. :func:`node` takes the recording :class:`Tape` as first argument;
+array, as in training; a ``Dataset``'s float32 rows are upcast. Float64
+ends at prediction, which computes in float32 (``model.EVAL_DTYPE``) on those
+rows and casts of the weights. :func:`node` takes the recording :class:`Tape` as first argument;
 passing ``tape=None`` runs the forward computation without recording.
 Finite-ness of externally supplied values is validated in the public
 ``Tensor`` constructor.

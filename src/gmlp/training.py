@@ -355,9 +355,10 @@ def predictions(model: Model, X: np.ndarray, hard: bool = False) -> np.ndarray:
 
     X, as an array, goes straight to the model's tape-free eval executor
     (``Model._eval_forward``), which raises ``ShapeError`` unless X is
-    ``d`` wide and reads the rows once, in cache-sized chunks, each cast to
-    float32 (``model.EVAL_DTYPE``) and checked there: NaN, an infinity or a
-    value beyond float32's range raises ``DomainError``. The executor
+    ``d`` wide and reads the rows once, in cache-sized chunks, in place if
+    float32 (a ``Dataset``'s) and else cast to float32 (``model.EVAL_DTYPE``):
+    NaN, an infinity or a value beyond float32's range raises ``DomainError``,
+    and X is never written. The executor
     computes in float32, so a row whose top two logits lie within about
     1e-5 of the logit scale may get another label than in float64. A
     group-connected net whose routing gathers (hard, or relaxed once the
@@ -499,11 +500,11 @@ class TrainStep:
 
         Checks that the rows are ``d`` wide and that every label names a
         class. It does not check the rows finite: ``fit``'s batches are rows
-        of a ``Dataset``, whose constructor has.
+        of a ``Dataset``, whose constructor has; it upcasts them to float64.
         """
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeError(f"input {x.shape} does not match d={self.d}")
-        h = x
+        h = x.astype(np.float64, copy=False)
         saved = []
         for forward, _, _ in self._steps:
             h, s = forward(h)

@@ -113,23 +113,49 @@ def _f4(value) -> bytes:
     return np.array([value], dtype="<f4").tobytes()
 
 
-# blob edits, bytes -> bytes
+def _running_var(value):
+    """Blob edit: ``value`` as the first entry of the first batch-norm running variance."""
+
+    def edit(blob, manifest):
+        at = next(e["offset"] for e in manifest["params"] if e["name"].endswith(".running_var"))
+        return blob[:at] + _f4(value) + blob[at + 4 :]
+
+    return edit
+
+
+# blob edits, (bytes, manifest) -> bytes
 CORRUPT_BLOBS = {
-    "blob_first_float_nan": lambda blob: _f4(np.nan) + blob[4:],
-    "blob_last_float_minus_inf": lambda blob: blob[:-4] + _f4(-np.inf),
+    "blob_first_float_nan": lambda blob, manifest: _f4(np.nan) + blob[4:],
+    "blob_last_float_minus_inf": lambda blob, manifest: blob[:-4] + _f4(-np.inf),
+    # eval batch-norm takes its square root: every logit would be NaN
+    "running_var_negative": _running_var(-0.5),
+    "running_var_nan": _running_var(np.nan),
 }
-CORRUPT = sorted(MALFORMED) + sorted(CORRUPT_BLOBS)
+# header edits, bytes -> bytes: a manifest length past the file, which a
+# read of that length would try to allocate
+CORRUPT_HEADERS = {
+    "manifest_length_huge": lambda raw: _LEN.pack(2**64 - 1) + raw[_LEN.size :],
+    "manifest_length_one_past_the_file": lambda raw: _LEN.pack(len(raw) - _LEN.size + 1) + raw[_LEN.size :],
+}
+CORRUPT = sorted(MALFORMED) + sorted(CORRUPT_BLOBS) + sorted(CORRUPT_HEADERS)
 
 
-def _corrupt(path, case):
-    """Apply the MALFORMED manifest edit or the CORRUPT_BLOBS blob edit named ``case``."""
-    if case in MALFORMED:
-        _rewrite_manifest(path, MALFORMED[case])
-        return
+def _rewrite_blob(path, edit):
+    """Replace the blob of a checkpoint file by edit(blob, manifest), keeping its manifest."""
     raw = path.read_bytes()
     (n,) = _LEN.unpack(raw[: _LEN.size])
     head = _LEN.size + n
-    path.write_bytes(raw[:head] + CORRUPT_BLOBS[case](raw[head:]))
+    path.write_bytes(raw[:head] + edit(raw[head:], json.loads(raw[_LEN.size : head])))
+
+
+def _corrupt(path, case):
+    """Apply the MALFORMED, CORRUPT_BLOBS or CORRUPT_HEADERS edit named ``case``."""
+    if case in MALFORMED:
+        _rewrite_manifest(path, MALFORMED[case])
+    elif case in CORRUPT_HEADERS:
+        path.write_bytes(CORRUPT_HEADERS[case](path.read_bytes()))
+    else:
+        _rewrite_blob(path, CORRUPT_BLOBS[case])
 
 
 class TestRoundTrip:
@@ -262,6 +288,7 @@ class TestMalformed:
             "final_tau_huge_int",
             "norm_stats_sigma_negative",
             *sorted(CORRUPT_BLOBS),
+            *sorted(CORRUPT_HEADERS),
             *sorted(NON_FINITE_NORM_STATS),
         ],
     )
@@ -282,6 +309,13 @@ class TestMalformed:
         data = tmp_path / "rows.csv"
         save_csv(Dataset(np.zeros((3, 6)), np.array([0, 1, 0]), 2), data)
         assert cli.main(["eval", str(path), "--data", str(data)]) == 0
+
+    def test_zero_running_var_loads(self, tmp_path):
+        # a constant unit's population variance: valid, as a sigma of 0 is
+        _, path = _saved(tmp_path)
+        _rewrite_blob(path, _running_var(0.0))
+        running_var = dict(load_checkpoint(path).model.state_arrays())["block2.bn.running_var"]
+        assert running_var[0] == 0.0
 
     def test_truncated_file(self, tmp_path):
         _, path = _saved(tmp_path)

@@ -121,6 +121,19 @@ class TestStringLabels:
         assert "labels ['maybe'] are not among the training run's ['no', 'yes']" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("name", ["train.csv", "test.csv"])
+    def test_value_beyond_float32_exits_2_and_writes_no_files(self, tmp_path, capsys, name):
+        # finite in float64, beyond the float32 that a dataset stores
+        _yes_no_csv(tmp_path / "train.csv", 400, 1, "no")
+        _yes_no_csv(tmp_path / "test.csv", 200, 2, "yes")
+        path = tmp_path / name
+        head, first, *rest = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([head, "1e39," + first.split(",", 1)[1], *rest]) + "\n", encoding="utf-8")
+        run = tmp_path / "run"
+        assert cli.main(["train", str(self._config(tmp_path)), "--out-dir", str(run)]) == 2
+        assert "float32" in capsys.readouterr().err
+        assert not run.exists()
+
     def test_file_with_one_of_the_labels_is_scored_against_the_runs_classes(self, tmp_path, capsys):
         _yes_no_csv(tmp_path / "train.csv", 400, 1, "no")
         _yes_no_csv(tmp_path / "test.csv", 200, 2, "yes")
@@ -222,10 +235,12 @@ class TestEval:
         assert set(report["per_class_accuracy"]) <= {"0", "1"}
 
     def test_value_beyond_float32_exits_2(self, trained, tmp_path, capsys):
-        ckpt, _ = trained
-        ds = synth_generate(SynthBayesNet(), 300, seed=11)
-        ds.X[7, 2] = 1e39  # finite in float64, beyond float32 once standardized
-        save_csv(ds, tmp_path / "rows.csv")
+        ckpt, data = trained
+        lines = data.read_text(encoding="utf-8").splitlines()
+        fields = lines[8].split(",")
+        fields[2] = "1e39"  # finite in float64, beyond the float32 that a dataset stores
+        lines[8] = ",".join(fields)
+        (tmp_path / "rows.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert cli.main(["eval", str(ckpt), "--data", str(tmp_path / "rows.csv")]) == 2
         assert "float32" in capsys.readouterr().err

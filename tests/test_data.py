@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,14 +14,13 @@ from gmlp.data import (
     label_names,
     load_csv,
     normalize,
-    oracle_predict,
     save_csv,
     split,
     synth_bayes_optimal,
     synth_generate,
     to_run_frame,
 )
-from gmlp.errors import DataError
+from gmlp.errors import DataError, DomainError
 
 
 class TestLoadCsv:
@@ -149,6 +150,47 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), np.zeros(3), 1, names)
 
 
+class TestStorage:
+    def test_rows_are_the_float32_rounding_of_the_given_rows(self, tmp_path):
+        X = np.random.default_rng(2).normal(size=(30, 3))
+        ds = Dataset(X, np.arange(30) % 2, 2)
+        assert ds.X.dtype == np.float32 and ds.X.flags.c_contiguous
+        npt.assert_array_equal(ds.X, X.astype(np.float32))
+        train, test = split(ds, 0.2, seed=1)
+        (ntr, nte), _ = normalize(train, test)
+        save_csv(ds, tmp_path / "d.csv")
+        loaded = load_csv(tmp_path / "d.csv", label_column="label")
+        for part in (train, test, ntr, nte, loaded, ds.take(np.array([3, 1]))):
+            assert part.X.dtype == np.float32
+        npt.assert_array_equal(loaded.X, ds.X)  # the CSV holds each float32 value exactly
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
+    @pytest.mark.parametrize("warnings_action", ["error", "ignore"])
+    def test_finite_value_beyond_float32_raises_domain_error(self, value, warnings_action):
+        X = np.zeros((4, 2))
+        X[2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter(warnings_action)
+            with pytest.raises(DomainError, match="float32"):
+                Dataset(X, np.zeros(4, dtype=int), 1)
+            X[2, 1] = 3.4e38  # within float32's range
+            assert Dataset(X, np.zeros(4, dtype=int), 1).X[2, 1] == np.float32(3.4e38)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises_data_error(self, value):
+        X = np.zeros((4, 2))
+        X[:2, 0] = 1e39  # beyond float32 too: the non-finite value is what is reported
+        X[2, 1] = value
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(X, np.zeros(4, dtype=int), 1)
+
+    def test_standardized_value_beyond_float32_raises_domain_error(self):
+        train = Dataset(np.array([[0.0], [1e-30]]), np.zeros(2, dtype=int), 1)
+        test = Dataset(np.array([[1e30]]), np.zeros(1, dtype=int), 1)
+        with pytest.raises(DomainError, match="float32"):
+            normalize(train, test)  # (1e30 - 5e-31) / 5e-31 is about 2e60
+
+
 class TestNormalize:
     def test_two_point_column(self):
         ds = Dataset(np.array([[1.0], [3.0]]), np.array([0, 1]), 2)
@@ -173,19 +215,22 @@ class TestNormalize:
 
     def test_bits_of_the_formula_and_input_left_alone(self):
         rng = np.random.default_rng(1)
-        X = rng.normal(5.0, 2.0, (40, 4))
+        X = rng.normal(5.0, 2.0, (40, 4)).astype(np.float32)
         X[:, 2] = 7.0  # sigma 0
         kept = X.copy()
         ds = Dataset(X, np.zeros(40, dtype=int), 1)
         (norm,), _ = normalize(ds)
-        mu, sigma = kept.mean(axis=0), kept.std(axis=0)
+        # the formula in float64 on the float32 rows, rounded once to float32
+        wide = kept.astype(np.float64)
+        mu, sigma = wide.mean(axis=0), wide.std(axis=0)
         keep = sigma != 0.0
         assert keep.tolist() == [True, True, False, True]
-        want = (kept[:, keep] - mu[keep]) / sigma[keep]
-        npt.assert_array_equal(norm.X[:, keep].view(np.int64), want.view(np.int64))
-        npt.assert_array_equal(norm.X[:, 2].view(np.int64), 0)  # +0.0
+        want = ((wide[:, keep] - mu[keep]) / sigma[keep]).astype(np.float32)
+        assert norm.X.dtype == np.float32
+        npt.assert_array_equal(norm.X[:, keep].view(np.int32), want.view(np.int32))
+        npt.assert_array_equal(norm.X[:, 2].view(np.int32), 0)  # +0.0
         assert ds.X is X  # normalize was given the caller's array, and did not write it
-        npt.assert_array_equal(X.view(np.int64), kept.view(np.int64))
+        npt.assert_array_equal(X.view(np.int32), kept.view(np.int32))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 60), st.integers(1, 5), st.integers(0, 2**31 - 1))
@@ -193,9 +238,14 @@ class TestNormalize:
         rng = np.random.default_rng(seed)
         ds = Dataset(rng.normal(3.0, 2.5, (n, d)), np.zeros(n, dtype=int), 1)
         (norm,), _ = normalize(ds)
-        keep = ds.X.std(axis=0) > 0
-        assert np.all(np.abs(norm.X.mean(axis=0)[keep]) < 1e-9)
-        assert np.all(np.abs(norm.X.var(axis=0)[keep] - 1.0) < 1e-6)
+        # the float64 standardization of the stored rows hits the moments; the
+        # normalized rows are its one rounding to float32
+        X = ds.X.astype(np.float64)
+        keep = X.std(axis=0) > 0
+        exact = (X[:, keep] - X.mean(axis=0)[keep]) / X.std(axis=0)[keep]
+        assert np.all(np.abs(exact.mean(axis=0)) < 1e-9)
+        assert np.all(np.abs(exact.var(axis=0) - 1.0) < 1e-6)
+        npt.assert_array_equal(norm.X[:, keep], exact.astype(np.float32))
 
 
 class TestSplit:
@@ -330,7 +380,9 @@ class TestOracle:
         net = SynthBayesNet()
         oracle = synth_bayes_optimal(net)
         ds = synth_generate(net, 100_000, seed=3)
-        emp = (oracle_predict(oracle, ds.X) == ds.y).mean()
+        # row r of the posterior is the configuration whose bit i is root i
+        config = ds.X.astype(np.int64) @ (1 << np.arange(6))
+        emp = (oracle.posterior[config].argmax(axis=1) == ds.y).mean()
         sigma = np.sqrt(oracle.optimal_accuracy * (1 - oracle.optimal_accuracy) / ds.n)
         assert abs(emp - oracle.optimal_accuracy) < 4 * sigma
 
@@ -353,7 +405,9 @@ class TestHalfNoise:
         y = rng.integers(0, 3, size=300)
         signal = templates[y] + rng.normal(scale=2.0, size=(300, 5))
         noise = rng.normal(size=(300, 7))
-        assert np.array_equal(ds.X, np.hstack([signal, noise]))
+        # the float64 draws, rounded once to the dataset's float32
+        assert ds.X.dtype == np.float32
+        assert np.array_equal(ds.X, np.hstack([signal, noise]).astype(np.float32))
         assert np.array_equal(ds.y, y)
 
     def test_signal_carries_class_information(self):

@@ -74,6 +74,8 @@ BARE_GFC_ARCH = "GSel-8-2, GFC, ReLU, BNorm, GPool-max, GFC, Concat, FC-3"
 WIDE_MLP = "FC-1024, ReLU, BNorm, FC-3"
 # a batch-norm on the input, which no affine step and ReLU precede
 BN_FIRST_MLP = "BNorm, ReLU, FC-4, ReLU, BNorm, FC-3"
+# a ReLU on the input: like BN_FIRST_MLP, its first step works in place
+RELU_FIRST_MLP = "ReLU, FC-4, ReLU, BNorm, FC-3"
 
 
 def _net(arch, seed):
@@ -315,6 +317,40 @@ class TestEvalExecutor:
         logits = model.forward(Tensor(x)).data
         npt.assert_array_equal(x, kept)
         assert_eval_logits(logits, _reference_logits(model, x, "relaxed"), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "arch, copies",
+        [(ARCHS[0], False), (ARCHS[-1], False), (WIDE_MLP, False), (BN_FIRST_MLP, True), (RELU_FIRST_MLP, True)],
+    )
+    def test_float32_rows_are_read_in_place_and_never_written(self, arch, copies):
+        model = _net(arch, seed=7)
+        _perturb(model, np.random.default_rng(61))
+        x = np.random.default_rng(62).normal(size=(300, D)).astype(np.float32)
+        kept = x.copy()
+        for mode in ("hard", "relaxed"):
+            # the first step hands on the caller's rows, unless the next step works in place
+            first = model._eval_steps(mode)[0][0]
+            assert (first(x, np.empty(x.size, np.float32)) is x) != copies
+            logits = model._eval_forward(x, mode)
+            npt.assert_array_equal(x.view(np.int32), kept.view(np.int32))
+            assert_eval_logits(logits, _reference_logits(model, kept.astype(np.float64), mode))
+
+    @pytest.mark.parametrize(
+        "arch, chunk", CHUNKED + [(BN_FIRST_MLP, MAX_CHUNK_ROWS), (RELU_FIRST_MLP, MAX_CHUNK_ROWS)]
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_float32_rows_give_the_bits_of_the_rows_they_were_cast_from(self, arch, chunk, workers, monkeypatch):
+        _workers(monkeypatch, workers)
+        rng = np.random.default_rng(88)
+        model = _net(arch, seed=29)
+        _perturb(model, rng)
+        x = rng.normal(size=(3 * chunk + 37, D))
+        x32 = x.astype(np.float32)
+        for mode in ("hard", "relaxed"):
+            want = _bits(model._eval_forward(x, mode))
+            # float32 rows are read in place, in either memory order
+            for rows in (x32, np.asfortranarray(x32), x32.astype(np.float64)):
+                npt.assert_array_equal(_bits(model._eval_forward(rows, mode)), want)
 
     @pytest.mark.parametrize("arch, chunk", CHUNKED)
     @pytest.mark.parametrize("cores", [1, 2])
@@ -710,6 +746,21 @@ class TestTrainStep:
             # difference carries up to 1e-8 of rounding at the smallest step:
             # entries below 1e-3 are compared on the 1e-3 scale
             assert max_rel_err(analytic[offset + idx], numeric, floor=1e-3) < 1e-5, name
+
+    @pytest.mark.parametrize("arch, tau", STEP_CASES)
+    def test_float32_batch_gives_the_bits_of_its_float64_upcast(self, arch, tau):
+        x, y = _batch(_net(arch, seed=1))
+        x32 = x.astype(np.float32)
+        cfg = TrainConfig(lambda_=0.5, alpha=1e-2)
+        for hard in (False, True) if arch in ROUTED else (False,):
+            upcast, rounded = _step_net(arch, tau), _step_net(arch, tau)
+            want, step = TrainStep(upcast, cfg, hard=hard), TrainStep(rounded, cfg, hard=hard)
+            assert step.loss(x32, y) == want.loss(x32.astype(np.float64), y)
+            step.backward()
+            want.backward()
+            npt.assert_array_equal(_bits(step.grad), _bits(want.grad))
+            for got, kept in zip(_moments(rounded), _moments(upcast)):
+                npt.assert_array_equal(_bits(got), _bits(kept))
 
     @pytest.mark.parametrize("arch", ROUTED)
     def test_hard_step_same_bits_as_tape_path(self, arch):
