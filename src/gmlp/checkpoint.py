@@ -16,8 +16,8 @@ width for bare tokens no longer matches its stored shapes and fails to
 load. An older file whose architecture holds a block the grammar no longer
 has, such as the random masking block of earlier versions, fails to load too.
 Weights are down-converted to float32 on save and promoted back to float64
-on load, where training goes on in float64; prediction computes in float32
-from casts of the float64 weights and folds (``model.EVAL_DTYPE``), so a
+on load, the dtype the model keeps its parameters in; prediction computes
+in float32 from casts of the float64 weights and folds (``model.EVAL_DTYPE``), so a
 reloaded model reproduces eval-mode outputs to float32 rounding (about 1e-7
 relative per operation) rather than bit-exactly.
 A file whose arrays hold a NaN or an infinity, whose batch-norm running
@@ -26,7 +26,9 @@ normalization statistics are not finite, or whose class or feature names
 repeat a name or do not number the net's outputs or inputs, is rejected on
 load like any other corrupt file.
 So is a blob of fewer float32 values than the manifest's architecture has
-parameters (``count_complexity``), checked before the model allocates any.
+parameters (``count_complexity``), checked before the model allocates any,
+and a manifest whose arrays do not tile the blob back to back, in order, as
+the writer lays them out.
 
 Nothing non-deterministic (timestamps, hostnames) is written: identical
 models under identical metadata serialize to identical bytes.
@@ -193,11 +195,14 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         if metadata.get(key) is not None and len(metadata[key]) != width:
             raise CheckpointError(f"{path}: {len(metadata[key])} {key} for a net of width {width}")
     available = dict(model.state_arrays())
+    end = 0  # the arrays tile the blob back to back, in manifest order, as the writer lays them out
     for entry in manifest["params"]:
         name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         count = int(np.prod(shape)) if shape else 1
+        if offset != end:
+            raise CheckpointError(f"{name}: offset {offset}, where the previous array ends at {end}")
         end = offset + 4 * count
-        if offset < 0 or end > len(blob):
+        if end > len(blob):
             raise CheckpointError(f"{name}: blob slice [{offset}, {end}) out of range")
         if name not in available:
             raise CheckpointError(f"{name}: not a parameter of arch {manifest['arch']!r}")
@@ -212,6 +217,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         dst[:] = values.reshape(shape).astype(np.float64)
     if available:
         raise CheckpointError(f"checkpoint is missing arrays: {sorted(available)}")
+    if end != len(blob):
+        raise CheckpointError(f"the arrays end at byte {end} of a {len(blob)}-byte blob")
     r = model.routing
     if r is not None and np.count_nonzero(routing_weights(r.psi.data, r.temperature)) == r.psi.shape[0]:
         r.idx = r.psi.data.argmax(axis=1)  # one nonzero weight per row: a committed routing

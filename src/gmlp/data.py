@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataError, DomainError
 
 DEFAULT_ROOT_NAMES = ("A", "B", "C", "D", "E", "F")
+STANDARDIZE_BLOCK = 1 << 17  # values per block of ``standardize``: 1 MiB of float64
 
 
 @dataclass
@@ -210,10 +211,17 @@ def normalize(train: Dataset, *others: Dataset):
 
 def standardize(ds: Dataset, mu: np.ndarray, sigma: np.ndarray) -> Dataset:
     """``ds`` with column j mapped to (x - mu[j]) / sigma[j], or to zeros where sigma[j] is 0:
-    in float64 for float64 ``mu`` and ``sigma``, rounded once to float32."""
+    in float64 for float64 ``mu`` and ``sigma``, in blocks of ``STANDARDIZE_BLOCK``, rounded once to float32."""
     safe = np.where(sigma == 0.0, 1.0, sigma)
-    xn = ds.X - mu
-    xn /= safe  # in place: no second full-size array
+    xn = np.empty(ds.X.shape, np.float32)
+    rows = max(1, STANDARDIZE_BLOCK // ds.d)
+    for lo in range(0, ds.n, rows):
+        block = ds.X[lo : lo + rows] - mu
+        block /= safe  # in place: no second block-size array
+        with np.errstate(over="ignore"):  # reported below, whatever the caller's error state
+            xn[lo : lo + rows] = block
+        if not np.isfinite(xn[lo : lo + rows]).all() and np.isfinite(block).all():
+            raise DomainError("standardized features hold a value beyond the float32 range")
     xn[:, sigma == 0.0] = 0.0
     return Dataset(xn, ds.y, ds.n_classes, ds.feature_names, ds.class_names)
 

@@ -37,8 +37,10 @@ their operands and record one pair as one tape node; no code of the
 package calls them, and they are kept for the tests and for the
 benchmark's tracer, which times layers by these names.
 Parameters are captured as arrays, views of the model's flat vector that
-the optimizer updates in place. Sums call ``np.add.reduce``, the reduction
-behind ``ndarray.sum``, without its Python wrapper.
+the optimizer updates in place, or of the training step's float32 mirror.
+A kernel keeps its input's dtype (only the psi gradient is float64). Sums
+call ``np.add.reduce``, the reduction behind ``ndarray.sum``, without its
+Python wrapper.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ TINY = np.finfo(np.float64).tiny
 EXP_NORMAL_MIN = float(np.log(TINY))
 
 
-def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The row softmax of psi at the temperature, with subnormal weights set to 0.
+def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None = None, floor=TINY) -> np.ndarray:
+    """The row softmax of psi at the temperature, with weights below ``floor`` set to 0.
 
     Computed in one array, ``out`` if given, by max-subtraction, so it stays
     finite down to very low temperatures. A weight below the smallest normal
@@ -107,7 +109,8 @@ def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None 
     The subnormal terms this leaves out of S sum to less than d*tiny, far
     below half an ulp of S; the tests compare the weights bit for bit with
     the plain softmax. One reduction, the minimum of z, keeps the common
-    case, where no entry is that low, on one unmasked ``exp``.
+    case, where no entry is that low, on one unmasked ``exp``. A float32
+    product passes float32's smallest normal as ``floor``.
     """
     if not temperature > 0.0:
         raise DomainError(f"softmax temperature must be positive, got {temperature}")
@@ -120,7 +123,7 @@ def routing_weights(psi: np.ndarray, temperature: float, out: np.ndarray | None 
     else:
         np.exp(s, out=s)
     s /= np.add.reduce(s, axis=1, keepdims=True)
-    s[s < TINY] = 0.0
+    s[s < floor] = 0.0
     return s
 
 
@@ -177,14 +180,18 @@ def select_pair(routing: RoutingParams, scratch, input_grad: bool, candidates=No
     The temperature tau is read at each forward call. S lives in ``scratch[0]``
     from forward to backward, and psi's gradient, S*(g @ x - rowdot)/tau
     with rowdot = sum_b g_ib out_ib read off the output, is formed in
-    ``scratch[1]``: two arrays of psi's size. x's gradient, g.T @ S, is
-    computed only if ``input_grad``. With ``candidates`` = (cols, psi_c),
-    the pair trains psi_c instead, the (k*m, K) logits of columns cols of
-    psi: its softmax is put at cols into S, whose other entries must be 0,
-    and its gradient is the same expression gathered at cols.
+    ``scratch[1]``: two float64 arrays of psi's size. Two more, float32,
+    make both products float32: S, floored at float32's smallest normal, is
+    cast into the first, and g @ x lands in the second. x's gradient,
+    g.T @ S, is computed only if ``input_grad``. With ``candidates`` =
+    (cols, psi_c), the pair trains psi_c instead, the (k*m, K) logits of
+    columns cols of psi: its softmax is put at cols into the S of the
+    product, whose other entries must be 0, and its gradient is the same
+    expression gathered at cols.
     """
     psi = routing.psi.data
-    s, gs = (buf.reshape(psi.shape) for buf in scratch)
+    s, gs, *low = (buf.reshape(psi.shape) for buf in scratch)
+    mix, gx = low or (s, gs)  # the operands of the two products
     k, m = routing.k, routing.m
     if candidates is not None:
         cols, psi_c = candidates
@@ -192,24 +199,27 @@ def select_pair(routing: RoutingParams, scratch, input_grad: bool, candidates=No
         s_c = np.empty(psi_c.shape)
 
     def forward(x):
-        tau = routing.temperature
-        if candidates is None:
-            routing_weights(psi, tau, out=s)
+        tau, floor = routing.temperature, np.finfo(mix.dtype).tiny
+        if candidates is not None:
+            mix.put(at, routing_weights(psi_c, tau, out=s_c, floor=floor))
+        elif low:
+            np.copyto(mix, routing_weights(psi, tau, out=s, floor=floor))
         else:
-            s.put(at, routing_weights(psi_c, tau, out=s_c))
-        out = s @ x.T
+            routing_weights(psi, tau, out=s)
+        out = mix @ x.T
         return out.reshape(k, m, -1), (x, out, tau)
 
     def backward(g, saved):
         x, out, tau = saved
         g = g.reshape(out.shape)
-        term = np.matmul(g, x, out=gs)
+        term = np.matmul(g, x, out=gx)
         if candidates is not None:
-            term = gs.take(at).reshape(s_c.shape)
-        term -= np.einsum("ij,ij->i", g, out)[:, None]
+            term = term.take(at).reshape(s_c.shape)
+        rowdot = np.einsum("ij,ij->i", g, out)[:, None]
+        term = np.subtract(term, rowdot, out=gs if candidates is None else None, dtype=np.float64)
         term *= s if candidates is None else s_c
         term /= tau
-        return (g.T @ s if input_grad else None), term
+        return (g.T @ mix if input_grad else None), term
 
     return forward, backward
 
@@ -334,7 +344,7 @@ def reduce_pool_pair(kind: str, branching: int):
         if kind == "mean":
             dz = np.ascontiguousarray(np.broadcast_to(g / branching, zs.shape))
         else:
-            dz = np.empty(zs.shape)
+            dz = np.empty(zs.shape, g.dtype)
             free = np.ones(out.shape, dtype=bool)
             for t in range(branching):
                 hit = zs[t] == out
@@ -400,16 +410,16 @@ def _layout(grouped: bool):
     return (1, (-1, 1)) if grouped else (0, (-1,))
 
 
-def batchnorm_pair(state: BatchNormState, grouped: bool):
-    """Training-mode batch-norm of (B, F) rows, or of (k, m, B) groups per slot.
+def batchnorm_pair(state: BatchNormState, gamma: np.ndarray, beta: np.ndarray, grouped: bool):
+    """Training-mode batch-norm of (B, F) rows, or of (k, m, B) groups per slot, with scale gamma and shift beta.
 
     Normalizes by the batch moments (biased variance) and folds them into
-    the running moments in place, at weight ``BN_MOMENTUM``; a batch of one
-    row raises ``DomainError``.
+    ``state``'s running moments in place, at weight ``BN_MOMENTUM``; a batch
+    of one row raises ``DomainError``.
     """
     momentum, eps = BN_MOMENTUM, BN_EPSILON
     axis, col = _layout(grouped)
-    gamma, beta = state.gamma.data, state.beta.data.reshape(col)
+    beta = beta.reshape(col)
 
     def forward(h):
         xf = h.reshape(-1, h.shape[2]) if grouped else h
@@ -456,7 +466,8 @@ def batchnorm_forward(tape, x: Tensor, state: BatchNormState) -> Tensor:
     features = x.shape[1] if x.data.ndim == 2 else x.shape[0] * x.shape[1]
     if state.gamma.size != features:
         raise ShapeError(f"batchnorm: {state.gamma.size} features for input {x.shape}")
-    return T.node(tape, batchnorm_pair(state, x.data.ndim == 3), x, state.gamma, state.beta)
+    pair = batchnorm_pair(state, state.gamma.data, state.beta.data, x.data.ndim == 3)
+    return T.node(tape, pair, x, state.gamma, state.beta)
 
 
 def _relu_forward(h):
@@ -484,7 +495,7 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     """
     if min(a.shape) < _TRANSPOSE_BLOCK:
         return np.ascontiguousarray(a.T)
-    out = np.empty(a.shape[::-1])
+    out = np.empty(a.shape[::-1], a.dtype)
     for i in range(0, a.shape[0], _TRANSPOSE_BLOCK):
         out[:, i : i + _TRANSPOSE_BLOCK] = a[i : i + _TRANSPOSE_BLOCK].T
     return out

@@ -291,7 +291,7 @@ class Model:
         relaxed routing through psi, or in ``"hard"`` mode the gather of the
         committed routing, and batch moments) and records each as one node on
         ``tape`` if one is given; ``fit`` compiles the same list without a
-        tape, in float64. Eval mode (prediction) takes no tape and runs only
+        tape, in ``training.TRAIN_DTYPE``. Eval mode (prediction) takes no tape and runs only
         the eval executor (``_eval_forward``, which checks the width of
         ``x`` and, chunk by chunk, that its rows are finite in float32), in
         float32 (``EVAL_DTYPE``) into float64 logits: the blocks become
@@ -323,7 +323,8 @@ class Model:
         if x.data.ndim != 2 or x.shape[1] != self.spec.d:
             raise ShapeError(f"input {x.shape} does not match d={self.spec.d}")
         size = self.routing.psi.size if self.routing is not None and mode == "relaxed" else 0
-        pairs = self._train_pairs((np.empty(size), np.empty(size)), x.requires_grad, hard=mode == "hard")
+        arrays = [t.data for _, t in self._params]
+        pairs = self._train_pairs(arrays, (np.empty(size), np.empty(size)), x.requires_grad, mode == "hard")
         h = x
         for forward, backward, params in pairs:
             h = T.node(tape, (forward, backward), h, *params)
@@ -359,8 +360,7 @@ class Model:
         if r is not None:
             k, m = r.k, r.m
             if mode == "relaxed" and r.idx is None:
-                s = L.routing_weights(r.psi.data, r.temperature).astype(dtype, copy=False)
-                s[s < np.finfo(dtype).tiny] = 0.0  # subnormal in dtype: slow in BLAS
+                s = L.routing_weights(r.psi.data, r.temperature, floor=np.finfo(dtype).tiny).astype(dtype, copy=False)
                 steps.append((_mix_step(s, k, m), True))
             else:
                 steps.append((_forward_step(L.gather_pair(L.hard_assignment(r), k, m)), True))
@@ -462,13 +462,14 @@ class Model:
                 future.result()
         return out
 
-    def _train_pairs(self, scratch, input_grad: bool, hard: bool = False, candidates=None) -> list:
+    def _train_pairs(self, arrays, scratch, input_grad: bool, hard: bool = False, candidates=None) -> list:
         """The blocks' training kernels as ``(forward, backward, params)``, in block order.
 
         ``forward`` and ``backward`` are the block's ``layers`` pair, and
         ``params`` the tensors whose gradients ``backward`` returns after the
-        input's. Group-Select is relaxed and keeps its routing weights and
-        psi's gradient term in ``scratch``, two flat buffers of psi's size;
+        input's, and ``arrays`` what they capture, one per parameter in order.
+        Group-Select keeps its routing weights and psi's gradient term in
+        ``scratch``, flat buffers of psi's size;
         with ``candidates`` = (cols, psi_c) it trains the array psi_c
         (``layers.select_pair``); if ``hard``, it is the gather of
         ``layers.hard_assignment``, which trains nothing and reads no
@@ -484,21 +485,21 @@ class Model:
             trained = r.psi if candidates is None else candidates[1]
             pairs.append((*L.select_pair(r, scratch, input_grad, candidates), [trained]))
         grouped = r is not None
-        for tag, payload in self._ops:
+        drawn = iter(arrays[1:] if r is not None else arrays)  # psi is the first parameter
+        for (tag, payload), block in zip(self._ops, self.spec.blocks):
+            a = [next(drawn) for _ in block.params]
             if tag == "gfc":
-                w, b = payload
-                pairs.append((*L.group_fc_pair(w.data, b.data), [w, b]))
+                pairs.append((*L.group_fc_pair(*a), list(payload)))
             elif tag == "dense":
-                w, b = payload
-                pairs.append((*L.dense_pair(w.data, b.data, input_grad or bool(pairs)), [w, b]))
+                pairs.append((*L.dense_pair(*a, input_grad or bool(pairs)), list(payload)))
             elif tag == "relu":
                 pairs.append((*L.RELU_PAIR, []))
             elif tag == "batchnorm":
-                pairs.append((*L.batchnorm_pair(payload, grouped), [payload.gamma, payload.beta]))
+                pairs.append((*L.batchnorm_pair(payload, *a, grouped), [payload.gamma, payload.beta]))
             elif tag == "pool":
                 kind, branching, w = payload
                 if kind == "linear":
-                    pairs.append((*L.linear_pool_pair(branching, w.data), [w]))
+                    pairs.append((*L.linear_pool_pair(branching, *a), [w]))
                 else:
                     pairs.append((*L.reduce_pool_pair(kind, branching), []))
             elif tag == "concat":
@@ -580,7 +581,8 @@ class Model:
 # up to the sign of zero.
 #
 # Precision: the executor computes in EVAL_DTYPE, float32, on casts of the
-# float64 parameters and folds; training reads none of the casts. A Dataset's
+# float64 parameters and folds; training reads none of them (it keeps its own
+# float32 mirror, training.TRAIN_DTYPE). A Dataset's
 # rows are float32, so the first step only tests a chunk of them finite and
 # hands the gather or first FC a view of them: the cast of float64 rows had
 # been W2's costliest step, about 30% of a 4,096-row call. Other rows, and rows
@@ -628,7 +630,7 @@ def _run_chunks(steps: list, x: np.ndarray, out: np.ndarray, rows: int, starts, 
 def _flat_buffer(size: int, dtype=np.float64) -> np.ndarray:
     """``size`` values of ``dtype`` in an anonymous memory map of their own.
 
-    The eval executor's chunk buffers are ``EVAL_DTYPE``, training's float64.
+    The eval executor's chunk buffers are ``EVAL_DTYPE``, training's float64 or ``TRAIN_DTYPE``.
     A long-lived array from the malloc heap keeps the heap from shrinking
     back past it, so the memory of arrays freed below it stays resident: two
     1 MiB ``np.empty`` buffers per model raised the benchmark's peak RSS on

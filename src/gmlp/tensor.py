@@ -17,10 +17,11 @@ with ROADMAP item 1, once those move to the compiled step.
 Everything here is float64, so gradients can be checked by central finite
 differences, and a block or the objective is one node, so the per-op Python
 overhead stays low. Storage is always a C-contiguous float64 ``numpy``
-array, as in training; a ``Dataset``'s float32 rows are upcast. Float64
-ends at prediction, which computes in float32 (``model.EVAL_DTYPE``) on those
-rows and casts of the weights. :func:`node` takes the recording :class:`Tape` as first argument;
-passing ``tape=None`` runs the forward computation without recording.
+array, as the parameters are; a ``Dataset``'s float32 rows are upcast.
+``fit`` runs the kernels in float32 (``training.TRAIN_DTYPE``), as
+prediction does (``model.EVAL_DTYPE``). :func:`node` takes the recording
+:class:`Tape` as first argument; passing ``tape=None`` runs the forward
+computation without recording.
 Finite-ness of externally supplied values is validated in the public
 ``Tensor`` constructor.
 

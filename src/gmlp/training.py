@@ -23,7 +23,14 @@ objective, with every gradient written into one flat vector that mirrors
 the model's flat parameter vector, and one Adam pass over that vector. No
 tape is built. The tape path (``Model.forward`` with a tape,
 ``loss_terms`` and ``Tape.backward``) records the same kernels, one node
-each, so both paths give the same bits.
+each, on the float64 parameters.
+
+Precision, as in mixed-precision training with master weights
+(arXiv:1710.03740) one precision up: the step's kernels and routing products
+run in ``TRAIN_DTYPE``, float32, on a float32 mirror of the parameters after
+psi, refreshed at each step; the parameters, Adam, psi, the running moments,
+the softmax, psi's gradient and the objective (on the logits' float64 upcast)
+stay float64. At ``TRAIN_DTYPE`` float64 the step gives the tape path's bits.
 
 A group-connected net trains in two phases. The relaxed phase routes
 through the tempered softmax of psi. If d exceeds ``ROUTING_CANDIDATES``
@@ -81,7 +88,7 @@ from . import tensor as T
 from .analysis import sparsity_report
 from .data import Dataset, batches
 from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
-from .layers import pin_routing, write_candidates
+from .layers import pin_routing, prefix, write_candidates
 from .model import Model, _flat_buffer
 from .tensor import Tensor
 
@@ -99,6 +106,8 @@ ROUTING_CANDIDATES = 64
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the dtype of TrainStep's kernels and routing products (module docstring)
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -421,7 +430,8 @@ class TrainStep:
     and then ``objective``, and returns the objective and its cross-entropy
     and entropy terms as floats; ``backward()`` then writes the objective's
     gradient into ``grad``, one flat vector laid out like ``flat``, the part
-    of the model's flat parameter vector that the step trains.
+    of the model's flat parameter vector that the step trains, in the
+    ``TRAIN_DTYPE`` read when it is built (module docstring).
     ``Model.forward`` and ``loss_terms`` record the same kernels on a tape,
     one node per block and one for the objective, and the tape sums each
     parameter's gradient terms in an order that gives the same bits: its L2
@@ -452,12 +462,18 @@ class TrainStep:
     def __init__(self, model: Model, cfg: TrainConfig, hard: bool = False, cols=None):
         self.d = model.spec.d
         self.alpha = cfg.alpha
+        self.dtype = np.dtype(TRAIN_DTYPE)
         routing = model.routing
         relaxed = routing is not None and not hard
         params, offsets, lo = model.parameters(), model._offsets, 0
+        base = routing.psi.size if routing is not None else 0  # psi is the first parameter
         if routing is not None and (hard or cols is not None):
-            params, offsets, lo = params[1:], offsets[1:], routing.psi.size  # psi is the first parameter
+            params, offsets, lo = params[1:], offsets[1:], base
         self.flat = model._flat[lo:]
+        arrays, self._mirror = [t.data for _, t in model.parameters()], None  # what the kernels capture
+        if self.dtype != model._flat.dtype:
+            self._master, self._mirror = model._flat[base:], _flat_buffer(model._flat.size - base, self.dtype)
+            arrays = [a if o < base else prefix(self._mirror[o - base :], *a.shape) for a, o in zip(arrays, model._offsets)]
         self.grad = grad = _flat_buffer(self.flat.size)
         self._flats = [t.data.reshape(-1) for _, t in params]
         slots = {
@@ -476,7 +492,8 @@ class TrainStep:
         scratch = (None, None)
         self._psi = self._z = self._e = None
         if relaxed:
-            scratch = (_flat_buffer(routing.psi.size), _flat_buffer(routing.psi.size))
+            dtypes = (np.float64,) * 2 + (() if self._mirror is None else (self.dtype,) * 2)
+            scratch = tuple(_flat_buffer(routing.psi.size, dtype) for dtype in dtypes)
         if self.lambda_ > 0.0:
             psi = self._psi = routing.psi.data if cols is None else self.psi_c
             self._gpsi = slots[id(trained)]
@@ -491,7 +508,7 @@ class TrainStep:
 
         self._steps = [
             (forward, backward, [put(t) for t in params])
-            for forward, backward, params in model._train_pairs(scratch, False, hard, candidates)
+            for forward, backward, params in model._train_pairs(arrays, scratch, False, hard, candidates)
         ]
         self._saved = self._objective = None
 
@@ -500,17 +517,20 @@ class TrainStep:
 
         Checks that the rows are ``d`` wide and that every label names a
         class. It does not check the rows finite: ``fit``'s batches are rows
-        of a ``Dataset``, whose constructor has; it upcasts them to float64.
+        of a ``Dataset``, whose constructor has; it casts them to ``TRAIN_DTYPE``.
         """
         if x.ndim != 2 or x.shape[1] != self.d:
             raise ShapeError(f"input {x.shape} does not match d={self.d}")
-        h = x.astype(np.float64, copy=False)
+        if self._mirror is not None:
+            np.copyto(self._mirror, self._master)
+        h = x.astype(self.dtype, copy=False)
         saved = []
         for forward, _, _ in self._steps:
             h, s = forward(h)
             saved.append(s)
         total, ce, ent, self._objective = objective(
-            h, np.asarray(y), self._psi, self._flats, self.lambda_, self.alpha, self._z, self._e, self.d
+            h.astype(np.float64, copy=False), np.asarray(y), self._psi, self._flats, self.lambda_,
+            self.alpha, self._z, self._e, self.d,
         )
         self._saved = saved
         return float(total), float(ce), float(ent)
@@ -518,6 +538,7 @@ class TrainStep:
     def backward(self) -> None:
         """The gradient of the last ``loss`` into ``grad``."""
         g, dpsi, l2 = objective_grad(1.0, self._objective)
+        g = g.astype(self.dtype, copy=False)
         if self.alpha > 0.0:
             np.multiply(self.flat, l2, out=self.grad)
             if self.psi_c is not None:
@@ -571,11 +592,11 @@ def fit(
     lands in one flat vector laid out like the part of the model's flat
     parameter vector that the phase trains. Adam then runs once per step
     over that vector (and once over psi_c), in ``adam_step``'s tiles,
-    continuing the same moments and step count. Unless narrowed, the fitted
-    bits are those of a loop over the tape path (``Model.forward`` with a
-    tape, in the phase's mode, ``loss_terms`` and ``Tape.backward``, the
-    tensors' gradients gathered into one flat vector for ``adam_step``),
-    which records the same kernels.
+    continuing the same moments and step count. At ``TRAIN_DTYPE`` float64
+    and unless narrowed, the fitted bits are those of a loop over the tape
+    path (``Model.forward`` with a tape, in the phase's mode, ``loss_terms``
+    and ``Tape.backward``, the tensors' gradients gathered into one flat
+    vector for ``adam_step``), which records the same kernels.
 
     ``val`` drives the plateau schedule (by relaxed accuracy) and
     best-checkpoint tracking (by hard accuracy, see :class:`FitResult`);

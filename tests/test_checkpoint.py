@@ -50,7 +50,12 @@ def _with(key, value):
 
 def _with_param(manifest, **fields):
     """The manifest with fields of its first parameter entry replaced."""
-    manifest["params"][0].update(fields)
+    return _with_entry(manifest, 0, **fields)
+
+
+def _with_entry(manifest, i, **fields):
+    """The manifest with fields of its parameter entry ``i`` replaced."""
+    manifest["params"][i].update(fields)
     return manifest
 
 
@@ -316,6 +321,30 @@ class TestMalformed:
         _rewrite_blob(path, _running_var(0.0))
         running_var = dict(load_checkpoint(path).model.state_arrays())["block2.bn.running_var"]
         assert running_var[0] == 0.0
+
+    @pytest.mark.parametrize("shift", [-4, 4])
+    def test_moved_offset_raises_and_eval_exits_2(self, tmp_path, shift, capsys):
+        # each entry's offset one float32 off: a shifted or overlapping slice,
+        # which a check that the slices lie in range alone lets load
+        _, path = _saved(tmp_path)
+        raw = path.read_bytes()
+        data = tmp_path / "rows.csv"
+        save_csv(Dataset(np.zeros((3, 6)), np.array([0, 1, 0]), 2), data)
+        entries = load_checkpoint(path).manifest["params"]
+        assert len(entries) == 9
+        for i in range(len(entries)):
+            path.write_bytes(raw)
+            _rewrite_manifest(path, lambda mf: _with_entry(mf, i, offset=mf["params"][i]["offset"] + shift))
+            with pytest.raises(CheckpointError, match="offset"):
+                load_checkpoint(path)
+            assert cli.main(["eval", str(path), "--data", str(data)]) == 2
+            assert "error:" in capsys.readouterr().err
+        # and the last array must end where the blob does
+        path.write_bytes(raw)
+        _rewrite_blob(path, lambda blob, manifest: blob + _f4(0.0))
+        _rewrite_manifest(path, lambda mf: _with("blob_bytes", mf["blob_bytes"] + 4)(mf))
+        with pytest.raises(CheckpointError, match="end at byte"):
+            load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
         _, path = _saved(tmp_path)

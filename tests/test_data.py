@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmlp import data
 from gmlp.data import (
     Dataset,
     SynthBayesNet,
@@ -16,6 +18,7 @@ from gmlp.data import (
     normalize,
     save_csv,
     split,
+    standardize,
     synth_bayes_optimal,
     synth_generate,
     to_run_frame,
@@ -213,7 +216,11 @@ class TestNormalize:
         npt.assert_allclose(nte.X, (test.X - mu) / sig)
         assert abs(nte.X.mean()) > 0.5  # clearly not self-normalized
 
-    def test_bits_of_the_formula_and_input_left_alone(self):
+    # the default block, one block for these rows, and blocks of 3 rows, the last of 1
+    @pytest.mark.parametrize("block", [None, 12])
+    def test_bits_of_the_formula_and_input_left_alone(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(data, "STANDARDIZE_BLOCK", block)
         rng = np.random.default_rng(1)
         X = rng.normal(5.0, 2.0, (40, 4)).astype(np.float32)
         X[:, 2] = 7.0  # sigma 0
@@ -246,6 +253,21 @@ class TestNormalize:
         assert np.all(np.abs(exact.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(exact.var(axis=0) - 1.0) < 1e-6)
         npt.assert_array_equal(norm.X[:, keep], exact.astype(np.float32))
+
+    def test_standardize_makes_no_float64_array_of_the_split(self):
+        rng = np.random.default_rng(2)
+        ds = Dataset(rng.normal(size=(4096, 784)).astype(np.float32), np.zeros(4096, dtype=int), 1)
+        mu, sigma = np.full(784, 0.5), np.full(784, 2.0)
+        tracemalloc.start()
+        try:
+            out = standardize(ds, mu, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 result, Dataset's one-byte finiteness mask of it, and a
+        # float64 block with its own mask; a float64 array of the split alone
+        # would be twice the result's 12.25 MiB
+        assert peak <= out.X.nbytes + out.X.size + 2 * 8 * data.STANDARDIZE_BLOCK
 
 
 class TestSplit:

@@ -19,7 +19,10 @@ block kernels and the same ``objective`` and ``objective_grad``, so the
 bit checks guard the order in which the compiled step sums each
 parameter's gradient terms, and the recording of each kernel on the tape.
 ``fit`` itself, a hard epoch included, is held to a tape loop that
-gathers the tape's gradients into one flat vector for Adam.
+gathers the tape's gradients into one flat vector for Adam. These bit and
+finite-difference checks run the step in float64, through the
+``train_dtype`` fixture (``conftest.py``); ``test_train_dtype`` holds the
+default float32 step to the float64 one.
 """
 
 import concurrent.futures
@@ -707,6 +710,7 @@ def _moments(model):
 
 
 class TestTrainStep:
+    @pytest.mark.usefixtures("train_dtype")
     @pytest.mark.parametrize("arch, tau", STEP_CASES)
     def test_same_bits_as_tape_path(self, arch, tau):
         x, y = _batch(_net(arch, seed=1))
@@ -721,6 +725,7 @@ class TestTrainStep:
             for got, kept in zip(_moments(compiled), _moments(taped)):
                 npt.assert_array_equal(_bits(got), _bits(kept))
 
+    @pytest.mark.usefixtures("train_dtype")
     @pytest.mark.parametrize("arch, tau", STEP_CASES)
     def test_gradient_matches_finite_differences(self, arch, tau):
         model = _step_net(arch, tau)
@@ -762,6 +767,7 @@ class TestTrainStep:
             for got, kept in zip(_moments(rounded), _moments(upcast)):
                 npt.assert_array_equal(_bits(got), _bits(kept))
 
+    @pytest.mark.usefixtures("train_dtype")
     @pytest.mark.parametrize("arch", ROUTED)
     def test_hard_step_same_bits_as_tape_path(self, arch):
         x, y = _batch(_net(arch, seed=1))
@@ -778,6 +784,7 @@ class TestTrainStep:
             for got, kept in zip(_moments(compiled), _moments(taped)):
                 npt.assert_array_equal(_bits(got), _bits(kept))
 
+    @pytest.mark.usefixtures("train_dtype")
     @pytest.mark.parametrize("arch", ROUTED)
     def test_hard_gradient_matches_finite_differences(self, arch):
         model = _step_net(arch, 0.01)
@@ -821,6 +828,7 @@ class TestTrainStep:
             for got_m, want_m in zip(_moments(narrowed), _moments(dense)):
                 npt.assert_array_equal(_bits(got_m), _bits(want_m))
 
+    @pytest.mark.usefixtures("train_dtype")
     @pytest.mark.parametrize("arch, tau", [(arch, tau) for arch in ROUTED for tau in TAUS])
     def test_narrowed_gradient_matches_finite_differences(self, arch, tau):
         model = _step_net(arch, tau)
@@ -851,6 +859,7 @@ class TestTrainStep:
         psi[...] = 0.0
         assert objective() == value
 
+    @pytest.mark.usefixtures("train_dtype")
     @pytest.mark.parametrize(
         "arch", ["GSel-8-4, GFC, ReLU, BNorm, Concat, FC-2", ARCHS[5], BARE_GFC_ARCH]
     )
@@ -869,6 +878,7 @@ class TestTrainStep:
             npt.assert_array_equal(_bits(got), _bits(want), err_msg=name)
 
 
+    @pytest.mark.usefixtures("train_dtype")
     def test_fit_with_every_column_a_candidate_matches_tape_loop(self, monkeypatch):
         # d = 5 is not above 5 candidates, so fit does not narrow
         monkeypatch.setattr(training, "ROUTING_CANDIDATES", D)
